@@ -464,6 +464,17 @@ def cmd_verify(args, out) -> int:
 # parser and entry point
 # ---------------------------------------------------------------------------
 
+def _positive_int(text: str) -> int:
+    """argparse type of every --terms flag: zero and below are usage errors."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cubicforms",
@@ -473,13 +484,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_theta = sub.add_parser("theta", help="degree generating series")
-    p_theta.add_argument("--terms", type=int, default=4, help="integer q-steps")
+    p_theta.add_argument(
+        "--terms", type=_positive_int, default=4, help="integer q-steps"
+    )
     p_theta.add_argument("--format", choices=FORMATS, default="plain")
     p_theta.set_defaults(func=cmd_theta)
 
     p_eis = sub.add_parser("eisenstein", help="Eisenstein series expansions")
     p_eis.add_argument("--k", type=int, default=5, help="weight")
-    p_eis.add_argument("--terms", type=int, default=4)
+    p_eis.add_argument("--terms", type=_positive_int, default=4)
     p_eis.add_argument("--format", choices=FORMATS, default="plain")
     p_eis.set_defaults(func=cmd_eisenstein)
 

@@ -9,8 +9,8 @@ factor is built from representation counts of a quadratic congruence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from .exactmath import (
     IntegralityError,
@@ -32,8 +32,6 @@ __all__ = [
     "beta_series",
     "rep_count",
     "prime_power_counts",
-    "LocalEulerData",
-    "local_euler_data",
     "local_euler_factor",
     "l_value_ratio",
     "vv_eisenstein",
@@ -158,90 +156,81 @@ def rep_count(form: DiscriminantForm, gamma: int, n: Fraction, a: int) -> int:
 def prime_power_counts(
     form: DiscriminantForm, gamma: int, n: Fraction, p: int, vmax: int
 ) -> list[int]:
-    """Counts [N(p^0), ..., N(p^vmax)] of the same congruence, by lifting
-    solutions one p-power at a time.
+    """Counts [N(p^0), ..., N(p^vmax)] of the same congruence, by descent at
+    singular points.
 
-    A solution r mod p^j lifts to r + p^j*s; evenness makes the second-order
-    term divisible by p^(j+1), so the lift condition is the linear congruence
-    G(r)/p^j + grad(r).s = 0 mod p.  Agrees with rep_count (tested), but runs
-    in time proportional to the number of solutions instead of p^(2v).
+    Write the congruence as f(r) = Q(r) + b.r + c with Q(r) = r^T G r / 2 and
+    G even.  A solution x mod p with grad f(x) != 0 mod p is nonsingular: by
+    Hensel it contributes p^((v-1)(rank-1)) solutions mod p^v.  A singular
+    solution, grad f(x) = p*g, contributes 1 at v = 1; for v >= 2 it
+    contributes nothing unless p^2 | f(x), and then p^rank * N_{f'}(p^(v-2)),
+    because
+
+        f(x + p*s) = f(x) + p^2 * f'(s),    f'(s) = Q(s) + g.s + f(x)/p^2.
+
+    f' has the same G, so the counts recurse on it, to depth vmax/2.  Each
+    level is seeded by the solutions mod p.  For rank 2 and p not dividing
+    2 det G the only singular point is x = -G^(-1) b mod p, and with
+    chi = (-det G / p) there are p - chi nonsingular solutions if
+    f(x) != 0 mod p, and (p-1)(1+chi) if f(x) = 0 mod p.  Otherwise the
+    p^rank residues are enumerated.  Agrees with rep_count (tested).
     """
-    n = Fraction(n)
-    gram, lin, const = _integer_polynomial(form, gamma, n)
-    rank = form.lattice.rank
+    gram, lin, const = _integer_polynomial(form, gamma, Fraction(n))
+    return _descent_counts(gram, tuple(-b for b in lin), const, p, vmax)
 
-    def value(r):
-        q2 = sum(gram[i][j] * r[i] * r[j] for i in range(rank) for j in range(rank))
-        return q2 // 2 - sum(lin[i] * r[i] for i in range(rank)) + const
 
-    def gradient(r):
-        return [
-            sum(gram[i][j] * r[j] for j in range(rank)) - lin[i] for i in range(rank)
-        ]
+def _value(gram, lin, const, x) -> int:
+    rank = len(gram)
+    q2 = sum(gram[i][j] * x[i] * x[j] for i in range(rank) for j in range(rank))
+    return q2 // 2 + sum(b * xi for b, xi in zip(lin, x)) + const
 
-    counts = [1]
+
+def _gradient(gram, lin, x) -> list[int]:
+    return [sum(g * xj for g, xj in zip(row, x)) + b for row, b in zip(gram, lin)]
+
+
+def _solutions_mod_p(gram, lin, const, p: int) -> tuple[int, list[tuple[int, ...]]]:
+    """(number of nonsingular solutions of f = 0 mod p, the singular ones)."""
+    if len(gram) == 2:
+        (a, h), (_, d) = gram
+        det = a * d - h * h
+        if (2 * det) % p:
+            inv = pow(det, -1, p)
+            x = ((h * lin[1] - d * lin[0]) * inv % p, (h * lin[0] - a * lin[1]) * inv % p)
+            chi = 1 if pow(-det, (p - 1) // 2, p) == 1 else -1
+            if _value(gram, lin, const, x) % p:
+                return p - chi, []
+            return (p - 1) * (1 + chi), [x]
+    nonsingular = 0
+    singular = []
+    for x in product(range(p), repeat=len(gram)):
+        if _value(gram, lin, const, x) % p == 0:
+            if any(g % p for g in _gradient(gram, lin, x)):
+                nonsingular += 1
+            else:
+                singular.append(x)
+    return nonsingular, singular
+
+
+def _descent_counts(gram, lin, const: int, p: int, vmax: int) -> list[int]:
+    """[N(p^0), ..., N(p^vmax)] for f(r) = r^T gram r / 2 + lin.r + const."""
+    rank = len(gram)
+    counts = [1] + [0] * vmax
     if vmax == 0:
         return counts
-    # a solution with gradient nonzero mod p lifts to exactly p solutions,
-    # all again with nonzero gradient, so those need no bookkeeping beyond a
-    # running count; only singular solutions (gradient = 0 mod p) are stored
-    nonsingular = 0
-    singular: list[tuple[int, ...]] = []
-    r = [0] * rank
-
-    def seed(i):
-        nonlocal nonsingular
-        if i == rank:
-            if value(r) % p == 0:
-                if any(g % p for g in gradient(r)):
-                    nonsingular += 1
-                else:
-                    singular.append(tuple(r))
-            return
-        for x in range(p):
-            r[i] = x
-            seed(i + 1)
-
-    seed(0)
-    counts.append(nonsingular + len(singular))
-    pj = p
-    shifts = [tuple(s) for s in _tuples(p, rank)]
-    for _ in range(1, vmax):
-        new: list[tuple[int, ...]] = []
-        for sol in singular:
-            val = value(sol)
-            assert val % pj == 0
-            # gradient stays 0 mod p on every lift, so a lift is a solution
-            # iff the depressed value vanishes mod p, and then all p^rank
-            # shifts qualify
-            if (val // pj) % p == 0:
-                for s in shifts:
-                    new.append(tuple(x + pj * si for x, si in zip(sol, s)))
-        nonsingular *= p
-        singular = new
-        counts.append(nonsingular + len(singular))
-        pj *= p
+    nonsingular, singular = _solutions_mod_p(gram, lin, const, p)
+    for v in range(1, vmax + 1):
+        counts[v] = nonsingular * p ** ((v - 1) * (rank - 1))
+    counts[1] += len(singular)
+    for x in singular:
+        val = _value(gram, lin, const, x)
+        if vmax < 2 or val % (p * p):
+            continue
+        g = tuple(d // p for d in _gradient(gram, lin, x))
+        sub = _descent_counts(gram, g, val // (p * p), p, vmax - 2)
+        for v in range(2, vmax + 1):
+            counts[v] += p**rank * sub[v - 2]
     return counts
-
-
-def _tuples(p: int, rank: int):
-    if rank == 0:
-        yield ()
-        return
-    for rest in _tuples(p, rank - 1):
-        for x in range(p):
-            yield rest + (x,)
-
-
-@dataclass(frozen=True)
-class LocalEulerData:
-    """Everything the Euler factors at one index (gamma, n) depend on."""
-
-    gamma: int
-    n: Fraction
-    d_gamma: int
-    omega: dict[int, int]  # prime -> 1 + 2*v_p(2*d_gamma*n)
-    counts: dict[tuple[int, int], int]  # (prime, v) -> N(p^v)
 
 
 def _omega(form: DiscriminantForm, gamma: int, n: Fraction, p: int) -> int:
@@ -251,21 +240,6 @@ def _omega(form: DiscriminantForm, gamma: int, n: Fraction, p: int) -> int:
         m //= p
         v += 1
     return 1 + 2 * v
-
-
-def local_euler_data(form: DiscriminantForm, gamma: int, n: Fraction) -> LocalEulerData:
-    n = Fraction(n)
-    if n <= 0:
-        raise ValueError("index n must be positive")
-    support = as_integer(18 * n, "18n")
-    omega: dict[int, int] = {}
-    counts: dict[tuple[int, int], int] = {}
-    for p in prime_factors(support):
-        w = _omega(form, gamma, n, p)
-        omega[p] = w
-        for e, c in enumerate(prime_power_counts(form, gamma, n, p, w)):
-            counts[(p, e)] = c
-    return LocalEulerData(gamma, n, form.element_order(gamma), omega, counts)
 
 
 def local_euler_factor(

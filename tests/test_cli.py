@@ -51,6 +51,13 @@ class TestTheta:
             main(["theta", "--format", "yaml"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("terms", ["0", "-5", "x"])
+    def test_nonpositive_terms_exits_2(self, terms, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["theta", "--terms", terms])
+        assert err.value.code == 2
+        assert "--terms: must be a positive integer" in capsys.readouterr().err
+
 
 class TestOtherCommands:
     def test_dim(self):
@@ -65,6 +72,13 @@ class TestOtherCommands:
         code, out = run(["eisenstein", "--k", "5", "--terms", "4"])
         assert code == 0
         assert "492" in out and "1446" in out
+
+    @pytest.mark.parametrize("terms", ["0", "-3"])
+    def test_eisenstein_nonpositive_terms_exits_2(self, terms, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["eisenstein", "--terms", terms])
+        assert err.value.code == 2
+        assert "--terms: must be a positive integer" in capsys.readouterr().err
 
     def test_eisenstein_scalar(self):
         code, out = run(["eisenstein", "--k", "4", "--terms", "3"])

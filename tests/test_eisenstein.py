@@ -1,22 +1,28 @@
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cubicforms.eisenstein import (
+    _descent_counts,
+    _omega,
     alpha_series,
     beta_series,
     eisenstein_chi,
     eisenstein_chi_rescaled,
     eisenstein_level1,
     l_value_ratio,
-    local_euler_data,
     local_euler_factor,
     prime_power_counts,
     rep_count,
     theta_series_rank10,
     vv_eisenstein,
 )
-from cubicforms.exactmath import bernoulli_poly, chi_minus3
+from cubicforms.exactmath import as_integer, bernoulli_poly, chi_minus3, prime_factors
+from cubicforms.fqm import W_GRAM, EvenLattice, discriminant_form, short_vectors
+from cubicforms.qseries import QSeries
 
 
 class TestScalarSeries:
@@ -84,16 +90,71 @@ class TestRepCounts:
         with pytest.raises(Exception):
             rep_count(w_prime, 1, F(1), 2)  # q(gamma) + n not integral
 
+    # depth per prime at which rep_count stays under about 20k points: 2 and 3
+    # divide 2 det G, 7 and 13 split, 5 and 11 are inert
+    BRUTE_DEPTH = {2: 7, 3: 4, 5: 3, 7: 2, 11: 2, 13: 1}
+
     def test_lifted_counts_match_brute_force(self, w_prime):
-        for gamma in (0, 1):
+        for gamma in range(3):
             offset = (-w_prime.qvalue(gamma)) % 1
-            n = offset if offset > 0 else F(1)
-            while n < 6:
-                for p in (2, 3, 5):
-                    lifted = prime_power_counts(w_prime, gamma, n, p, 3)
-                    brute = [rep_count(w_prime, gamma, n, p**v) for v in range(4)]
-                    assert lifted == brute, (gamma, n, p)
-                n += 1
+            grid = [offset + k for k in range(200) if offset + k > 0]
+            # every index below 6 at depth 3 for p = 2, 3, 5
+            cases = {(n, p, 3) for n in grid if n < 6 for p in (2, 3, 5)}
+            # all six primes at full depth: the first index, and the first ones
+            # with p | 3n and p^2 | 3n (on gamma != 0, 3n is prime to 3)
+            for p, depth in self.BRUTE_DEPTH.items():
+                for m in (1, p, p * p):
+                    n = next((n for n in grid if (3 * n) % m == 0), None)
+                    if n is not None:
+                        cases.add((n, p, depth))
+            for n, p, depth in sorted(cases):
+                lifted = prime_power_counts(w_prime, gamma, n, p, depth)
+                brute = [rep_count(w_prime, gamma, n, p**v) for v in range(depth + 1)]
+                assert lifted == brute, (gamma, n, p)
+
+
+def _brute_counts(gram, lin, const, p, depth):
+    """[N(p^0), ..., N(p^depth)] from one pass over (Z/p^depth)^2: a residue
+    class mod p^v holds p^(2(depth-v)) residues mod p^depth."""
+    a = p**depth
+    hits = [0] * (depth + 1)
+    for x, y in product(range(a), repeat=2):
+        val = (gram[0][0] * x * x + gram[1][1] * y * y) // 2 + gram[0][1] * x * y
+        val += lin[0] * x + lin[1] * y + const
+        v = 0
+        while v < depth and val % p ** (v + 1) == 0:
+            v += 1
+        hits[v] += 1
+    # hits[v] counts exact valuation v (capped); N(p^v) sums valuations >= v
+    return [sum(hits[v:]) // p ** (2 * (depth - v)) for v in range(depth + 1)]
+
+
+# depth per prime at which the brute pass stays under about 5k points
+_HYPO_DEPTH = {2: 6, 3: 3, 5: 2, 7: 2}
+
+
+@st.composite
+def _congruences(draw):
+    p = draw(st.sampled_from(sorted(_HYPO_DEPTH)))
+    small = st.integers(-5, 5)
+    a, h, d = draw(small), draw(small), draw(small)
+    # half the draws scale G by p, so p | det G is always well covered
+    scale = draw(st.sampled_from((1, p)))
+    assume(4 * a * d != h * h)
+    gram = ((2 * a * scale, h * scale), (h * scale, 2 * d * scale))
+    lin = (draw(st.integers(-30, 30)), draw(st.integers(-30, 30)))
+    const = draw(st.integers(-200, 200))
+    return gram, lin, const, p
+
+
+@settings(deadline=None, max_examples=100)
+@given(_congruences())
+def test_descent_matches_brute_force(case):
+    gram, lin, const, p = case
+    depth = _HYPO_DEPTH[p]
+    assert _descent_counts(gram, lin, const, p, depth) == _brute_counts(
+        gram, lin, const, p, depth
+    )
 
 
 class TestLocalFactors:
@@ -116,21 +177,23 @@ class TestLocalFactors:
 
     def test_omega_collapse_single_term(self, w_prime):
         # when omega_p = 1 the factor is (1 - p^(1-k)) + N(p) p^(-k)
-        data = local_euler_data(w_prime, 0, F(1))
         p = 3
-        assert data.omega[p] == 1
+        assert _omega(w_prime, 0, F(1), p) == 1
+        counts = prime_power_counts(w_prime, 0, F(1), p, 1)
         got = local_euler_factor(5, w_prime, 0, F(1), p)
-        want = (1 - F(p) ** -4) + data.counts[(p, 1)] * F(p) ** -5
+        want = (1 - F(p) ** -4) + counts[1] * F(p) ** -5
         assert got == want
 
     def test_assembled_from_data_object(self, w_prime):
-        # the bundled counts agree with the per-prime factors
-        data = local_euler_data(w_prime, 1, F(1, 3))
-        assert data.d_gamma == 3
-        assert set(data.omega) == {2, 3}
-        for p, w in data.omega.items():
-            assert data.counts[(p, 0)] == 1
-            assert all((p, v) in data.counts for v in range(w + 1))
+        # every prime of 18n at (gamma, n) = (1, 1/3) gets its omega + 1 counts
+        n = F(1, 3)
+        assert w_prime.element_order(1) == 3
+        assert set(prime_factors(as_integer(18 * n, "18n"))) == {2, 3}
+        for p in (2, 3):
+            w = _omega(w_prime, 1, n, p)
+            counts = prime_power_counts(w_prime, 1, n, p, w)
+            assert counts[0] == 1
+            assert len(counts) == w + 1
 
     def test_good_prime_factor_is_exactly_one(self, w_prime):
         # primes not dividing 18n contribute a factor of exactly 1
@@ -191,6 +254,23 @@ class TestThetaOracle:
         twice = theta_series_rank10(4).scale(2)
         for i in range(3):
             assert e5.component(i) == twice.component(i)
+
+    def test_eisenstein_equals_twice_theta_w_times_e4_at_depth(self, w_prime):
+        # theta_E8 = E_4 (pinned by E8 enumeration above), so E_5 = 2 theta_W E_4
+        # with only the rank-2 W enumerated; its two nonzero cosets carry equal
+        # series, so the coset matching is forced
+        prec = 120
+        e5 = vv_eisenstein(w_prime, 5, prec)
+        e4 = QSeries.from_terms(eisenstein_level1(4, prec).coeffs.items(), 3, prec)
+        w_lattice = EvenLattice(W_GRAM)
+        w_form = discriminant_form(W_GRAM)
+        for i in range(3):
+            counts: dict[F, int] = {}
+            for _vec, norm in short_vectors(w_lattice, w_form.cosets[i], 2 * prec):
+                counts[norm / 2] = counts.get(norm / 2, 0) + 1
+            theta_w = QSeries.from_terms(counts.items(), 3, prec)
+            assert e5.component(i) == theta_w * e4 * 2, i
+        assert e5.component(1) == e5.component(2)
 
     def test_product_equals_direct_enumeration(self):
         prod = theta_series_rank10(2, method="product")
