@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt, lcm
+from operator import mul
 
 from . import _linalg
 from .exactmath import Cyclotomic, as_integer
@@ -440,9 +441,6 @@ class WeilRep:
         ]
         return self._conj_if_dual(out)
 
-    def generator_matrices(self):
-        return self.t_matrix(1), self.s_matrix()
-
     # -- arbitrary elements ---------------------------------------------------
 
     def rho(self, g: Mp2Element):
@@ -521,14 +519,21 @@ def short_vectors(
     lattice: EvenLattice, offset, bound: Fraction
 ) -> list[tuple[tuple[Fraction, ...], Fraction]]:
     """All vectors v = offset + x, x integral, with <v,v> <= bound, for a
-    positive definite lattice.  Returns (coordinates, <v,v>) pairs.
+    positive definite lattice.  Returns (coordinates, <v,v>) pairs, with the
+    last coordinate varying slowest and each coordinate ascending.
 
-    Enumeration by exact completion of squares (Fincke-Pohst); float square
-    roots only propose candidate ranges, membership is checked exactly.
+    Enumeration by exact completion of squares (Fincke-Pohst) in integers.
+    With d the common denominator of the offset, the walk runs over y = d*v.
+    The exact LDL^T form Q(v) = sum_i diag_i * u_i^2, u_i = v_i +
+    sum_{j>i} coef_ij * v_j, is scaled per level: t_i = D_i * u_i is an
+    integer for D_i = d * lcm(den coef_ij), and S * diag_i / D_i^2 = W_i and
+    S * (bound - partial sums) = R are integers for one common S.  The
+    window W_i * t_i^2 <= R is then exactly |t_i| <= isqrt(R // W_i).
     """
     n = lattice.rank
     gram = lattice.gram
     offset = [Fraction(x) for x in offset]
+    bound = Fraction(bound)
     # Q(x) = sum_i a_i (x_i + sum_{j>i} b_ij x_j)^2 via exact LDL^T
     a = [[Fraction(gram[i][j]) for j in range(n)] for i in range(n)]
     coef = [[Fraction(0)] * n for _ in range(n)]
@@ -544,31 +549,44 @@ def short_vectors(
                 a[r][s] -= diag[i] * coef[i][r] * coef[i][s]
 
     out: list[tuple[tuple[Fraction, ...], Fraction]] = []
-    x = [Fraction(0)] * n
-
-    def recurse(i: int, remaining: Fraction):
-        if i < 0:
-            v = tuple(offset[k] + x[k] for k in range(n))
-            norm = lattice.inner(v, v)
-            if norm <= bound:
-                out.append((v, norm))
-            return
-        # center of the i-th square: x_i + offset_i + sum_{j>i} coef[i][j]*(x_j+offset_j)
-        center = offset[i] + sum(
-            coef[i][j] * (x[j] + offset[j]) for j in range(i + 1, n)
+    if bound < 0:
+        return out
+    d = lcm(1, *(o.denominator for o in offset))
+    base = [as_integer(o * d, "scaled offset") for o in offset]  # y_i = base_i mod d
+    mults = [lcm(1, *(c.denominator for c in coef[i][i + 1 :])) for i in range(n)]
+    weights = [diag[i] / (d * mults[i]) ** 2 for i in range(n)]
+    scale = lcm(bound.denominator, *(w.denominator for w in weights))
+    # level i: t = D_i * u_i = D_i * x_i + L_i * base_i + sum_j K_ij * y_j
+    levels = [
+        (
+            d * li,
+            as_integer(weights[i] * scale, "scaled diagonal"),
+            li * base[i],
+            [
+                (j, as_integer(coef[i][j] * li, "LDL factor"))
+                for j in range(i + 1, n)
+                if coef[i][j]
+            ],
         )
-        radius_sq = remaining / diag[i]
-        # integer window around -center of width 2*sqrt(radius_sq), padded
-        span = (isqrt(int(radius_sq) + 1) if radius_sq >= 0 else 0) + 2
-        base = -center
-        lo = int(base) - span
-        hi = int(base) + span
-        for xi in range(lo, hi + 1):
-            term = diag[i] * (xi + center) ** 2
-            if term <= remaining:
-                x[i] = Fraction(xi)
-                recurse(i - 1, remaining - term)
-        x[i] = Fraction(0)
+        for i, li in enumerate(mults)
+    ]
+    y = [0] * n
+    dd = d * d
 
-    recurse(n - 1, Fraction(bound))
+    def recurse(i: int, rem: int):
+        if i < 0:
+            ygy = sum(yi * sum(map(mul, row, y)) for yi, row in zip(y, gram))
+            norm = Fraction(ygy, dd)
+            if norm <= bound:
+                out.append((tuple(Fraction(yk, d) for yk in y), norm))
+            return
+        di, wi, c, ks = levels[i]
+        c += sum(k * y[j] for j, k in ks)
+        t_max = isqrt(rem // wi)
+        for xi in range(-((t_max + c) // di), (t_max - c) // di + 1):
+            t = di * xi + c
+            y[i] = base[i] + d * xi
+            recurse(i - 1, rem - wi * t * t)
+
+    recurse(n - 1, as_integer(bound * scale, "scaled bound"))
     return out

@@ -11,8 +11,10 @@ and their products); it behaves as +infinity in the propagation rules.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from fractions import Fraction
-from math import gcd
+from itertools import islice
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 __all__ = [
@@ -61,13 +63,16 @@ class QSeries:
             if (prec * den).denominator != 1:
                 raise ValueError(f"prec {prec} is not on the 1/{den} grid")
         self.prec = prec
+        # q^(e/den) lies beyond prec exactly when e >= prec * den, an integer
+        cutoff = None if prec is None else (prec * den).numerator
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
         stored: dict[int, Fraction] = {}
         for e, c in items:
-            c = Fraction(c)
+            if type(c) is not Fraction:
+                c = Fraction(c)
             if c == 0:
                 continue
-            if prec is not None and Fraction(e, den) >= prec:
+            if cutoff is not None and e >= cutoff:
                 continue
             stored[int(e)] = c
         self.coeffs = stored
@@ -183,6 +188,16 @@ class QSeries:
         b = {e * fb: c for e, c in other.coeffs.items()}
         return den, a, b
 
+    def _scaled_numerators(self, den: int) -> tuple[int, list[tuple[int, int]]]:
+        """(m, [(exponent on the 1/den grid, m * coefficient)]) with m the lcm
+        of the coefficient denominators, so every pair is integral."""
+        step = den // self.den
+        m = lcm(1, *(c.denominator for c in self.coeffs.values()))
+        return m, [
+            (e * step, c.numerator * (m // c.denominator))
+            for e, c in self.coeffs.items()
+        ]
+
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = QSeries.constant(other, self.den)
@@ -216,7 +231,7 @@ class QSeries:
             )
         if not isinstance(other, QSeries):
             return NotImplemented
-        den, a, b = self._align(other)
+        den = lcm(self.den, other.den)
         # sound truncation: beyond-prec terms of one factor meet at least the
         # lowest known exponent of the other
         low_a = self.lowest_exponent()
@@ -227,22 +242,27 @@ class QSeries:
         if other.prec is not None:
             p2 = other.prec + (low_a if low_a is not None else Fraction(0))
             prec = p2 if prec is None else min(prec, p2)
-        cutoff = None if prec is None else prec * den  # integer by grid check below
-        out: dict[int, Fraction] = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                e = ea + eb
-                if cutoff is not None and e >= cutoff:
-                    continue
-                out[e] = out.get(e, Fraction(0)) + ca * cb
         # operand precs and lowest exponents all sit on the 1/den grid
         assert prec is None or (prec * den).denominator == 1
-        return QSeries(out, den, prec)
+        cutoff = None if prec is None else (prec * den).numerator
+        # convolve integer numerators over each factor's common denominator;
+        # b is sorted by exponent, so each row stops at the cutoff
+        la, a = self._scaled_numerators(den)
+        lb, b = other._scaled_numerators(den)
+        b.sort()
+        b_exps = [e for e, _ in b]
+        out: dict[int, int] = {}
+        for ea, ca in a:
+            stop = len(b) if cutoff is None else bisect_left(b_exps, cutoff - ea)
+            for eb, cb in islice(b, stop):
+                e = ea + eb
+                out[e] = out.get(e, 0) + ca * cb
+        scale = la * lb
+        return QSeries(
+            {e: Fraction(v, scale) for e, v in out.items() if v}, den, prec
+        )
 
     __rmul__ = __mul__
-
-    def scalar_mul(self, c: Fraction | int) -> "QSeries":
-        return self * Fraction(c)
 
     def __pow__(self, m: int) -> "QSeries":
         if m < 0:

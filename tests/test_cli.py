@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from cubicforms.cli import canonical_json, main
+from cubicforms.cli import MAX_TERMS, build_parser, canonical_json, main
 
 
 def run(argv):
@@ -57,6 +57,16 @@ class TestTheta:
             main(["theta", "--terms", terms])
         assert err.value.code == 2
         assert "--terms: must be a positive integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["theta", "eisenstein"])
+    def test_terms_cap_boundary(self, command, capsys):
+        args = build_parser().parse_args([command, "--terms", str(MAX_TERMS)])
+        assert args.terms == MAX_TERMS
+        for terms in (str(MAX_TERMS + 1), "1000000000"):
+            with pytest.raises(SystemExit) as err:
+                main([command, "--terms", terms])
+            assert err.value.code == 2
+            assert f"--terms: must be at most {MAX_TERMS}" in capsys.readouterr().err
 
 
 class TestOtherCommands:
@@ -121,6 +131,32 @@ class TestVerify:
         )
         assert code == 0
         assert "user-lattice" in out
+
+    @pytest.mark.parametrize(
+        "gram, reason",
+        [
+            ("[[1,0],[0,2]]", "lattice is not even"),
+            ("[[2,1]]", "must be square"),
+            ("[[2,1],[1]]", "must be square"),
+            ("[[2,2],[2,2]]", "degenerate"),
+            ("[[2,1],[0,2]]", "symmetric"),
+            ("[[2.0]]", "lists of integers"),
+            ("[]", "lists of integers"),
+            ("[[2,1],", "not JSON"),
+        ],
+    )
+    def test_invalid_gram_is_usage_error(self, gram, reason, capsys):
+        for suite in ("milgram", "all"):
+            with pytest.raises(SystemExit) as err:
+                main(["verify", "--suite", suite, "--gram", gram])
+            assert err.value.code == 2
+            assert reason in capsys.readouterr().err
+
+    @pytest.mark.parametrize("suite", ["weil", "qseries", "degrees"])
+    def test_unused_gram_is_usage_error(self, suite, capsys):
+        code, out = run(["verify", "--suite", suite, "--gram", "[[2,1],[1,2]]"])
+        assert code == 2 and out == ""
+        assert "--gram is read only by the milgram suite" in capsys.readouterr().err
 
     def test_qseries_suite(self):
         code, out = run(["verify", "--suite", "qseries"])

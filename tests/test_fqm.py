@@ -1,7 +1,11 @@
 import random
 from fractions import Fraction as F
+from itertools import product
+from math import isqrt, prod
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cubicforms.exactmath import Cyclotomic
 from cubicforms.fqm import (
@@ -240,3 +244,83 @@ class TestShortVectors:
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError):
             short_vectors(EvenLattice(U_GRAM), (0, 0), F(2))
+
+
+def _fraction_det(m):
+    """Determinant by Fraction elimination, kept apart from the library."""
+    m = [[F(x) for x in row] for row in m]
+    n, det = len(m), F(1)
+    for c in range(n):
+        piv = next((r for r in range(c, n) if m[r][c]), None)
+        if piv is None:
+            return F(0)
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            det = -det
+        det *= m[c][c]
+        for r in range(c + 1, n):
+            f = m[r][c] / m[c][c]
+            m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    return det
+
+
+def _search_box(gram, offset, bound):
+    """Integer ranges for x that hold every v = offset + x with <v,v> <=
+    bound: on that ellipsoid v_i^2 <= bound * (G^-1)_ii, a cofactor ratio."""
+    n = len(gram)
+    det = _fraction_det(gram)
+    ranges = []
+    for i in range(n):
+        minor = [[gram[r][c] for c in range(n) if c != i] for r in range(n) if r != i]
+        reach = isqrt(max(0, int(bound * _fraction_det(minor) / det))) + 1
+        o = offset[i]
+        ranges.append(range(-int(o) - reach - 1, -int(o) + reach + 2))
+    return ranges
+
+
+def _brute_short_vectors(gram, offset, bound):
+    n = len(gram)
+    out = []
+    box = _search_box(gram, offset, bound)
+    axes = [[o + x for x in r] for o, r in zip(offset, box)]
+    for v in product(*axes):
+        norm = sum(v[r] * gram[r][c] * v[c] for r in range(n) for c in range(n))
+        if norm <= bound:
+            out.append((v, norm))
+    return out
+
+
+@st.composite
+def _positive_lattices(draw):
+    """Even positive definite Gram matrices of rank 1-4: a diagonally
+    dominant even matrix, then congruence by elementary integer matrices,
+    which keeps it even and positive definite but skews the basis."""
+    n = draw(st.integers(1, 4))
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            g[i][j] = g[j][i] = draw(st.integers(-2, 2))
+    for i in range(n):
+        g[i][i] = 2 * ((sum(abs(x) for x in g[i]) + 2) // 2 + draw(st.integers(0, 2)))
+    for _ in range(draw(st.integers(0, 2)) if n > 1 else 0):
+        i, j = draw(st.permutations(range(n)))[:2]
+        c = draw(st.integers(-2, 2))
+        for r in range(n):  # column j += c * column i, then row j += c * row i
+            g[r][j] += c * g[r][i]
+        for r in range(n):
+            g[j][r] += c * g[i][r]
+    denom = st.sampled_from((1, 2, 3, 6))
+    offset = tuple(F(draw(st.integers(-6, 6)), draw(denom)) for _ in range(n))
+    bound = F(draw(st.integers(-2, 16)), draw(denom))
+    return tuple(tuple(row) for row in g), offset, bound
+
+
+@settings(deadline=None, max_examples=120)
+@given(_positive_lattices())
+def test_short_vectors_match_brute_force(case):
+    gram, offset, bound = case
+    assume(prod(map(len, _search_box(gram, offset, bound))) <= 2000)
+    ref = _brute_short_vectors(gram, offset, bound)
+    got = short_vectors(EvenLattice(gram), offset, bound)
+    assert sorted(got) == sorted(ref)
+    assert all(isinstance(c, F) for v, _ in got for c in v)

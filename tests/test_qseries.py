@@ -1,8 +1,11 @@
 import json
 import random
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubicforms.qseries import (
     InconsistentSystemError,
@@ -179,3 +182,46 @@ class TestSerialization:
         d = f.to_json_dict()
         assert d["terms"][0]["num"] == "1" and d["terms"][0]["den"] == "3"
         assert isinstance(d["prec_num"], str)
+
+
+def _naive_mul(f, g):
+    """The product by a plain Fraction double loop, with the same truncation
+    rule: the product is known below min(prec_f + low_g, prec_g + low_f)."""
+    den = lcm(f.den, g.den)
+    precs = []
+    if f.prec is not None:
+        precs.append(f.prec + (g.lowest_exponent() or 0))
+    if g.prec is not None:
+        precs.append(g.prec + (f.lowest_exponent() or 0))
+    prec = min(precs) if precs else None
+    out = {}
+    for ea, ca in f.coeffs.items():
+        for eb, cb in g.coeffs.items():
+            e = F(ea, f.den) + F(eb, g.den)
+            if prec is None or e < prec:
+                out[e] = out.get(e, F(0)) + ca * cb
+    return QSeries.from_terms(out.items(), den, prec)
+
+
+@st.composite
+def _series(draw):
+    den = draw(st.sampled_from((1, 3)))
+    # small, coprime-large and mixed coefficient denominators
+    cden = st.sampled_from((1, 2, 3, 6, 7, 10**9 + 7, 998244353, 2**61 - 1))
+    terms = draw(
+        st.dictionaries(
+            st.integers(-6 * den, 20 * den),
+            st.builds(F, st.integers(-(10**12), 10**12), cden),
+            max_size=25,
+        )
+    )
+    prec = draw(st.none() | st.builds(F, st.integers(-6 * den, 24 * den), st.just(den)))
+    return QSeries(terms, den, prec)
+
+
+@settings(deadline=None, max_examples=150)
+@given(_series(), _series())
+def test_mul_matches_naive_double_loop(f, g):
+    got, ref = f * g, _naive_mul(f, g)
+    assert (got.den, got.prec, got.coeffs) == (ref.den, ref.prec, ref.coeffs)
+    assert all(type(c) is F for c in got.coeffs.values())
