@@ -1,4 +1,11 @@
-"""Small exact linear algebra helpers over Z and Q (internal plumbing)."""
+"""Small exact linear algebra helpers over Z and Q (internal plumbing).
+
+``row_reduce`` is the one elimination over Q: ``det``, ``rational_inverse``,
+``qseries.solve_linear_combination`` and ``vvmf.fit_alpha_beta`` read their
+answers off its reduced rows, pivot columns and pivot product.  ``inertia``
+keeps a symmetric congruence (row operations alone do not preserve inertia)
+and ``smith_normal_form`` an elimination over Z.
+"""
 
 from __future__ import annotations
 
@@ -9,14 +16,6 @@ Matrix = list[list[int]]
 
 def identity(n: int) -> Matrix:
     return [[int(i == j) for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0])
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)]
-        for i in range(rows)
-    ]
 
 
 class _Worksheet:
@@ -119,25 +118,49 @@ def smith_normal_form(mat: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     return w.U, m, w.V
 
 
+def row_reduce(rows, ncols=None):
+    """Gauss-Jordan elimination over Q on a Fraction copy of ``rows``.
+
+    Only the first ``ncols`` columns (default: all) are eliminated; later
+    columns, such as a right-hand side or an identity block, ride along.
+    Each column pivots on its first nonzero entry among the rows not yet
+    used, and the pivot row is scaled to lead with 1.  Returns the reduced
+    rows, the pivot columns (the earliest columns independent of those
+    before them) and the product of the pivots, negated once per row swap.
+    """
+    a = [[Fraction(x) for x in row] for row in rows]
+    if ncols is None:
+        ncols = len(a[0]) if a else 0
+    pivots: list[int] = []
+    product = Fraction(1)
+    for col in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(a)) if a[i][col]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            product = -product
+        lead = a[r][col]
+        product *= lead
+        a[r] = [x / lead for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][col]:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(col)
+    return a, pivots, product
+
+
 def rational_inverse(mat) -> list[list[Fraction]]:
     """Inverse of a nonsingular square matrix, exactly over Q."""
     n = len(mat)
-    a = [
-        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-        for i, row in enumerate(mat)
-    ]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        a[col], a[piv] = a[piv], a[col]
-        inv = Fraction(1) / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
+    reduced, pivots, _ = row_reduce(
+        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(mat)], n
+    )
+    if len(pivots) < n:
+        raise ValueError("singular matrix")
+    return [row[n:] for row in reduced]
 
 
 def inertia(mat) -> tuple[int, int]:
@@ -176,21 +199,5 @@ def inertia(mat) -> tuple[int, int]:
 
 def det(mat) -> Fraction:
     """Determinant by exact Gaussian elimination."""
-    n = len(mat)
-    a = [[Fraction(x) for x in row] for row in mat]
-    sign = 1
-    out = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            sign = -sign
-        out *= a[col][col]
-        inv = Fraction(1) / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col]:
-                f = a[r][col] * inv
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return out * sign
+    _, pivots, product = row_reduce(mat)
+    return product if len(pivots) == len(mat) else Fraction(0)

@@ -38,40 +38,15 @@ def _series_terms(series) -> list[dict]:
 
 
 def _emit(record: dict, fmt: str, csv_rows, out) -> None:
+    """Write the JSON or CSV output of a subcommand; each subcommand writes
+    its plain output itself."""
     if fmt == "json":
         out.write(canonical_json(record))
-    elif fmt == "csv":
-        header, rows = csv_rows
-        out.write(header + "\n")
-        for row in rows:
-            out.write(",".join(str(x) for x in row) + "\n")
-    else:
-        _emit_plain(record, out)
-
-
-def _emit_plain(record: dict, out) -> None:
-    out.write(f"# {record['command']}")
-    if record["parameters"]:
-        params = " ".join(f"{k}={v}" for k, v in sorted(record["parameters"].items()))
-        out.write(f" ({params})")
-    out.write("\n")
-    _plain_value(record["result"], out, indent="")
-    out.write(f"# via: {', '.join(record['provenance'])}\n")
-
-
-def _plain_value(value, out, indent: str) -> None:
-    if isinstance(value, dict):
-        for k, v in value.items():
-            if isinstance(v, (dict, list)):
-                out.write(f"{indent}{k}:\n")
-                _plain_value(v, out, indent + "  ")
-            else:
-                out.write(f"{indent}{k}: {v}\n")
-    elif isinstance(value, list):
-        for v in value:
-            _plain_value(v, out, indent)
-    else:
-        out.write(f"{indent}{value}\n")
+        return
+    header, rows = csv_rows
+    out.write(header + "\n")
+    for row in rows:
+        out.write(",".join(str(x) for x in row) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -22,12 +22,11 @@ from .exactmath import (
 )
 from .fqm import DiscriminantForm, EvenLattice, short_vectors, w_prime_form
 from .qseries import QSeries
-from .vvmf import VectorForm
+from .vvmf import VectorForm, precision_memo
 
 __all__ = [
     "eisenstein_level1",
     "eisenstein_chi",
-    "eisenstein_chi_rescaled",
     "alpha_series",
     "beta_series",
     "rep_count",
@@ -82,11 +81,6 @@ def eisenstein_chi(k: int, prec: int, convention: str = "character") -> QSeries:
             coeffs[n] *= 6
         coeffs[0] = Fraction(1)
     return QSeries(coeffs, 1, prec)
-
-
-def eisenstein_chi_rescaled(k: int, prec: int) -> QSeries:
-    """The same series in q^(1/3); prec counts integer q-steps before rescaling."""
-    return eisenstein_chi(k, prec).rescale_exponent(Fraction(1, 3))
 
 
 def alpha_series(prec: int) -> QSeries:
@@ -270,9 +264,6 @@ def l_value_ratio(k: int) -> Fraction:
 # the vector-valued series
 # ---------------------------------------------------------------------------
 
-_VV_CACHE: dict[tuple, VectorForm] = {}
-
-
 def vv_eisenstein(form: DiscriminantForm, k: int, prec: Fraction | int) -> VectorForm:
     """Vector-valued Eisenstein series for the order-3 form: constant term
     2*v_0, and coefficient of q^n v_gamma equal to
@@ -286,11 +277,17 @@ def vv_eisenstein(form: DiscriminantForm, k: int, prec: Fraction | int) -> Vecto
         raise ValueError(
             "vector-valued Eisenstein series is wired to the rank-2, order-3 form"
         )
-    prec = Fraction(prec)
-    key = (form.lattice.gram, k, prec)
-    if key in _VV_CACHE:
-        return _VV_CACHE[key]
     ratio = l_value_ratio(k)
+    return precision_memo(
+        ("vv_eisenstein", form.lattice.gram, k),
+        Fraction(prec),
+        lambda prec: _vv_series(form, k, ratio, prec),
+    )
+
+
+def _vv_series(
+    form: DiscriminantForm, k: int, ratio: Fraction, prec: Fraction
+) -> VectorForm:
     components = []
     for gamma in range(form.order):
         offset = (-form.qvalue(gamma)) % 1
@@ -313,12 +310,7 @@ def vv_eisenstein(form: DiscriminantForm, k: int, prec: Fraction | int) -> Vecto
         if gamma == 0:
             coeffs[Fraction(0)] = Fraction(2)
         components.append(QSeries.from_terms(coeffs.items(), 3, prec))
-    out = VectorForm(Fraction(k), form, tuple(components))
-    _VV_CACHE[key] = out
-    return out
-
-
-_THETA_CACHE: dict[tuple[Fraction, str], VectorForm] = {}
+    return VectorForm(Fraction(k), form, tuple(components))
 
 
 def theta_series_rank10(prec: Fraction | int, method: str = "product") -> VectorForm:
@@ -333,12 +325,18 @@ def theta_series_rank10(prec: Fraction | int, method: str = "product") -> Vector
     two nonzero slots carry equal series, so the coset matching is forced.
     Serves as the independent oracle for the Euler-product assembly.
     """
+    if method not in ("direct", "product"):
+        raise ValueError(f"unknown method {method!r}")
+    return precision_memo(
+        ("theta_series_rank10", method),
+        Fraction(prec),
+        lambda prec: _theta_rank10(prec, method),
+    )
+
+
+def _theta_rank10(prec: Fraction, method: str) -> VectorForm:
     from .fqm import E8_GRAM, W_GRAM, _direct_sum, discriminant_form
 
-    prec = Fraction(prec)
-    key = (prec, method)
-    if key in _THETA_CACHE:
-        return _THETA_CACHE[key]
     target_form = w_prime_form()
     step = Fraction(1, 3)  # the norm grid of the dual lattice
     bound = 2 * prec - 2 * step  # largest half-norm strictly below prec
@@ -358,7 +356,7 @@ def theta_series_rank10(prec: Fraction | int, method: str = "product") -> Vector
         theta_form = discriminant_form(gram)
         buckets = [bucket(lattice, theta_form.cosets[i]) for i in range(3)]
         comps = tuple(QSeries.from_terms(b.items(), 3, prec) for b in buckets)
-    elif method == "product":
+    else:
         w_lat = EvenLattice(W_GRAM)
         w_form = discriminant_form(W_GRAM)
         e8 = QSeries.from_terms(
@@ -368,8 +366,4 @@ def theta_series_rank10(prec: Fraction | int, method: str = "product") -> Vector
             QSeries.from_terms(bucket(w_lat, w_form.cosets[i]).items(), 3, prec) * e8
             for i in range(3)
         )
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    out = VectorForm(Fraction(5), target_form, comps)
-    _THETA_CACHE[key] = out
-    return out
+    return VectorForm(Fraction(5), target_form, comps)

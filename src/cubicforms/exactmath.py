@@ -208,7 +208,7 @@ class Cyclotomic:
         if len(coeffs) != phi:
             raise ValueError(f"need {phi} coordinates for order {order}")
         self.order = order
-        self.coeffs = tuple(Fraction(c) for c in coeffs)
+        self.coeffs = tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs)
 
     # -- constructors ------------------------------------------------------
 

@@ -10,12 +10,13 @@ and their products); it behaves as +infinity in the propagation rules.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import islice
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
+
+from ._linalg import row_reduce
 
 __all__ = [
     "QSeries",
@@ -326,9 +327,6 @@ class QSeries:
         }
         return cls(coeffs, int(data["den"]), prec)
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
-
 
 def solve_linear_combination(
     basis: Sequence[QSeries],
@@ -346,26 +344,12 @@ def solve_linear_combination(
             f"{len(targets)} constraints cannot determine {ncols} coefficients"
         )
     rows = [
-        [f.coefficient(Fraction(e)) for f in basis] + [Fraction(v)]
+        [f.coefficient(Fraction(e)) for f in basis] + [v]
         for e, v in targets
     ]
-    # exact Gaussian elimination with partial (first-nonzero) pivoting
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
-            raise SingularSystemError("constraint matrix is rank-deficient")
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = Fraction(1) / rows[r][col]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-    for i in range(r, len(rows)):
-        if rows[i][ncols] != 0:
-            raise InconsistentSystemError("constraints are mutually inconsistent")
-    return [rows[i][ncols] for i in range(ncols)]
+    reduced, pivots, _ = row_reduce(rows, ncols)
+    if len(pivots) < ncols:
+        raise SingularSystemError("constraint matrix is rank-deficient")
+    if any(row[ncols] != 0 for row in reduced[ncols:]):
+        raise InconsistentSystemError("constraints are mutually inconsistent")
+    return [row[ncols] for row in reduced[:ncols]]

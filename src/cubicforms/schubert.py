@@ -18,7 +18,6 @@ __all__ = [
     "RingClassP5",
     "RingClassGr36",
     "ChernSeries",
-    "lr_multiply",
     "lr_coefficient",
     "box_partitions",
     "chern_jet",
@@ -98,9 +97,6 @@ class RingClassP5:
         """Coefficient of the point class H^5."""
         return self.coeffs[self.DIM]
 
-    def graded_piece(self, k: int) -> "RingClassP5":
-        return RingClassP5.hyperplane_power(k, self.coeffs[k])
-
 
 # ---------------------------------------------------------------------------
 # the ring H*(Gr(3,6)) in the Schubert basis
@@ -114,10 +110,6 @@ def box_partitions() -> list[Partition]:
         for b in range(a + 1)
         for c in range(b + 1)
     ]
-
-
-def _cells(lam: Partition) -> set[tuple[int, int]]:
-    return {(r, c) for r in range(3) for c in range(lam[r])}
 
 
 @lru_cache(maxsize=None)
@@ -253,15 +245,6 @@ class RingClassGr36:
         """Coefficient of the point class sigma_(3,3,3)."""
         return self.as_dict().get(self.TOP, 0)
 
-    def graded_piece(self, k: int) -> "RingClassGr36":
-        return RingClassGr36(
-            tuple((lam, c) for lam, c in self.coeffs if sum(lam) == k)
-        )
-
-
-def lr_multiply(x: RingClassGr36, y: RingClassGr36) -> RingClassGr36:
-    return x * y
-
 
 # ---------------------------------------------------------------------------
 # Chern series
@@ -310,9 +293,6 @@ class ChernSeries:
                 acc = acc + a[i] * b[k - i]
             out.append(acc)
         return ChernSeries(tuple(out))
-
-    def is_one(self) -> bool:
-        return all(c.is_zero() for c in self.padded()[1:])
 
 
 def chern_invert(c: ChernSeries) -> ChernSeries:

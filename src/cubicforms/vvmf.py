@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
+from ._linalg import row_reduce
 from .exactmath import Cyclotomic, IntegralityError, as_integer, gauss_sum
 from .fqm import DiscriminantForm, Mp2Element, WeilRep, w_prime_form
 from .qseries import QSeries, solve_linear_combination
@@ -72,6 +73,11 @@ class VectorForm:
             self.weight,
             self.form,
             tuple(a + b for a, b in zip(self.components, other.components)),
+        )
+
+    def truncate(self, prec: Fraction | int) -> "VectorForm":
+        return VectorForm(
+            self.weight, self.form, tuple(f.truncate(prec) for f in self.components)
         )
 
     def scale(self, c: Fraction | int) -> "VectorForm":
@@ -169,24 +175,48 @@ def dim_formula(k: int, form: DiscriminantForm | None = None) -> int:
 
 
 # ---------------------------------------------------------------------------
-# the weight-11 basis and the constrained solve
+# the precision memo
 # ---------------------------------------------------------------------------
 
-_BASIS_CACHE: dict[Fraction, tuple[VectorForm, VectorForm]] = {}
-_PSI_CACHE: dict[Fraction, VectorForm] = {}
+_MEMO: dict[tuple, tuple[Fraction, object]] = {}
 
+
+def precision_memo(key: tuple, prec: Fraction, compute):
+    """compute(prec), served by truncating the result at the highest
+    precision asked for so far under ``key``; only that result is kept.
+
+    Exact because no coefficient depends on the precision it was computed
+    at.  Callers check their arguments before they get here, so a served
+    result never skips a check.  A tuple result is truncated entrywise.
+    """
+    held = _MEMO.get(key)
+    if held is None or held[0] < prec:
+        held = _MEMO[key] = (prec, compute(prec))
+    top, value = held
+    if top == prec:
+        return value
+    if isinstance(value, tuple):
+        return tuple(v.truncate(prec) for v in value)
+    return value.truncate(prec)
+
+
+# ---------------------------------------------------------------------------
+# the weight-11 basis and the constrained solve
+# ---------------------------------------------------------------------------
 
 def basis_weight11(prec: Fraction | int) -> tuple[VectorForm, VectorForm]:
     """The two brackets [E5, E6]_0 and [E5, E4]_1 spanning the weight-11
     space; linear independence is certified by a nonsingular 2x2 minor of
     leading coefficients."""
-    from .eisenstein import eisenstein_level1, vv_eisenstein
-
     prec = Fraction(prec)
     if prec < 2:
         raise ValueError("need at least two integer q-steps")
-    if prec in _BASIS_CACHE:
-        return _BASIS_CACHE[prec]
+    return precision_memo(("basis_weight11",), prec, _brackets_weight11)
+
+
+def _brackets_weight11(prec: Fraction) -> tuple[VectorForm, VectorForm]:
+    from .eisenstein import eisenstein_level1, vv_eisenstein
+
     e5 = vv_eisenstein(w_prime_form(), 5, prec)
     iprec = int(prec) + (prec.denominator != 1)
     f0 = rankin_cohen(e5, eisenstein_level1(6, iprec), 6, 0)
@@ -196,7 +226,6 @@ def basis_weight11(prec: Fraction | int) -> tuple[VectorForm, VectorForm]:
     ) * f0.coefficient(1, 0)
     if minor == 0:
         raise ArithmeticError("bracket basis is not linearly independent")
-    _BASIS_CACHE[prec] = (f0, f1)
     return f0, f1
 
 
@@ -205,9 +234,6 @@ def solve_psi(prec: Fraction | int) -> VectorForm:
     series: constant coefficient -2 on the trivial coset (the Hodge bundle
     degree of a pencil) and vanishing q^(1/3) coefficient on the first
     nonzero coset (no discriminant-2 members in a general pencil)."""
-    prec = Fraction(prec)
-    if prec in _PSI_CACHE:
-        return _PSI_CACHE[prec]
     f0, f1 = basis_weight11(prec)
     third = Fraction(1, 3)
     c0, c1 = solve_linear_combination(
@@ -219,9 +245,7 @@ def solve_psi(prec: Fraction | int) -> VectorForm:
         ],
         [(Fraction(0), Fraction(-2)), (third, Fraction(0))],
     )
-    psi = f0.scale(c0) + f1.scale(c1)
-    _PSI_CACHE[prec] = psi
-    return psi
+    return f0.scale(c0) + f1.scale(c1)
 
 
 # ---------------------------------------------------------------------------
@@ -301,23 +325,12 @@ def fit_alpha_beta(
     )
     limit = min([f.prec] + [g.prec for g in basis])
     grid = [e for e in grid if e < limit]
-    # pick the earliest exponents whose rows reach full column rank
-    selected: list[Fraction] = []
-    echelon: list[list[Fraction]] = []
-    for e in grid:
-        if len(selected) == len(basis):
-            break
-        row = [g.coefficient(e) for g in basis]
-        for piv in echelon:
-            lead = next(i for i, x in enumerate(piv) if x)
-            if row[lead]:
-                f_ = row[lead] / piv[lead]
-                row = [x - f_ * y for x, y in zip(row, piv)]
-        if any(row):
-            echelon.append(row)
-            selected.append(e)
-    if len(selected) < len(basis):
+    # the earliest exponents whose rows reach full column rank are the pivot
+    # columns of the transposed system
+    _, pivots, _ = row_reduce([[g.coefficient(e) for e in grid] for g in basis])
+    if len(pivots) < len(basis):
         raise ArithmeticError("monomial basis is rank-deficient on the grid")
+    selected = [grid[j] for j in pivots]
     extra = [e for e in grid if e not in set(selected)]
     if len(extra) < min_extra:
         raise ValueError(

@@ -1,5 +1,6 @@
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -172,3 +173,30 @@ class TestVerify:
         with pytest.raises(SystemExit) as err:
             main(["verify", "--suite", "nonsense"])
         assert err.value.code == 2
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# golden file -> argv whose stdout it holds, byte for byte
+GOLDEN_RUNS = {
+    **{
+        f"theta_terms30.{fmt}.txt": ["theta", "--terms", "30", "--format", fmt]
+        for fmt in ("plain", "json", "csv")
+    },
+    **{
+        f"eisenstein_k5_terms10.{fmt}.txt": [
+            "eisenstein", "--k", "5", "--terms", "10", "--format", fmt
+        ]
+        for fmt in ("plain", "json", "csv")
+    },
+    "dim_k11.plain.txt": ["dim", "--k", "11"],
+    "degree_d8_all.plain.txt": ["degree", "--d", "8", "--method", "all"],
+    "verify_schubert.json.txt": ["verify", "--suite", "schubert", "--format", "json"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_golden_output(name):
+    code, out = run(GOLDEN_RUNS[name])
+    assert code == 0
+    assert out.encode() == (GOLDEN / name).read_bytes()

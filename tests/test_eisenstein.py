@@ -11,7 +11,6 @@ from cubicforms.eisenstein import (
     alpha_series,
     beta_series,
     eisenstein_chi,
-    eisenstein_chi_rescaled,
     eisenstein_level1,
     l_value_ratio,
     local_euler_factor,
@@ -67,9 +66,9 @@ class TestScalarSeries:
             eisenstein_chi(2, 4)
 
     def test_rescaled(self):
-        a = eisenstein_chi_rescaled(1, 6)
+        a = eisenstein_chi(1, 6).rescale_exponent(F(1, 3))
         assert a.coefficient(F(1, 3)) == 6
-        b = eisenstein_chi_rescaled(3, 6)
+        b = eisenstein_chi(3, 6).rescale_exponent(F(1, 3))
         assert b.exponents()[0] == F(1, 3)
 
 

@@ -239,3 +239,100 @@ class TestNumericModularity:
             lhs = evaluate((a * tau0 + b) / (c * tau0 + d))
             rhs = chi_minus3(d) * (c * tau0 + d) ** 11 * evaluate(tau0)
             assert abs(lhs - rhs) < 1e-4 * max(1.0, abs(rhs))
+
+
+class TestPrecisionMemo:
+    """One memo entry per key, at the highest precision asked for; lower
+    precisions are served by truncation and must equal a fresh computation."""
+
+    @pytest.fixture
+    def memo(self):
+        from cubicforms import vvmf
+
+        saved = dict(vvmf._MEMO)
+        vvmf._MEMO.clear()
+        yield vvmf._MEMO
+        vvmf._MEMO.clear()
+        vvmf._MEMO.update(saved)
+
+    @staticmethod
+    def fresh(memo, compute, prec):
+        held = dict(memo)
+        memo.clear()
+        try:
+            return compute(prec)
+        finally:
+            memo.clear()
+            memo.update(held)
+
+    def test_truncation_equals_fresh_computation(self, memo, w_prime):
+        from cubicforms.eisenstein import vv_eisenstein
+        from cubicforms.vvmf import basis_weight11, solve_psi
+
+        pipeline = {
+            "vv_eisenstein": lambda p: vv_eisenstein(w_prime, 5, p),
+            "basis_weight11": basis_weight11,
+            "solve_psi": solve_psi,
+            "assemble_theta": lambda p: assemble_theta(solve_psi(p)),
+        }
+
+        def run_all(prec):
+            # in an emptied memo each stage computes afresh at prec
+            return {name: compute(prec) for name, compute in pipeline.items()}
+
+        run_all(40)
+        for prec in (F(10, 3), 16, 39):
+            served = run_all(prec)
+            fresh = self.fresh(memo, run_all, prec)
+            for name in pipeline:
+                assert served[name] == fresh[name], (name, prec)
+        assert {key[0]: held[0] for key, held in memo.items()} == {
+            "vv_eisenstein": 40,
+            "basis_weight11": 40,
+        }
+
+    @pytest.mark.parametrize(
+        "method, top, lower",
+        [("product", 3, (2, F(7, 3))), ("direct", 2, (F(4, 3), F(5, 3)))],
+    )
+    def test_theta_rank10_truncation_equals_fresh(self, memo, method, top, lower):
+        from cubicforms.eisenstein import theta_series_rank10
+
+        def compute(p):
+            return theta_series_rank10(p, method)
+
+        compute(top)
+        for prec in lower:
+            assert compute(prec) == self.fresh(memo, compute, prec)
+
+    def test_domain_checks_fire_on_a_hit(self, memo, w_prime):
+        from cubicforms.eisenstein import theta_series_rank10, vv_eisenstein
+        from cubicforms.fqm import discriminant_form, lambda0_prime_gram
+        from cubicforms.vvmf import basis_weight11, solve_psi
+
+        basis_weight11(30)
+        theta_series_rank10(3)
+        for call in (
+            lambda: basis_weight11(1),
+            lambda: solve_psi(1),
+            lambda: theta_series_rank10(3, method="bogus"),
+            lambda: vv_eisenstein(w_prime, 4, 10),
+            lambda: vv_eisenstein(w_prime, 1, 10),
+            lambda: vv_eisenstein(discriminant_form(lambda0_prime_gram()), 5, 10),
+        ):
+            with pytest.raises(ValueError):
+                call()
+
+    def test_one_entry_per_key(self, memo):
+        from cubicforms.eisenstein import theta_series_rank10
+        from cubicforms.vvmf import solve_psi
+
+        for prec in (10, 16, 20, 20, 16, 10):
+            solve_psi(prec)
+        for prec in (2, F(7, 3), F(7, 3), 2):
+            theta_series_rank10(prec)
+        assert sorted((key[0], held[0]) for key, held in memo.items()) == [
+            ("basis_weight11", 20),
+            ("theta_series_rank10", F(7, 3)),
+            ("vv_eisenstein", 20),
+        ]
