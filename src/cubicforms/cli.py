@@ -30,13 +30,6 @@ def _record(command: str, parameters: dict, result, provenance: list[str]) -> di
     }
 
 
-def _series_terms(series) -> list[dict]:
-    return [
-        {"e": e, "num": str(c.numerator), "den": str(c.denominator)}
-        for e, c in sorted(series.coeffs.items())
-    ]
-
-
 def _emit(record: dict, fmt: str, csv_rows, out) -> None:
     """Write the JSON or CSV output of a subcommand; each subcommand writes
     its plain output itself."""
@@ -107,14 +100,14 @@ def cmd_eisenstein(args, out) -> int:
         form = vv_eisenstein(w_prime_form(), k, terms)
         series = {f"v{i}": form.component(i) for i in range(3)}
         provenance = ["local-euler-products", "bernoulli-l-value"]
-    result = {name: _series_terms(s) for name, s in series.items()}
+    result = {name: s.to_json_dict()["terms"] for name, s in series.items()}
     record = _record(
         "eisenstein", {"k": k, "terms": terms, "format": args.format}, result, provenance
     )
     rows = [
         (name, t["e"], s.den, t["num"], t["den"])
         for name, s in series.items()
-        for t in _series_terms(s)
+        for t in result[name]
     ]
     if args.format == "plain":
         for name, s in series.items():
@@ -299,7 +292,7 @@ def _suite_qseries(gram=None):
     def random_series(den, prec):
         terms = {
             e: Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-            for e in range(rng.randint(0, 3) or 0, prec * den)
+            for e in range(rng.randint(0, 3), prec * den)
         }
         return QSeries(terms, den, prec)
 
@@ -391,6 +384,8 @@ def _suite_degrees(gram=None):
     return [("degrees-all-paths-agree", all_paths)]
 
 
+# The one definition of each named invariant suite: ``verify`` runs them, and
+# so do the acceptance tests.
 SUITES = {
     "milgram": _suite_milgram,
     "weil": _suite_weil,

@@ -29,7 +29,6 @@ __all__ = [
     "eisenstein_chi",
     "alpha_series",
     "beta_series",
-    "rep_count",
     "prime_power_counts",
     "local_euler_factor",
     "l_value_ratio",
@@ -117,36 +116,6 @@ def _integer_polynomial(form: DiscriminantForm, gamma: int, n: Fraction):
     return lat.gram, tuple(lin), const
 
 
-def rep_count(form: DiscriminantForm, gamma: int, n: Fraction, a: int) -> int:
-    """Brute-force count of r in (Z/aZ)^rank with (1/2)(r-gamma)^2 + n = 0 mod a."""
-    if a < 1:
-        raise ValueError("modulus must be positive")
-    n = Fraction(n)
-    gram, lin, const = _integer_polynomial(form, gamma, n)
-    rank = form.lattice.rank
-
-    def value(r):
-        q2 = sum(gram[i][j] * r[i] * r[j] for i in range(rank) for j in range(rank))
-        assert q2 % 2 == 0
-        return q2 // 2 - sum(lin[i] * r[i] for i in range(rank)) + const
-
-    count = 0
-    r = [0] * rank
-
-    def walk(i):
-        nonlocal count
-        if i == rank:
-            if value(r) % a == 0:
-                count += 1
-            return
-        for x in range(a):
-            r[i] = x
-            walk(i + 1)
-
-    walk(0)
-    return count
-
-
 def prime_power_counts(
     form: DiscriminantForm, gamma: int, n: Fraction, p: int, vmax: int
 ) -> list[int]:
@@ -167,7 +136,8 @@ def prime_power_counts(
     2 det G the only singular point is x = -G^(-1) b mod p, and with
     chi = (-det G / p) there are p - chi nonsingular solutions if
     f(x) != 0 mod p, and (p-1)(1+chi) if f(x) = 0 mod p.  Otherwise the
-    p^rank residues are enumerated.  Agrees with rep_count (tested).
+    p^rank residues are enumerated.  The tests pin these counts against a
+    brute-force count over (Z/p^v)^rank.
     """
     gram, lin, const = _integer_polynomial(form, gamma, Fraction(n))
     return _descent_counts(gram, tuple(-b for b in lin), const, p, vmax)
@@ -313,57 +283,36 @@ def _vv_series(
     return VectorForm(Fraction(k), form, tuple(components))
 
 
-def theta_series_rank10(prec: Fraction | int, method: str = "product") -> VectorForm:
+def theta_series_rank10(prec: Fraction | int) -> VectorForm:
     """Siegel theta series of the rank-10 positive definite lattice W + E8,
     by lattice point enumeration: coefficient of q^(v^2/2) v_gamma counts
     dual vectors v in coset gamma.
 
-    ``product`` enumerates the two orthogonal summands separately and
-    convolves their counting series (exact, and much faster); ``direct``
-    walks the rank-10 lattice in one pass.  Both are pure enumeration and the
-    tests pin them equal.  Indexed against the canonical order-3 form; the
+    The two orthogonal summands are enumerated separately and their counting
+    series convolved; the tests pin this against a walk of the rank-10
+    lattice in one pass.  Indexed against the canonical order-3 form; the
     two nonzero slots carry equal series, so the coset matching is forced.
     Serves as the independent oracle for the Euler-product assembly.
     """
-    if method not in ("direct", "product"):
-        raise ValueError(f"unknown method {method!r}")
-    return precision_memo(
-        ("theta_series_rank10", method),
-        Fraction(prec),
-        lambda prec: _theta_rank10(prec, method),
-    )
+    return precision_memo(("theta_series_rank10",), Fraction(prec), _theta_rank10)
 
 
-def _theta_rank10(prec: Fraction, method: str) -> VectorForm:
-    from .fqm import E8_GRAM, W_GRAM, _direct_sum, discriminant_form
+def _theta_rank10(prec: Fraction) -> VectorForm:
+    from .fqm import E8_GRAM, W_GRAM, discriminant_form
 
-    target_form = w_prime_form()
     step = Fraction(1, 3)  # the norm grid of the dual lattice
     bound = 2 * prec - 2 * step  # largest half-norm strictly below prec
 
-    def bucket(lattice: EvenLattice, offset) -> dict[Fraction, Fraction]:
+    def series(lattice: EvenLattice, offset) -> QSeries:
         out: dict[Fraction, Fraction] = {}
         for _vec, norm in short_vectors(lattice, offset, bound):
             half = norm / 2
             if half < prec:
                 out[half] = out.get(half, Fraction(0)) + 1
-        return out
+        return QSeries.from_terms(out.items(), 3, prec)
 
-    buckets: list[dict[Fraction, Fraction]]
-    if method == "direct":
-        gram = _direct_sum(W_GRAM, E8_GRAM)
-        lattice = EvenLattice(gram)
-        theta_form = discriminant_form(gram)
-        buckets = [bucket(lattice, theta_form.cosets[i]) for i in range(3)]
-        comps = tuple(QSeries.from_terms(b.items(), 3, prec) for b in buckets)
-    else:
-        w_lat = EvenLattice(W_GRAM)
-        w_form = discriminant_form(W_GRAM)
-        e8 = QSeries.from_terms(
-            bucket(EvenLattice(E8_GRAM), (0,) * 8).items(), 3, prec
-        )
-        comps = tuple(
-            QSeries.from_terms(bucket(w_lat, w_form.cosets[i]).items(), 3, prec) * e8
-            for i in range(3)
-        )
-    return VectorForm(Fraction(5), target_form, comps)
+    w_lat = EvenLattice(W_GRAM)
+    w_form = discriminant_form(W_GRAM)
+    e8 = series(EvenLattice(E8_GRAM), (0,) * 8)
+    comps = tuple(series(w_lat, w_form.cosets[i]) * e8 for i in range(3))
+    return VectorForm(Fraction(5), w_prime_form(), comps)

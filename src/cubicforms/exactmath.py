@@ -24,7 +24,6 @@ __all__ = [
     "bernoulli_number",
     "bernoulli_poly",
     "chi_minus3",
-    "euler_phi",
     "factorize",
     "gauss_sum",
     "jacobi_symbol",
@@ -113,13 +112,6 @@ def prime_factors(n: int) -> list[int]:
     return sorted(factorize(n))
 
 
-def euler_phi(n: int) -> int:
-    phi = n
-    for p in factorize(n):
-        phi = phi // p * (p - 1)
-    return phi
-
-
 # ---------------------------------------------------------------------------
 # Bernoulli numbers and polynomials
 # ---------------------------------------------------------------------------
@@ -147,99 +139,76 @@ def bernoulli_poly(k: int, x: Fraction | int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# cyclotomic field Q(zeta_N)
+# cyclotomic field Q(zeta_24)
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _cyclotomic_poly(n: int) -> tuple[int, ...]:
-    """Coefficients (low to high) of the n-th cyclotomic polynomial."""
-    # x^n - 1 = prod_{d | n} Phi_d(x); divide out the proper divisors.
-    poly = [-1] + [0] * (n - 1) + [1]
-    for d in range(1, n):
-        if n % d == 0:
-            phi_d = _cyclotomic_poly(d)
-            # exact polynomial division (Phi_d is monic)
-            out = [0] * (len(poly) - len(phi_d) + 1)
-            rem = list(poly)
-            for i in range(len(out) - 1, -1, -1):
-                out[i] = rem[i + len(phi_d) - 1]
-                if out[i]:
-                    for j, c in enumerate(phi_d):
-                        rem[i + j] -= out[i] * c
-            assert all(c == 0 for c in rem[: len(phi_d) - 1])
-            poly = out
-    return tuple(poly)
+_ORDER = 24
+_DEGREE = 8  # phi(24)
+_PHI24 = (1, 0, 0, 0, -1, 0, 0, 0, 1)  # x^8 - x^4 + 1, low to high
 
 
 @lru_cache(maxsize=None)
-def _power_table(order: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Row j: coordinates of zeta^j in the power basis.  Covers every j a
-    product reduction or a zeta_power lookup can ask for."""
-    phi = euler_phi(order)
-    cyc = _cyclotomic_poly(order)  # monic of degree phi
-    rows: list[tuple[Fraction, ...]] = []
-    for j in range(phi):
-        rows.append(tuple(Fraction(int(i == j)) for i in range(phi)))
-    for j in range(phi, max(order, 2 * phi - 1)):
+def _power_table() -> tuple[tuple[Fraction, ...], ...]:
+    """Row j: coordinates of zeta^j in the power basis, for 0 <= j < 24.
+    Covers every j a product reduction or a zeta_power lookup can ask for."""
+    rows = [
+        tuple(Fraction(int(i == j)) for i in range(_DEGREE)) for j in range(_DEGREE)
+    ]
+    for j in range(_DEGREE, _ORDER):
         prev = rows[j - 1]
-        # multiply by zeta: shift, then reduce the overflow via Phi
-        top = prev[phi - 1]
+        # multiply by zeta: shift, then reduce the overflow via Phi_24
+        top = prev[-1]
         shifted = [Fraction(0)] + list(prev[:-1])
         if top:
-            for i in range(phi):
-                shifted[i] -= top * cyc[i]
+            for i in range(_DEGREE):
+                shifted[i] -= top * _PHI24[i]
         rows.append(tuple(shifted))
     return tuple(rows)
 
 
 class Cyclotomic:
-    """Exact element of Q(zeta_N) in the power basis 1, zeta, ..., zeta^(phi(N)-1).
+    """Exact element of Q(zeta_24) in the power basis 1, zeta, ..., zeta^7.
 
-    The default order 24 contains i, sqrt(2), sqrt(3) and the eighth roots of
-    unity, which covers every root of unity and surd this project needs.
+    The field contains i, sqrt(2), sqrt(3) and the eighth roots of unity,
+    which covers every root of unity and surd this project needs.
     """
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("coeffs",)
 
-    DEFAULT_ORDER = 24
-
-    def __init__(self, coeffs: Sequence[Fraction | int], order: int = DEFAULT_ORDER):
-        phi = euler_phi(order)
-        if len(coeffs) != phi:
-            raise ValueError(f"need {phi} coordinates for order {order}")
-        self.order = order
+    def __init__(self, coeffs: Sequence[Fraction | int]):
+        if len(coeffs) != _DEGREE:
+            raise ValueError(f"need {_DEGREE} coordinates for order {_ORDER}")
         self.coeffs = tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, order: int = DEFAULT_ORDER) -> "Cyclotomic":
-        return cls([0] * euler_phi(order), order)
+    def zero(cls) -> "Cyclotomic":
+        return cls([0] * _DEGREE)
 
     @classmethod
-    def from_rational(cls, x: Fraction | int, order: int = DEFAULT_ORDER) -> "Cyclotomic":
-        c = [Fraction(0)] * euler_phi(order)
+    def from_rational(cls, x: Fraction | int) -> "Cyclotomic":
+        c = [Fraction(0)] * _DEGREE
         c[0] = Fraction(x)
-        return cls(c, order)
+        return cls(c)
 
     @classmethod
-    def zeta_power(cls, k: int, order: int = DEFAULT_ORDER) -> "Cyclotomic":
-        """zeta_order^k reduced into the power basis."""
-        table = _power_table(order)
-        return cls(table[k % order], order)
+    def zeta_power(cls, k: int) -> "Cyclotomic":
+        """zeta_24^k reduced into the power basis."""
+        return cls(_power_table()[k % _ORDER])
 
     @classmethod
-    def root_of_unity(cls, x: Fraction | int, order: int = DEFAULT_ORDER) -> "Cyclotomic":
-        """e(x) = exp(2*pi*i*x) for rational x with denominator dividing order."""
+    def root_of_unity(cls, x: Fraction | int) -> "Cyclotomic":
+        """e(x) = exp(2*pi*i*x) for rational x with denominator dividing 24."""
         x = Fraction(x)
-        if order % x.denominator != 0:
-            raise ValueError(f"e({x}) does not lie in the order-{order} field")
-        return cls.zeta_power(x.numerator * (order // x.denominator), order)
+        if _ORDER % x.denominator != 0:
+            raise ValueError(f"e({x}) does not lie in the order-{_ORDER} field")
+        return cls.zeta_power(x.numerator * (_ORDER // x.denominator))
 
     @classmethod
-    def sqrt_int(cls, n: int, order: int = DEFAULT_ORDER) -> "Cyclotomic":
-        """sqrt(n) for positive n whose squarefree part has prime factors with
-        4p | order (p odd) resp. 8 | order (p = 2)."""
+    def sqrt_int(cls, n: int) -> "Cyclotomic":
+        """sqrt(n) for positive n whose squarefree part is prime to every
+        prime but 2 and 3."""
         if n <= 0:
             raise ValueError("sqrt_int needs a positive integer")
         square, free = 1, 1
@@ -247,41 +216,33 @@ class Cyclotomic:
             square *= p ** (e // 2)
             if e % 2:
                 free *= p
-        out = cls.from_rational(square, order)
+        out = cls.from_rational(square)
         for p in factorize(free):
             if p == 2:
-                root = cls.zeta_power(order // 8, order) + cls.zeta_power(-order // 8, order)
+                root = cls.zeta_power(3) + cls.zeta_power(-3)
+            elif p == 3:
+                # Gauss sum: sum_a (a/3) zeta_3^a = i*sqrt(3)
+                root = (cls.zeta_power(8) - cls.zeta_power(16)) * cls.zeta_power(-6)
             else:
-                # Gauss sum: sum_a (a/p) zeta_p^a = sqrt(p) or i*sqrt(p)
-                g = cls.zero(order)
-                for a in range(1, p):
-                    g = g + cls.from_rational(jacobi_symbol(a, p), order) * cls.zeta_power(
-                        a * (order // p), order
-                    )
-                root = g if p % 4 == 1 else g * cls.zeta_power(-order // 4, order)
+                raise ValueError(f"sqrt({n}) does not lie in the order-{_ORDER} field")
             out = out * root
         return out
 
     # -- arithmetic --------------------------------------------------------
 
-    def _check(self, other: "Cyclotomic") -> None:
-        if self.order != other.order:
-            raise ValueError("mixed cyclotomic orders")
-
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = Cyclotomic.from_rational(other, self.order)
-        self._check(other)
-        return Cyclotomic([a + b for a, b in zip(self.coeffs, other.coeffs)], self.order)
+            other = Cyclotomic.from_rational(other)
+        return Cyclotomic([a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic([-a for a in self.coeffs], self.order)
+        return Cyclotomic([-a for a in self.coeffs])
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = Cyclotomic.from_rational(other, self.order)
+            other = Cyclotomic.from_rational(other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -289,24 +250,22 @@ class Cyclotomic:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Cyclotomic([a * other for a in self.coeffs], self.order)
-        self._check(other)
-        phi = len(self.coeffs)
-        prod = [Fraction(0)] * (2 * phi - 1)
+            return Cyclotomic([a * other for a in self.coeffs])
+        prod = [Fraction(0)] * (2 * _DEGREE - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
                     if b:
                         prod[i + j] += a * b
-        table = _power_table(self.order)
-        out = [Fraction(0)] * phi
+        table = _power_table()
+        out = [Fraction(0)] * _DEGREE
         for j, c in enumerate(prod):
             if c:
                 row = table[j]
-                for i in range(phi):
+                for i in range(_DEGREE):
                     if row[i]:
                         out[i] += c * row[i]
-        return Cyclotomic(out, self.order)
+        return Cyclotomic(out)
 
     __rmul__ = __mul__
 
@@ -320,7 +279,7 @@ class Cyclotomic:
     def __pow__(self, m: int):
         if m < 0:
             raise ValueError("negative cyclotomic powers are not supported")
-        out = Cyclotomic.from_rational(1, self.order)
+        out = Cyclotomic.from_rational(1)
         base = self
         while m:
             if m & 1:
@@ -331,33 +290,33 @@ class Cyclotomic:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = Cyclotomic.from_rational(other, self.order)
+            other = Cyclotomic.from_rational(other)
         if not isinstance(other, Cyclotomic):
             return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.order, self.coeffs))
+        return hash(self.coeffs)
 
     def __repr__(self):
         terms = [f"{c}*z^{i}" for i, c in enumerate(self.coeffs) if c]
-        return "Cyclotomic(" + (" + ".join(terms) or "0") + f"; order {self.order})"
+        return "Cyclotomic(" + (" + ".join(terms) or "0") + ")"
 
     # -- structure maps ----------------------------------------------------
 
     def galois(self, a: int) -> "Cyclotomic":
-        """Field automorphism zeta -> zeta^a for a coprime to the order."""
-        if gcd(a, self.order) != 1:
-            raise ValueError(f"{a} is not coprime to {self.order}")
-        out = Cyclotomic.zero(self.order)
+        """Field automorphism zeta -> zeta^a for a coprime to 24."""
+        if gcd(a, _ORDER) != 1:
+            raise ValueError(f"{a} is not coprime to {_ORDER}")
+        out = Cyclotomic.zero()
         for j, c in enumerate(self.coeffs):
             if c:
-                out = out + Cyclotomic.zeta_power(j * a, self.order) * c
+                out = out + Cyclotomic.zeta_power(j * a) * c
         return out
 
     def conjugate(self) -> "Cyclotomic":
-        """Complex conjugation, zeta -> zeta^(order-1)."""
-        return self.galois(self.order - 1)
+        """Complex conjugation, zeta -> zeta^23."""
+        return self.galois(_ORDER - 1)
 
     def real_part(self) -> "Cyclotomic":
         return (self + self.conjugate()) * Fraction(1, 2)
@@ -375,18 +334,18 @@ class Cyclotomic:
 
     def to_complex(self) -> complex:
         return sum(
-            complex(c) * cmath.exp(2j * cmath.pi * j / self.order)
+            complex(c) * cmath.exp(2j * cmath.pi * j / _ORDER)
             for j, c in enumerate(self.coeffs)
         )
 
 
-def gauss_sum(a: int, qvalues: Iterable[Fraction], order: int = Cyclotomic.DEFAULT_ORDER) -> Cyclotomic:
+def gauss_sum(a: int, qvalues: Iterable[Fraction]) -> Cyclotomic:
     """Quadratic Gauss sum sum_gamma e(a * q(gamma)) over the listed q-values.
 
     Negative a is the same sum with conjugated phases; a = 0 gives the number
     of q-values.
     """
-    out = Cyclotomic.zero(order)
+    out = Cyclotomic.zero()
     for qv in qvalues:
-        out = out + Cyclotomic.root_of_unity(a * Fraction(qv), order)
+        out = out + Cyclotomic.root_of_unity(a * Fraction(qv))
     return out

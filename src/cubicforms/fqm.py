@@ -277,8 +277,9 @@ def heegner_index(d: int, form: DiscriminantForm | None = None) -> tuple[Fractio
 # the metaplectic group
 # ---------------------------------------------------------------------------
 
-def _principal_phi(a: int, b: int, c: int, d: int, tau: complex) -> complex:
-    return cmath.sqrt(c * tau + d)
+def _upper(re: int, im: int) -> bool:
+    """Arg(re + im*i) lies in (0, pi]."""
+    return im > 0 or (im == 0 and re < 0)
 
 
 @dataclass(frozen=True)
@@ -315,7 +316,7 @@ class Mp2Element:
         return cls(0, -1, 1, 0, 1)
 
     def phi(self, tau: complex) -> complex:
-        return self.eps * _principal_phi(self.a, self.b, self.c, self.d, tau)
+        return self.eps * cmath.sqrt(self.c * tau + self.d)
 
     def act(self, tau: complex) -> complex:
         return (self.a * tau + self.b) / (self.c * tau + self.d)
@@ -327,18 +328,20 @@ class Mp2Element:
         b = self.a * other.b + self.b * other.d
         c = self.c * other.a + self.d * other.c
         d = self.c * other.b + self.d * other.d
-        # the branch cocycle, evaluated at tau = i where both factors are
-        # far from the square-root branch cut; the ratio is exactly +-1
-        tau = 1j
-        lhs = self.phi(other.act(tau)) * other.phi(tau)
-        rhs = _principal_phi(a, b, c, d, tau)
-        ratio = lhs / rhs
-        if abs(ratio - 1) < 1e-9:
-            eps = 1
-        elif abs(ratio + 1) < 1e-9:
-            eps = -1
-        else:  # pragma: no cover
-            raise AssertionError(f"branch cocycle ratio {ratio} is not +-1")
+        # The branch cocycle at tau = i, in Gaussian integers.  With
+        # z_X = c_X*i + d_X, the product's phi is eps_A*eps_B*sqrt(w)*sqrt(v)
+        # for v = z_B and w = z_AB / z_B, against sqrt(z_AB) = sqrt(w*v).
+        # The principal roots differ by -1 exactly when Arg w + Arg v leaves
+        # (-pi, pi]: above pi, both arguments lie in (0, pi] and Arg z_AB does
+        # not; at or below -pi, both are negative and Arg z_AB lies in
+        # (0, pi].  Arg w = Arg u for the Gaussian integer u = z_AB*conj(z_B).
+        vr, vi = other.d, other.c
+        ur, ui = d * vr + c * vi, c * vr - d * vi
+        if _upper(ur, ui) and _upper(vr, vi):
+            flip = not _upper(d, c)
+        else:
+            flip = ui < 0 and vi < 0 and _upper(d, c)
+        eps = -self.eps * other.eps if flip else self.eps * other.eps
         return Mp2Element(a, b, c, d, eps)
 
     def word_in_generators(self) -> list[tuple[str, int]]:

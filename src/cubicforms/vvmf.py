@@ -300,11 +300,10 @@ def _monomials(weight: int, prec_steps: int, rescaled: bool) -> list[QSeries]:
 
 
 def fit_alpha_beta(
-    f: QSeries, weight: int = 11, rescaled: bool | str = False, min_extra: int = 25
+    f: QSeries, weight: int = 11, rescaled: bool = False, min_extra: int = 25
 ) -> list[Fraction]:
     """Exact coefficients expressing f in the monomials a^(w-3b) * b^b of the
-    two generators (substituted q -> q^(1/3) when ``rescaled``; both monomial
-    families at once when ``rescaled="both"``).
+    two generators (substituted q -> q^(1/3) when ``rescaled``).
 
     The system is solved on the first full-rank batch of coefficients and
     re-verified on every further computed coefficient; at least ``min_extra``
@@ -313,12 +312,7 @@ def fit_alpha_beta(
     if f.prec is None:
         raise ValueError("fit needs a truncated series")
     steps = int(f.prec) + (f.prec.denominator != 1)
-    if rescaled == "both":
-        basis = _monomials(weight, steps, False) + _monomials(weight, 3 * steps, True)
-    elif rescaled:
-        basis = _monomials(weight, 3 * steps, True)
-    else:
-        basis = _monomials(weight, steps, False)
+    basis = _monomials(weight, 3 * steps if rescaled else steps, rescaled)
     grid = sorted(
         {e for g in basis for e in g.exponents()}
         | set(f.exponents()),

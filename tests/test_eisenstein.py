@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from cubicforms.eisenstein import (
     _descent_counts,
+    _integer_polynomial,
     _omega,
     alpha_series,
     beta_series,
@@ -15,13 +16,34 @@ from cubicforms.eisenstein import (
     l_value_ratio,
     local_euler_factor,
     prime_power_counts,
-    rep_count,
     theta_series_rank10,
     vv_eisenstein,
 )
 from cubicforms.exactmath import as_integer, bernoulli_poly, chi_minus3, prime_factors
-from cubicforms.fqm import W_GRAM, EvenLattice, discriminant_form, short_vectors
+from cubicforms.fqm import (
+    E8_GRAM,
+    W_GRAM,
+    EvenLattice,
+    _direct_sum,
+    discriminant_form,
+    short_vectors,
+)
 from cubicforms.qseries import QSeries
+
+
+def rep_count(form, gamma, n, a):
+    """Brute-force count of r in (Z/aZ)^rank with (1/2)(r-gamma)^2 + n = 0 mod a."""
+    if a < 1:
+        raise ValueError("modulus must be positive")
+    gram, lin, const = _integer_polynomial(form, gamma, F(n))
+    rank = form.lattice.rank
+    count = 0
+    for r in product(range(a), repeat=rank):
+        q2 = sum(gram[i][j] * r[i] * r[j] for i in range(rank) for j in range(rank))
+        assert q2 % 2 == 0
+        if (q2 // 2 - sum(lin[i] * r[i] for i in range(rank)) + const) % a == 0:
+            count += 1
+    return count
 
 
 class TestScalarSeries:
@@ -272,7 +294,15 @@ class TestThetaOracle:
         assert e5.component(1) == e5.component(2)
 
     def test_product_equals_direct_enumeration(self):
-        prod = theta_series_rank10(2, method="product")
-        direct = theta_series_rank10(2, method="direct")
+        # oracle: one walk of the rank-10 lattice W + E8, binned by coset
+        prec = F(2)
+        gram = _direct_sum(W_GRAM, E8_GRAM)
+        lattice = EvenLattice(gram)
+        form = discriminant_form(gram)
+        th = theta_series_rank10(prec)
         for i in range(3):
-            assert prod.component(i) == direct.component(i)
+            counts: dict[F, int] = {}
+            for _vec, norm in short_vectors(lattice, form.cosets[i], 2 * prec - F(2, 3)):
+                if norm / 2 < prec:
+                    counts[norm / 2] = counts.get(norm / 2, 0) + 1
+            assert th.component(i) == QSeries.from_terms(counts.items(), 3, prec), i

@@ -148,6 +148,11 @@ class TestCyclotomic:
             assert (root * root).as_rational() == n
             assert root.to_complex().real > 0
 
+    def test_sqrt_int_rejects_surds_outside_the_field(self):
+        for n in (5, 7, 10, 45):
+            with pytest.raises(ValueError):
+                Cyclotomic.sqrt_int(n)
+
     def test_as_rational_rejects_irrational(self):
         with pytest.raises(IntegralityError):
             Cyclotomic.sqrt_int(3).as_rational()

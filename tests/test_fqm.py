@@ -1,7 +1,8 @@
+import cmath
 import random
 from fractions import Fraction as F
 from itertools import product
-from math import isqrt, prod
+from math import gcd, isqrt, prod
 
 import pytest
 from hypothesis import assume, given, settings
@@ -141,6 +142,91 @@ class TestMp2:
         for kind, n in g.word_in_generators():
             prod = prod * (Mp2Element.T(n) if kind == "T" else Mp2Element.S())
         assert prod == g
+
+
+def float_cocycle_product(x, y):
+    """x*y with the branch decided in complex floats at tau = i: the rule the
+    exact cocycle replaced, kept as its reference."""
+    a, b, c, d = (
+        x.a * y.a + x.b * y.c,
+        x.a * y.b + x.b * y.d,
+        x.c * y.a + x.d * y.c,
+        x.c * y.b + x.d * y.d,
+    )
+    ratio = x.phi(y.act(1j)) * y.phi(1j) / cmath.sqrt(c * 1j + d)
+    eps = 1 if abs(ratio - 1) < 1e-9 else -1
+    assert abs(ratio - eps) < 1e-9, ratio
+    return Mp2Element(a, b, c, d, eps)
+
+
+def short_word_elements(length=6):
+    """Every element reached by words of length <= length in S, T, T^-1 and
+    the central (I, -1), multiplied by the float reference."""
+    gens = (Mp2Element.S(), Mp2Element.T(1), Mp2Element.T(-1), Mp2Element(1, 0, 0, 1, -1))
+    seen = {Mp2Element.identity()}
+    frontier = list(seen)
+    for _ in range(length):
+        frontier = [float_cocycle_product(g, h) for g in frontier for h in gens]
+        frontier = [g for g in set(frontier) if g not in seen]
+        seen.update(frontier)
+    return sorted(seen, key=lambda g: (*g.matrix, g.eps))
+
+
+def sl2_elements(bound):
+    """Elements of Mp2(Z) with entries up to about bound, both branches."""
+
+    def build(a, c, k, eps):
+        g = gcd(a, c) or 1
+        a, c = (a // g, c // g) if a or c else (1, 0)
+        # extended Euclid: a*x0 + c*y0 = 1, so (a, -y0 + k*a; c, x0 + k*c) has det 1
+        x0, y0, r0, r1, x1, y1 = 1, 0, a, c, 0, 1
+        while r1:
+            q = r0 // r1
+            r0, r1, x0, x1, y0, y1 = r1, r0 - q * r1, x1, x0 - q * x1, y1, y0 - q * y1
+        x0, y0 = x0 * r0, y0 * r0  # r0 = +-1
+        return Mp2Element(a, -y0 + k * a, c, x0 + k * c, eps)
+
+    ints = st.integers(-bound, bound)
+    return st.builds(build, ints, ints, st.integers(-3, 3), st.sampled_from((1, -1)))
+
+
+class TestMp2Cocycle:
+    def test_exact_rule_equals_float_rule_on_short_words(self):
+        elements = short_word_elements()
+        assert len(elements) == 245
+        for x in elements:
+            for y in elements:
+                assert x * y == float_cocycle_product(x, y), (x, y)
+
+    @settings(max_examples=200, deadline=None)
+    @given(sl2_elements(10**50), sl2_elements(10**50), sl2_elements(10**50))
+    def test_associative_at_50_digits(self, x, y, z):
+        assert (x * y) * z == x * (y * z)
+
+    @settings(max_examples=200, deadline=None)
+    @given(sl2_elements(10**50))
+    def test_s4_is_central_sign_and_s8_identity_at_50_digits(self, x):
+        S = Mp2Element.S()
+        acc = x
+        for _ in range(4):
+            acc = acc * S
+        assert acc == Mp2Element(x.a, x.b, x.c, x.d, -x.eps)
+        for _ in range(4):
+            acc = acc * S
+        assert acc == x
+
+    def test_long_product_past_float_range(self):
+        # the float rule raised OverflowError at step 49 of this product
+        step = Mp2Element.T(10**6) * Mp2Element.S() * Mp2Element.T(-3) * Mp2Element.S()
+        seq = Mp2Element.identity()
+        for n in range(1, 65):
+            if n <= 48:
+                assert seq * step == float_cocycle_product(seq, step), n
+            seq = seq * step
+        sq = step
+        for _ in range(6):
+            sq = sq * sq
+        assert seq == sq
 
 
 class TestWeilRep:

@@ -70,6 +70,15 @@ class TestDimensionFormula:
         for k in range(3, 30, 2):
             assert dim_formula(k) >= 0
 
+    def test_free_module_oracle(self):
+        # M_k = theta_W * M_(k-1)(SL2) + E_3 * M_(k-3)(SL2), with the level-1
+        # dimension floor(j/12) + (0 if j = 2 mod 12 else 1) at even j >= 0
+        def dim_level1(j):
+            return 0 if j < 0 else j // 12 + (j % 12 != 2)
+
+        for k in range(3, 100, 2):
+            assert dim_formula(k) == dim_level1(k - 1) + dim_level1(k - 3), k
+
     def test_rejects_even(self):
         with pytest.raises(ValueError):
             dim_formula(4)
@@ -163,18 +172,6 @@ class TestFits:
             psi30.component(0) + psi30.component(1) + psi30.component(2)
         )
         assert fit_alpha_beta(theta_prime, 11, True) == [-2, 132, -2772, 18144]
-
-    def test_theta_fit_against_both_bases(self, heegner30):
-        assert fit_alpha_beta(heegner30.theta, 11, "both") == [
-            -1,
-            162,
-            91854,
-            2204496,
-            -1,
-            66,
-            -1386,
-            9072,
-        ]
 
     def test_weight3_ring_fit(self):
         # beta is itself a monomial: the weight-3 fit must return (0, 1)
@@ -291,31 +288,22 @@ class TestPrecisionMemo:
             "basis_weight11": 40,
         }
 
-    @pytest.mark.parametrize(
-        "method, top, lower",
-        [("product", 3, (2, F(7, 3))), ("direct", 2, (F(4, 3), F(5, 3)))],
-    )
-    def test_theta_rank10_truncation_equals_fresh(self, memo, method, top, lower):
+    def test_theta_rank10_truncation_equals_fresh(self, memo):
         from cubicforms.eisenstein import theta_series_rank10
 
-        def compute(p):
-            return theta_series_rank10(p, method)
-
-        compute(top)
-        for prec in lower:
-            assert compute(prec) == self.fresh(memo, compute, prec)
+        theta_series_rank10(3)
+        for prec in (2, F(7, 3)):
+            assert theta_series_rank10(prec) == self.fresh(memo, theta_series_rank10, prec)
 
     def test_domain_checks_fire_on_a_hit(self, memo, w_prime):
-        from cubicforms.eisenstein import theta_series_rank10, vv_eisenstein
+        from cubicforms.eisenstein import vv_eisenstein
         from cubicforms.fqm import discriminant_form, lambda0_prime_gram
         from cubicforms.vvmf import basis_weight11, solve_psi
 
         basis_weight11(30)
-        theta_series_rank10(3)
         for call in (
             lambda: basis_weight11(1),
             lambda: solve_psi(1),
-            lambda: theta_series_rank10(3, method="bogus"),
             lambda: vv_eisenstein(w_prime, 4, 10),
             lambda: vv_eisenstein(w_prime, 1, 10),
             lambda: vv_eisenstein(discriminant_form(lambda0_prime_gram()), 5, 10),
