@@ -3,7 +3,9 @@ machinery, the quadratic character mod 3, and elementary number theory.
 
 All values are immutable and all functions are pure; nothing here ever
 rounds.  Rational numbers are ``fractions.Fraction`` (always in lowest terms
-with positive denominator), re-exported as ``Rational``.
+with positive denominator), re-exported as ``Rational``.  A ``Cyclotomic``
+holds eight integer numerators over one positive integer denominator, also in
+lowest terms, and computes in integers only.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd
+from math import comb, gcd, lcm
 from typing import Iterable, Sequence
 
 Rational = Fraction
@@ -143,59 +145,62 @@ def bernoulli_poly(k: int, x: Fraction | int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 _ORDER = 24
-_DEGREE = 8  # phi(24)
-_PHI24 = (1, 0, 0, 0, -1, 0, 0, 0, 1)  # x^8 - x^4 + 1, low to high
+_DEGREE = 8  # phi(24); Phi_24 = x^8 - x^4 + 1, so zeta^8 = zeta^4 - 1
 
 
-@lru_cache(maxsize=None)
-def _power_table() -> tuple[tuple[Fraction, ...], ...]:
-    """Row j: coordinates of zeta^j in the power basis, for 0 <= j < 24.
-    Covers every j a product reduction or a zeta_power lookup can ask for."""
-    rows = [
-        tuple(Fraction(int(i == j)) for i in range(_DEGREE)) for j in range(_DEGREE)
-    ]
-    for j in range(_DEGREE, _ORDER):
-        prev = rows[j - 1]
-        # multiply by zeta: shift, then reduce the overflow via Phi_24
-        top = prev[-1]
-        shifted = [Fraction(0)] + list(prev[:-1])
-        if top:
-            for i in range(_DEGREE):
-                shifted[i] -= top * _PHI24[i]
-        rows.append(tuple(shifted))
-    return tuple(rows)
+def _canonical(coeffs: list[int], den: int) -> "Cyclotomic":
+    """sum_k coeffs[k] zeta^k / den (den > 0, len(coeffs) >= 8): folds the list
+    in place by zeta^k = zeta^(k-4) - zeta^(k-8), top coefficient first, down
+    to the power basis, then reduces to lowest terms."""
+    for k in range(len(coeffs) - 1, _DEGREE - 1, -1):
+        c = coeffs[k]
+        if c:
+            coeffs[k - 4] += c
+            coeffs[k - 8] -= c
+    nums = coeffs[:_DEGREE]
+    g = gcd(den, *nums)
+    out = object.__new__(Cyclotomic)
+    out.nums = tuple(n // g for n in nums) if g != 1 else tuple(nums)
+    out.den = den // g
+    return out
 
 
 class Cyclotomic:
-    """Exact element of Q(zeta_24) in the power basis 1, zeta, ..., zeta^7.
+    """Exact element of Q(zeta_24) in the power basis 1, zeta, ..., zeta^7,
+    held as integer numerators ``nums`` over one ``den`` > 0 with
+    gcd(den, *nums) = 1, so equal elements have equal layouts.  ``coeffs`` is
+    the ``Fraction`` view; a rational element hashes as its ``Fraction``.
 
     The field contains i, sqrt(2), sqrt(3) and the eighth roots of unity,
     which covers every root of unity and surd this project needs.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den")
 
     def __init__(self, coeffs: Sequence[Fraction | int]):
         if len(coeffs) != _DEGREE:
             raise ValueError(f"need {_DEGREE} coordinates for order {_ORDER}")
-        self.coeffs = tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs)
+        den = lcm(*(Fraction(c).denominator for c in coeffs))
+        self.nums = tuple((Fraction(c) * den).numerator for c in coeffs)
+        self.den = den  # in lowest terms, as den is the lcm of the denominators
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls) -> "Cyclotomic":
-        return cls([0] * _DEGREE)
+        return _canonical([0] * _DEGREE, 1)
 
     @classmethod
     def from_rational(cls, x: Fraction | int) -> "Cyclotomic":
-        c = [Fraction(0)] * _DEGREE
-        c[0] = Fraction(x)
-        return cls(c)
+        x = Fraction(x)
+        return _canonical([x.numerator] + [0] * (_DEGREE - 1), x.denominator)
 
     @classmethod
     def zeta_power(cls, k: int) -> "Cyclotomic":
         """zeta_24^k reduced into the power basis."""
-        return cls(_power_table()[k % _ORDER])
+        coeffs = [0] * _ORDER
+        coeffs[k % _ORDER] = 1
+        return _canonical(coeffs, 1)
 
     @classmethod
     def root_of_unity(cls, x: Fraction | int) -> "Cyclotomic":
@@ -231,49 +236,42 @@ class Cyclotomic:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Cyclotomic):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = Cyclotomic.from_rational(other)
-        return Cyclotomic([a + b for a, b in zip(self.coeffs, other.coeffs)])
+        da, db = self.den, other.den
+        return _canonical([a * db + b * da for a, b in zip(self.nums, other.nums)], da * db)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic([-a for a in self.coeffs])
+        return _canonical([-a for a in self.nums], self.den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Cyclotomic.from_rational(other)
-        return self + (-other)
+        return self.__add__(-other)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return (-self).__add__(other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Cyclotomic([a * other for a in self.coeffs])
-        prod = [Fraction(0)] * (2 * _DEGREE - 1)
-        for i, a in enumerate(self.coeffs):
+        if not isinstance(other, Cyclotomic):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Cyclotomic.from_rational(other)
+        prod = [0] * (2 * _DEGREE - 1)
+        for i, a in enumerate(self.nums):
             if a:
-                for j, b in enumerate(other.coeffs):
+                for j, b in enumerate(other.nums):
                     if b:
                         prod[i + j] += a * b
-        table = _power_table()
-        out = [Fraction(0)] * _DEGREE
-        for j, c in enumerate(prod):
-            if c:
-                row = table[j]
-                for i in range(_DEGREE):
-                    if row[i]:
-                        out[i] += c * row[i]
-        return Cyclotomic(out)
+        return _canonical(prod, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            if other == 0:
-                raise ZeroDivisionError
-            return self * (Fraction(1) / Fraction(other))
+            return self * (1 / Fraction(other))
         raise TypeError("division only by exact rationals")
 
     def __pow__(self, m: int):
@@ -293,14 +291,19 @@ class Cyclotomic:
             other = Cyclotomic.from_rational(other)
         if not isinstance(other, Cyclotomic):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash(self.as_rational() if self.is_rational() else (self.nums, self.den))
 
     def __repr__(self):
         terms = [f"{c}*z^{i}" for i, c in enumerate(self.coeffs) if c]
         return "Cyclotomic(" + (" + ".join(terms) or "0") + ")"
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The eight coordinates as ``Fraction``s."""
+        return tuple(Fraction(n, self.den) for n in self.nums)
 
     # -- structure maps ----------------------------------------------------
 
@@ -308,11 +311,10 @@ class Cyclotomic:
         """Field automorphism zeta -> zeta^a for a coprime to 24."""
         if gcd(a, _ORDER) != 1:
             raise ValueError(f"{a} is not coprime to {_ORDER}")
-        out = Cyclotomic.zero()
-        for j, c in enumerate(self.coeffs):
-            if c:
-                out = out + Cyclotomic.zeta_power(j * a) * c
-        return out
+        coeffs = [0] * _ORDER
+        for j, c in enumerate(self.nums):
+            coeffs[j * a % _ORDER] += c
+        return _canonical(coeffs, self.den)
 
     def conjugate(self) -> "Cyclotomic":
         """Complex conjugation, zeta -> zeta^23."""
@@ -325,12 +327,12 @@ class Cyclotomic:
         return self * self.conjugate()
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise IntegralityError(f"{self!r} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     def to_complex(self) -> complex:
         return sum(

@@ -192,6 +192,12 @@ GOLDEN_RUNS = {
     "dim_k11.plain.txt": ["dim", "--k", "11"],
     "degree_d8_all.plain.txt": ["degree", "--d", "8", "--method", "all"],
     "verify_schubert.json.txt": ["verify", "--suite", "schubert", "--format", "json"],
+    "verify_weil.json.txt": ["verify", "--suite", "weil", "--format", "json"],
+    "verify_milgram.json.txt": ["verify", "--suite", "milgram", "--format", "json"],
+    "verify_milgram_gram_a2.json.txt": [
+        "verify", "--suite", "milgram", "--gram", "[[2,1],[1,2]]", "--format", "json"
+    ],
+    "dim_k99.json.txt": ["dim", "--k", "99", "--format", "json"],
 }
 
 

@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubicforms.exactmath import (
     Cyclotomic,
@@ -156,6 +159,140 @@ class TestCyclotomic:
     def test_as_rational_rejects_irrational(self):
         with pytest.raises(IntegralityError):
             Cyclotomic.sqrt_int(3).as_rational()
+
+
+    def test_rational_elements_hash_as_their_fraction(self):
+        one = Cyclotomic.from_rational(1)
+        assert one == 1 and hash(one) == hash(1)
+        assert len({one, 1, F(1), Cyclotomic.zeta_power(0)}) == 1
+        half = Cyclotomic([F(1, 2)] + [0] * 7)
+        assert half == F(1, 2) and hash(half) == hash(F(1, 2))
+        assert {Cyclotomic.zero(): "z"}[0] == "z"
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda z: z * 1.5,
+            lambda z: 1.5 * z,
+            lambda z: z + 1.5,
+            lambda z: 1.5 + z,
+            lambda z: z - 1.5,
+            lambda z: 1.5 - z,
+            lambda z: z + "a",
+            lambda z: z * 1j,
+            lambda z: z / 1.5,
+        ],
+    )
+    def test_foreign_operands_raise_type_error(self, op):
+        with pytest.raises(TypeError):
+            op(Cyclotomic.zeta_power(1))
+
+
+# -- the Fraction power-table arithmetic, kept as the oracle of the integer
+# -- layout: coordinates are 8-tuples of Fractions in the power basis
+
+def _oracle_power_table():
+    phi24 = (1, 0, 0, 0, -1, 0, 0, 0, 1)  # x^8 - x^4 + 1, low to high
+    rows = [tuple(F(int(i == j)) for i in range(8)) for j in range(8)]
+    for j in range(8, 24):
+        prev = rows[j - 1]
+        top = prev[-1]
+        shifted = [F(0)] + list(prev[:-1])
+        if top:
+            for i in range(8):
+                shifted[i] -= top * phi24[i]
+        rows.append(tuple(shifted))
+    return rows
+
+
+ORACLE_TABLE = _oracle_power_table()
+
+
+def _oracle_mul(x, y):
+    prod = [F(0)] * 15
+    for i, a in enumerate(x):
+        if a:
+            for j, b in enumerate(y):
+                if b:
+                    prod[i + j] += a * b
+    out = [F(0)] * 8
+    for j, c in enumerate(prod):
+        if c:
+            for i in range(8):
+                out[i] += c * ORACLE_TABLE[j][i]
+    return tuple(out)
+
+
+def _oracle_galois(x, a):
+    out = [F(0)] * 8
+    for j, c in enumerate(x):
+        if c:
+            for i in range(8):
+                out[i] += c * ORACLE_TABLE[j * a % 24][i]
+    return tuple(out)
+
+
+def _oracle_pow(x, m):
+    out = (F(1),) + (F(0),) * 7
+    for _ in range(m):
+        out = _oracle_mul(out, x)
+    return out
+
+
+_DENS = st.sampled_from((1, 2, 3, 6, 7, 10**9 + 7, 2**61 - 1)) | st.integers(1, 2**61 - 1)
+_COEFF = st.just(F(0)) | st.builds(F, st.integers(-(10**12), 10**12), _DENS)
+
+
+@st.composite
+def _cyclotomics(draw):
+    coeffs = draw(st.lists(_COEFF, min_size=8, max_size=8))
+    if draw(st.booleans()):
+        coeffs[1:] = [F(0)] * 7  # a rational element
+    return Cyclotomic(coeffs)
+
+
+def _assert_canonical(z):
+    assert type(z.den) is int and z.den > 0
+    assert all(type(n) is int for n in z.nums) and len(z.nums) == 8
+    assert gcd(z.den, *z.nums) == 1
+
+
+@settings(deadline=None, max_examples=150)
+@given(_cyclotomics(), _cyclotomics(), _COEFF, st.integers(0, 4))
+def test_integer_layout_matches_fraction_oracle(x, y, r, m):
+    for z in (x, y):
+        _assert_canonical(z)
+    results = [
+        (x + y, tuple(a + b for a, b in zip(x.coeffs, y.coeffs))),
+        (x - y, tuple(a - b for a, b in zip(x.coeffs, y.coeffs))),
+        (-x, tuple(-a for a in x.coeffs)),
+        (x * y, _oracle_mul(x.coeffs, y.coeffs)),
+        (x**m, _oracle_pow(x.coeffs, m)),
+        (x.conjugate(), _oracle_galois(x.coeffs, 23)),
+        (x * r, tuple(a * r for a in x.coeffs)),
+        (r * x, tuple(a * r for a in x.coeffs)),
+        (x + r, (x.coeffs[0] + r,) + x.coeffs[1:]),
+        (r - x, (r - x.coeffs[0],) + tuple(-a for a in x.coeffs[1:])),
+        (x + 3, (x.coeffs[0] + 3,) + x.coeffs[1:]),
+    ]
+    for a in (1, 5, 7, 11, 13, 17, 19, 23):
+        results.append((x.galois(a), _oracle_galois(x.coeffs, a)))
+    for got, want in results:
+        _assert_canonical(got)
+        assert got.coeffs == want
+        # equal values give the equal layout, and the equal hash
+        same = Cyclotomic(want)
+        assert (same.nums, same.den) == (got.nums, got.den)
+        assert same == got and hash(same) == hash(got)
+    if x.is_rational():
+        assert x.as_rational() == x.coeffs[0] == x
+        assert hash(x) == hash(x.coeffs[0])
+    else:
+        with pytest.raises(IntegralityError):
+            x.as_rational()
+    # one value reached by different routes keeps one layout
+    back = (x + y) - y
+    assert (back.nums, back.den) == (x.nums, x.den) and hash(back) == hash(x)
 
 
 class TestGaussSum:
