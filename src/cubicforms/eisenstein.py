@@ -9,6 +9,7 @@ factor is built from representation counts of a quadratic congruence.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -20,7 +21,7 @@ from .exactmath import (
     chi_minus3,
     prime_factors,
 )
-from .fqm import DiscriminantForm, EvenLattice, short_vectors, w_prime_form
+from .fqm import DiscriminantForm, EvenLattice, _scaled_short_vectors, w_prime_form
 from .qseries import QSeries
 from .vvmf import VectorForm, precision_memo
 
@@ -304,12 +305,12 @@ def _theta_rank10(prec: Fraction) -> VectorForm:
     bound = 2 * prec - 2 * step  # largest half-norm strictly below prec
 
     def series(lattice: EvenLattice, offset) -> QSeries:
-        out: dict[Fraction, Fraction] = {}
-        for _vec, norm in short_vectors(lattice, offset, bound):
-            half = norm / 2
-            if half < prec:
-                out[half] = out.get(half, Fraction(0)) + 1
-        return QSeries.from_terms(out.items(), 3, prec)
+        # count leaves per integer norm y^T G y = d^2 <v,v>; one Fraction each
+        d, leaves = _scaled_short_vectors(lattice, offset, bound)
+        counts = Counter(ygy for _y, ygy in leaves)
+        return QSeries.from_terms(
+            ((Fraction(ygy, 2 * d * d), c) for ygy, c in counts.items()), 3, prec
+        )
 
     w_lat = EvenLattice(W_GRAM)
     w_form = discriminant_form(W_GRAM)

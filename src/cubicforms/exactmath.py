@@ -22,6 +22,7 @@ __all__ = [
     "Rational",
     "Cyclotomic",
     "IntegralityError",
+    "as_fraction",
     "as_integer",
     "bernoulli_number",
     "bernoulli_poly",
@@ -36,6 +37,14 @@ __all__ = [
 
 class IntegralityError(ArithmeticError):
     """A quantity that must be an integer came out non-integral."""
+
+
+def as_fraction(x: Fraction | int, what: str = "value") -> Fraction:
+    """An int or Fraction input as a Fraction; a float, which would enter as
+    its binary expansion, or anything else raises TypeError."""
+    if not isinstance(x, (int, Fraction)):
+        raise TypeError(f"{what} must be an int or a Fraction, not {type(x).__name__}")
+    return Fraction(x)
 
 
 def as_integer(x: Fraction | int, what: str = "value") -> int:
@@ -180,8 +189,9 @@ class Cyclotomic:
     def __init__(self, coeffs: Sequence[Fraction | int]):
         if len(coeffs) != _DEGREE:
             raise ValueError(f"need {_DEGREE} coordinates for order {_ORDER}")
-        den = lcm(*(Fraction(c).denominator for c in coeffs))
-        self.nums = tuple((Fraction(c) * den).numerator for c in coeffs)
+        coeffs = [as_fraction(c, "cyclotomic coordinate") for c in coeffs]
+        den = lcm(*(c.denominator for c in coeffs))
+        self.nums = tuple((c * den).numerator for c in coeffs)
         self.den = den  # in lowest terms, as den is the lcm of the denominators
 
     # -- constructors ------------------------------------------------------
@@ -192,7 +202,7 @@ class Cyclotomic:
 
     @classmethod
     def from_rational(cls, x: Fraction | int) -> "Cyclotomic":
-        x = Fraction(x)
+        x = as_fraction(x, "rational")
         return _canonical([x.numerator] + [0] * (_DEGREE - 1), x.denominator)
 
     @classmethod
@@ -205,7 +215,7 @@ class Cyclotomic:
     @classmethod
     def root_of_unity(cls, x: Fraction | int) -> "Cyclotomic":
         """e(x) = exp(2*pi*i*x) for rational x with denominator dividing 24."""
-        x = Fraction(x)
+        x = as_fraction(x, "root of unity exponent")
         if _ORDER % x.denominator != 0:
             raise ValueError(f"e({x}) does not lie in the order-{_ORDER} field")
         return cls.zeta_power(x.numerator * (_ORDER // x.denominator))

@@ -17,7 +17,7 @@ from math import isqrt, lcm
 from operator import mul
 
 from . import _linalg
-from .exactmath import Cyclotomic, as_integer
+from .exactmath import Cyclotomic, as_fraction, as_integer
 
 __all__ = [
     "EvenLattice",
@@ -523,20 +523,32 @@ def short_vectors(
 ) -> list[tuple[tuple[Fraction, ...], Fraction]]:
     """All vectors v = offset + x, x integral, with <v,v> <= bound, for a
     positive definite lattice.  Returns (coordinates, <v,v>) pairs, with the
-    last coordinate varying slowest and each coordinate ascending.
+    last coordinate varying slowest and each coordinate ascending.  Offset
+    entries and bound must be ints or Fractions.
 
-    Enumeration by exact completion of squares (Fincke-Pohst) in integers.
-    With d the common denominator of the offset, the walk runs over y = d*v.
-    The exact LDL^T form Q(v) = sum_i diag_i * u_i^2, u_i = v_i +
-    sum_{j>i} coef_ij * v_j, is scaled per level: t_i = D_i * u_i is an
-    integer for D_i = d * lcm(den coef_ij), and S * diag_i / D_i^2 = W_i and
-    S * (bound - partial sums) = R are integers for one common S.  The
-    window W_i * t_i^2 <= R is then exactly |t_i| <= isqrt(R // W_i).
+    A ``Fraction`` view of one integer walk, ``_scaled_short_vectors``:
+    exact completion of squares (Fincke-Pohst) over y = d*v, d the common
+    denominator of the offset.  The exact LDL^T form Q(v) = sum_i diag_i *
+    u_i^2, u_i = v_i + sum_{j>i} coef_ij * v_j, is scaled per level: t_i =
+    D_i * u_i is an integer for D_i = d * lcm(den coef_ij), and S * diag_i /
+    D_i^2 = W_i and S * (bound - partial sums) = R are integers for one common
+    S.  The window W_i * t_i^2 <= R is then exactly |t_i| <= isqrt(R // W_i).
+    Each leaf takes y^T G y = d^2 <v,v> from the Gram matrix and keeps y when
+    y^T G y * den(bound) <= num(bound) * d^2, in integers.
     """
+    d, leaves = _scaled_short_vectors(lattice, offset, bound)
+    return [(tuple(Fraction(yk, d) for yk in y), Fraction(ygy, d * d)) for y, ygy in leaves]
+
+
+def _scaled_short_vectors(
+    lattice: EvenLattice, offset, bound: Fraction
+) -> tuple[int, list[tuple[tuple[int, ...], int]]]:
+    """The walk of ``short_vectors`` in integers: the common denominator d of
+    the offset and the leaves (y, y^T G y) with y = d*v, in the same order."""
     n = lattice.rank
     gram = lattice.gram
-    offset = [Fraction(x) for x in offset]
-    bound = Fraction(bound)
+    offset = [as_fraction(x, "offset entry") for x in offset]
+    bound = as_fraction(bound, "bound")
     # Q(x) = sum_i a_i (x_i + sum_{j>i} b_ij x_j)^2 via exact LDL^T
     a = [[Fraction(gram[i][j]) for j in range(n)] for i in range(n)]
     coef = [[Fraction(0)] * n for _ in range(n)]
@@ -551,10 +563,10 @@ def short_vectors(
             for s in range(i + 1, n):
                 a[r][s] -= diag[i] * coef[i][r] * coef[i][s]
 
-    out: list[tuple[tuple[Fraction, ...], Fraction]] = []
-    if bound < 0:
-        return out
     d = lcm(1, *(o.denominator for o in offset))
+    out: list[tuple[tuple[int, ...], int]] = []
+    if bound < 0:
+        return d, out
     base = [as_integer(o * d, "scaled offset") for o in offset]  # y_i = base_i mod d
     mults = [lcm(1, *(c.denominator for c in coef[i][i + 1 :])) for i in range(n)]
     weights = [diag[i] / (d * mults[i]) ** 2 for i in range(n)]
@@ -574,14 +586,13 @@ def short_vectors(
         for i, li in enumerate(mults)
     ]
     y = [0] * n
-    dd = d * d
+    den_bound, cap = bound.denominator, bound.numerator * d * d
 
     def recurse(i: int, rem: int):
         if i < 0:
             ygy = sum(yi * sum(map(mul, row, y)) for yi, row in zip(y, gram))
-            norm = Fraction(ygy, dd)
-            if norm <= bound:
-                out.append((tuple(Fraction(yk, d) for yk in y), norm))
+            if ygy * den_bound <= cap:
+                out.append((tuple(y), ygy))
             return
         di, wi, c, ks = levels[i]
         c += sum(k * y[j] for j, k in ks)
@@ -592,4 +603,4 @@ def short_vectors(
             recurse(i - 1, rem - wi * t * t)
 
     recurse(n - 1, as_integer(bound * scale, "scaled bound"))
-    return out
+    return d, out

@@ -198,6 +198,11 @@ GOLDEN_RUNS = {
         "verify", "--suite", "milgram", "--gram", "[[2,1],[1,2]]", "--format", "json"
     ],
     "dim_k99.json.txt": ["dim", "--k", "99", "--format", "json"],
+    "verify_eisenstein.json.txt": ["verify", "--suite", "eisenstein", "--format", "json"],
+    **{
+        f"verify_all.{fmt}.txt": ["verify", "--suite", "all", "--format", fmt]
+        for fmt in ("plain", "json", "csv")
+    },
 }
 
 

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction as F
 from itertools import product
 
@@ -25,6 +26,7 @@ from cubicforms.fqm import (
     W_GRAM,
     EvenLattice,
     _direct_sum,
+    _scaled_short_vectors,
     discriminant_form,
     short_vectors,
 )
@@ -255,6 +257,19 @@ class TestVectorEisenstein:
             vv_eisenstein(discriminant_form(E8_GRAM), 5, 4)
 
 
+def _theta_w(i, prec):
+    """Theta series of coset i of the rank-2 lattice W, by its own walk."""
+    counts: dict[F, int] = {}
+    form = discriminant_form(W_GRAM)
+    for _vec, norm in short_vectors(EvenLattice(W_GRAM), form.cosets[i], 2 * prec):
+        counts[norm / 2] = counts.get(norm / 2, 0) + 1
+    return QSeries.from_terms(counts.items(), 3, prec)
+
+
+def _e4(prec):
+    return QSeries.from_terms(eisenstein_level1(4, prec).coeffs.items(), 3, prec)
+
+
 class TestThetaOracle:
     def test_constant_term(self):
         th = theta_series_rank10(4)
@@ -282,16 +297,26 @@ class TestThetaOracle:
         # series, so the coset matching is forced
         prec = 120
         e5 = vv_eisenstein(w_prime, 5, prec)
-        e4 = QSeries.from_terms(eisenstein_level1(4, prec).coeffs.items(), 3, prec)
-        w_lattice = EvenLattice(W_GRAM)
-        w_form = discriminant_form(W_GRAM)
+        e4 = _e4(prec)
         for i in range(3):
-            counts: dict[F, int] = {}
-            for _vec, norm in short_vectors(w_lattice, w_form.cosets[i], 2 * prec):
-                counts[norm / 2] = counts.get(norm / 2, 0) + 1
-            theta_w = QSeries.from_terms(counts.items(), 3, prec)
-            assert e5.component(i) == theta_w * e4 * 2, i
+            assert e5.component(i) == _theta_w(i, prec) * e4 * 2, i
         assert e5.component(1) == e5.component(2)
+
+    def test_rank10_equals_theta_w_times_e4(self):
+        # independent of the E8 walk: theta_E8 = E_4, so each component of
+        # theta_{W+E8} is the rank-2 theta series of its coset times E_4
+        prec = 5
+        th = theta_series_rank10(prec)
+        e4 = _e4(prec)
+        for i in range(3):
+            assert th.component(i) == _theta_w(i, prec) * e4, i
+
+    def test_e8_shell_counts(self):
+        # 240 * sigma_3(m) vectors of norm 2m in E8
+        d, leaves = _scaled_short_vectors(EvenLattice(E8_GRAM), (0,) * 8, 8)
+        assert d == 1
+        shells = Counter(ygy for _y, ygy in leaves)
+        assert shells == {0: 1, 2: 240, 4: 2160, 6: 6720, 8: 17520}
 
     def test_product_equals_direct_enumeration(self):
         # oracle: one walk of the rank-10 lattice W + E8, binned by coset

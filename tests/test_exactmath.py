@@ -187,6 +187,25 @@ class TestCyclotomic:
         with pytest.raises(TypeError):
             op(Cyclotomic.zeta_power(1))
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: Cyclotomic([0.1] + [0] * 7),
+            lambda: Cyclotomic([F(1, 2)] * 7 + [0.5]),
+            lambda: Cyclotomic(["1/2"] + [0] * 7),
+            lambda: Cyclotomic.from_rational(0.1),
+            lambda: Cyclotomic.from_rational(2.0),
+            lambda: Cyclotomic.from_rational("1/3"),
+            lambda: Cyclotomic.root_of_unity(0.25),
+            lambda: Cyclotomic.root_of_unity(1.0),
+        ],
+    )
+    def test_inexact_inputs_raise_type_error(self, make):
+        # Fraction(0.1) is 3602879701896397/36028797018963968, and
+        # root_of_unity(0.25) would be zeta^6: no float may enter exactly
+        with pytest.raises(TypeError, match="int or a Fraction"):
+            make()
+
 
 # -- the Fraction power-table arithmetic, kept as the oracle of the integer
 # -- layout: coordinates are 8-tuples of Fractions in the power basis

@@ -2,7 +2,7 @@ import cmath
 import random
 from fractions import Fraction as F
 from itertools import product
-from math import gcd, isqrt, prod
+from math import gcd, isqrt, lcm, prod
 
 import pytest
 from hypothesis import assume, given, settings
@@ -19,6 +19,7 @@ from cubicforms.fqm import (
     WeilRep,
     _mat_identity_cyc,
     _mat_mul_cyc,
+    _scaled_short_vectors,
     discriminant_form,
     gauss_milgram_check,
     heegner_index,
@@ -331,6 +332,15 @@ class TestShortVectors:
         with pytest.raises(ValueError):
             short_vectors(EvenLattice(U_GRAM), (0, 0), F(2))
 
+    @pytest.mark.parametrize(
+        "offset, bound",
+        [((0.5, 0), 2), ((0, 0), 2.0), ((F(1, 3), 0.0), F(2)), (("1/3", 0), 2)],
+    )
+    def test_rejects_inexact_offset_or_bound(self, offset, bound):
+        # a float offset (0.5, 0) with bound 2 used to return 4 vectors
+        with pytest.raises(TypeError, match="int or a Fraction"):
+            short_vectors(EvenLattice(W_GRAM), offset, bound)
+
 
 def _fraction_det(m):
     """Determinant by Fraction elimination, kept apart from the library."""
@@ -410,3 +420,19 @@ def test_short_vectors_match_brute_force(case):
     got = short_vectors(EvenLattice(gram), offset, bound)
     assert sorted(got) == sorted(ref)
     assert all(isinstance(c, F) for v, _ in got for c in v)
+
+
+@settings(deadline=None, max_examples=120)
+@given(_positive_lattices())
+def test_scaled_walk_is_the_integer_view(case):
+    # leaf by leaf: y = d*v in ints, y^T G y = d^2 <v,v>, d the offset's denominator
+    gram, offset, bound = case
+    lattice = EvenLattice(gram)
+    d, leaves = _scaled_short_vectors(lattice, offset, bound)
+    assert d == lcm(1, *(o.denominator for o in offset))
+    got = short_vectors(lattice, offset, bound)
+    assert len(leaves) == len(got)
+    for (y, ygy), (v, norm) in zip(leaves, got):
+        assert all(type(yk) is int for yk in y) and type(ygy) is int
+        assert y == tuple(d * vk for vk in v)
+        assert ygy == d * d * norm
