@@ -15,6 +15,7 @@ from itertools import product
 
 from .exactmath import (
     IntegralityError,
+    as_fraction,
     as_integer,
     bernoulli_number,
     bernoulli_poly,
@@ -251,7 +252,7 @@ def vv_eisenstein(form: DiscriminantForm, k: int, prec: Fraction | int) -> Vecto
     ratio = l_value_ratio(k)
     return precision_memo(
         ("vv_eisenstein", form.lattice.gram, k),
-        Fraction(prec),
+        as_fraction(prec, "prec"),
         lambda prec: _vv_series(form, k, ratio, prec),
     )
 
@@ -295,7 +296,7 @@ def theta_series_rank10(prec: Fraction | int) -> VectorForm:
     two nonzero slots carry equal series, so the coset matching is forced.
     Serves as the independent oracle for the Euler-product assembly.
     """
-    return precision_memo(("theta_series_rank10",), Fraction(prec), _theta_rank10)
+    return precision_memo(("theta_series_rank10",), as_fraction(prec, "prec"), _theta_rank10)
 
 
 def _theta_rank10(prec: Fraction) -> VectorForm:

@@ -49,7 +49,7 @@ def as_fraction(x: Fraction | int, what: str = "value") -> Fraction:
 
 def as_integer(x: Fraction | int, what: str = "value") -> int:
     """Convert an exact rational known to be integral, else raise."""
-    x = Fraction(x)
+    x = as_fraction(x, what)
     if x.denominator != 1:
         raise IntegralityError(f"{what} = {x} is not an integer")
     return x.numerator
@@ -155,6 +155,17 @@ def bernoulli_poly(k: int, x: Fraction | int) -> Fraction:
 
 _ORDER = 24
 _DEGREE = 8  # phi(24); Phi_24 = x^8 - x^4 + 1, so zeta^8 = zeta^4 - 1
+
+
+def _convolve_into(acc: list[int], a: Sequence[int], b: Sequence[int], m: int) -> None:
+    """acc[i + j] += m * a[i] * b[j]: the unfolded 8x8 product of two
+    power-basis numerator tuples, scaled by m."""
+    for i, x in enumerate(a):
+        if x:
+            x *= m
+            for j, y in enumerate(b):
+                if y:
+                    acc[i + j] += x * y
 
 
 def _canonical(coeffs: list[int], den: int) -> "Cyclotomic":
@@ -270,14 +281,22 @@ class Cyclotomic:
                 return NotImplemented
             other = Cyclotomic.from_rational(other)
         prod = [0] * (2 * _DEGREE - 1)
-        for i, a in enumerate(self.nums):
-            if a:
-                for j, b in enumerate(other.nums):
-                    if b:
-                        prod[i + j] += a * b
+        _convolve_into(prod, self.nums, other.nums, 1)
         return _canonical(prod, self.den * other.den)
 
     __rmul__ = __mul__
+
+    @staticmethod
+    def dot(xs: Iterable["Cyclotomic"], ys: Iterable["Cyclotomic"]) -> "Cyclotomic":
+        """sum x*y over the paired entries of two equally long sequences: the
+        products are accumulated unfolded over the lcm of the term
+        denominators, then folded and reduced once."""
+        pairs = list(zip(xs, ys, strict=True))
+        den = lcm(*[x.den * y.den for x, y in pairs])
+        acc = [0] * (2 * _DEGREE - 1)
+        for x, y in pairs:
+            _convolve_into(acc, x.nums, y.nums, den // (x.den * y.den))
+        return _canonical(acc, den)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -381,11 +381,8 @@ class Mp2Element:
 # ---------------------------------------------------------------------------
 
 def _mat_mul_cyc(x, y):
-    n = len(x)
-    return [
-        [sum((x[i][k] * y[k][j] for k in range(n)), Cyclotomic.zero()) for j in range(n)]
-        for i in range(n)
-    ]
+    cols = list(zip(*y))
+    return [[Cyclotomic.dot(row, col) for col in cols] for row in x]
 
 
 def _mat_identity_cyc(n):

@@ -1,11 +1,13 @@
 """Truncated formal q-expansions with exponents in (1/den)*Z and exact
 rational coefficients.
 
-A ``QSeries`` stores a finite map {e: coefficient} where the key ``e``
-represents the exponent e/den, together with the truncation order ``prec``:
-coefficients at exponents >= prec are unknown (not zero), and asking for one
-raises.  ``prec = None`` marks a series known exactly to all orders (constants
-and their products); it behaves as +infinity in the propagation rules.
+A ``QSeries`` is sum_e (nums[e]/scale) q^(e/den) + O(q^prec): integer
+numerators ``nums`` (none zero, none at an exponent >= prec) over one
+``scale`` > 0 with gcd(scale, *nums) = 1.  Arithmetic runs in integers and
+reduces once per result; ``coeffs`` is the ``Fraction`` view.  Coefficients
+at exponents >= prec are unknown (not zero), and asking for one raises.
+``prec = None`` marks a series known exactly to all orders (constants and
+their products); it behaves as +infinity in the propagation rules.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 from ._linalg import row_reduce
+from .exactmath import as_fraction
 
 __all__ = [
     "QSeries",
@@ -39,16 +42,23 @@ class InconsistentSystemError(LinearSolveError):
     """Constraints admit no exact solution (and we never least-squares)."""
 
 
-def _min_prec(a: Fraction | None, b: Fraction | None) -> Fraction | None:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
+def _grid_prec(prec: Fraction | int, den: int) -> Fraction:
+    prec = as_fraction(prec, "prec")
+    if (prec * den).denominator != 1:
+        raise ValueError(f"prec {prec} is not on the 1/{den} grid")
+    return prec
+
+
+def _series(nums: dict[int, int], scale: int, den: int, prec: Fraction | None) -> "QSeries":
+    return object.__new__(QSeries)._set(nums, scale, den, prec)
 
 
 class QSeries:
-    __slots__ = ("den", "prec", "coeffs")
+    """Integer numerators ``nums`` over one ``scale`` on the 1/``den`` grid
+    (see the module docstring); a series exact to all orders with support in
+    {0} hashes as its constant ``Fraction``."""
+
+    __slots__ = ("den", "prec", "nums", "scale")
 
     def __init__(
         self,
@@ -58,25 +68,28 @@ class QSeries:
     ):
         if den < 1:
             raise ValueError("den must be a positive integer")
-        self.den = den
-        if prec is not None:
-            prec = Fraction(prec)
-            if (prec * den).denominator != 1:
-                raise ValueError(f"prec {prec} is not on the 1/{den} grid")
-        self.prec = prec
-        # q^(e/den) lies beyond prec exactly when e >= prec * den, an integer
-        cutoff = None if prec is None else (prec * den).numerator
+        prec = None if prec is None else _grid_prec(prec, den)
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        stored: dict[int, Fraction] = {}
+        terms: dict[int, tuple[int, int]] = {}
         for e, c in items:
-            if type(c) is not Fraction:
-                c = Fraction(c)
-            if c == 0:
-                continue
-            if cutoff is not None and e >= cutoff:
-                continue
-            stored[int(e)] = c
-        self.coeffs = stored
+            c = c if type(c) is Fraction else as_fraction(c, "coefficient")
+            if c.numerator:
+                terms[int(e)] = (c.numerator, c.denominator)
+        scale = lcm(*[d for _, d in terms.values()])
+        self._set({e: n * (scale // d) for e, (n, d) in terms.items()}, scale, den, prec)
+
+    def _set(self, nums: dict[int, int], scale: int, den: int, prec: Fraction | None):
+        """The one normalization: keep the nonzero numerators below the
+        cutoff prec * den, then divide out gcd(scale, *nums)."""
+        # q^(e/den) lies beyond prec exactly when e >= prec * den, an integer
+        cutoff = None if prec is None else prec.numerator * den // prec.denominator
+        nums = {e: n for e, n in nums.items() if n and (cutoff is None or e < cutoff)}
+        g = gcd(scale, *nums.values())
+        if g != 1:
+            nums = {e: n // g for e, n in nums.items()}
+            scale //= g
+        self.den, self.prec, self.nums, self.scale = den, prec, nums, scale
+        return self
 
     # -- constructors ------------------------------------------------------
 
@@ -90,11 +103,11 @@ class QSeries:
         """Build from (exponent, coefficient) pairs with rational exponents."""
         keyed = []
         for e, c in terms:
-            e = Fraction(e)
+            e = as_fraction(e, "exponent")
             key = e * den
             if key.denominator != 1:
                 raise ValueError(f"exponent {e} is not on the 1/{den} grid")
-            keyed.append((key.numerator, Fraction(c)))
+            keyed.append((key.numerator, c))
         return cls(keyed, den, prec)
 
     @classmethod
@@ -103,27 +116,30 @@ class QSeries:
 
     @classmethod
     def one(cls, den: int = 1, prec: Fraction | int | None = None) -> "QSeries":
-        return cls({0: Fraction(1)}, den, prec)
+        return cls({0: 1}, den, prec)
 
     @classmethod
     def constant(cls, c: Fraction | int, den: int = 1) -> "QSeries":
-        return cls({0: Fraction(c)}, den, None)
+        return cls({0: c}, den, None)
 
     # -- inspection --------------------------------------------------------
 
+    @property
+    def coeffs(self) -> dict[int, Fraction]:
+        """The ``Fraction`` view {e: coefficient at q^(e/den)}, a fresh dict."""
+        return {e: Fraction(n, self.scale) for e, n in self.nums.items()}
+
     def exponents(self) -> list[Fraction]:
-        return sorted(Fraction(e, self.den) for e in self.coeffs)
+        return sorted([Fraction(e, self.den) for e in self.nums])
 
     def lowest_exponent(self) -> Fraction | None:
         """Smallest exponent known to carry a nonzero coefficient; if there is
         none, everything below prec is known zero and prec itself is the
         earliest place a term could hide."""
-        if self.coeffs:
-            return Fraction(min(self.coeffs), self.den)
-        return self.prec
+        return Fraction(min(self.nums), self.den) if self.nums else self.prec
 
     def coefficient(self, n: Fraction | int) -> Fraction:
-        n = Fraction(n)
+        n = as_fraction(n, "exponent")
         if self.prec is not None and n >= self.prec:
             raise ValueError(
                 f"coefficient at q^{n} is beyond the truncation order {self.prec}"
@@ -131,21 +147,21 @@ class QSeries:
         key = n * self.den
         if key.denominator != 1:
             return Fraction(0)
-        return self.coeffs.get(key.numerator, Fraction(0))
+        return Fraction(self.nums.get(key.numerator, 0), self.scale)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def __repr__(self):
         return f"QSeries({self})"
 
     def __str__(self):
-        if not self.coeffs:
+        if not self.nums:
             body = "0"
         else:
             parts = []
-            for e in sorted(self.coeffs):
-                c = self.coeffs[e]
+            for e in sorted(self.nums):
+                c = Fraction(self.nums[e], self.scale)
                 exp = Fraction(e, self.den)
                 if exp == 0:
                     parts.append(str(c))
@@ -158,99 +174,72 @@ class QSeries:
         return body + tail
 
     def _normalized(self) -> tuple:
-        g = self.den
-        for e in self.coeffs:
-            g = gcd(g, e)
-            if g == 1:
-                break
-        g = g or self.den
-        return (
-            self.den // g,
-            self.prec,
-            tuple(sorted((e // g, c) for e, c in self.coeffs.items())),
-        )
+        g = gcd(self.den, *self.nums)
+        terms = sorted([(e // g, n) for e, n in self.nums.items()])
+        return self.den // g, self.prec, self.scale, tuple(terms)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = QSeries.constant(other)
         if not isinstance(other, QSeries):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = QSeries.constant(other)
         return self._normalized() == other._normalized()
 
     def __hash__(self):
+        if self.prec is None and self.nums.keys() <= {0}:
+            return hash(Fraction(self.nums.get(0, 0), self.scale))
         return hash(self._normalized())
 
     # -- arithmetic --------------------------------------------------------
 
-    def _align(self, other: "QSeries") -> tuple[int, dict[int, Fraction], dict[int, Fraction]]:
-        den = self.den * other.den // gcd(self.den, other.den)
-        fa, fb = den // self.den, den // other.den
-        a = {e * fa: c for e, c in self.coeffs.items()}
-        b = {e * fb: c for e, c in other.coeffs.items()}
-        return den, a, b
-
-    def _scaled_numerators(self, den: int) -> tuple[int, list[tuple[int, int]]]:
-        """(m, [(exponent on the 1/den grid, m * coefficient)]) with m the lcm
-        of the coefficient denominators, so every pair is integral."""
-        step = den // self.den
-        m = lcm(1, *(c.denominator for c in self.coeffs.values()))
-        return m, [
-            (e * step, c.numerator * (m // c.denominator))
-            for e, c in self.coeffs.items()
-        ]
-
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = QSeries.constant(other, self.den)
         if not isinstance(other, QSeries):
-            return NotImplemented
-        den, a, b = self._align(other)
-        for e, c in b.items():
-            a[e] = a.get(e, Fraction(0)) + c
-        return QSeries(a, den, _min_prec(self.prec, other.prec))
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = QSeries.constant(other, self.den)
+        den = lcm(self.den, other.den)
+        scale = lcm(self.scale, other.scale)
+        fa, ma = den // self.den, scale // self.scale
+        fb, mb = den // other.den, scale // other.scale
+        out = {e * fa: n * ma for e, n in self.nums.items()}
+        for e, n in other.nums.items():
+            e *= fb
+            out[e] = out.get(e, 0) + n * mb
+        precs = [p for p in (self.prec, other.prec) if p is not None]
+        return _series(out, scale, den, min(precs, default=None))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QSeries({e: -c for e, c in self.coeffs.items()}, self.den, self.prec)
+        return _series({e: -n for e, n in self.nums.items()}, self.scale, self.den, self.prec)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = QSeries.constant(other, self.den)
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Fraction(other)
-            if other == 0:
-                return QSeries.zero(self.den, self.prec)
-            return QSeries(
-                {e: c * other for e, c in self.coeffs.items()}, self.den, self.prec
-            )
         if not isinstance(other, QSeries):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            p = other.numerator
+            nums = {e: n * p for e, n in self.nums.items()}
+            return _series(nums, self.scale * other.denominator, self.den, self.prec)
         den = lcm(self.den, other.den)
         # sound truncation: beyond-prec terms of one factor meet at least the
         # lowest known exponent of the other
-        low_a = self.lowest_exponent()
-        low_b = other.lowest_exponent()
-        prec = None
-        if self.prec is not None:
-            prec = self.prec + (low_b if low_b is not None else Fraction(0))
-        if other.prec is not None:
-            p2 = other.prec + (low_a if low_a is not None else Fraction(0))
-            prec = p2 if prec is None else min(prec, p2)
+        pairs = ((self.prec, other.lowest_exponent()), (other.prec, self.lowest_exponent()))
+        precs = [p if low is None else p + low for p, low in pairs if p is not None]
+        prec = min(precs, default=None)
         # operand precs and lowest exponents all sit on the 1/den grid
         assert prec is None or (prec * den).denominator == 1
         cutoff = None if prec is None else (prec * den).numerator
-        # convolve integer numerators over each factor's common denominator;
-        # b is sorted by exponent, so each row stops at the cutoff
-        la, a = self._scaled_numerators(den)
-        lb, b = other._scaled_numerators(den)
-        b.sort()
+        # convolve the numerators on the 1/den grid; b is sorted by exponent,
+        # so each row stops at the cutoff
+        fa, fb = den // self.den, den // other.den
+        a = [(e * fa, n) for e, n in self.nums.items()]
+        b = sorted([(e * fb, n) for e, n in other.nums.items()])
         b_exps = [e for e, _ in b]
         out: dict[int, int] = {}
         for ea, ca in a:
@@ -258,10 +247,7 @@ class QSeries:
             for eb, cb in islice(b, stop):
                 e = ea + eb
                 out[e] = out.get(e, 0) + ca * cb
-        scale = la * lb
-        return QSeries(
-            {e: Fraction(v, scale) for e, v in out.items() if v}, den, prec
-        )
+        return _series(out, self.scale * other.scale, den, prec)
 
     __rmul__ = __mul__
 
@@ -279,13 +265,12 @@ class QSeries:
 
     def rescale_exponent(self, r: Fraction | int) -> "QSeries":
         """Substitute q -> q^r: the coefficient at q^n moves to q^(r*n)."""
-        r = Fraction(r)
+        r = as_fraction(r, "rescaling factor")
         if r <= 0:
             raise ValueError("rescaling factor must be positive")
-        den = self.den * r.denominator
-        coeffs = {e * r.numerator: c for e, c in self.coeffs.items()}
         prec = None if self.prec is None else self.prec * r
-        return QSeries(coeffs, den, prec)
+        nums = {e * r.numerator: n for e, n in self.nums.items()}
+        return _series(nums, self.scale, self.den * r.denominator, prec)
 
     def derivative(self, times: int = 1) -> "QSeries":
         """Apply D = q * d/dq ``times`` times: coefficient at q^n scales by n^times."""
@@ -293,16 +278,14 @@ class QSeries:
             raise ValueError("derivative order must be nonnegative")
         if times == 0:
             return self
-        out = {
-            e: c * Fraction(e, self.den) ** times for e, c in self.coeffs.items()
-        }
-        return QSeries(out, self.den, self.prec)
+        nums = {e: n * e**times for e, n in self.nums.items()}
+        return _series(nums, self.scale * self.den**times, self.den, self.prec)
 
     def truncate(self, prec: Fraction | int) -> "QSeries":
-        prec = Fraction(prec)
+        prec = as_fraction(prec, "prec")
         if self.prec is not None and prec > self.prec:
             raise ValueError(f"cannot extend precision from {self.prec} to {prec}")
-        return QSeries(self.coeffs, self.den, prec)
+        return _series(self.nums, self.scale, self.den, _grid_prec(prec, self.den))
 
     # -- serialization -----------------------------------------------------
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import comb
 
 from ._linalg import row_reduce
-from .exactmath import Cyclotomic, IntegralityError, as_integer, gauss_sum
+from .exactmath import Cyclotomic, IntegralityError, as_fraction, as_integer, gauss_sum
 from .fqm import DiscriminantForm, Mp2Element, WeilRep, w_prime_form
 from .qseries import QSeries, solve_linear_combination
 
@@ -208,7 +208,7 @@ def basis_weight11(prec: Fraction | int) -> tuple[VectorForm, VectorForm]:
     """The two brackets [E5, E6]_0 and [E5, E4]_1 spanning the weight-11
     space; linear independence is certified by a nonsingular 2x2 minor of
     leading coefficients."""
-    prec = Fraction(prec)
+    prec = as_fraction(prec, "prec")
     if prec < 2:
         raise ValueError("need at least two integer q-steps")
     return precision_memo(("basis_weight11",), prec, _brackets_weight11)

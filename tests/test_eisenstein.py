@@ -31,6 +31,7 @@ from cubicforms.fqm import (
     short_vectors,
 )
 from cubicforms.qseries import QSeries
+from cubicforms.vvmf import basis_weight11
 
 
 def rep_count(form, gamma, n, a):
@@ -232,6 +233,18 @@ class TestLocalFactors:
 
 
 class TestVectorEisenstein:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda form: vv_eisenstein(form, 5, 2.0),
+            lambda form: theta_series_rank10(2.0),
+            lambda form: basis_weight11(4.0),
+        ],
+    )
+    def test_float_precision_raises_type_error(self, w_prime, make):
+        with pytest.raises(TypeError, match="prec must be an int or a Fraction"):
+            make(w_prime)
+
     def test_v0_display(self, e5):
         assert [e5.coefficient(n, 0) for n in range(4)] == [2, 492, 7200, 39372]
 

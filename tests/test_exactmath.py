@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from cubicforms.exactmath import (
     Cyclotomic,
     IntegralityError,
+    as_integer,
     bernoulli_number,
     bernoulli_poly,
     chi_minus3,
@@ -312,6 +313,41 @@ def test_integer_layout_matches_fraction_oracle(x, y, r, m):
     # one value reached by different routes keeps one layout
     back = (x + y) - y
     assert (back.nums, back.den) == (x.nums, x.den) and hash(back) == hash(x)
+
+
+@st.composite
+def _vector_pair(draw):
+    n = draw(st.integers(0, 4))
+    vector = st.lists(_cyclotomics(), min_size=n, max_size=n)
+    return draw(vector), draw(vector)
+
+
+@settings(deadline=None, max_examples=150)
+@given(_vector_pair())
+def test_dot_matches_sum_of_products(pair):
+    xs, ys = pair
+    got = Cyclotomic.dot(xs, ys)
+    _assert_canonical(got)
+    want = sum((x * y for x, y in zip(xs, ys)), Cyclotomic.zero())
+    assert (got.nums, got.den) == (want.nums, want.den)
+    oracle = [F(0)] * 8
+    for x, y in zip(xs, ys):
+        oracle = [a + b for a, b in zip(oracle, _oracle_mul(x.coeffs, y.coeffs))]
+    assert got.coeffs == tuple(oracle)
+
+
+def test_dot_rejects_unequal_lengths():
+    one = Cyclotomic.from_rational(1)
+    with pytest.raises(ValueError):
+        Cyclotomic.dot([one, one], [one])
+
+
+def test_as_integer_rejects_floats():
+    assert as_integer(F(6, 3)) == 2
+    with pytest.raises(TypeError, match="int or a Fraction"):
+        as_integer(2.0)
+    with pytest.raises(IntegralityError):
+        as_integer(F(1, 2))
 
 
 class TestGaussSum:

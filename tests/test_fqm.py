@@ -436,3 +436,35 @@ def test_scaled_walk_is_the_integer_view(case):
         assert all(type(yk) is int for yk in y) and type(ygy) is int
         assert y == tuple(d * vk for vk in v)
         assert ygy == d * d * norm
+
+
+def _mat_mul_sum_of_products(x, y):
+    """The matrix product with one Cyclotomic product and one reduced sum per
+    term, as it was computed before the fused dot product."""
+    n = len(x)
+    return [
+        [sum((x[i][k] * y[k][j] for k in range(n)), Cyclotomic.zero()) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+_WORD = st.lists(st.sampled_from(("S", "T", "T-")), min_size=1, max_size=8)
+
+
+def _word_element(word):
+    g = Mp2Element.identity()
+    for tok in word:
+        g = g * (Mp2Element.S() if tok == "S" else Mp2Element.T(1 if tok == "T" else -1))
+    return g
+
+
+@settings(deadline=None, max_examples=100)
+@given(_WORD, _WORD, st.booleans())
+def test_mat_mul_matches_sum_of_products(w1, w2, dual):
+    rep = WeilRep(w_prime_form(), dual=dual)
+    a, b = rep.rho(_word_element(w1)), rep.rho(_word_element(w2))
+    got = _mat_mul_cyc(a, b)
+    want = _mat_mul_sum_of_products(a, b)
+    assert [[(z.nums, z.den) for z in row] for row in got] == [
+        [(z.nums, z.den) for z in row] for row in want
+    ]

@@ -1,7 +1,7 @@
 import json
 import random
 from fractions import Fraction as F
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -184,6 +184,36 @@ class TestSerialization:
         assert isinstance(d["prec_num"], str)
 
 
+class TestExactInputs:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: QSeries({0: 0.5}),
+            lambda: QSeries({0: 1}, 1, 2.0),
+            lambda: QSeries.from_terms([(0, 0.1)], 1),
+            lambda: QSeries.from_terms([(0.5, 1)], 2),
+            lambda: QSeries.constant(0.5),
+            lambda: series([(0, 1)], prec=5).coefficient(1.0),
+            lambda: series([(0, 1)], prec=5).truncate(2.0),
+            lambda: series([(0, 1)], prec=5).rescale_exponent(0.5),
+        ],
+    )
+    def test_floats_raise_type_error(self, make):
+        # Fraction(0.1) is 3602879701896397/36028797018963968: no float may
+        # enter a coefficient, an exponent or a precision
+        with pytest.raises(TypeError, match="int or a Fraction"):
+            make()
+
+    def test_constants_hash_as_their_fraction(self):
+        assert QSeries.constant(3) == 3
+        assert len({QSeries.constant(3), 3}) == 1
+        half = QSeries.constant(F(1, 2), 3)
+        assert half == F(1, 2) and {half: "h"}[F(1, 2)] == "h"
+        assert QSeries.zero() == 0 and hash(QSeries.zero()) == hash(0)
+        # a truncated constant is not the number, whatever it hashes as
+        assert QSeries.constant(3).truncate(5) != 3
+
+
 def _naive_mul(f, g):
     """The product by a plain Fraction double loop, with the same truncation
     rule: the product is known below min(prec_f + low_g, prec_g + low_f)."""
@@ -225,3 +255,143 @@ def test_mul_matches_naive_double_loop(f, g):
     got, ref = f * g, _naive_mul(f, g)
     assert (got.den, got.prec, got.coeffs) == (ref.den, ref.prec, ref.coeffs)
     assert all(type(c) is F for c in got.coeffs.values())
+
+
+# -- the Fraction-dict arithmetic that QSeries ran before it held integer
+# -- numerators, kept as the oracle of the integer layout
+
+class _Oracle:
+    """{e: Fraction} on the 1/den grid below prec; every operation makes and
+    normalizes one Fraction per coefficient."""
+
+    def __init__(self, coeffs, den, prec):
+        cutoff = None if prec is None else (prec * den).numerator
+        self.den, self.prec = den, prec
+        self.coeffs = {
+            e: F(c) for e, c in coeffs.items() if c and (cutoff is None or e < cutoff)
+        }
+
+    @classmethod
+    def of(cls, f):
+        return cls(f.coeffs, f.den, f.prec)
+
+    def __add__(self, other):
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        out = {e * fa: c for e, c in self.coeffs.items()}
+        for e, c in other.coeffs.items():
+            out[e * fb] = out.get(e * fb, F(0)) + c
+        precs = [p for p in (self.prec, other.prec) if p is not None]
+        return _Oracle(out, den, min(precs) if precs else None)
+
+    def __neg__(self):
+        return _Oracle({e: -c for e, c in self.coeffs.items()}, self.den, self.prec)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scaled(self, r):
+        return _Oracle({e: c * r for e, c in self.coeffs.items()}, self.den, self.prec)
+
+    def lowest(self):
+        return F(min(self.coeffs), self.den) if self.coeffs else self.prec
+
+    def __mul__(self, other):
+        den = lcm(self.den, other.den)
+        precs = []
+        if self.prec is not None:
+            precs.append(self.prec + (other.lowest() or 0))
+        if other.prec is not None:
+            precs.append(other.prec + (self.lowest() or 0))
+        out = {}
+        for ea, ca in self.coeffs.items():
+            for eb, cb in other.coeffs.items():
+                e = ea * (den // self.den) + eb * (den // other.den)
+                out[e] = out.get(e, F(0)) + ca * cb
+        return _Oracle(out, den, min(precs) if precs else None)
+
+    def derivative(self, times):
+        return _Oracle(
+            {e: c * F(e, self.den) ** times for e, c in self.coeffs.items()},
+            self.den,
+            self.prec,
+        )
+
+    def truncate(self, prec):
+        return _Oracle(self.coeffs, self.den, prec)
+
+    def rescale(self, r):
+        return _Oracle(
+            {e * r.numerator: c for e, c in self.coeffs.items()},
+            self.den * r.denominator,
+            None if self.prec is None else self.prec * r,
+        )
+
+    def normalized(self):
+        g = gcd(self.den, *self.coeffs)
+        return self.den // g, self.prec, sorted((e // g, c) for e, c in self.coeffs.items())
+
+
+def _assert_canonical(s):
+    assert type(s.scale) is int and s.scale > 0
+    assert all(type(n) is int and n != 0 for n in s.nums.values())
+    assert gcd(s.scale, *s.nums.values()) == 1
+    assert s.prec is None or all(e < s.prec * s.den for e in s.nums)
+
+
+_SCALAR = st.integers(-5, 5) | st.builds(
+    F,
+    st.integers(-(10**12), 10**12),
+    st.sampled_from((1, 2, 3, 7, 10**9 + 7, 2**61 - 1)),
+)
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    _series(),
+    _series(),
+    _SCALAR,
+    st.integers(0, 3),
+    st.sampled_from((F(1), F(2), F(3), F(1, 3), F(2, 3))),
+    st.data(),
+)
+def test_integer_layout_matches_fraction_oracle(f, g, r, times, s, data):
+    of, og = _Oracle.of(f), _Oracle.of(g)
+    const = _Oracle({0: r}, f.den, None)
+    top = 24 * f.den if f.prec is None else (f.prec * f.den).numerator
+    cut = F(data.draw(st.integers(-6 * f.den, top)), f.den)
+    results = [
+        (f + g, of + og),
+        (f - g, of - og),
+        (-f, -of),
+        (f * r, of.scaled(r)),
+        (r * f, of.scaled(r)),
+        (f + r, of + const),
+        (r + f, of + const),
+        (f - r, of - const),
+        (r - f, const - of),
+        (f * g, of * og),
+        (f.derivative(times), of.derivative(times)),
+        (f.truncate(cut), of.truncate(cut)),
+        (f.rescale_exponent(s), of.rescale(s)),
+    ]
+    for z in (f, g):
+        _assert_canonical(z)
+    for got, want in results:
+        _assert_canonical(got)
+        assert (got.den, got.prec, got.coeffs) == (want.den, want.prec, want.coeffs)
+        # equal values give the equal layout and the equal hash, also when
+        # one of them sits on a grid three times finer
+        same = QSeries(want.coeffs, want.den, want.prec)
+        assert (same.nums, same.scale) == (got.nums, got.scale)
+        finer = QSeries({3 * e: c for e, c in want.coeffs.items()}, 3 * want.den, want.prec)
+        assert finer._normalized() == got._normalized()
+        assert finer == got and hash(finer) == hash(got)
+    # == agrees with the oracle, on unequal and on equal values
+    back = (f + g) - g
+    assert (back == f) == (_Oracle.of(back).normalized() == of.normalized())
+    assert (f == g) == (of.normalized() == og.normalized())
+    assert (f == r) == (of.normalized() == _Oracle({0: r}, 1, None).normalized())
+    # a series exact to all orders with support in {0} is its constant
+    c = QSeries.constant(r, f.den)
+    assert c == r and hash(c) == hash(F(r)) and len({c, r}) == 1
