@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 from .exactmath import (
@@ -98,6 +99,20 @@ def beta_series(prec: int) -> QSeries:
 # representation counts for the local Euler factors
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _coset_constants(form: DiscriminantForm, gamma: int):
+    """(lin, q, 2*d_gamma) for coset gamma: lin = Gram * rep, integral by
+    duality, q = (1/2)<rep, rep>, and d_gamma the order of gamma.  Computed
+    once per (form, gamma) and shared by every (n, p)."""
+    lat = form.lattice
+    rep = form.cosets[gamma]
+    lin = tuple(
+        as_integer(sum(Fraction(g) * r for g, r in zip(row, rep)), "dual pairing coefficient")
+        for row in lat.gram
+    )
+    return lin, lat.half_norm(rep), 2 * form.element_order(gamma)
+
+
 def _integer_polynomial(form: DiscriminantForm, gamma: int, n: Fraction):
     """The congruence (1/2)(r-gamma)^2 + n as an integer polynomial in r.
 
@@ -105,17 +120,12 @@ def _integer_polynomial(form: DiscriminantForm, gamma: int, n: Fraction):
     q(gamma) + n in Z makes the constant term integral.  Returns (quad, lin,
     const) with quad the Gram matrix and lin = Gram * gamma.
     """
-    lat = form.lattice
-    rep = form.cosets[gamma]
-    rank = lat.rank
-    lin = []
-    for i in range(rank):
-        val = sum(Fraction(lat.gram[i][j]) * rep[j] for j in range(rank))
-        lin.append(as_integer(val, "dual pairing coefficient"))
-    const = as_integer(
-        lat.half_norm(rep) + n, f"q(gamma) + n for coset {gamma}, n = {n}"
-    )
-    return lat.gram, tuple(lin), const
+    lin, q, _ = _coset_constants(form, gamma)
+    num = q.numerator * n.denominator + n.numerator * q.denominator
+    const, rem = divmod(num, q.denominator * n.denominator)
+    if rem:  # as_integer raises, naming the value
+        as_integer(q + n, f"q(gamma) + n for coset {gamma}, n = {n}")
+    return form.lattice.gram, lin, const
 
 
 def prime_power_counts(
@@ -141,7 +151,7 @@ def prime_power_counts(
     p^rank residues are enumerated.  The tests pin these counts against a
     brute-force count over (Z/p^v)^rank.
     """
-    gram, lin, const = _integer_polynomial(form, gamma, Fraction(n))
+    gram, lin, const = _integer_polynomial(form, gamma, as_fraction(n, "n"))
     return _descent_counts(gram, tuple(-b for b in lin), const, p, vmax)
 
 
@@ -200,7 +210,10 @@ def _descent_counts(gram, lin, const: int, p: int, vmax: int) -> list[int]:
 
 
 def _omega(form: DiscriminantForm, gamma: int, n: Fraction, p: int) -> int:
-    m = as_integer(2 * form.element_order(gamma) * n, "2*d_gamma*n")
+    d2 = _coset_constants(form, gamma)[2]
+    m, rem = divmod(d2 * n.numerator, n.denominator)
+    if rem:
+        as_integer(d2 * n, "2*d_gamma*n")
     v = 0
     while m % p == 0:
         m //= p
@@ -212,12 +225,20 @@ def local_euler_factor(
     k: int, form: DiscriminantForm, gamma: int, n: Fraction, p: int
 ) -> Fraction:
     """L_{gamma,n}(k,p) = (1-p^(1-k)) sum_{v<omega} N(p^v) p^(-kv)
-                          + N(p^omega) p^(-k*omega)."""
-    n = Fraction(n)
+                          + N(p^omega) p^(-k*omega).
+
+    Assembled in integers over the fixed denominator p^(k*omega+k-1): the
+    numerator is (p^(k-1) - 1) sum_{v<omega} N(p^v) p^(k(omega-v))
+    + p^(k-1) N(p^omega), and one Fraction is built from the pair.
+    """
+    n = as_fraction(n, "n")
     w = _omega(form, gamma, n, p)
     counts = prime_power_counts(form, gamma, n, p, w)
-    head = sum(counts[v] * Fraction(p) ** (-k * v) for v in range(w))
-    return (1 - Fraction(p) ** (1 - k)) * head + counts[w] * Fraction(p) ** (-k * w)
+    pk, pk1 = p**k, p ** (k - 1)
+    head = 0  # sum_{v<w} N(p^v) p^(k(w-v)), by Horner
+    for c in counts[:w]:
+        head = (head + c) * pk
+    return Fraction((pk1 - 1) * head + pk1 * counts[w], pk1 * pk**w)
 
 
 def l_value_ratio(k: int) -> Fraction:
@@ -242,8 +263,13 @@ def vv_eisenstein(form: DiscriminantForm, k: int, prec: Fraction | int) -> Vecto
 
         ratio * n^(k-1) * prod_{p | 18n} L_{gamma,n}(k,p) / (1 - chi(p) p^(-k)).
 
-    Every assembled coefficient must come out a nonnegative integer; anything
-    else signals an Euler-factor bug and raises.
+    Each coefficient is carried as one integer numerator over one integer
+    denominator: ratio * n^(k-1), then each Euler factor times
+    p^k / (p^k - chi(p)).  It is divided once, at the end.  Every assembled
+    coefficient must come out a nonnegative integer; anything else signals
+    an Euler-factor bug and raises.  The component at -gamma equals the one
+    at gamma, so one component is computed per {gamma, -gamma} orbit and
+    reused for the other.
     """
     if form.order != 3 or form.lattice.rank != 2:
         raise ValueError(
@@ -260,27 +286,33 @@ def vv_eisenstein(form: DiscriminantForm, k: int, prec: Fraction | int) -> Vecto
 def _vv_series(
     form: DiscriminantForm, k: int, ratio: Fraction, prec: Fraction
 ) -> VectorForm:
-    components = []
+    components: list[QSeries] = []
     for gamma in range(form.order):
+        if form.neg(gamma) < gamma:
+            components.append(components[form.neg(gamma)])
+            continue
         offset = (-form.qvalue(gamma)) % 1
-        coeffs: dict[Fraction, Fraction] = {}
+        coeffs: dict[Fraction, int] = {Fraction(0): 2} if gamma == 0 else {}
         n = offset if offset > 0 else Fraction(1)
         while n < prec:
             support = as_integer(18 * n, "18n")
-            val = ratio * n ** (k - 1)
+            num = ratio.numerator * n.numerator ** (k - 1)
+            den = ratio.denominator * n.denominator ** (k - 1)
             for p in prime_factors(support):
-                val *= local_euler_factor(k, form, gamma, n, p) / (
-                    1 - chi_minus3(p) * Fraction(p) ** (-k)
-                )
-            c = as_integer(val, f"Eisenstein coefficient at q^{n} v_{gamma}")
+                factor = local_euler_factor(k, form, gamma, n, p)
+                pk = p**k
+                num *= factor.numerator * pk
+                den *= factor.denominator * (pk - chi_minus3(p))
+            c, rem = divmod(num, den)
+            if rem:
+                what = f"Eisenstein coefficient at q^{n} v_{gamma}"
+                as_integer(Fraction(num, den), what)
             if c < 0:
                 raise IntegralityError(
                     f"negative Eisenstein coefficient {c} at q^{n} v_{gamma}"
                 )
-            coeffs[n] = Fraction(c)
+            coeffs[n] = c
             n += 1
-        if gamma == 0:
-            coeffs[Fraction(0)] = Fraction(2)
         components.append(QSeries.from_terms(coeffs.items(), 3, prec))
     return VectorForm(Fraction(k), form, tuple(components))
 

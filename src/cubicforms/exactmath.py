@@ -88,9 +88,9 @@ def chi_minus3(n: int) -> int:
 
 def p_valuation(n: int | Fraction, p: int) -> int:
     """Exponent of the prime p in n (negative for p in the denominator)."""
+    n = as_fraction(n, "n")
     if n == 0:
         raise ValueError("p-adic valuation of 0 is undefined")
-    n = Fraction(n)
     v = 0
     num = abs(n.numerator)
     while num % p == 0:
@@ -142,7 +142,7 @@ def bernoulli_poly(k: int, x: Fraction | int) -> Fraction:
     """B_k(x) = sum_j C(k,j) B_j x^(k-j), exactly."""
     if k < 0:
         raise ValueError("Bernoulli index must be nonnegative")
-    x = Fraction(x)
+    x = as_fraction(x, "x")
     return sum(
         Fraction(comb(k, j)) * bernoulli_number(j) * x ** (k - j)
         for j in range(k + 1)

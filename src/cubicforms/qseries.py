@@ -72,9 +72,14 @@ class QSeries:
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
         terms: dict[int, tuple[int, int]] = {}
         for e, c in items:
+            if type(e) is not int:
+                key = as_fraction(e, "exponent index")
+                if key.denominator != 1:
+                    raise ValueError(f"exponent index {e} is not an integer")
+                e = key.numerator
             c = c if type(c) is Fraction else as_fraction(c, "coefficient")
             if c.numerator:
-                terms[int(e)] = (c.numerator, c.denominator)
+                terms[e] = (c.numerator, c.denominator)
         scale = lcm(*[d for _, d in terms.values()])
         self._set({e: n * (scale // d) for e, (n, d) in terms.items()}, scale, den, prec)
 

@@ -177,12 +177,15 @@ class TestVerify:
 
 GOLDEN = Path(__file__).parent / "golden"
 
-# golden file -> argv whose stdout it holds, byte for byte
+# golden file -> argv whose stdout it holds, byte for byte; a ".stderr" file
+# holds the stderr of a run that exits 1 (an integrity error) and prints nothing
 GOLDEN_RUNS = {
     **{
         f"theta_terms30.{fmt}.txt": ["theta", "--terms", "30", "--format", fmt]
         for fmt in ("plain", "json", "csv")
     },
+    "theta_terms120.json.txt": ["theta", "--terms", "120", "--format", "json"],
+    "eisenstein_k7_terms4.stderr.txt": ["eisenstein", "--k", "7", "--terms", "4"],
     **{
         f"eisenstein_k5_terms10.{fmt}.txt": [
             "eisenstein", "--k", "5", "--terms", "10", "--format", fmt
@@ -207,7 +210,11 @@ GOLDEN_RUNS = {
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
-def test_golden_output(name):
+def test_golden_output(name, capsys):
     code, out = run(GOLDEN_RUNS[name])
-    assert code == 0
+    if ".stderr." in name:
+        assert (code, out) == (1, "")
+        out = capsys.readouterr().err
+    else:
+        assert code == 0
     assert out.encode() == (GOLDEN / name).read_bytes()

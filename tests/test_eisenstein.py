@@ -20,7 +20,13 @@ from cubicforms.eisenstein import (
     theta_series_rank10,
     vv_eisenstein,
 )
-from cubicforms.exactmath import as_integer, bernoulli_poly, chi_minus3, prime_factors
+from cubicforms.exactmath import (
+    IntegralityError,
+    as_integer,
+    bernoulli_poly,
+    chi_minus3,
+    prime_factors,
+)
 from cubicforms.fqm import (
     E8_GRAM,
     W_GRAM,
@@ -31,7 +37,7 @@ from cubicforms.fqm import (
     short_vectors,
 )
 from cubicforms.qseries import QSeries
-from cubicforms.vvmf import basis_weight11
+from cubicforms.vvmf import VectorForm, basis_weight11
 
 
 def rep_count(form, gamma, n, a):
@@ -245,6 +251,18 @@ class TestVectorEisenstein:
         with pytest.raises(TypeError, match="prec must be an int or a Fraction"):
             make(w_prime)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda form: local_euler_factor(5, form, 0, 1.0, 3),
+            lambda form: prime_power_counts(form, 0, 1.0, 3, 1),
+        ],
+    )
+    def test_float_index_raises_type_error(self, w_prime, make):
+        # Fraction(1.0) would pass as the index n = 1
+        with pytest.raises(TypeError, match="n must be an int or a Fraction"):
+            make(w_prime)
+
     def test_v0_display(self, e5):
         assert [e5.coefficient(n, 0) for n in range(4)] == [2, 492, 7200, 39372]
 
@@ -268,6 +286,136 @@ class TestVectorEisenstein:
 
         with pytest.raises(ValueError):
             vv_eisenstein(discriminant_form(E8_GRAM), 5, 4)
+
+
+def _oracle_factor(k, form, gamma, n, p):
+    """local_euler_factor assembled term by term in Fractions, with omega
+    from 2 * d_gamma * n."""
+    n = F(n)
+    m = as_integer(2 * form.element_order(gamma) * n, "2*d_gamma*n")
+    w = 1
+    while m % p == 0:
+        m //= p
+        w += 2
+    counts = prime_power_counts(form, gamma, n, p, w)
+    head = sum(counts[v] * F(p) ** (-k * v) for v in range(w))
+    return (1 - F(p) ** (1 - k)) * head + counts[w] * F(p) ** (-k * w)
+
+
+def _oracle_coefficient(k, form, gamma, n, factor):
+    """ratio * n^(k-1) * prod_{p | 18n} factor(p) / (1 - chi(p) p^(-k)), in Fractions."""
+    val = l_value_ratio(k) * n ** (k - 1)
+    for p in prime_factors(as_integer(18 * n, "18n")):
+        val *= factor(p) / (1 - chi_minus3(p) * F(p) ** (-k))
+    return val
+
+
+def _vv_oracle(form, k, prec):
+    """The Euler-product series assembled in Fractions, every coset computed
+    in full, with the integrality and sign checks of vv_eisenstein."""
+    prec = F(prec)
+    components = []
+    for gamma in range(form.order):
+        offset = (-form.qvalue(gamma)) % 1
+        coeffs = {}
+        n = offset if offset > 0 else F(1)
+        while n < prec:
+            val = _oracle_coefficient(
+                k, form, gamma, n, lambda p: _oracle_factor(k, form, gamma, n, p)
+            )
+            c = as_integer(val, f"Eisenstein coefficient at q^{n} v_{gamma}")
+            if c < 0:
+                raise IntegralityError(
+                    f"negative Eisenstein coefficient {c} at q^{n} v_{gamma}"
+                )
+            coeffs[n] = F(c)
+            n += 1
+        if gamma == 0:
+            coeffs[F(0)] = F(2)
+        components.append(QSeries.from_terms(coeffs.items(), 3, prec))
+    return VectorForm(F(k), form, tuple(components))
+
+
+def _grid(form, gamma, prec):
+    """The exponents n > 0 below prec of the gamma component."""
+    offset = (-form.qvalue(gamma)) % 1
+    return [offset + j for j in range(prec + 1) if 0 < offset + j < prec]
+
+
+class TestIntegerAssembly:
+    PREC = 120
+
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_series_matches_fraction_oracle(self, w_prime, k):
+        got = vv_eisenstein(w_prime, k, self.PREC)
+        want = _vv_oracle(w_prime, k, self.PREC)
+        assert got == want
+        for mine, theirs in zip(got.components, want.components):
+            assert mine.nums == theirs.nums
+            assert (mine.scale, mine.prec) == (theirs.scale, theirs.prec)
+
+    @pytest.mark.parametrize("k", [7, 9, 11])
+    def test_failing_weight_raises_as_oracle(self, w_prime, k):
+        with pytest.raises(IntegralityError) as want:
+            _vv_oracle(w_prime, k, self.PREC)
+        with pytest.raises(IntegralityError) as got:
+            vv_eisenstein(w_prime, k, self.PREC)
+        assert str(got.value) == str(want.value)
+        assert "is not an integer" in str(got.value)
+
+    def test_local_factor_matches_fraction_oracle(self, w_prime):
+        checked = 0
+        for k in (3, 5, 7, 9, 11):
+            for gamma in range(3):
+                for n in _grid(w_prime, gamma, 20):
+                    for p in prime_factors(as_integer(18 * n, "18n")):
+                        got = local_euler_factor(k, w_prime, gamma, n, p)
+                        want = _oracle_factor(k, w_prime, gamma, n, p)
+                        assert got == want, (k, gamma, n, p)
+                        checked += 1
+        assert checked == 815
+
+    def test_minus_coset_built_independently(self, w_prime):
+        # coset 2 = -coset 1 from its own Euler factors, never through _vv_series
+        k, form = 5, w_prime
+        coeffs = {
+            n: _oracle_coefficient(
+                k, form, 2, n, lambda p: local_euler_factor(k, form, 2, n, p)
+            )
+            for n in _grid(form, 2, self.PREC)
+        }
+        assert all(c.denominator == 1 and c > 0 for c in coeffs.values())
+        coset2 = QSeries.from_terms(coeffs.items(), 3, self.PREC)
+        assert coset2 == vv_eisenstein(form, k, self.PREC).component(1)
+
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_hecke_relations(self, w_prime, k):
+        """a(pn) = (1 + p^(k-1)) a(n) - p^(k-1) a(n/p) for p = 1 mod 3, the
+        last term only when p | n, where f = sum_gamma F_gamma(3 tau) has
+        coefficients a(n): the Eisenstein series is a Hecke eigenform
+        (Bruinier-Stein, "The Weil representation and Hecke operators for
+        vector valued modular forms", Math. Z. 264 (2010)).  The relation
+        holds whatever the sign of l_value_ratio and asks for no
+        integrality, so it checks the local factors on their own."""
+        top = 120
+        series = vv_eisenstein(w_prime, k, top // 3)
+
+        def a(n):
+            if n % 3 == 0:
+                return series.coefficient(F(n, 3), 0)
+            if n % 3 == 1:
+                return 2 * series.coefficient(F(n, 3), 1)
+            return 0
+
+        relations = 0
+        for p in (7, 13, 19):
+            for n in range(1, (top - 1) // p + 1):
+                rhs = (1 + p ** (k - 1)) * a(n)
+                if n % p == 0:
+                    rhs -= p ** (k - 1) * a(n // p)
+                assert a(p * n) == rhs, (p, n)
+                relations += 1
+        assert relations == 32
 
 
 def _theta_w(i, prec):

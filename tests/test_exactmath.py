@@ -89,6 +89,11 @@ class TestBernoulli:
         assert bernoulli_poly(5, 0) == 0
         assert bernoulli_poly(5, F(1, 3)) == F(-5, 243)
 
+    def test_poly_rejects_float(self):
+        # Fraction(0.1) is 3602879701896397/36028797018963968
+        with pytest.raises(TypeError, match="int or a Fraction"):
+            bernoulli_poly(2, 0.1)
+
     def test_reflection_symmetry(self):
         x = F(1, 3)
         for k in (4, 5, 6):
@@ -108,6 +113,11 @@ class TestPValuation:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             p_valuation(0, 2)
+
+    def test_rejects_float(self):
+        # Fraction(0.5) would give -1
+        with pytest.raises(TypeError, match="int or a Fraction"):
+            p_valuation(0.5, 2)
 
 
 class TestCyclotomic:

@@ -204,6 +204,18 @@ class TestExactInputs:
         with pytest.raises(TypeError, match="int or a Fraction"):
             make()
 
+    def test_float_index_raises_type_error(self):
+        with pytest.raises(TypeError, match="exponent index must be an int or a Fraction"):
+            QSeries({2.5: 1}, 1, 5)
+
+    def test_fractional_index_raises_value_error(self):
+        # int() would floor the key: 1*q^(2) + O(q^(5))
+        with pytest.raises(ValueError, match="exponent index 5/2 is not an integer"):
+            QSeries({F(5, 2): 1}, 1, 5)
+
+    def test_integral_fraction_index_is_its_int(self):
+        assert QSeries({F(2): 1}, 1, 5) == QSeries({2: 1}, 1, 5)
+
     def test_constants_hash_as_their_fraction(self):
         assert QSeries.constant(3) == 3
         assert len({QSeries.constant(3), 3}) == 1
