@@ -165,8 +165,12 @@ def _gradient(gram, lin, x) -> list[int]:
     return [sum(g * xj for g, xj in zip(row, x)) + b for row, b in zip(gram, lin)]
 
 
-def _solutions_mod_p(gram, lin, const, p: int) -> tuple[int, list[tuple[int, ...]]]:
-    """(number of nonsingular solutions of f = 0 mod p, the singular ones)."""
+@lru_cache(maxsize=None)
+def _solutions_mod_p(gram, lin, const, p: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(number of nonsingular solutions of f = 0 mod p, the singular ones).
+
+    The answer depends only on lin and const mod p, so callers pass them
+    reduced and the result is shared by every (gamma, n) and descent level."""
     if len(gram) == 2:
         (a, h), (_, d) = gram
         det = a * d - h * h
@@ -175,8 +179,8 @@ def _solutions_mod_p(gram, lin, const, p: int) -> tuple[int, list[tuple[int, ...
             x = ((h * lin[1] - d * lin[0]) * inv % p, (h * lin[0] - a * lin[1]) * inv % p)
             chi = 1 if pow(-det, (p - 1) // 2, p) == 1 else -1
             if _value(gram, lin, const, x) % p:
-                return p - chi, []
-            return (p - 1) * (1 + chi), [x]
+                return p - chi, ()
+            return (p - 1) * (1 + chi), (x,)
     nonsingular = 0
     singular = []
     for x in product(range(p), repeat=len(gram)):
@@ -185,7 +189,7 @@ def _solutions_mod_p(gram, lin, const, p: int) -> tuple[int, list[tuple[int, ...
                 nonsingular += 1
             else:
                 singular.append(x)
-    return nonsingular, singular
+    return nonsingular, tuple(singular)
 
 
 def _descent_counts(gram, lin, const: int, p: int, vmax: int) -> list[int]:
@@ -194,7 +198,7 @@ def _descent_counts(gram, lin, const: int, p: int, vmax: int) -> list[int]:
     counts = [1] + [0] * vmax
     if vmax == 0:
         return counts
-    nonsingular, singular = _solutions_mod_p(gram, lin, const, p)
+    nonsingular, singular = _solutions_mod_p(gram, tuple(b % p for b in lin), const % p, p)
     for v in range(1, vmax + 1):
         counts[v] = nonsingular * p ** ((v - 1) * (rank - 1))
     counts[1] += len(singular)

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt, lcm
-from operator import mul
 
 from . import _linalg
 from .exactmath import Cyclotomic, as_fraction, as_integer
@@ -401,7 +400,10 @@ class WeilRep:
     discriminant form, with exact cyclotomic matrices.
 
     Matrices act on column vectors indexed by the cosets; rho(g) is computed
-    by decomposing g into a word in the generators S and T.
+    by decomposing g into a word in the generators S and T.  rho(T^n) is
+    diagonal, so a T step scales the columns of the running product by
+    e(n*q(gamma)) (e(-n*q(gamma)) for the dual); an S step is a matrix
+    product.
     """
 
     def __init__(self, form: DiscriminantForm, dual: bool = False):
@@ -417,14 +419,17 @@ class WeilRep:
             return m
         return [[x.conjugate() for x in row] for row in m]
 
+    def _t_diagonal(self, n: int) -> list[Cyclotomic]:
+        """The diagonal of rho(T^n): e(n*q(gamma)), conjugated for the dual."""
+        if self.dual:
+            n = -n
+        return [Cyclotomic.root_of_unity(n * q) for q in self.form.qvalues]
+
     def t_matrix(self, n: int = 1):
         """rho(T^n): diagonal with entries e(n*q(gamma))."""
-        form = self.form
         zero = Cyclotomic.zero()
-        out = [[zero] * form.order for _ in range(form.order)]
-        for i in range(form.order):
-            out[i][i] = Cyclotomic.root_of_unity(n * form.qvalue(i))
-        return self._conj_if_dual(out)
+        diag = self._t_diagonal(n)
+        return [[x if i == j else zero for j in range(len(diag))] for i, x in enumerate(diag)]
 
     def s_matrix(self):
         """rho(S): (sqrt(i)^(b- - b+)/sqrt(order)) * (e(-<gamma,delta>))."""
@@ -451,7 +456,11 @@ class WeilRep:
             self._gen["S"] = self.s_matrix()
         out = _mat_identity_cyc(self.form.order)
         for kind, n in g.word_in_generators():
-            out = _mat_mul_cyc(out, self.t_matrix(n) if kind == "T" else self._gen["S"])
+            if kind == "T":  # out * rho(T^n) scales column gamma by e(n*q(gamma))
+                diag = self._t_diagonal(n)
+                out = [[x * t for x, t in zip(row, diag)] for row in out]
+            else:
+                out = _mat_mul_cyc(out, self._gen["S"])
         self._cache[key] = out
         return out
 
@@ -530,8 +539,12 @@ def short_vectors(
     D_i * u_i is an integer for D_i = d * lcm(den coef_ij), and S * diag_i /
     D_i^2 = W_i and S * (bound - partial sums) = R are integers for one common
     S.  The window W_i * t_i^2 <= R is then exactly |t_i| <= isqrt(R // W_i).
-    Each leaf takes y^T G y = d^2 <v,v> from the Gram matrix and keeps y when
-    y^T G y * den(bound) <= num(bound) * d^2, in integers.
+    The norm y^T G y = d^2 <v,v> is built from the Gram rows as the walk
+    descends, not from the LDL remainder, so it checks the window
+    independently: level i adds y_i * (G_ii * y_i + 2 * sum_{j>i} G_ij * y_j),
+    whose sum over the fixed coordinates j > i is taken once per node.  The
+    last level is a plain loop that keeps y when y^T G y * den(bound) <=
+    num(bound) * d^2, in integers.
     """
     d, leaves = _scaled_short_vectors(lattice, offset, bound)
     return [(tuple(Fraction(yk, d) for yk in y), Fraction(ygy, d * d)) for y, ygy in leaves]
@@ -568,7 +581,9 @@ def _scaled_short_vectors(
     mults = [lcm(1, *(c.denominator for c in coef[i][i + 1 :])) for i in range(n)]
     weights = [diag[i] / (d * mults[i]) ** 2 for i in range(n)]
     scale = lcm(bound.denominator, *(w.denominator for w in weights))
-    # level i: t = D_i * u_i = D_i * x_i + L_i * base_i + sum_j K_ij * y_j
+    # level i: t = D_i * u_i = D_i * x_i + L_i * base_i + sum_j K_ij * y_j,
+    # and the norm so far acc_i = acc_{i+1} + y_i * (G_ii * y_i + h_i) with
+    # h_i = sum_{j>i} 2 * G_ij * y_j, both sums over the fixed j > i
     levels = [
         (
             d * li,
@@ -579,25 +594,36 @@ def _scaled_short_vectors(
                 for j in range(i + 1, n)
                 if coef[i][j]
             ],
+            gram[i][i],
+            [(j, 2 * gram[i][j]) for j in range(i + 1, n) if gram[i][j]],
         )
         for i, li in enumerate(mults)
     ]
     y = [0] * n
     den_bound, cap = bound.denominator, bound.numerator * d * d
 
-    def recurse(i: int, rem: int):
-        if i < 0:
-            ygy = sum(yi * sum(map(mul, row, y)) for yi, row in zip(y, gram))
-            if ygy * den_bound <= cap:
-                out.append((tuple(y), ygy))
-            return
-        di, wi, c, ks = levels[i]
+    def walk(i: int, rem: int, acc: int):
+        di, wi, c, ks, gii, hs = levels[i]
         c += sum(k * y[j] for j, k in ks)
+        h = sum(g * y[j] for j, g in hs)
         t_max = isqrt(rem // wi)
-        for xi in range(-((t_max + c) // di), (t_max - c) // di + 1):
-            t = di * xi + c
-            y[i] = base[i] + d * xi
-            recurse(i - 1, rem - wi * t * t)
+        xs = range(-((t_max + c) // di), (t_max - c) // di + 1)
+        bi = base[i]
+        if i:
+            for xi in xs:
+                t = di * xi + c
+                y[i] = yi = bi + d * xi
+                walk(i - 1, rem - wi * t * t, acc + yi * (gii * yi + h))
+            return
+        rest = tuple(y[1:])
+        for xi in xs:
+            yi = bi + d * xi
+            ygy = acc + yi * (gii * yi + h)
+            if ygy * den_bound <= cap:
+                out.append(((yi, *rest), ygy))
 
-    recurse(n - 1, as_integer(bound * scale, "scaled bound"))
+    if n:
+        walk(n - 1, as_integer(bound * scale, "scaled bound"), 0)
+    else:  # rank 0: the empty vector, whose norm 0 is within the bound
+        out.append(((), 0))
     return d, out

@@ -49,13 +49,16 @@ class VectorForm:
             j = form.neg(i)
             if components[i] != components[j]:
                 raise ValueError(f"components at cosets {i} and -{i}={j} differ")
+            # q^(e/den) lies in the class exactly when e = residue * den mod den
             residue = (-form.qvalue(i)) % 1
-            for e in components[i].exponents():
-                if (e - residue) % 1 != 0:
-                    raise ValueError(
-                        f"component {i} has exponent {e} off its residue class "
-                        f"{residue} mod Z"
-                    )
+            den = components[i].den
+            r = residue * den
+            off = [e for e in components[i].nums if r.denominator != 1 or (e - r.numerator) % den]
+            if off:
+                raise ValueError(
+                    f"component {i} has exponent {Fraction(min(off), den)} off its "
+                    f"residue class {residue} mod Z"
+                )
         self.weight = Fraction(weight)
         self.form = form
         self.components = components

@@ -10,6 +10,7 @@ from cubicforms.eisenstein import (
     _descent_counts,
     _integer_polynomial,
     _omega,
+    _solutions_mod_p,
     alpha_series,
     beta_series,
     eisenstein_chi,
@@ -35,6 +36,7 @@ from cubicforms.fqm import (
     _scaled_short_vectors,
     discriminant_form,
     short_vectors,
+    w_prime_form,
 )
 from cubicforms.qseries import QSeries
 from cubicforms.vvmf import VectorForm, basis_weight11
@@ -185,6 +187,37 @@ def test_descent_matches_brute_force(case):
     assert _descent_counts(gram, lin, const, p, depth) == _brute_counts(
         gram, lin, const, p, depth
     )
+
+
+def _fresh_solutions_mod_p(gram, lin, const, p):
+    """(nonsingular, singular) solutions of Q(x) + lin.x + const = 0 mod p,
+    enumerated over (Z/p)^rank with unreduced lin and const."""
+    rank = len(gram)
+    nonsingular, singular = 0, []
+    for x in product(range(p), repeat=rank):
+        q2 = sum(gram[i][j] * x[i] * x[j] for i in range(rank) for j in range(rank))
+        if (q2 // 2 + sum(b * xi for b, xi in zip(lin, x)) + const) % p:
+            continue
+        grad = [sum(g * xj for g, xj in zip(row, x)) + b for row, b in zip(gram, lin)]
+        if any(g % p for g in grad):
+            nonsingular += 1
+        else:
+            singular.append(x)
+    return nonsingular, tuple(singular)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_solutions_mod_p_memo_equals_fresh_enumeration(p):
+    gram = w_prime_form().lattice.gram
+    for lin in product(range(p), repeat=2):
+        for const in range(p):
+            got = _solutions_mod_p(gram, lin, const, p)
+            assert isinstance(got[1], tuple)
+            assert got == _fresh_solutions_mod_p(gram, lin, const, p)
+            # a representative off [0, p) gives the same answer
+            far = tuple(b - 7 * p for b in lin), const + 11 * p
+            assert got == _fresh_solutions_mod_p(gram, *far, p)
+            assert _solutions_mod_p.__wrapped__(gram, *far, p) == got
 
 
 class TestLocalFactors:

@@ -438,6 +438,118 @@ def test_scaled_walk_is_the_integer_view(case):
         assert ygy == d * d * norm
 
 
+def _walk_oracle(lattice, offset, bound):
+    """The walk as it was before the leaf norm was accumulated level by
+    level: one recursive call per leaf, and y^T G y summed over the whole
+    Gram matrix there."""
+    n = lattice.rank
+    gram = lattice.gram
+    offset = [F(x) for x in offset]
+    bound = F(bound)
+    a = [[F(gram[i][j]) for j in range(n)] for i in range(n)]
+    coef = [[F(0)] * n for _ in range(n)]
+    diag = [F(0)] * n
+    for i in range(n):
+        diag[i] = a[i][i]
+        for j in range(i + 1, n):
+            coef[i][j] = a[i][j] / diag[i]
+        for r in range(i + 1, n):
+            for s in range(i + 1, n):
+                a[r][s] -= diag[i] * coef[i][r] * coef[i][s]
+    d = lcm(1, *(o.denominator for o in offset))
+    out = []
+    if bound < 0:
+        return d, out
+    base = [int(o * d) for o in offset]
+    mults = [lcm(1, *(c.denominator for c in coef[i][i + 1 :])) for i in range(n)]
+    weights = [diag[i] / (d * mults[i]) ** 2 for i in range(n)]
+    scale = lcm(bound.denominator, *(w.denominator for w in weights))
+    levels = [
+        (
+            d * li,
+            int(weights[i] * scale),
+            li * base[i],
+            [(j, int(coef[i][j] * li)) for j in range(i + 1, n) if coef[i][j]],
+        )
+        for i, li in enumerate(mults)
+    ]
+    y = [0] * n
+    den_bound, cap = bound.denominator, bound.numerator * d * d
+
+    def recurse(i, rem):
+        if i < 0:
+            ygy = sum(yi * sum(g * yj for g, yj in zip(row, y)) for yi, row in zip(y, gram))
+            if ygy * den_bound <= cap:
+                out.append((tuple(y), ygy))
+            return
+        di, wi, c, ks = levels[i]
+        c += sum(k * y[j] for j, k in ks)
+        t_max = isqrt(rem // wi)
+        for xi in range(-((t_max + c) // di), (t_max - c) // di + 1):
+            t = di * xi + c
+            y[i] = base[i] + d * xi
+            recurse(i - 1, rem - wi * t * t)
+
+    recurse(n - 1, int(bound * scale))
+    return d, out
+
+
+@settings(deadline=None, max_examples=120)
+@given(_positive_lattices())
+def test_scaled_walk_matches_per_leaf_oracle(case):
+    gram, offset, bound = case
+    lattice = EvenLattice(gram)
+    assert _scaled_short_vectors(lattice, offset, bound) == _walk_oracle(lattice, offset, bound)
+
+
+def test_e8_walk_norms_and_order_at_bound_8():
+    d, leaves = _scaled_short_vectors(EvenLattice(E8_GRAM), (0,) * 8, 8)
+    assert d == 1 and len(leaves) == 26641
+    for y, ygy in leaves:
+        assert ygy == sum(y[i] * E8_GRAM[i][j] * y[j] for i in range(8) for j in range(8))
+    # the last coordinate varies slowest and every coordinate ascends
+    assert leaves == sorted(leaves, key=lambda leaf: leaf[0][::-1])
+
+
+def test_rank_zero_walk():
+    assert short_vectors(EvenLattice(()), (), 2) == [((), 0)]
+    assert short_vectors(EvenLattice(()), (), 0) == [((), 0)]
+    assert short_vectors(EvenLattice(()), (), -1) == []
+    assert _scaled_short_vectors(EvenLattice(()), (), F(-1, 3)) == (1, [])
+
+
+def _rho_oracle(rep, g):
+    """rho(g) as a product of full generator matrices, one per letter of the
+    word, with rho(T^n) built from e(n*q(gamma)) and conjugated for the dual."""
+    order = rep.form.order
+    zero = Cyclotomic.zero()
+    out = _mat_identity_cyc(order)
+    for kind, n in g.word_in_generators():
+        if kind == "S":
+            m = rep.s_matrix()
+        else:
+            m = [[zero] * order for _ in range(order)]
+            for i in range(order):
+                z = Cyclotomic.root_of_unity(n * rep.form.qvalue(i))
+                m[i][i] = z.conjugate() if rep.dual else z
+        out = _mat_mul_cyc(out, m)
+    return out
+
+
+@pytest.mark.parametrize("dual", [False, True])
+def test_rho_matches_full_generator_product(dual):
+    rng = random.Random(1207)
+    rep = WeilRep(w_prime_form(), dual=dual)
+    for _ in range(120):
+        g = random_word_element(rng, 12)
+        if rng.random() < 0.3:  # long T steps too
+            g = g * Mp2Element.T(rng.randint(-40, 40))
+        got = rep.rho(g)
+        assert [[(z.nums, z.den) for z in row] for row in got] == [
+            [(z.nums, z.den) for z in row] for row in _rho_oracle(rep, g)
+        ]
+
+
 def _mat_mul_sum_of_products(x, y):
     """The matrix product with one Cyclotomic product and one reduced sum per
     term, as it was computed before the fused dot product."""

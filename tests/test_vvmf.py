@@ -30,6 +30,33 @@ class TestVectorForm:
         with pytest.raises(ValueError):
             VectorForm(5, w_prime, (zero, bad, bad))
 
+    @pytest.mark.parametrize(
+        "v0, v1, message",
+        [
+            (
+                ([(0, 1), (F(1, 3), 2), (F(-2, 3), 5)], 3),
+                ([(F(1, 3), 1)], 3),
+                "component 0 has exponent -2/3 off its residue class 0 mod Z",
+            ),
+            (
+                ([(0, 1)], 3),
+                ([(1, 1), (-1, 2)], 1),
+                "component 1 has exponent -1 off its residue class 1/3 mod Z",
+            ),
+            (
+                ([(0, 1)], 3),
+                ([(F(-2, 3), 4), (F(4, 3), 1), (F(1, 2), 2), (F(-1, 6), 3)], 6),
+                "component 1 has exponent -1/6 off its residue class 1/3 mod Z",
+            ),
+        ],
+    )
+    def test_support_message_names_first_offending_exponent(self, w_prime, v0, v1, message):
+        # messages as the Fraction residue check printed them
+        v0, v1 = (QSeries.from_terms(terms, den, 2) for terms, den in (v0, v1))
+        with pytest.raises(ValueError) as err:
+            VectorForm(5, w_prime, (v0, v1, v1))
+        assert str(err.value) == message
+
     def test_constructed_forms_satisfy_support(self, e5, basis30, psi30):
         for form in (e5, *basis30, psi30):
             for i in range(3):
