@@ -9,7 +9,8 @@ Two independent engines produce the numbers:
   the scalar degree series with constant term -2;
 * an intersection-theoretic one: Chern/Segre classes of the bundles whose
   projectivizations parametrize singular cubics (over P^5) and cubics
-  containing a plane (over Gr(3,6)).
+  containing a plane (over Gr(3,6)); it lives in ``cubicforms.schubert``,
+  which ``import cubicforms`` does not load.
 
 The first degrees are deg(C_6) = 192, deg(C_8) = 3402, deg(C_12) = 196272.
 """
@@ -38,7 +39,6 @@ from .fqm import (
     WeilRep,
     discriminant_form,
     gauss_milgram_check,
-    heegner_index,
     w_prime_form,
 )
 from .vvmf import (
@@ -48,7 +48,6 @@ from .vvmf import (
     basis_weight11,
     dim_formula,
     fit_alpha_beta,
-    is_cuspidal,
     numeric_modularity_check,
     rankin_cohen,
     solve_psi,
@@ -61,7 +60,6 @@ from .eisenstein import (
     theta_series_rank10,
     vv_eisenstein,
 )
-from . import schubert
 
 __version__ = "0.1.0"
 

@@ -13,6 +13,8 @@ import json
 import sys
 from fractions import Fraction
 
+from . import schubert
+
 FORMATS = ("plain", "json", "csv")
 
 
@@ -133,7 +135,6 @@ def cmd_dim(args, out) -> int:
 
 
 def cmd_degree(args, out) -> int:
-    from . import schubert
     from .vvmf import assemble_theta, solve_psi
 
     d = args.d
@@ -331,19 +332,18 @@ def _suite_qseries(gram=None):
 
 
 def _suite_schubert(gram=None):
-    from .schubert import RingClassGr36, box_partitions
-
-    s = RingClassGr36.sigma
+    ring = schubert.RingClassGr36
+    s = ring.sigma
 
     def top_power():
         return (s(1) ** 9).as_dict() == {(3, 3, 3): 42}
 
     def poincare():
-        for lam in box_partitions():
+        for lam in schubert.box_partitions():
             comp = tuple(3 - x for x in reversed(lam))
-            for mu in box_partitions():
+            for mu in schubert.box_partitions():
                 if sum(mu) == 9 - sum(lam):
-                    got = (RingClassGr36(((lam, 1),)) * RingClassGr36(((mu, 1),))).degree()
+                    got = (ring(((lam, 1),)) * ring(((mu, 1),))).degree()
                     if got != (1 if mu == comp else 0):
                         return False
         return True
@@ -365,7 +365,6 @@ def _suite_schubert(gram=None):
 
 
 def _suite_degrees(gram=None):
-    from . import schubert
     from .vvmf import assemble_theta, solve_psi
 
     def all_paths():

@@ -35,6 +35,12 @@ __all__ = [
 ]
 
 
+def _read_only(self, name, value=None):
+    """``__setattr__`` and ``__delattr__`` of the immutable value classes,
+    whose ``__init__`` sets each field once through ``object.__setattr__``."""
+    raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
+
+
 class IntegralityError(ArithmeticError):
     """A quantity that must be an integer came out non-integral."""
 
@@ -351,9 +357,6 @@ class Cyclotomic:
 
     def real_part(self) -> "Cyclotomic":
         return (self + self.conjugate()) * Fraction(1, 2)
-
-    def norm_squared(self) -> "Cyclotomic":
-        return self * self.conjugate()
 
     def is_rational(self) -> bool:
         return not any(self.nums[1:])

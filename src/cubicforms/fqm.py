@@ -10,13 +10,12 @@ Representation matrices are exact matrices over a cyclotomic field.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt, lcm
 
 from . import _linalg
-from .exactmath import Cyclotomic, as_fraction, as_integer
+from .exactmath import Cyclotomic, _read_only, as_fraction, as_integer
 
 __all__ = [
     "EvenLattice",
@@ -26,15 +25,12 @@ __all__ = [
     "conjugate_transpose",
     "discriminant_form",
     "gauss_milgram_check",
-    "heegner_index",
     "short_vectors",
     "w_prime_form",
     "W_GRAM",
     "U_GRAM",
     "E8_GRAM",
     "W_PRIME_GRAM",
-    "lambda0_gram",
-    "lambda0_prime_gram",
 ]
 
 
@@ -60,45 +56,37 @@ W_PRIME_GRAM: tuple[tuple[int, ...], ...] = tuple(
 )
 
 
-def _direct_sum(*blocks):
-    n = sum(len(b) for b in blocks)
-    out = [[0] * n for _ in range(n)]
-    off = 0
-    for b in blocks:
-        for i, row in enumerate(b):
-            for j, x in enumerate(row):
-                out[off + i][off + j] = x
-        off += len(b)
-    return tuple(tuple(row) for row in out)
-
-
-def lambda0_gram() -> tuple[tuple[int, ...], ...]:
-    """Gram matrix of W + U + U + E8 + E8 (signature (20, 2))."""
-    return _direct_sum(W_GRAM, U_GRAM, U_GRAM, E8_GRAM, E8_GRAM)
-
-
-def lambda0_prime_gram() -> tuple[tuple[int, ...], ...]:
-    """Gram matrix of -(W + U + U + E8 + E8) (signature (2, 20))."""
-    return tuple(tuple(-x for x in row) for row in lambda0_gram())
-
-
-@dataclass(frozen=True)
 class EvenLattice:
     """Nondegenerate even integral lattice given by its Gram matrix."""
 
-    gram: tuple[tuple[int, ...], ...]
+    __slots__ = ("gram",)
+    __setattr__ = __delattr__ = _read_only
 
-    def __post_init__(self):
-        g = self.gram
-        n = len(g)
-        if any(len(row) != n for row in g):
+    def __init__(self, gram: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "gram", gram)
+        n = len(gram)
+        if any(len(row) != n for row in gram):
             raise ValueError("Gram matrix must be square")
-        if any(g[i][j] != g[j][i] for i in range(n) for j in range(n)):
+        if any(gram[i][j] != gram[j][i] for i in range(n) for j in range(n)):
             raise ValueError("Gram matrix must be symmetric")
-        if any(g[i][i] % 2 for i in range(n)):
+        if any(gram[i][i] % 2 for i in range(n)):
             raise ValueError("lattice is not even (odd diagonal entry)")
         if self.det() == 0:
             raise ValueError("Gram matrix is degenerate")
+
+    def __eq__(self, other):
+        if other.__class__ is not EvenLattice:
+            return NotImplemented
+        return self.gram == other.gram
+
+    def __hash__(self):
+        return hash(self.gram)
+
+    def __repr__(self):
+        return f"EvenLattice(gram={self.gram!r})"
+
+    def __reduce__(self):  # copy and pickle through __init__
+        return EvenLattice, (self.gram,)
 
     @property
     def rank(self) -> int:
@@ -260,18 +248,6 @@ def w_prime_form() -> DiscriminantForm:
     return discriminant_form(W_PRIME_GRAM)
 
 
-def heegner_index(d: int, form: DiscriminantForm | None = None) -> tuple[Fraction, int]:
-    """Map a discriminant d = 0, 2 mod 6 to its series slot (n, coset index):
-    n = -d/6 and the coset is (d/2) times the first nonzero class, with the
-    gamma and -gamma slots carrying identical coefficients."""
-    if d <= 0 or d % 6 not in (0, 2):
-        raise ValueError(f"d = {d} is not congruent to 0 or 2 mod 6")
-    if form is None:
-        form = w_prime_form()
-    gamma1 = 1 if form.order > 1 else 0
-    return Fraction(-d, 6), form.multiple(gamma1, (d // 2) % form.order)
-
-
 # ---------------------------------------------------------------------------
 # the metaplectic group
 # ---------------------------------------------------------------------------
@@ -281,22 +257,43 @@ def _upper(re: int, im: int) -> bool:
     return im > 0 or (im == 0 and re < 0)
 
 
-@dataclass(frozen=True)
 class Mp2Element:
     """Element (A, phi) of Mp2(Z): A in SL2(Z) and phi(tau) = eps*sqrt(c*tau+d)
     with the principal square root and eps in {+1, -1}."""
 
-    a: int
-    b: int
-    c: int
-    d: int
-    eps: int = 1
+    __slots__ = ("a", "b", "c", "d", "eps")
+    __setattr__ = __delattr__ = _read_only
 
-    def __post_init__(self):
-        if self.a * self.d - self.b * self.c != 1:
+    def __init__(self, a: int, b: int, c: int, d: int, eps: int = 1):
+        if a * d - b * c != 1:
             raise ValueError("matrix is not in SL2(Z)")
-        if self.eps not in (1, -1):
+        if eps not in (1, -1):
             raise ValueError("branch must be +1 or -1")
+        init = object.__setattr__
+        init(self, "a", a)
+        init(self, "b", b)
+        init(self, "c", c)
+        init(self, "d", d)
+        init(self, "eps", eps)
+
+    def __eq__(self, other):
+        if other.__class__ is not Mp2Element:
+            return NotImplemented
+        return (self.a, self.b, self.c, self.d, self.eps) == (
+            other.a, other.b, other.c, other.d, other.eps
+        )
+
+    def __hash__(self):
+        return hash((self.a, self.b, self.c, self.d, self.eps))
+
+    def __repr__(self):
+        return (
+            f"Mp2Element(a={self.a!r}, b={self.b!r}, c={self.c!r}, d={self.d!r}, "
+            f"eps={self.eps!r})"
+        )
+
+    def __reduce__(self):
+        return Mp2Element, (self.a, self.b, self.c, self.d, self.eps)
 
     @property
     def matrix(self) -> tuple[int, int, int, int]:

@@ -232,17 +232,27 @@ class QSeries:
             nums = {e: n * p for e, n in self.nums.items()}
             return _series(nums, self.scale * other.denominator, self.den, self.prec)
         den = lcm(self.den, other.den)
-        # sound truncation: beyond-prec terms of one factor meet at least the
-        # lowest known exponent of the other
-        pairs = ((self.prec, other.lowest_exponent()), (other.prec, self.lowest_exponent()))
-        precs = [p if low is None else p + low for p, low in pairs if p is not None]
-        prec = min(precs, default=None)
-        # operand precs and lowest exponents all sit on the 1/den grid
-        assert prec is None or (prec * den).denominator == 1
-        cutoff = None if prec is None else (prec * den).numerator
+        fa, fb = den // self.den, den // other.den
+        # sound truncation, in integer steps of 1/den (each prec's denominator
+        # divides den): beyond-prec terms of one factor meet at least the
+        # lowest known exponent of the other, which is its prec if it has no
+        # terms, and None if it is exactly zero
+        pa, pb = self.prec, other.prec
+        cut_a = None if pa is None else pa.numerator * den // pa.denominator
+        cut_b = None if pb is None else pb.numerator * den // pb.denominator
+        low_a = min(self.nums) * fa if self.nums else cut_a
+        low_b = min(other.nums) * fb if other.nums else cut_b
+        if cut_a is None and cut_b is None:
+            cutoff = None
+        elif cut_b is None:
+            cutoff = cut_a + (low_b or 0)
+        elif cut_a is None:
+            cutoff = cut_b + (low_a or 0)
+        else:
+            cutoff = min(cut_a + low_b, cut_b + low_a)
+        prec = None if cutoff is None else Fraction(cutoff, den)
         # convolve the numerators on the 1/den grid; b is sorted by exponent,
         # so each row stops at the cutoff
-        fa, fb = den // self.den, den // other.den
         a = [(e * fa, n) for e, n in self.nums.items()]
         b = sorted([(e * fb, n) for e, n in other.nums.items()])
         b_exps = [e for e, _ in b]
@@ -306,14 +316,6 @@ class QSeries:
                 for e, c in sorted(self.coeffs.items())
             ],
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "QSeries":
-        prec = Fraction(int(data["prec_num"]), int(data["prec_den"]))
-        coeffs = {
-            int(t["e"]): Fraction(int(t["num"]), int(t["den"])) for t in data["terms"]
-        }
-        return cls(coeffs, int(data["den"]), prec)
 
 
 def solve_linear_combination(

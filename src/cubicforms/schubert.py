@@ -9,10 +9,11 @@ enumeration in the 3x3 box, and Chern inversion needs no division at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from math import comb
+
+from .exactmath import _read_only
 
 __all__ = [
     "RingClassP5",
@@ -38,13 +39,30 @@ Partition = tuple[int, int, int]
 # the ring Z[H]/(H^6)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class RingClassP5:
     """Integer class a_0 + a_1 H + ... + a_5 H^5 on P^5."""
 
-    coeffs: tuple[int, int, int, int, int, int] = (0, 0, 0, 0, 0, 0)
+    __slots__ = ("coeffs",)
+    __setattr__ = __delattr__ = _read_only
 
     DIM = 5
+
+    def __init__(self, coeffs: tuple[int, int, int, int, int, int] = (0, 0, 0, 0, 0, 0)):
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __eq__(self, other):
+        if other.__class__ is not RingClassP5:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def __repr__(self):
+        return f"RingClassP5(coeffs={self.coeffs!r})"
+
+    def __reduce__(self):  # copy and pickle through __init__
+        return RingClassP5, (self.coeffs,)
 
     @classmethod
     def one(cls) -> "RingClassP5":
@@ -173,20 +191,34 @@ def _lr_products(lam: Partition, mu: Partition) -> tuple[tuple[Partition, int], 
     return tuple(out)
 
 
-@dataclass(frozen=True)
 class RingClassGr36:
-    """Integer combination of Schubert classes sigma_lambda on Gr(3,6)."""
+    """Integer combination of Schubert classes sigma_lambda on Gr(3,6), kept
+    as sorted (partition, coefficient) pairs with no zero coefficient; a
+    repeated partition keeps its last coefficient."""
 
-    coeffs: tuple[tuple[Partition, int], ...] = ()
+    __slots__ = ("coeffs",)
+    __setattr__ = __delattr__ = _read_only
 
     DIM = 9
-    TOP: Partition = (3, 3, 3)
+    TOP = (3, 3, 3)  # the point class
 
-    def __post_init__(self):
-        cleaned = tuple(
-            sorted((lam, c) for lam, c in dict(self.coeffs).items() if c)
-        )
+    def __init__(self, coeffs: tuple[tuple[Partition, int], ...] = ()):
+        cleaned = tuple(sorted((lam, c) for lam, c in dict(coeffs).items() if c))
         object.__setattr__(self, "coeffs", cleaned)
+
+    def __eq__(self, other):
+        if other.__class__ is not RingClassGr36:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def __repr__(self):
+        return f"RingClassGr36(coeffs={self.coeffs!r})"
+
+    def __reduce__(self):
+        return RingClassGr36, (self.coeffs,)
 
     @classmethod
     def sigma(cls, *lam: int, coeff: int = 1) -> "RingClassGr36":
@@ -250,21 +282,36 @@ class RingClassGr36:
 # Chern series
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class ChernSeries:
     """Total Chern class c_0 + c_1 + ... + c_dim with c_0 = 1, each c_k a
     pure-degree-k integer class of the base ring."""
 
-    classes: tuple
+    __slots__ = ("classes",)
+    __setattr__ = __delattr__ = _read_only
 
-    def __post_init__(self):
-        if not self.classes:
+    def __init__(self, classes: tuple):
+        if not classes:
             raise ValueError("need at least c_0")
-        ring = type(self.classes[0])
-        if len(self.classes) > ring.DIM + 1:
+        ring = type(classes[0])
+        if len(classes) > ring.DIM + 1:
             raise ValueError("series longer than base dimension + 1")
-        if self.classes[0] != ring.one():
+        if classes[0] != ring.one():
             raise ValueError("c_0 must be 1")
+        object.__setattr__(self, "classes", classes)
+
+    def __eq__(self, other):
+        if other.__class__ is not ChernSeries:
+            return NotImplemented
+        return self.classes == other.classes
+
+    def __hash__(self):
+        return hash(self.classes)
+
+    def __repr__(self):
+        return f"ChernSeries(classes={self.classes!r})"
+
+    def __reduce__(self):
+        return ChernSeries, (self.classes,)
 
     @property
     def ring(self):

@@ -7,12 +7,18 @@ the assembly of the scalar degree series.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
 from ._linalg import row_reduce
-from .exactmath import Cyclotomic, IntegralityError, as_fraction, as_integer, gauss_sum
+from .exactmath import (
+    Cyclotomic,
+    IntegralityError,
+    _read_only,
+    as_fraction,
+    as_integer,
+    gauss_sum,
+)
 from .fqm import DiscriminantForm, Mp2Element, WeilRep, w_prime_form
 from .qseries import QSeries, solve_linear_combination
 
@@ -25,7 +31,6 @@ __all__ = [
     "solve_psi",
     "assemble_theta",
     "fit_alpha_beta",
-    "is_cuspidal",
     "numeric_modularity_check",
 ]
 
@@ -255,13 +260,29 @@ def solve_psi(prec: Fraction | int) -> VectorForm:
 # the scalar degree series
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class HeegnerSeries:
     """The scalar series Psi_0 + (1/2)(Psi_1 + Psi_2) together with the
-    integer degree table d -> N_d read off its 1/3-grid coefficients."""
+    integer degree table d -> N_d read off its 1/3-grid coefficients.  The
+    table is a dict, so the value is unhashable."""
 
-    theta: QSeries
-    degrees: dict[int, int]
+    __slots__ = ("theta", "degrees")
+    __setattr__ = __delattr__ = _read_only
+    __hash__ = None
+
+    def __init__(self, theta: QSeries, degrees: dict[int, int]):
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "degrees", degrees)
+
+    def __eq__(self, other):
+        if other.__class__ is not HeegnerSeries:
+            return NotImplemented
+        return self.theta == other.theta and self.degrees == other.degrees
+
+    def __repr__(self):
+        return f"HeegnerSeries(theta={self.theta!r}, degrees={self.degrees!r})"
+
+    def __reduce__(self):  # copy and pickle through __init__
+        return HeegnerSeries, (self.theta, self.degrees)
 
     def degree(self, d: int) -> int:
         return self.degrees[d]
@@ -343,11 +364,6 @@ def fit_alpha_beta(
                 f"fit fails verification at q^{e}: {combo} != {f.coefficient(e)}"
             )
     return coeffs
-
-
-def is_cuspidal(F: VectorForm) -> bool:
-    """True iff every component has vanishing constant term."""
-    return all(f.coefficient(0) == 0 for f in F.components)
 
 
 # ---------------------------------------------------------------------------

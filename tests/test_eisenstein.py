@@ -32,7 +32,6 @@ from cubicforms.fqm import (
     E8_GRAM,
     W_GRAM,
     EvenLattice,
-    _direct_sum,
     _scaled_short_vectors,
     discriminant_form,
     short_vectors,
@@ -40,6 +39,7 @@ from cubicforms.fqm import (
 )
 from cubicforms.qseries import QSeries
 from cubicforms.vvmf import VectorForm, basis_weight11
+from lattices import direct_sum
 
 
 def rep_count(form, gamma, n, a):
@@ -515,7 +515,7 @@ class TestThetaOracle:
     def test_product_equals_direct_enumeration(self):
         # oracle: one walk of the rank-10 lattice W + E8, binned by coset
         prec = F(2)
-        gram = _direct_sum(W_GRAM, E8_GRAM)
+        gram = direct_sum(W_GRAM, E8_GRAM)
         lattice = EvenLattice(gram)
         form = discriminant_form(gram)
         th = theta_series_rank10(prec)

@@ -377,4 +377,4 @@ class TestGaussSum:
     def test_modulus_squared(self):
         for a in (1, 2, 4, 5):
             g = gauss_sum(a, self.QVALUES)
-            assert g.norm_squared() == 3
+            assert g * g.conjugate() == 3

@@ -22,11 +22,22 @@ from cubicforms.fqm import (
     _scaled_short_vectors,
     discriminant_form,
     gauss_milgram_check,
-    heegner_index,
-    lambda0_prime_gram,
     short_vectors,
     w_prime_form,
 )
+from lattices import lambda0_prime_gram
+
+
+def heegner_index(d: int, form=None) -> tuple[F, int]:
+    """Map a discriminant d = 0, 2 mod 6 to its series slot (n, coset index):
+    n = -d/6 and the coset is (d/2) times the first nonzero class, with the
+    gamma and -gamma slots carrying identical coefficients."""
+    if d <= 0 or d % 6 not in (0, 2):
+        raise ValueError(f"d = {d} is not congruent to 0 or 2 mod 6")
+    if form is None:
+        form = w_prime_form()
+    gamma1 = 1 if form.order > 1 else 0
+    return F(-d, 6), form.multiple(gamma1, (d // 2) % form.order)
 
 
 def random_word_element(rng, max_len=10):

@@ -11,7 +11,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cubicforms._linalg import det, inertia, rational_inverse, row_reduce
-from cubicforms.fqm import U_GRAM, W_GRAM, _direct_sum
+from cubicforms.fqm import U_GRAM, W_GRAM
+from lattices import direct_sum
 
 entries = st.builds(F, st.integers(-6, 6), st.sampled_from((1, 1, 1, 2, 3)))
 
@@ -184,9 +185,9 @@ def test_inertia_invariant_under_unimodular_congruence(data):
 def test_inertia_adds_under_direct_sums(a, b):
     pa, na = inertia(a)
     pb, nb = inertia(b)
-    assert inertia(_direct_sum(a, b)) == (pa + pb, na + nb)
+    assert inertia(direct_sum(a, b)) == (pa + pb, na + nb)
 
 
 def test_inertia_of_hyperbolic_plane():
     assert inertia(U_GRAM) == (1, 1)
-    assert inertia(_direct_sum(W_GRAM, U_GRAM)) == (3, 1)
+    assert inertia(direct_sum(W_GRAM, U_GRAM)) == (3, 1)

@@ -1,8 +1,11 @@
 """Package-wide rules: the source imports only the standard library and
-itself, and every exported name exists."""
+itself, every exported name exists, and a cold start loads only what the
+modular path needs."""
 
 import ast
 import importlib
+import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -37,3 +40,38 @@ def test_all_names_resolve(path):
     module = importlib.import_module(name)
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert missing == []
+
+
+def _fresh_interpreter(body: str):
+    """Run ``body`` in a new interpreter with this package importable and
+    return the JSON it prints."""
+    src = str(Path(cubicforms.__file__).resolve().parents[1])
+    code = f"import json, sys\nsys.path.insert(0, {src!r})\n{body}"
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    return json.loads(done.stdout)
+
+
+def test_import_skips_dataclasses_and_schubert():
+    added = _fresh_interpreter(
+        "before = set(sys.modules)\n"
+        "import cubicforms\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+    )
+    assert "cubicforms.vvmf" in added and "cubicforms.eisenstein" in added
+    unwanted = {"dataclasses", "inspect", "cubicforms.schubert"}
+    assert unwanted.isdisjoint(added)
+
+
+def test_cli_commands_import_no_package_module():
+    added = _fresh_interpreter(
+        "import io\n"
+        "import cubicforms.cli as cli\n"
+        "before = set(sys.modules)\n"
+        "argvs = [['theta', '--terms', '4'], ['verify', '--suite', 'all'], ['degree', '--d', '6']]\n"
+        "codes = [cli.main(argv, out=io.StringIO()) for argv in argvs]\n"
+        "assert codes == [0, 0, 0], codes\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+    )
+    assert [m for m in added if m.split(".")[0] == "cubicforms"] == []

@@ -15,6 +15,13 @@ from cubicforms.qseries import (
 )
 
 
+def from_json_dict(data):
+    """The inverse of ``QSeries.to_json_dict``."""
+    prec = F(int(data["prec_num"]), int(data["prec_den"]))
+    coeffs = {int(t["e"]): F(int(t["num"]), int(t["den"])) for t in data["terms"]}
+    return QSeries(coeffs, int(data["den"]), prec)
+
+
 def series(terms, den=1, prec=None):
     return QSeries.from_terms(terms, den, prec)
 
@@ -175,7 +182,7 @@ class TestSerialization:
     def test_round_trip(self):
         f = series([(0, -2), (F(4, 3), 3402)], den=3, prec=F(10, 3))
         data = json.loads(json.dumps(f.to_json_dict()))
-        assert QSeries.from_json_dict(data) == f
+        assert from_json_dict(data) == f
 
     def test_exact_strings(self):
         f = series([(0, F(1, 3))], den=1, prec=2)
@@ -267,6 +274,33 @@ def test_mul_matches_naive_double_loop(f, g):
     got, ref = f * g, _naive_mul(f, g)
     assert (got.den, got.prec, got.coeffs) == (ref.den, ref.prec, ref.coeffs)
     assert all(type(c) is F for c in got.coeffs.values())
+
+
+_EXACT = QSeries({-2: F(1, 2), 1: 3}, 3)  # lowest exponent -2/3, prec None
+_TRUNC = QSeries({1: 5, 4: -1}, 2, F(7, 2))  # lowest exponent 1/2
+_EMPTY_TRUNC = QSeries.zero(2, F(-3, 2))  # no terms: prec stands for the lowest
+_EMPTY_EXACT = QSeries.zero(6)  # exactly zero, prec None
+
+
+@pytest.mark.parametrize(
+    "f, g, prec",
+    [
+        (_EXACT, _TRUNC, F(7, 2) - F(2, 3)),
+        (_TRUNC, _EXACT, F(7, 2) - F(2, 3)),
+        (_EXACT, _EXACT, None),
+        (_EXACT, _EMPTY_EXACT, None),
+        (_EMPTY_EXACT, _TRUNC, F(7, 2)),
+        (_TRUNC, _EMPTY_EXACT, F(7, 2)),
+        (_EMPTY_TRUNC, _EXACT, F(-3, 2) - F(2, 3)),
+        (_EMPTY_TRUNC, _TRUNC, min(F(-3, 2) + F(1, 2), F(7, 2) - F(3, 2))),
+        (_EMPTY_TRUNC, _EMPTY_TRUNC, F(-3)),
+        (_TRUNC, _TRUNC, F(7, 2) + F(1, 2)),
+    ],
+)
+def test_mul_precision_with_exact_or_empty_factor(f, g, prec):
+    got, ref = f * g, _naive_mul(f, g)
+    assert got.prec == prec and (prec is None or type(got.prec) is F)
+    assert (got.den, got.prec, got.coeffs) == (ref.den, ref.prec, ref.coeffs)
 
 
 # -- the Fraction-dict arithmetic that QSeries ran before it held integer

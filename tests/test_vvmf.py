@@ -10,10 +10,15 @@ from cubicforms.vvmf import (
     assemble_theta,
     dim_formula,
     fit_alpha_beta,
-    is_cuspidal,
     numeric_modularity_check,
     rankin_cohen,
 )
+from lattices import lambda0_prime_gram
+
+
+def is_cuspidal(F: VectorForm) -> bool:
+    """True iff every component has vanishing constant term."""
+    return all(f.coefficient(0) == 0 for f in F.components)
 
 
 class TestVectorForm:
@@ -111,7 +116,7 @@ class TestDimensionFormula:
             dim_formula(4)
 
     def test_matches_rank22_form(self):
-        from cubicforms.fqm import discriminant_form, lambda0_prime_gram
+        from cubicforms.fqm import discriminant_form
 
         big = discriminant_form(lambda0_prime_gram())
         assert dim_formula(11, big) == 2
@@ -324,7 +329,7 @@ class TestPrecisionMemo:
 
     def test_domain_checks_fire_on_a_hit(self, memo, w_prime):
         from cubicforms.eisenstein import vv_eisenstein
-        from cubicforms.fqm import discriminant_form, lambda0_prime_gram
+        from cubicforms.fqm import discriminant_form
         from cubicforms.vvmf import basis_weight11, solve_psi
 
         basis_weight11(30)
