@@ -244,24 +244,32 @@ def _suite_weil(gram=None):
 
 
 def _suite_eisenstein(gram=None):
-    from .eisenstein import theta_series_rank10, vv_eisenstein
-    from .fqm import w_prime_form
+    from .eisenstein import (
+        _coset_theta_series,
+        eisenstein_level1,
+        theta_series_rank10,
+        vv_eisenstein,
+    )
+    from .fqm import W_GRAM, EvenLattice, discriminant_form, w_prime_form
 
     def oracle_equivalence():
         e5 = vv_eisenstein(w_prime_form(), 5, 4)
         twice = theta_series_rank10(4).scale(2)
         return all(e5.component(i) == twice.component(i) for i in range(3))
 
-    def alpha_conventions_agree():
-        from .eisenstein import eisenstein_chi
-
-        return eisenstein_chi(1, 30, "character") == eisenstein_chi(
-            1, 30, "legendre"
-        ) and eisenstein_chi(3, 30, "character") == eisenstein_chi(3, 30, "legendre")
+    def twice_theta_w_times_e4():
+        # theta_E8 = E_4, so E_5 = 2 theta_W E_4 with only the rank-2 W walked
+        e5 = vv_eisenstein(w_prime_form(), 5, 30)
+        e4 = eisenstein_level1(4, 30)
+        w_lat, w_form = EvenLattice(W_GRAM), discriminant_form(W_GRAM)
+        return all(
+            e5.component(i) == _coset_theta_series(w_lat, w_form.cosets[i], 30) * e4 * 2
+            for i in range(3)
+        )
 
     return [
         ("eisenstein-equals-twice-theta", oracle_equivalence),
-        ("character-sum-conventions-agree", alpha_conventions_agree),
+        ("eisenstein-equals-twice-theta-w-times-e4-30", twice_theta_w_times_e4),
     ]
 
 
@@ -455,8 +463,11 @@ def _positive_int(text: str) -> int:
 
 def _gram_matrix(text: str) -> tuple[tuple[int, ...], ...]:
     """argparse type of --gram: a JSON Gram matrix of a nondegenerate even
-    lattice; anything else is a usage error that names the reason."""
-    from .fqm import EvenLattice
+    lattice whose level divides 24, so that its Gauss sums lie in Q(zeta_24);
+    anything else is a usage error that names the reason.  The level comes
+    from G^-1 alone, before any coset is listed."""
+    from ._linalg import rational_inverse
+    from .fqm import EvenLattice, _level
 
     try:
         rows = json.loads(text)
@@ -474,6 +485,11 @@ def _gram_matrix(text: str) -> tuple[tuple[int, ...], ...]:
         EvenLattice(gram)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+    level = _level(rational_inverse(gram))
+    if 24 % level:
+        raise argparse.ArgumentTypeError(
+            f"level {level} does not divide 24, so the Gauss sums leave Q(zeta_24)"
+        )
     return gram
 
 
@@ -517,8 +533,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument(
         "--gram",
         type=_gram_matrix,
-        help="JSON Gram matrix of an even nondegenerate lattice, added to the "
-        "milgram suite (only with --suite milgram or all)",
+        help="JSON Gram matrix of an even nondegenerate lattice of level dividing "
+        "24, added to the milgram suite (only with --suite milgram or all)",
     )
     p_ver.add_argument("--format", choices=FORMATS, default="plain")
     p_ver.set_defaults(func=cmd_verify)

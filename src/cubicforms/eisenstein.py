@@ -60,23 +60,17 @@ def eisenstein_level1(k: int, prec: int) -> QSeries:
     return QSeries(coeffs, 1, prec)
 
 
-def eisenstein_chi(k: int, prec: int, convention: str = "character") -> QSeries:
+def eisenstein_chi(k: int, prec: int) -> QSeries:
     """Weight-k level-3 Eisenstein series with the quadratic character mod 3.
 
-    k = 1 carries the 1 + 6*sum normalization; k >= 3 starts at q.  The two
-    equivalent divisor-sum conventions are exposed for cross-checking:
-    ``character`` sums d^(k-1) * chi(n/d), ``legendre`` sums (n/d)^(k-1) * chi(d).
+    k = 1 carries the 1 + 6*sum normalization; k >= 3 starts at q.  The q^n
+    coefficient is the divisor sum of d^(k-1) * chi(n/d).
     """
     if k < 1 or k % 2 == 0:
         raise ValueError(f"character Eisenstein series needs odd k >= 1, got {k}")
-    if convention not in ("character", "legendre"):
-        raise ValueError(f"unknown convention {convention!r}")
     coeffs: dict[int, Fraction] = {}
     for n in range(1, prec):
-        if convention == "character":
-            s = sum(d ** (k - 1) * chi_minus3(n // d) for d in _divisors(n))
-        else:
-            s = sum((n // d) ** (k - 1) * chi_minus3(d) for d in _divisors(n))
+        s = sum(d ** (k - 1) * chi_minus3(n // d) for d in _divisors(n))
         coeffs[n] = Fraction(s)
     if k == 1:
         for n in coeffs:
@@ -335,22 +329,23 @@ def theta_series_rank10(prec: Fraction | int) -> VectorForm:
     return precision_memo(("theta_series_rank10",), as_fraction(prec, "prec"), _theta_rank10)
 
 
+def _coset_theta_series(lattice: EvenLattice, offset, prec: Fraction) -> QSeries:
+    """Theta series sum q^(<v,v>/2) over the coset offset + lattice of a
+    positive definite lattice, in steps of q^(1/3), to prec: the leaves of one
+    walk counted per integer norm y^T G y = d^2 <v,v>, one Fraction each."""
+    bound = 2 * prec - Fraction(2, 3)  # largest half-norm strictly below prec
+    d, leaves = _scaled_short_vectors(lattice, offset, bound)
+    counts = Counter(ygy for _y, ygy in leaves)
+    return QSeries.from_terms(
+        ((Fraction(ygy, 2 * d * d), c) for ygy, c in counts.items()), 3, prec
+    )
+
+
 def _theta_rank10(prec: Fraction) -> VectorForm:
     from .fqm import E8_GRAM, W_GRAM, discriminant_form
 
-    step = Fraction(1, 3)  # the norm grid of the dual lattice
-    bound = 2 * prec - 2 * step  # largest half-norm strictly below prec
-
-    def series(lattice: EvenLattice, offset) -> QSeries:
-        # count leaves per integer norm y^T G y = d^2 <v,v>; one Fraction each
-        d, leaves = _scaled_short_vectors(lattice, offset, bound)
-        counts = Counter(ygy for _y, ygy in leaves)
-        return QSeries.from_terms(
-            ((Fraction(ygy, 2 * d * d), c) for ygy, c in counts.items()), 3, prec
-        )
-
     w_lat = EvenLattice(W_GRAM)
     w_form = discriminant_form(W_GRAM)
-    e8 = series(EvenLattice(E8_GRAM), (0,) * 8)
-    comps = tuple(series(w_lat, w_form.cosets[i]) * e8 for i in range(3))
+    e8 = _coset_theta_series(EvenLattice(E8_GRAM), (0,) * 8, prec)
+    comps = tuple(_coset_theta_series(w_lat, w_form.cosets[i], prec) * e8 for i in range(3))
     return VectorForm(Fraction(5), w_prime_form(), comps)

@@ -1,9 +1,10 @@
 """Finite quadratic modules of even lattices and the Weil representation of
 the metaplectic group Mp2(Z) on their group rings.
 
-The discriminant group M_dual/M is computed from the Smith normal form of the
-Gram matrix; its elements carry the Q/Z-valued quadratic form q(gamma) =
-<gamma,gamma>/2 mod Z and bilinear form b(gamma,delta) = <gamma,delta> mod Z.
+The discriminant group M_dual/M is the closure of {0} under adding the
+columns of the inverse Gram matrix mod 1; its elements carry the Q/Z-valued
+quadratic form q(gamma) = <gamma,gamma>/2 mod Z and bilinear form
+b(gamma,delta) = <gamma,delta> mod Z.
 Representation matrices are exact matrices over a cyclotomic field.
 """
 
@@ -120,93 +121,76 @@ def _frac_vec(v) -> tuple[Fraction, ...]:
     return tuple(Fraction(x) % 1 for x in v)
 
 
+def _level(dual) -> int:
+    """Least N with N * G^-1 integral and with even diagonal, from the matrix
+    ``dual`` = G^-1: the least N with N * q(gamma) integral for every coset,
+    since q(G^-1 x) = x^T G^-1 x / 2."""
+    return lcm(
+        1,
+        *(
+            (x / 2 if i == j else x).denominator
+            for i, row in enumerate(dual)
+            for j, x in enumerate(row)
+        ),
+    )
+
+
 class DiscriminantForm:
     """The finite quadratic module M_dual/M of an even lattice.
 
-    Cosets are listed with the zero class first and the remaining classes
-    sorted by their canonical representative (coordinates in [0,1) with
-    respect to the lattice basis) in lexicographic order.
+    The columns of G^-1, reduced mod 1, generate M_dual/M; the cosets are the
+    closure of {0} under adding them.  ``level`` is the least N with
+    N * q(gamma) integral for every coset.  Cosets are listed with the zero
+    class first and the remaining classes sorted by their canonical
+    representative (coordinates in [0,1) with respect to the lattice basis)
+    in lexicographic order.
     """
 
     def __init__(self, lattice: EvenLattice):
         self.lattice = lattice
-        gram = [list(row) for row in lattice.gram]
-        n = lattice.rank
-        U, D, _V = _linalg.smith_normal_form(gram)
-        dual_basis = _linalg.rational_inverse(gram)  # columns span M_dual
-        u_inv = _linalg.rational_inverse(U)
-        # generator i of Z^n / gram*Z^n is the class of column i of U^{-1};
-        # the matching dual vector is gram^{-1} * U^{-1} * e_i
-        gens = []
-        orders = []
-        for i in range(n):
-            d = D[i][i]
-            if d > 1:
-                col = [u_inv[r][i] for r in range(n)]
-                vec = tuple(
-                    sum(dual_basis[r][s] * col[s] for s in range(n)) for r in range(n)
-                )
-                gens.append(_frac_vec(vec))
-                orders.append(d)
-        self.order = 1
-        for d in orders:
-            self.order *= d
-        if self.order != abs(lattice.det()):
-            raise AssertionError("discriminant group order must equal |det|")
-
-        # enumerate all cosets as Z-combinations of the generators
-        reps: set[tuple[Fraction, ...]] = set()
-        stack = [tuple(Fraction(0) for _ in range(n))]
-        reps.add(stack[0])
-        for g, d in zip(gens, orders):
-            new = set()
-            for base in reps:
-                acc = base
-                for _ in range(1, d):
-                    acc = _frac_vec([a + b for a, b in zip(acc, g)])
-                    new.add(acc)
-            reps |= new
-        if len(reps) != self.order:
-            raise AssertionError("coset enumeration does not match group order")
-        zero = tuple(Fraction(0) for _ in range(n))
+        dual = _linalg.rational_inverse(lattice.gram)
+        self.level = _level(dual)
+        zero = tuple(Fraction(0) for _ in dual)
+        gens = {_frac_vec(col) for col in zip(*dual)} - {zero}
+        reps = {zero}
+        frontier = [zero]
+        while frontier:  # breadth first: each new class plus each generator
+            found = []
+            for rep in frontier:
+                for g in gens:
+                    s = _frac_vec(a + b for a, b in zip(rep, g))
+                    if s not in reps:
+                        reps.add(s)
+                        found.append(s)
+            frontier = found
+        self.order = len(reps)
+        size = abs(lattice.det())
+        if self.order != size:
+            raise ArithmeticError(
+                f"discriminant group order {self.order} differs from |det| = {size}"
+            )
         self.cosets: list[tuple[Fraction, ...]] = [zero] + sorted(reps - {zero})
         self._index = {rep: i for i, rep in enumerate(self.cosets)}
 
         self.qvalues: list[Fraction] = [
             lattice.half_norm(rep) % 1 for rep in self.cosets
         ]
-        self._neg = [
-            self._index[_frac_vec([-x for x in rep])] for rep in self.cosets
-        ]
-        self._add = [
-            [
-                self._index[_frac_vec([a + b for a, b in zip(r1, r2)])]
-                for r2 in self.cosets
-            ]
-            for r1 in self.cosets
-        ]
+        self._neg = [self.multiple(i, -1) for i in range(self.order)]
 
     # -- group structure ---------------------------------------------------
 
     def add(self, i: int, j: int) -> int:
-        return self._add[i][j]
+        pairs = zip(self.cosets[i], self.cosets[j])
+        return self._index[_frac_vec(a + b for a, b in pairs)]
 
     def neg(self, i: int) -> int:
         return self._neg[i]
 
     def multiple(self, i: int, m: int) -> int:
-        out = 0
-        step = i if m >= 0 else self._neg[i]
-        for _ in range(abs(m)):
-            out = self._add[out][step]
-        return out
+        return self._index[_frac_vec(m * x for x in self.cosets[i])]
 
     def element_order(self, i: int) -> int:
-        m, acc = 1, i
-        while acc != 0:
-            acc = self._add[acc][i]
-            m += 1
-        return m
+        return lcm(1, *(x.denominator for x in self.cosets[i]))
 
     # -- quadratic/bilinear values ------------------------------------------
 
@@ -219,14 +203,6 @@ class DiscriminantForm:
     @property
     def signature(self) -> tuple[int, int]:
         return self.lattice.signature
-
-    @property
-    def level(self) -> int:
-        """Smallest N with N*q(gamma) integral for every coset."""
-        return lcm(1, *(qv.denominator for qv in self.qvalues))
-
-    def __len__(self):
-        return self.order
 
     def __repr__(self):
         return f"DiscriminantForm(order {self.order}, q-values {self.qvalues})"
@@ -366,7 +342,10 @@ class Mp2Element:
         prod = Mp2Element.identity()
         for kind, n in word:
             prod = prod * (Mp2Element.T(n) if kind == "T" else Mp2Element.S())
-        assert prod.matrix == self.matrix
+        if prod.matrix != self.matrix:
+            raise ArithmeticError(
+                f"word for the matrix {self.matrix} multiplies out to {prod.matrix}"
+            )
         if prod.eps != self.eps:
             word.extend([("S", 1)] * 4)  # S^4 = (identity, -1)
         return word

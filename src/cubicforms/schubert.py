@@ -456,7 +456,10 @@ def _sym3_elementary_expansion() -> tuple[tuple[Monomial, tuple[Monomial, int]],
             if i != j:
                 roots.append({unit(i): 2, unit(j): 1})  # 2*x_i + x_j
     roots.append({unit(0): 1, unit(1): 1, unit(2): 1})  # x_1 + x_2 + x_3
-    assert len(roots) == 10
+    if len(roots) != 10:
+        raise ArithmeticError(
+            f"Sym^3 of a rank-3 bundle has 10 Chern roots, not {len(roots)}"
+        )
     total: dict[Monomial, int] = {(0, 0, 0): 1}
     for r in roots:
         factor = dict(r)

@@ -133,6 +133,14 @@ class TestVerify:
         assert code == 0
         assert "user-lattice" in out
 
+    def test_milgram_with_order_1728_gram(self):
+        # diag(12, 12, 12): level 24, so its Gauss sums lie in Q(zeta_24)
+        code, out = run(
+            ["verify", "--suite", "milgram", "--gram", "[[12,0,0],[0,12,0],[0,0,12]]"]
+        )
+        assert code == 0
+        assert "pass  milgram: gauss-milgram-user-lattice" in out
+
     @pytest.mark.parametrize(
         "gram, reason",
         [
@@ -144,6 +152,8 @@ class TestVerify:
             ("[[2.0]]", "lists of integers"),
             ("[]", "lists of integers"),
             ("[[2,1],", "not JSON"),
+            ("[[2,1],[1,50]]", "level 99 does not divide 24"),
+            ("[[2,0],[0,10]]", "level 20 does not divide 24"),
         ],
     )
     def test_invalid_gram_is_usage_error(self, gram, reason, capsys):

@@ -89,10 +89,19 @@ class TestScalarSeries:
         assert beta_series(10).coefficient(9) == 81
 
     def test_divisor_sum_conventions_agree(self):
+        # oracle: the divisor sum re-indexed by d <-> n/d, (n/d)^(k-1) * chi(d)
         for k in (1, 3, 5):
-            assert eisenstein_chi(k, 30, "character") == eisenstein_chi(
-                k, 30, "legendre"
-            )
+            coeffs = {
+                n: sum(
+                    (n // d) ** (k - 1) * chi_minus3(d)
+                    for d in range(1, n + 1)
+                    if n % d == 0
+                )
+                for n in range(1, 30)
+            }
+            if k == 1:
+                coeffs = {0: 1, **{n: 6 * c for n, c in coeffs.items()}}
+            assert eisenstein_chi(k, 30) == QSeries.from_terms(coeffs.items(), 1, 30), k
 
     def test_rejects_even_weight(self):
         with pytest.raises(ValueError):

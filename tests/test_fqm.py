@@ -1,7 +1,7 @@
 import cmath
 import random
 from fractions import Fraction as F
-from itertools import product
+from itertools import count, product
 from math import gcd, isqrt, lcm, prod
 
 import pytest
@@ -104,6 +104,106 @@ class TestDiscriminantForm:
     )
     def test_gauss_milgram(self, gram):
         assert gauss_milgram_check(discriminant_form(gram))
+
+
+def _int_det(m) -> int:
+    """Integer determinant by Laplace expansion along the first row."""
+    if not m:
+        return 1
+    return sum(
+        (-1) ** j * x * _int_det([row[:j] + row[j + 1 :] for row in m[1:]])
+        for j, x in enumerate(m[0])
+        if x
+    )
+
+
+def _random_even_grams(seed: int, how_many: int):
+    """Distinct seeded even Gram matrices of rank 1 to 3 with 0 < |det| <= 60."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < how_many:
+        n = rng.randint(1, 3)
+        g = [[0] * n for _ in range(n)]
+        for i in range(n):
+            g[i][i] = 2 * rng.randint(-4, 4)
+            for j in range(i + 1, n):
+                g[i][j] = g[j][i] = rng.randint(-4, 4)
+        gram = tuple(tuple(row) for row in g)
+        if 0 < abs(_int_det(g)) <= 60 and gram not in out:
+            out.append(gram)
+    return out
+
+
+ORACLE_GRAMS = _random_even_grams(20261018, 36)
+
+
+def _brute_force_cosets(gram) -> set:
+    """{frac(G^-1 x) : x in [0, |det|)^n}, with G^-1 = adj(G) / det taken in
+    integers: every dual vector is G^-1 x for an integral x, and |det| * G^-1
+    is integral, so x mod |det| already reaches every coset."""
+    n, d = len(gram), _int_det(gram)
+    size, sign = abs(d), (1 if d > 0 else -1)
+    adj = [
+        [
+            (-1) ** (i + j)
+            * _int_det([row[:i] + row[i + 1 :] for k, row in enumerate(gram) if k != j])
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+    nums = {
+        tuple(sign * sum(a * xj for a, xj in zip(adj_row, x)) % size for adj_row in adj)
+        for x in product(range(size), repeat=n)
+    }
+    return {tuple(F(v, size) for v in num) for num in nums}
+
+
+def _frac(v) -> tuple:
+    return tuple(F(x) % 1 for x in v)
+
+
+class TestDiscriminantFormBruteForce:
+    """Every group operation of ``DiscriminantForm`` against plain vector
+    arithmetic mod 1 on a brute-force list of the cosets."""
+
+    def test_sample_is_mixed(self):
+        ranks = {len(g) for g in ORACLE_GRAMS}
+        definite = [0 in EvenLattice(g).signature for g in ORACLE_GRAMS]
+        assert ranks == {1, 2, 3}
+        assert any(definite) and not all(definite)
+        assert max(abs(_int_det(g)) for g in ORACLE_GRAMS) > 20
+
+    @pytest.mark.parametrize("gram", ORACLE_GRAMS, ids=str)
+    def test_cosets_and_labels(self, gram):
+        form = discriminant_form(gram)
+        cosets = _brute_force_cosets(gram)
+        zero = (F(0),) * len(gram)
+        assert form.order == len(cosets) == abs(_int_det(gram))
+        assert form.cosets == [zero] + sorted(cosets - {zero})
+
+    @pytest.mark.parametrize("gram", ORACLE_GRAMS, ids=str)
+    def test_group_law_and_qvalues(self, gram):
+        form = discriminant_form(gram)
+        reps = form.cosets
+        index = {rep: i for i, rep in enumerate(reps)}
+        for i, v in enumerate(reps):
+            assert form.qvalues[i] == sum(
+                x * gram[r][s] * y for r, x in enumerate(v) for s, y in enumerate(v)
+            ) / 2 % 1
+            assert form.neg(i) == index[_frac(-x for x in v)]
+            for m in range(-4, 7):
+                assert form.multiple(i, m) == index[_frac(m * x for x in v)], m
+            order = next(m for m in count(1) if all((m * x).denominator == 1 for x in v))
+            assert form.element_order(i) == order
+            for j, w in enumerate(reps):
+                assert form.add(i, j) == index[_frac(x + y for x, y in zip(v, w))]
+
+
+def test_level_is_lcm_of_qvalue_denominators():
+    # the level read off G^-1 against its definition on the listed cosets
+    for gram in ORACLE_GRAMS + [W_PRIME_GRAM, U_GRAM, E8_GRAM, lambda0_prime_gram()]:
+        form = discriminant_form(gram)
+        assert form.level == lcm(1, *(q.denominator for q in form.qvalues)), gram
 
 
 class TestHeegnerIndex:

@@ -1,6 +1,6 @@
 """Package-wide rules: the source imports only the standard library and
-itself, every exported name exists, and a cold start loads only what the
-modular path needs."""
+itself, holds no assert statement, every exported name exists, and a cold
+start loads only what the modular path needs."""
 
 import ast
 import importlib
@@ -32,6 +32,14 @@ def test_imports_are_stdlib_or_cubicforms(path):
                 node.lineno,
                 root,
             )
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    # python -O strips assert statements, so every check is an explicit raise
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert lines == [], (path.name, lines)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
