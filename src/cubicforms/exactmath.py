@@ -6,6 +6,12 @@ rounds.  Rational numbers are ``fractions.Fraction`` (always in lowest terms
 with positive denominator), re-exported as ``Rational``.  A ``Cyclotomic``
 holds eight integer numerators over one positive integer denominator, also in
 lowest terms, and computes in integers only.
+
+``_Value`` is the one definition of value semantics for the immutable
+classes of the other modules (``EvenLattice``, ``Mp2Element``,
+``HeegnerSeries``, ``RingClassP5``, ``RingClassGr36``, ``ChernSeries``):
+read-only ``__slots__`` fields set once by ``__init__``, and equality,
+hashing, ``repr``, copy and pickle from the field tuple.
 """
 
 from __future__ import annotations
@@ -36,9 +42,41 @@ __all__ = [
 
 
 def _read_only(self, name, value=None):
-    """``__setattr__`` and ``__delattr__`` of the immutable value classes,
-    whose ``__init__`` sets each field once through ``object.__setattr__``."""
+    """``__setattr__`` and ``__delattr__`` of every ``_Value``."""
     raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
+
+
+class _Value:
+    """Base of the immutable value classes.  A subclass names its fields in
+    ``__slots__``; its ``__init__`` validates, normalizes and sets every
+    field once with ``_set``.  Equality (same class only), hashing, ``repr``
+    and copy/pickle (back through ``__init__``) all read the field tuple in
+    slot order."""
+
+    __slots__ = ()
+    __setattr__ = __delattr__ = _read_only
+
+    def _set(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._fields()))
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
 
 
 class IntegralityError(ArithmeticError):

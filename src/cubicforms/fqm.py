@@ -16,7 +16,7 @@ from functools import lru_cache
 from math import isqrt, lcm
 
 from . import _linalg
-from .exactmath import Cyclotomic, _read_only, as_fraction, as_integer
+from .exactmath import Cyclotomic, _Value, as_fraction, as_integer, gauss_sum, jacobi_symbol
 
 __all__ = [
     "EvenLattice",
@@ -57,14 +57,13 @@ W_PRIME_GRAM: tuple[tuple[int, ...], ...] = tuple(
 )
 
 
-class EvenLattice:
+class EvenLattice(_Value):
     """Nondegenerate even integral lattice given by its Gram matrix."""
 
     __slots__ = ("gram",)
-    __setattr__ = __delattr__ = _read_only
 
     def __init__(self, gram: tuple[tuple[int, ...], ...]):
-        object.__setattr__(self, "gram", gram)
+        self._set(gram)
         n = len(gram)
         if any(len(row) != n for row in gram):
             raise ValueError("Gram matrix must be square")
@@ -74,20 +73,6 @@ class EvenLattice:
             raise ValueError("lattice is not even (odd diagonal entry)")
         if self.det() == 0:
             raise ValueError("Gram matrix is degenerate")
-
-    def __eq__(self, other):
-        if other.__class__ is not EvenLattice:
-            return NotImplemented
-        return self.gram == other.gram
-
-    def __hash__(self):
-        return hash(self.gram)
-
-    def __repr__(self):
-        return f"EvenLattice(gram={self.gram!r})"
-
-    def __reduce__(self):  # copy and pickle through __init__
-        return EvenLattice, (self.gram,)
 
     @property
     def rank(self) -> int:
@@ -233,43 +218,18 @@ def _upper(re: int, im: int) -> bool:
     return im > 0 or (im == 0 and re < 0)
 
 
-class Mp2Element:
+class Mp2Element(_Value):
     """Element (A, phi) of Mp2(Z): A in SL2(Z) and phi(tau) = eps*sqrt(c*tau+d)
     with the principal square root and eps in {+1, -1}."""
 
     __slots__ = ("a", "b", "c", "d", "eps")
-    __setattr__ = __delattr__ = _read_only
 
     def __init__(self, a: int, b: int, c: int, d: int, eps: int = 1):
         if a * d - b * c != 1:
             raise ValueError("matrix is not in SL2(Z)")
         if eps not in (1, -1):
             raise ValueError("branch must be +1 or -1")
-        init = object.__setattr__
-        init(self, "a", a)
-        init(self, "b", b)
-        init(self, "c", c)
-        init(self, "d", d)
-        init(self, "eps", eps)
-
-    def __eq__(self, other):
-        if other.__class__ is not Mp2Element:
-            return NotImplemented
-        return (self.a, self.b, self.c, self.d, self.eps) == (
-            other.a, other.b, other.c, other.d, other.eps
-        )
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.c, self.d, self.eps))
-
-    def __repr__(self):
-        return (
-            f"Mp2Element(a={self.a!r}, b={self.b!r}, c={self.c!r}, d={self.d!r}, "
-            f"eps={self.eps!r})"
-        )
-
-    def __reduce__(self):
-        return Mp2Element, (self.a, self.b, self.c, self.d, self.eps)
+        self._set(a, b, c, d, eps)
 
     @property
     def matrix(self) -> tuple[int, int, int, int]:
@@ -446,24 +406,19 @@ class WeilRep:
             rho_dual(g) v_gamma =
                 (a/order) * e((a-1)*oddity/8) * e(-b*d*q(gamma)) * v_{d*gamma}
 
-        The oddity vanishes for odd-order forms (trivial 2-adic part), which
-        is the only case supported here.
+        Only odd-order forms are supported; their 2-adic part is trivial, so
+        the oddity is 0 and the middle factor is 1.
         """
-        from .exactmath import jacobi_symbol
-
         form = self.form
         N = form.level
         if g.c % N != 0:
             raise ValueError(f"element is not in Gamma0({N})")
         if form.order % 2 == 0:
             raise NotImplementedError("closed form implemented for odd order only")
-        oddity = 0
         zero = Cyclotomic.zero()
         out = [[zero] * form.order for _ in range(form.order)]
         for i in range(form.order):
-            phase = Cyclotomic.root_of_unity(
-                Fraction((g.a - 1) * oddity, 8) - g.b * g.d * form.qvalue(i)
-            )
+            phase = Cyclotomic.root_of_unity(-g.b * g.d * form.qvalue(i))
             target = form.multiple(i, g.d % form.order)
             out[target][i] = out[target][i] + phase * jacobi_symbol(g.a, form.order)
         if not self.dual:
@@ -486,8 +441,6 @@ class WeilRep:
 
 def gauss_milgram_check(form: DiscriminantForm) -> bool:
     """Exact identity sum_gamma e(q(gamma)) = sqrt(order) * e(signature/8)."""
-    from .exactmath import gauss_sum
-
     total = gauss_sum(1, form.qvalues)
     bplus, bminus = form.signature
     rhs = Cyclotomic.sqrt_int(form.order) * Cyclotomic.root_of_unity(

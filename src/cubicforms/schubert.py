@@ -13,7 +13,7 @@ from functools import lru_cache
 from itertools import product
 from math import comb
 
-from .exactmath import _read_only
+from .exactmath import _Value
 
 __all__ = [
     "RingClassP5",
@@ -39,30 +39,15 @@ Partition = tuple[int, int, int]
 # the ring Z[H]/(H^6)
 # ---------------------------------------------------------------------------
 
-class RingClassP5:
+class RingClassP5(_Value):
     """Integer class a_0 + a_1 H + ... + a_5 H^5 on P^5."""
 
     __slots__ = ("coeffs",)
-    __setattr__ = __delattr__ = _read_only
 
     DIM = 5
 
     def __init__(self, coeffs: tuple[int, int, int, int, int, int] = (0, 0, 0, 0, 0, 0)):
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def __eq__(self, other):
-        if other.__class__ is not RingClassP5:
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        return f"RingClassP5(coeffs={self.coeffs!r})"
-
-    def __reduce__(self):  # copy and pickle through __init__
-        return RingClassP5, (self.coeffs,)
+        self._set(coeffs)
 
     @classmethod
     def one(cls) -> "RingClassP5":
@@ -191,34 +176,19 @@ def _lr_products(lam: Partition, mu: Partition) -> tuple[tuple[Partition, int], 
     return tuple(out)
 
 
-class RingClassGr36:
+class RingClassGr36(_Value):
     """Integer combination of Schubert classes sigma_lambda on Gr(3,6), kept
     as sorted (partition, coefficient) pairs with no zero coefficient; a
     repeated partition keeps its last coefficient."""
 
     __slots__ = ("coeffs",)
-    __setattr__ = __delattr__ = _read_only
 
     DIM = 9
     TOP = (3, 3, 3)  # the point class
 
     def __init__(self, coeffs: tuple[tuple[Partition, int], ...] = ()):
         cleaned = tuple(sorted((lam, c) for lam, c in dict(coeffs).items() if c))
-        object.__setattr__(self, "coeffs", cleaned)
-
-    def __eq__(self, other):
-        if other.__class__ is not RingClassGr36:
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        return f"RingClassGr36(coeffs={self.coeffs!r})"
-
-    def __reduce__(self):
-        return RingClassGr36, (self.coeffs,)
+        self._set(cleaned)
 
     @classmethod
     def sigma(cls, *lam: int, coeff: int = 1) -> "RingClassGr36":
@@ -282,12 +252,11 @@ class RingClassGr36:
 # Chern series
 # ---------------------------------------------------------------------------
 
-class ChernSeries:
+class ChernSeries(_Value):
     """Total Chern class c_0 + c_1 + ... + c_dim with c_0 = 1, each c_k a
     pure-degree-k integer class of the base ring."""
 
     __slots__ = ("classes",)
-    __setattr__ = __delattr__ = _read_only
 
     def __init__(self, classes: tuple):
         if not classes:
@@ -297,21 +266,7 @@ class ChernSeries:
             raise ValueError("series longer than base dimension + 1")
         if classes[0] != ring.one():
             raise ValueError("c_0 must be 1")
-        object.__setattr__(self, "classes", classes)
-
-    def __eq__(self, other):
-        if other.__class__ is not ChernSeries:
-            return NotImplemented
-        return self.classes == other.classes
-
-    def __hash__(self):
-        return hash(self.classes)
-
-    def __repr__(self):
-        return f"ChernSeries(classes={self.classes!r})"
-
-    def __reduce__(self):
-        return ChernSeries, (self.classes,)
+        self._set(classes)
 
     @property
     def ring(self):
@@ -331,16 +286,6 @@ class ChernSeries:
         p = self.padded()
         return p[k] if 0 <= k < len(p) else self.ring.zero()
 
-    def __mul__(self, other: "ChernSeries") -> "ChernSeries":
-        a, b = self.padded(), other.padded()
-        out = []
-        for k in range(self.dim + 1):
-            acc = self.ring.zero()
-            for i in range(k + 1):
-                acc = acc + a[i] * b[k - i]
-            out.append(acc)
-        return ChernSeries(tuple(out))
-
 
 def chern_invert(c: ChernSeries) -> ChernSeries:
     """Multiplicative inverse truncated at the base dimension; from c_0 = 1
@@ -357,36 +302,14 @@ def chern_invert(c: ChernSeries) -> ChernSeries:
 
 
 def chern_jet() -> ChernSeries:
-    """Chern series of the first jet bundle of O(3) on P^5:
-    (1 + 3Ht) * sum_{i=0..5} (1 + 3Ht)^(5-i) C(6,i) (-Ht)^i, graded by t."""
-    dim = RingClassP5.DIM
-    H = RingClassP5.hyperplane_power(1)
-
-    def t_poly_mul(p, q):
-        out = [RingClassP5.zero()] * (dim + 1)
-        for i, a in enumerate(p):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(q):
-                if i + j <= dim and not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return out
-
-    def one_plus_3Ht_power(e):
-        out = [RingClassP5.zero()] * (dim + 1)
-        for k in range(min(e, dim) + 1):
-            out[k] = comb(e, k) * (3 ** k) * (H ** k)
-        return out
-
-    total = [RingClassP5.zero()] * (dim + 1)
-    for i in range(6):
-        term = one_plus_3Ht_power(5 - i)
-        mono = [RingClassP5.zero()] * (dim + 1)
-        if i <= dim:
-            mono[i] = (-1) ** i * comb(6, i) * (H ** i)
-        total = [a + b for a, b in zip(total, t_poly_mul(term, mono))]
-    total = t_poly_mul(one_plus_3Ht_power(1), total)
-    return ChernSeries(tuple(total))
+    """Chern series of the first jet bundle J^1(O(3)) on P^5.  The jet
+    sequence 0 -> Omega(3) -> J^1(O(3)) -> O(3) -> 0 and the Euler sequence
+    0 -> Omega(1) -> O^6 -> O(1) -> 0, twisted by O(2), give
+    J^1(O(3)) = O(2)^6, so c = (1 + 2H)^6 and c_k = C(6,k) 2^k H^k."""
+    return ChernSeries(tuple(
+        RingClassP5.hyperplane_power(k, comb(6, k) * 2 ** k)
+        for k in range(RingClassP5.DIM + 1)
+    ))
 
 
 # ---------------------------------------------------------------------------

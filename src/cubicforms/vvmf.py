@@ -14,7 +14,7 @@ from ._linalg import row_reduce
 from .exactmath import (
     Cyclotomic,
     IntegralityError,
-    _read_only,
+    _Value,
     as_fraction,
     as_integer,
     gauss_sum,
@@ -260,29 +260,16 @@ def solve_psi(prec: Fraction | int) -> VectorForm:
 # the scalar degree series
 # ---------------------------------------------------------------------------
 
-class HeegnerSeries:
+class HeegnerSeries(_Value):
     """The scalar series Psi_0 + (1/2)(Psi_1 + Psi_2) together with the
     integer degree table d -> N_d read off its 1/3-grid coefficients.  The
     table is a dict, so the value is unhashable."""
 
     __slots__ = ("theta", "degrees")
-    __setattr__ = __delattr__ = _read_only
     __hash__ = None
 
     def __init__(self, theta: QSeries, degrees: dict[int, int]):
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "degrees", degrees)
-
-    def __eq__(self, other):
-        if other.__class__ is not HeegnerSeries:
-            return NotImplemented
-        return self.theta == other.theta and self.degrees == other.degrees
-
-    def __repr__(self):
-        return f"HeegnerSeries(theta={self.theta!r}, degrees={self.degrees!r})"
-
-    def __reduce__(self):  # copy and pickle through __init__
-        return HeegnerSeries, (self.theta, self.degrees)
+        self._set(theta, degrees)
 
     def degree(self, d: int) -> int:
         return self.degrees[d]

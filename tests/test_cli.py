@@ -4,13 +4,24 @@ from pathlib import Path
 
 import pytest
 
-from cubicforms.cli import MAX_TERMS, build_parser, canonical_json, main
+from cubicforms.cli import (
+    MAX_GRAM_ORDER,
+    MAX_TERMS,
+    _gram_matrix,
+    build_parser,
+    canonical_json,
+    main,
+)
 
 
 def run(argv):
     buf = io.StringIO()
     code = main(argv, out=buf)
     return code, buf.getvalue()
+
+
+def _diag12(rank):
+    return [[12 * (i == j) for j in range(rank)] for i in range(rank)]
 
 
 class TestTheta:
@@ -154,6 +165,7 @@ class TestVerify:
             ("[[2,1],", "not JSON"),
             ("[[2,1],[1,50]]", "level 99 does not divide 24"),
             ("[[2,0],[0,10]]", "level 20 does not divide 24"),
+            (json.dumps(_diag12(5)), "order 248832 exceeds the bound 20736"),
         ],
     )
     def test_invalid_gram_is_usage_error(self, gram, reason, capsys):
@@ -162,6 +174,13 @@ class TestVerify:
                 main(["verify", "--suite", suite, "--gram", gram])
             assert err.value.code == 2
             assert reason in capsys.readouterr().err
+
+    def test_gram_order_bound_admits_diag12_rank4(self):
+        # order 12^4 is the bound itself; building its form takes seconds,
+        # so only the argument check runs here
+        assert 12**4 == MAX_GRAM_ORDER
+        gram = _diag12(4)
+        assert _gram_matrix(json.dumps(gram)) == tuple(map(tuple, gram))
 
     @pytest.mark.parametrize("suite", ["weil", "qseries", "degrees"])
     def test_unused_gram_is_usage_error(self, suite, capsys):

@@ -1,6 +1,7 @@
 """Package-wide rules: the source imports only the standard library and
-itself, holds no assert statement, every exported name exists, and a cold
-start loads only what the modular path needs."""
+itself, holds no assert statement, defines the value-class protocol once,
+every exported name exists, and a cold start loads only what the modular
+path needs."""
 
 import ast
 import importlib
@@ -40,6 +41,58 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == [], (path.name, lines)
+
+
+def _class_level_names(cls: ast.ClassDef) -> set[str]:
+    names = set()
+    for stmt in cls.body:
+        if isinstance(stmt, ast.FunctionDef):
+            names.add(stmt.name)
+        elif isinstance(stmt, ast.Assign):
+            names.update(t.id for t in stmt.targets if isinstance(t, ast.Name))
+    return names
+
+
+def _is_object_setattr(node) -> bool:
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr == "__setattr__"
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "object"
+    )
+
+
+def test_value_protocol_has_one_definition():
+    # immutability, copy and pickle of the value classes live in
+    # exactmath._Value alone; a second copy would drift from the first
+    from cubicforms.exactmath import _Value
+    from cubicforms.fqm import EvenLattice, Mp2Element
+    from cubicforms.schubert import ChernSeries, RingClassGr36, RingClassP5
+    from cubicforms.vvmf import HeegnerSeries
+
+    allowed, setattrs, redefined = set(), [], []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if _is_object_setattr(node):
+                setattrs.append((path.name, node.lineno))
+            if not isinstance(node, ast.ClassDef):
+                continue
+            if node.name == "_Value":
+                allowed.update(
+                    (path.name, inner.lineno)
+                    for stmt in node.body
+                    if isinstance(stmt, ast.FunctionDef) and stmt.name == "_set"
+                    for inner in ast.walk(stmt)
+                    if _is_object_setattr(inner)
+                )
+            else:
+                own = _class_level_names(node) & {"__reduce__", "__setattr__", "__delattr__"}
+                redefined += [(path.name, node.name, name) for name in sorted(own)]
+    assert allowed and set(setattrs) == allowed, setattrs
+    assert redefined == []
+    for cls in (EvenLattice, Mp2Element, RingClassP5, RingClassGr36, ChernSeries, HeegnerSeries):
+        assert issubclass(cls, _Value), cls
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
