@@ -1,6 +1,6 @@
 """Small exact linear algebra over Q (internal plumbing).
 
-``row_reduce`` is the one elimination over Q: ``det``, ``rational_inverse``,
+``row_reduce`` is the one elimination over Q: ``det``, ``inverse_and_det``,
 ``qseries.solve_linear_combination`` and ``vvmf.fit_alpha_beta`` read their
 answers off its reduced rows, pivot columns and pivot product.  ``inertia``
 keeps a symmetric congruence, since row operations alone do not preserve
@@ -47,15 +47,21 @@ def row_reduce(rows, ncols=None):
     return a, pivots, product
 
 
-def rational_inverse(mat) -> list[list[Fraction]]:
-    """Inverse of a nonsingular square matrix, exactly over Q."""
+def inverse_and_det(mat) -> tuple[list[list[Fraction]], Fraction]:
+    """Inverse and determinant of a nonsingular square matrix, exactly over
+    Q, from one elimination of [A | I]: its pivot product is det A."""
     n = len(mat)
-    reduced, pivots, _ = row_reduce(
+    reduced, pivots, product = row_reduce(
         [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(mat)], n
     )
     if len(pivots) < n:
         raise ValueError("singular matrix")
-    return [row[n:] for row in reduced]
+    return [row[n:] for row in reduced], product
+
+
+def rational_inverse(mat) -> list[list[Fraction]]:
+    """Inverse of a nonsingular square matrix, exactly over Q."""
+    return inverse_and_det(mat)[0]
 
 
 def inertia(mat) -> tuple[int, int]:

@@ -442,15 +442,16 @@ def cmd_verify(args, out) -> int:
 # ---------------------------------------------------------------------------
 
 # The largest --terms accepted by theta and eisenstein.  theta --terms 2000
-# takes 12-13 s and 24 MB on a 2-vCPU Xeon VM under Python 3.11 (1000 takes
-# 5 s), and the time grows faster than linearly beyond that.
+# takes 0.65-0.95 s and 21 MB on a 2-vCPU Xeon VM under Python 3.11.7,
+# pinned to one processor (1000 takes 0.37-0.56 s); it took 4.6-6.4 s
+# before the packed series product.
 MAX_TERMS = 2000
 
 # The largest discriminant group order |det G| accepted by --gram.  The
 # closure, the q-values and the Gauss sum all grow with the order:
 # diag(12,12,12,12), order 20736, runs the milgram suite in 6.3-6.6 s on a
-# 2-vCPU Xeon VM under Python 3.11, about half of theta --terms 2000, and
-# diag(12)^5 would list 248832 cosets.
+# 2-vCPU Xeon VM under Python 3.11, and diag(12)^5 would list 248832
+# cosets.
 MAX_GRAM_ORDER = 20736
 
 
@@ -475,7 +476,7 @@ def _gram_matrix(text: str) -> tuple[tuple[int, ...], ...]:
     anything else is a usage error that names the reason.  The order is
     |det G| and the level comes from G^-1 alone, both before any coset is
     listed."""
-    from ._linalg import rational_inverse
+    from ._linalg import inverse_and_det
     from .fqm import EvenLattice, _level
 
     try:
@@ -491,14 +492,16 @@ def _gram_matrix(text: str) -> tuple[tuple[int, ...], ...]:
         raise argparse.ArgumentTypeError("must be a nonempty list of lists of integers")
     gram = tuple(tuple(row) for row in rows)
     try:
-        order = abs(EvenLattice(gram).det())
+        EvenLattice(gram)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+    dual, det = inverse_and_det(gram)
+    order = abs(int(det))
     if order > MAX_GRAM_ORDER:
         raise argparse.ArgumentTypeError(
             f"discriminant group of order {order} exceeds the bound {MAX_GRAM_ORDER}"
         )
-    level = _level(rational_inverse(gram))
+    level = _level(dual)
     if 24 % level:
         raise argparse.ArgumentTypeError(
             f"level {level} does not divide 24, so the Gauss sums leave Q(zeta_24)"

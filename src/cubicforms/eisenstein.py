@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import cycle, product
 
 from .exactmath import (
     IntegralityError,
@@ -44,9 +44,18 @@ __all__ = [
 # scalar series
 # ---------------------------------------------------------------------------
 
-def _divisors(n: int) -> list[int]:
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
+def _divisor_sums(k: int, prec: int, chi: tuple[int, ...]) -> list[int]:
+    """[s(0), ..., s(prec - 1)] with s(n) = sum_{d | n} d^(k-1) * chi(n/d)
+    for n >= 1 and s(0) = 0, where chi is periodic with the values chi(1),
+    chi(2), ...: one sieve over the multiples of each d, O(prec log prec)
+    additions."""
+    sums = [0] * prec
+    for d in range(1, prec):
+        p = d ** (k - 1)
+        for n, c in zip(range(d, prec, d), cycle(chi)):
+            if c:
+                sums[n] += c * p
+    return sums
 
 
 def eisenstein_level1(k: int, prec: int) -> QSeries:
@@ -54,9 +63,8 @@ def eisenstein_level1(k: int, prec: int) -> QSeries:
     if k < 4 or k % 2:
         raise ValueError(f"level-1 Eisenstein series needs even k >= 4, got {k}")
     factor = Fraction(-2 * k) / bernoulli_number(k)
-    coeffs = {0: Fraction(1)}
-    for n in range(1, prec):
-        coeffs[n] = factor * sum(d ** (k - 1) for d in _divisors(n))
+    sigma = _divisor_sums(k, prec, (1,))
+    coeffs = {0: Fraction(1)} | {n: factor * sigma[n] for n in range(1, prec)}
     return QSeries(coeffs, 1, prec)
 
 
@@ -68,13 +76,10 @@ def eisenstein_chi(k: int, prec: int) -> QSeries:
     """
     if k < 1 or k % 2 == 0:
         raise ValueError(f"character Eisenstein series needs odd k >= 1, got {k}")
-    coeffs: dict[int, Fraction] = {}
-    for n in range(1, prec):
-        s = sum(d ** (k - 1) * chi_minus3(n // d) for d in _divisors(n))
-        coeffs[n] = Fraction(s)
+    scale = 6 if k == 1 else 1
+    sums = _divisor_sums(k, prec, tuple(scale * chi_minus3(m) for m in (1, 2, 3)))
+    coeffs = {n: Fraction(sums[n]) for n in range(1, prec)}
     if k == 1:
-        for n in coeffs:
-            coeffs[n] *= 6
         coeffs[0] = Fraction(1)
     return QSeries(coeffs, 1, prec)
 

@@ -124,7 +124,8 @@ class DiscriminantForm:
     """The finite quadratic module M_dual/M of an even lattice.
 
     The columns of G^-1, reduced mod 1, generate M_dual/M; the cosets are the
-    closure of {0} under adding them.  ``level`` is the least N with
+    closure of {0} under adding them, and their number must be |det G|; one
+    elimination gives both G^-1 and det G.  ``level`` is the least N with
     N * q(gamma) integral for every coset.  Cosets are listed with the zero
     class first and the remaining classes sorted by their canonical
     representative (coordinates in [0,1) with respect to the lattice basis)
@@ -133,7 +134,7 @@ class DiscriminantForm:
 
     def __init__(self, lattice: EvenLattice):
         self.lattice = lattice
-        dual = _linalg.rational_inverse(lattice.gram)
+        dual, det = _linalg.inverse_and_det(lattice.gram)
         self.level = _level(dual)
         zero = tuple(Fraction(0) for _ in dual)
         gens = {_frac_vec(col) for col in zip(*dual)} - {zero}
@@ -149,7 +150,7 @@ class DiscriminantForm:
                         found.append(s)
             frontier = found
         self.order = len(reps)
-        size = abs(lattice.det())
+        size = abs(as_integer(det, "lattice determinant"))
         if self.order != size:
             raise ArithmeticError(
                 f"discriminant group order {self.order} differs from |det| = {size}"

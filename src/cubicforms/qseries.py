@@ -8,13 +8,21 @@ reduces once per result; ``coeffs`` is the ``Fraction`` view.  Coefficients
 at exponents >= prec are unknown (not zero), and asking for one raises.
 ``prec = None`` marks a series known exactly to all orders (constants and
 their products); it behaves as +infinity in the propagation rules.
+
+A product is one big-integer multiply (Kronecker substitution; D. Harvey,
+J. Symb. Comp. 44 (2009)).  Both factors lie on one progression lo + s*k of
+the 1/den grid, with s the gcd of every exponent gap, so a series supported
+on one residue class mod 3 stays dense.  Each factor packs into one integer
+with a width-byte slot per k, wide enough for max|a| * max|b| * min(len)
+and a sign bit; a bias of half the slot range keeps every slot nonnegative
+while packing and unpacking and comes off once, times the repunit.  The
+product is reduced to the slots below the cutoff with a mask (never with
+``%``, whose long division is quadratic) and unpacked slot by slot.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from fractions import Fraction
-from itertools import islice
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
@@ -51,6 +59,21 @@ def _grid_prec(prec: Fraction | int, den: int) -> Fraction:
 
 def _series(nums: dict[int, int], scale: int, den: int, prec: Fraction | None) -> "QSeries":
     return object.__new__(QSeries)._set(nums, scale, den, prec)
+
+
+def _pack(nums: dict[int, int], low: int, s: int, size: int, blank: bytes) -> int:
+    """sum_k nums[low + s*k] * 2^(8*w*k) over the slots k < size, with
+    w = len(blank): each numerator plus the bias 2^(8w - 1), whose
+    little-endian bytes are ``blank``, fills its own w-byte slot, and the
+    bias comes off once from every slot."""
+    width = len(blank)
+    bias = 1 << (8 * width - 1)
+    slots = [blank] * size
+    for e, n in nums.items():
+        k = (e - low) // s
+        if k < size:
+            slots[k] = (n + bias).to_bytes(width, "little")
+    return int.from_bytes(b"".join(slots), "little") - int.from_bytes(blank * size, "little")
 
 
 class QSeries:
@@ -233,6 +256,8 @@ class QSeries:
             return _series(nums, self.scale * other.denominator, self.den, self.prec)
         den = lcm(self.den, other.den)
         fa, fb = den // self.den, den // other.den
+        a = self.nums if fa == 1 else {e * fa: n for e, n in self.nums.items()}
+        b = other.nums if fb == 1 else {e * fb: n for e, n in other.nums.items()}
         # sound truncation, in integer steps of 1/den (each prec's denominator
         # divides den): beyond-prec terms of one factor meet at least the
         # lowest known exponent of the other, which is its prec if it has no
@@ -240,8 +265,8 @@ class QSeries:
         pa, pb = self.prec, other.prec
         cut_a = None if pa is None else pa.numerator * den // pa.denominator
         cut_b = None if pb is None else pb.numerator * den // pb.denominator
-        low_a = min(self.nums) * fa if self.nums else cut_a
-        low_b = min(other.nums) * fb if other.nums else cut_b
+        low_a = min(a) if a else cut_a
+        low_b = min(b) if b else cut_b
         if cut_a is None and cut_b is None:
             cutoff = None
         elif cut_b is None:
@@ -251,17 +276,32 @@ class QSeries:
         else:
             cutoff = min(cut_a + low_b, cut_b + low_a)
         prec = None if cutoff is None else Fraction(cutoff, den)
-        # convolve the numerators on the 1/den grid; b is sorted by exponent,
-        # so each row stops at the cutoff
-        a = [(e * fa, n) for e, n in self.nums.items()]
-        b = sorted([(e * fb, n) for e, n in other.nums.items()])
-        b_exps = [e for e, _ in b]
+        # one packed product on the progression lo + s*k of the 1/den grid
+        # (module docstring); only the size slots below the cutoff unpack
         out: dict[int, int] = {}
-        for ea, ca in a:
-            stop = len(b) if cutoff is None else bisect_left(b_exps, cutoff - ea)
-            for eb, cb in islice(b, stop):
-                e = ea + eb
-                out[e] = out.get(e, 0) + ca * cb
+        if a and b:
+            lo = low_a + low_b
+            s = gcd(*[e - low_a for e in a], *[e - low_b for e in b]) or 1
+            top_a, top_b = (max(a) - low_a) // s, (max(b) - low_b) // s
+            size = top_a + top_b + 1
+            if cutoff is not None:
+                size = min(size, (cutoff - lo + s - 1) // s)
+            if size > 0:
+                va, vb = a.values(), b.values()
+                bound = max(max(va), -min(va)) * max(max(vb), -min(vb)) * min(len(a), len(b))
+                width = bound.bit_length() // 8 + 1  # bytes, with a sign bit
+                blank = bytes(width - 1) + b"\x80"  # the bias 2^(8*width - 1)
+                packed = _pack(a, low_a, s, min(size, top_a + 1), blank) * _pack(
+                    b, low_b, s, min(size, top_b + 1), blank
+                )
+                biased = packed + int.from_bytes(blank * size, "little")
+                data = (biased & ((1 << (8 * width * size)) - 1)).to_bytes(width * size, "little")
+                bias = 1 << (8 * width - 1)
+                out = {
+                    lo + s * (i // width): int.from_bytes(chunk, "little") - bias
+                    for i in range(0, width * size, width)
+                    if (chunk := data[i : i + width]) != blank
+                }
         return _series(out, self.scale * other.scale, den, prec)
 
     __rmul__ = __mul__

@@ -47,6 +47,8 @@ class RingClassP5(_Value):
     DIM = 5
 
     def __init__(self, coeffs: tuple[int, int, int, int, int, int] = (0, 0, 0, 0, 0, 0)):
+        if len(coeffs) != self.DIM + 1:
+            raise ValueError(f"need {self.DIM + 1} coefficients, got {len(coeffs)}")
         self._set(coeffs)
 
     @classmethod
@@ -99,6 +101,10 @@ class RingClassP5(_Value):
     def degree(self) -> int:
         """Coefficient of the point class H^5."""
         return self.coeffs[self.DIM]
+
+    def is_pure(self, k: int) -> bool:
+        """Whether every nonzero term has degree k (the zero class has all)."""
+        return not any(a for i, a in enumerate(self.coeffs) if i != k)
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +253,10 @@ class RingClassGr36(_Value):
         """Coefficient of the point class sigma_(3,3,3)."""
         return self.as_dict().get(self.TOP, 0)
 
+    def is_pure(self, k: int) -> bool:
+        """Whether every nonzero term has degree k (the zero class has all)."""
+        return all(sum(lam) == k for lam, _ in self.coeffs)
+
 
 # ---------------------------------------------------------------------------
 # Chern series
@@ -266,6 +276,9 @@ class ChernSeries(_Value):
             raise ValueError("series longer than base dimension + 1")
         if classes[0] != ring.one():
             raise ValueError("c_0 must be 1")
+        for k, c in enumerate(classes):
+            if type(c) is not ring or not c.is_pure(k):
+                raise ValueError(f"c_{k} is not a pure degree-{k} class of {ring.__name__}")
         self._set(classes)
 
     @property

@@ -24,6 +24,7 @@ from cubicforms.eisenstein import (
 from cubicforms.exactmath import (
     IntegralityError,
     as_integer,
+    bernoulli_number,
     bernoulli_poly,
     chi_minus3,
     prime_factors,
@@ -112,6 +113,29 @@ class TestScalarSeries:
         assert a.coefficient(F(1, 3)) == 6
         b = eisenstein_chi(3, 6).rescale_exponent(F(1, 3))
         assert b.exponents()[0] == F(1, 3)
+
+
+def _divisors(n: int) -> list[int]:
+    """The divisors of n by a scan of 1..n: the oracle of the divisor sieve."""
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+@pytest.mark.parametrize("k", [4, 6])
+def test_level1_series_match_divisor_scan_to_600(k):
+    factor = F(-2 * k) / bernoulli_number(k)
+    want = {0: 1, **{n: factor * sum(d ** (k - 1) for d in _divisors(n)) for n in range(1, 600)}}
+    assert eisenstein_level1(k, 600) == QSeries(want, 1, 600)
+
+
+@pytest.mark.parametrize("series, k", [(alpha_series, 1), (beta_series, 3)], ids=["alpha", "beta"])
+def test_generators_match_divisor_scan_to_600(series, k):
+    want = {
+        n: (6 if k == 1 else 1) * sum(d ** (k - 1) * chi_minus3(n // d) for d in _divisors(n))
+        for n in range(1, 600)
+    }
+    if k == 1:
+        want[0] = 1
+    assert series(600) == QSeries(want, 1, 600)
 
 
 class TestRepCounts:

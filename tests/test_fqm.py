@@ -691,3 +691,23 @@ def test_mat_mul_matches_sum_of_products(w1, w2, dual):
     assert [[(z.nums, z.den) for z in row] for row in got] == [
         [(z.nums, z.den) for z in row] for row in want
     ]
+
+
+
+@pytest.mark.parametrize(
+    "gram", [W_GRAM, U_GRAM, E8_GRAM, lambda0_prime_gram()], ids=["W", "U", "E8", "lambda0'"]
+)
+def test_form_takes_inverse_and_det_from_one_elimination(gram, monkeypatch):
+    from cubicforms import _linalg
+    from cubicforms.fqm import DiscriminantForm
+
+    det, inverse = _linalg.det(gram), _linalg.rational_inverse(gram)
+    lattice = EvenLattice(gram)
+    calls = []
+    row_reduce = _linalg.row_reduce
+    monkeypatch.setattr(_linalg, "row_reduce", lambda *a: calls.append(a) or row_reduce(*a))
+    assert _linalg.inverse_and_det(gram) == (inverse, det)
+    assert len(calls) == 1
+    # the closure is checked against |det G| from the inverse's elimination
+    assert DiscriminantForm(lattice).order == abs(det)
+    assert len(calls) == 2

@@ -43,6 +43,34 @@ def test_no_assert_statements(path):
     assert lines == [], (path.name, lines)
 
 
+def _loop_depth(node) -> int:
+    """Deepest nesting of for/while loops and comprehension clauses."""
+    inner = max((_loop_depth(child) for child in ast.iter_child_nodes(node)), default=0)
+    if isinstance(node, (ast.For, ast.While)):
+        return 1 + inner
+    if isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
+        return len(node.generators) + inner
+    return inner
+
+
+def test_series_product_has_no_nested_loop():
+    # QSeries.__mul__ is one packed multiply: no double loop over the terms,
+    # in the method or in a module-level helper that it calls
+    path = Path(cubicforms.qseries.__file__)
+    tree = ast.parse(path.read_text(), filename=str(path))
+    helpers = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    (cls,) = [node for node in tree.body if getattr(node, "name", None) == "QSeries"]
+    (mul,) = [node for node in cls.body if getattr(node, "name", None) == "__mul__"]
+    called = {
+        node.func.id
+        for node in ast.walk(mul)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+    assert {"_pack", "_series"} <= called
+    for fn in [mul] + [helpers[name] for name in sorted(called & helpers.keys())]:
+        assert _loop_depth(fn) <= 1, fn.name
+
+
 def _class_level_names(cls: ast.ClassDef) -> set[str]:
     names = set()
     for stmt in cls.body:

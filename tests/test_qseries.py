@@ -276,6 +276,57 @@ def test_mul_matches_naive_double_loop(f, g):
     assert all(type(c) is F for c in got.coeffs.values())
 
 
+@st.composite
+def _long_series(draw, sizes):
+    """``sizes`` terms on a progression offset + stride*k of the 1/den grid,
+    with holes, numerators up to 2^200, exact or truncated."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    den = draw(st.sampled_from((1, 3)))
+    stride = draw(st.sampled_from((1, 3)))
+    offset = draw(st.integers(-2 * den, 2 * den))
+    size = draw(sizes)
+    bits = draw(st.sampled_from((4, 70, 200)))
+    cden = draw(st.sampled_from((1, 7, 2**61 - 1)))
+    span = size + size // 4
+    terms = {
+        offset + stride * k: F(rng.choice((-1, 1)) * rng.randint(1, 2**bits), cden)
+        for k in rng.sample(range(span), size)
+    }
+    prec = draw(st.none() | st.integers(offset - 3, offset + stride * span + 3))
+    return QSeries(terms, den, None if prec is None else F(prec, den))
+
+
+@settings(deadline=None, max_examples=15)
+@given(
+    _long_series(st.integers(100, 400)),
+    _long_series(st.sampled_from((0, 1, 2)) | st.integers(100, 400)),
+)
+def test_packed_mul_matches_naive_double_loop_on_long_series(f, g):
+    got, ref = f * g, _naive_mul(f, g)
+    assert (got.den, got.prec, got.coeffs) == (ref.den, ref.prec, ref.coeffs)
+
+
+_LONG = QSeries({3 * k + 1: (1 - 2 * (k % 2)) * 2**70 + k for k in range(-20, 130)}, 3, F(130))
+
+
+@pytest.mark.parametrize(
+    "f, g",
+    [
+        (_LONG, QSeries({-5: -(2**65) - 1}, 3)),  # one exact term
+        (_LONG, QSeries.zero(1, 4)),  # empty, truncated
+        (_LONG, QSeries.zero(3)),  # exactly zero
+        (QSeries({k: k * k - 2**64 for k in range(-7, 100)}), _LONG),  # exact x truncated
+        (_LONG, _LONG),
+        (_LONG, _LONG.truncate(-19)),  # the cutoff at or below the lowest exponent
+    ],
+    ids=["one-term", "empty", "zero", "exact-x-truncated", "square", "cut-below-lowest"],
+)
+def test_packed_mul_edge_factors(f, g):
+    for x, y in ((f, g), (g, f)):
+        got, ref = x * y, _naive_mul(x, y)
+        assert (got.den, got.prec, got.coeffs) == (ref.den, ref.prec, ref.coeffs)
+
+
 _EXACT = QSeries({-2: F(1, 2), 1: 3}, 3)  # lowest exponent -2/3, prec None
 _TRUNC = QSeries({1: 5, 4: -1}, 2, F(7, 2))  # lowest exponent 1/2
 _EMPTY_TRUNC = QSeries.zero(2, F(-3, 2))  # no terms: prec stands for the lowest

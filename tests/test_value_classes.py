@@ -176,6 +176,43 @@ def test_mp2_matrix_check_comes_before_branch_check():
         Mp2Element(2, 0, 0, 2, 5)
 
 
+@pytest.mark.parametrize("coeffs", [(), (1, 2), (1, 0, 0, 0, 0, 0, 0)])
+def test_p5_class_needs_six_coefficients(coeffs):
+    with pytest.raises(ValueError) as info:
+        RingClassP5(coeffs)
+    assert str(info.value) == f"need 6 coefficients, got {len(coeffs)}"
+
+
+_P5_ONE, _GR_ONE = RingClassP5.one(), RingClassGr36.one()
+
+
+@pytest.mark.parametrize(
+    "classes, message",
+    [
+        ((_P5_ONE, _P5_ONE), "c_1 is not a pure degree-1 class of RingClassP5"),
+        (
+            (_P5_ONE, RingClassP5.hyperplane_power(1), RingClassP5((0, 1, 1, 0, 0, 0))),
+            "c_2 is not a pure degree-2 class of RingClassP5",
+        ),
+        (
+            (_GR_ONE, RingClassGr36.sigma(1), RingClassGr36.sigma(1)),
+            "c_2 is not a pure degree-2 class of RingClassGr36",
+        ),
+        ((_P5_ONE, RingClassGr36.sigma(1)), "c_1 is not a pure degree-1 class of RingClassP5"),
+    ],
+)
+def test_chern_series_needs_pure_degree_k_classes(classes, message):
+    with pytest.raises(ValueError) as info:
+        ChernSeries(classes)
+    assert str(info.value) == message
+
+
+def test_chern_series_takes_zero_and_mixed_partition_classes():
+    gr = (_GR_ONE, RingClassGr36.zero(), RingClassGr36.sigma(2) + RingClassGr36.sigma(1, 1))
+    assert ChernSeries(gr).chern(2) == RingClassGr36.sigma(2) + RingClassGr36.sigma(1, 1)
+    assert ChernSeries((_P5_ONE, RingClassP5.zero())).chern(1).is_zero()
+
+
 def test_heegner_series_compares_theta_and_degrees():
     theta = _theta()
     assert HeegnerSeries(theta, {6: 192}) != HeegnerSeries(theta.truncate(1), {6: 192})
