@@ -14,6 +14,30 @@ import sys
 from fractions import Fraction
 
 from . import schubert
+from ._linalg import inverse_and_det
+from .eisenstein import (
+    _coset_theta_series,
+    eisenstein_chi,
+    eisenstein_level1,
+    theta_series_rank10,
+    vv_eisenstein,
+)
+from .fqm import (
+    E8_GRAM,
+    U_GRAM,
+    W_GRAM,
+    W_PRIME_GRAM,
+    EvenLattice,
+    Mp2Element,
+    WeilRep,
+    _level,
+    _mat_mul_cyc,
+    discriminant_form,
+    gauss_milgram_check,
+    w_prime_form,
+)
+from .qseries import QSeries
+from .vvmf import assemble_theta, basis_weight11, dim_formula, numeric_modularity_check, solve_psi
 
 FORMATS = ("plain", "json", "csv")
 
@@ -49,8 +73,6 @@ def _emit(record: dict, fmt: str, csv_rows, out) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_theta(args, out) -> int:
-    from .vvmf import assemble_theta, solve_psi
-
     prec = max(2, args.terms)
     heegner = assemble_theta(solve_psi(prec))
     rows = []
@@ -88,9 +110,6 @@ def cmd_theta(args, out) -> int:
 
 
 def cmd_eisenstein(args, out) -> int:
-    from .eisenstein import eisenstein_chi, eisenstein_level1, vv_eisenstein
-    from .fqm import w_prime_form
-
     k, terms = args.k, args.terms
     if k % 2 == 0:
         series = {"scalar": eisenstein_level1(k, terms)}
@@ -121,8 +140,6 @@ def cmd_eisenstein(args, out) -> int:
 
 
 def cmd_dim(args, out) -> int:
-    from .vvmf import dim_formula
-
     value = dim_formula(args.k)
     record = _record(
         "dim", {"k": args.k}, {"dimension": value}, ["cyclotomic-gauss-sum-formula"]
@@ -135,8 +152,6 @@ def cmd_dim(args, out) -> int:
 
 
 def cmd_degree(args, out) -> int:
-    from .vvmf import assemble_theta, solve_psi
-
     d = args.d
     values: dict[str, int] = {}
     if args.method in ("modular", "all"):
@@ -177,15 +192,6 @@ def cmd_degree(args, out) -> int:
 # ---------------------------------------------------------------------------
 
 def _suite_milgram(gram=None):
-    from .fqm import (
-        E8_GRAM,
-        U_GRAM,
-        W_GRAM,
-        W_PRIME_GRAM,
-        discriminant_form,
-        gauss_milgram_check,
-    )
-
     grams = {
         "W": W_GRAM,
         "U": U_GRAM,
@@ -202,8 +208,6 @@ def _suite_milgram(gram=None):
 
 def _suite_weil(gram=None):
     import random
-
-    from .fqm import Mp2Element, WeilRep, w_prime_form, _mat_mul_cyc
 
     form = w_prime_form()
     rep = WeilRep(form, dual=True)
@@ -244,14 +248,6 @@ def _suite_weil(gram=None):
 
 
 def _suite_eisenstein(gram=None):
-    from .eisenstein import (
-        _coset_theta_series,
-        eisenstein_level1,
-        theta_series_rank10,
-        vv_eisenstein,
-    )
-    from .fqm import W_GRAM, EvenLattice, discriminant_form, w_prime_form
-
     def oracle_equivalence():
         e5 = vv_eisenstein(w_prime_form(), 5, 4)
         twice = theta_series_rank10(4).scale(2)
@@ -274,9 +270,6 @@ def _suite_eisenstein(gram=None):
 
 
 def _suite_modularity(gram=None):
-    from .fqm import Mp2Element
-    from .vvmf import basis_weight11, numeric_modularity_check, solve_psi
-
     def residual_f0():
         f0, _ = basis_weight11(30)
         return numeric_modularity_check(f0, Mp2Element.S(), 1j, 1e-6) < 1e-6
@@ -293,8 +286,6 @@ def _suite_modularity(gram=None):
 
 def _suite_qseries(gram=None):
     import random
-
-    from .qseries import QSeries
 
     rng = random.Random(99)
 
@@ -373,8 +364,6 @@ def _suite_schubert(gram=None):
 
 
 def _suite_degrees(gram=None):
-    from .vvmf import assemble_theta, solve_psi
-
     def all_paths():
         heegner = assemble_theta(solve_psi(3))
         return (
@@ -476,9 +465,6 @@ def _gram_matrix(text: str) -> tuple[tuple[int, ...], ...]:
     anything else is a usage error that names the reason.  The order is
     |det G| and the level comes from G^-1 alone, both before any coset is
     listed."""
-    from ._linalg import inverse_and_det
-    from .fqm import EvenLattice, _level
-
     try:
         rows = json.loads(text)
     except ValueError as exc:

@@ -23,9 +23,16 @@ from .exactmath import (
     chi_minus3,
     prime_factors,
 )
-from .fqm import DiscriminantForm, EvenLattice, _scaled_short_vectors, w_prime_form
-from .qseries import QSeries
-from .vvmf import VectorForm, precision_memo
+from .fqm import (
+    E8_GRAM,
+    W_GRAM,
+    DiscriminantForm,
+    EvenLattice,
+    _scaled_short_vectors,
+    discriminant_form,
+    w_prime_form,
+)
+from .qseries import QSeries, VectorForm, precision_memo
 
 __all__ = [
     "eisenstein_level1",
@@ -289,11 +296,7 @@ def vv_eisenstein(form: DiscriminantForm, k: int, prec: Fraction | int) -> Vecto
 def _vv_series(
     form: DiscriminantForm, k: int, ratio: Fraction, prec: Fraction
 ) -> VectorForm:
-    components: list[QSeries] = []
-    for gamma in range(form.order):
-        if form.neg(gamma) < gamma:
-            components.append(components[form.neg(gamma)])
-            continue
+    def component(gamma: int) -> QSeries:
         offset = (-form.qvalue(gamma)) % 1
         coeffs: dict[Fraction, int] = {Fraction(0): 2} if gamma == 0 else {}
         n = offset if offset > 0 else Fraction(1)
@@ -316,8 +319,9 @@ def _vv_series(
                 )
             coeffs[n] = c
             n += 1
-        components.append(QSeries.from_terms(coeffs.items(), 3, prec))
-    return VectorForm(Fraction(k), form, tuple(components))
+        return QSeries.from_terms(coeffs.items(), 3, prec)
+
+    return VectorForm.per_orbit(Fraction(k), form, component)
 
 
 def theta_series_rank10(prec: Fraction | int) -> VectorForm:
@@ -347,8 +351,6 @@ def _coset_theta_series(lattice: EvenLattice, offset, prec: Fraction) -> QSeries
 
 
 def _theta_rank10(prec: Fraction) -> VectorForm:
-    from .fqm import E8_GRAM, W_GRAM, discriminant_form
-
     w_lat = EvenLattice(W_GRAM)
     w_form = discriminant_form(W_GRAM)
     e8 = _coset_theta_series(EvenLattice(E8_GRAM), (0,) * 8, prec)

@@ -9,7 +9,8 @@ lowest terms, and computes in integers only.
 
 ``_Value`` is the one definition of value semantics for the immutable
 classes of the other modules (``EvenLattice``, ``Mp2Element``,
-``HeegnerSeries``, ``RingClassP5``, ``RingClassGr36``, ``ChernSeries``):
+``VectorForm``, ``HeegnerSeries``, ``RingClassP5``, ``RingClassGr36``,
+``ChernSeries``):
 read-only ``__slots__`` fields set once by ``__init__``, and equality,
 hashing, ``repr``, copy and pickle from the field tuple.
 """
@@ -84,11 +85,12 @@ class IntegralityError(ArithmeticError):
 
 
 def as_fraction(x: Fraction | int, what: str = "value") -> Fraction:
-    """An int or Fraction input as a Fraction; a float, which would enter as
-    its binary expansion, or anything else raises TypeError."""
+    """An int or Fraction input as a Fraction (a Fraction itself comes back
+    as it is); a float, which would enter as its binary expansion, or
+    anything else raises TypeError."""
     if not isinstance(x, (int, Fraction)):
         raise TypeError(f"{what} must be an int or a Fraction, not {type(x).__name__}")
-    return Fraction(x)
+    return x if type(x) is Fraction else Fraction(x)
 
 
 def as_integer(x: Fraction | int, what: str = "value") -> int:

@@ -1,5 +1,6 @@
 """Truncated formal q-expansions with exponents in (1/den)*Z and exact
-rational coefficients.
+rational coefficients, the vector-valued forms built from them, and the
+precision memo that holds such forms.
 
 A ``QSeries`` is sum_e (nums[e]/scale) q^(e/den) + O(q^prec): integer
 numerators ``nums`` (none zero, none at an exponent >= prec) over one
@@ -18,6 +19,14 @@ and a sign bit; a bias of half the slot range keeps every slot nonnegative
 while packing and unpacking and comes off once, times the repunit.  The
 product is reduced to the slots below the cutoff with a mask (never with
 ``%``, whose long division is quadratic) and unpacked slot by slot.
+
+A ``VectorForm`` is an immutable ``_Value``: a weight, a discriminant form
+and one ``QSeries`` per coset, with the gamma and -gamma components one
+shared object wherever ``VectorForm.per_orbit`` built it, as every derived
+form is.  ``precision_memo`` keeps, per key, the result at the highest
+precision asked for so far and serves a lower one by truncating.  Both live
+here, below ``eisenstein`` and ``vvmf``, so the package imports in one
+direction.
 """
 
 from __future__ import annotations
@@ -27,7 +36,7 @@ from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 from ._linalg import row_reduce
-from .exactmath import as_fraction
+from .exactmath import _Value, as_fraction
 
 __all__ = [
     "QSeries",
@@ -35,6 +44,7 @@ __all__ = [
     "SingularSystemError",
     "InconsistentSystemError",
     "solve_linear_combination",
+    "VectorForm",
 ]
 
 
@@ -383,3 +393,94 @@ def solve_linear_combination(
     if any(row[ncols] != 0 for row in reduced[ncols:]):
         raise InconsistentSystemError("constraints are mutually inconsistent")
     return [row[ncols] for row in reduced[:ncols]]
+
+
+# ---------------------------------------------------------------------------
+# vector-valued forms and the precision memo
+# ---------------------------------------------------------------------------
+
+class VectorForm(_Value):
+    """Weight-tagged tuple of q-series indexed by discriminant form cosets.
+
+    Two structural facts are enforced at construction: components at gamma
+    and -gamma coincide, and every exponent in the gamma component is
+    congruent to -q(gamma) mod Z (the support condition for the dual
+    representation).  ``form`` compares by identity.
+    """
+
+    __slots__ = ("weight", "form", "components")
+
+    def __init__(self, weight: Fraction | int, form, components):
+        if len(components) != form.order:
+            raise ValueError("need one component per coset")
+        components = tuple(components)
+        for i in range(form.order):
+            j = form.neg(i)
+            if components[i] is not components[j] and components[i] != components[j]:
+                raise ValueError(f"components at cosets {i} and -{i}={j} differ")
+            # q^(e/den) lies in the class exactly when e = residue * den mod den
+            residue = (-form.qvalue(i)) % 1
+            den = components[i].den
+            r = residue * den
+            off = [e for e in components[i].nums if r.denominator != 1 or (e - r.numerator) % den]
+            if off:
+                raise ValueError(
+                    f"component {i} has exponent {Fraction(min(off), den)} off its "
+                    f"residue class {residue} mod Z"
+                )
+        self._set(Fraction(weight), form, components)
+
+    @classmethod
+    def per_orbit(cls, weight: Fraction | int, form, make) -> "VectorForm":
+        """The form whose gamma component is make(gamma): make runs once per
+        {gamma, -gamma} orbit, on its smaller index, and -gamma shares the
+        result.  Every derived form is built here."""
+        components: list[QSeries] = []
+        for gamma in range(form.order):
+            j = form.neg(gamma)
+            components.append(components[j] if j < gamma else make(gamma))
+        return cls(weight, form, components)
+
+    def component(self, i: int) -> QSeries:
+        return self.components[i]
+
+    def coefficient(self, n: Fraction | int, i: int) -> Fraction:
+        return self.components[i].coefficient(n)
+
+    def __add__(self, other: "VectorForm") -> "VectorForm":
+        if self.weight != other.weight or self.form is not other.form:
+            raise ValueError("can only add forms of equal weight and type")
+        return VectorForm.per_orbit(
+            self.weight, self.form, lambda i: self.components[i] + other.components[i]
+        )
+
+    def truncate(self, prec: Fraction | int) -> "VectorForm":
+        return VectorForm.per_orbit(
+            self.weight, self.form, lambda i: self.components[i].truncate(prec)
+        )
+
+    def scale(self, c: Fraction | int) -> "VectorForm":
+        c = Fraction(c)
+        return VectorForm.per_orbit(self.weight, self.form, lambda i: self.components[i] * c)
+
+
+_MEMO: dict[tuple, tuple[Fraction, object]] = {}
+
+
+def precision_memo(key: tuple, prec: Fraction, compute):
+    """compute(prec), served by truncating the result at the highest
+    precision asked for so far under ``key``; only that result is kept.
+
+    Exact because no coefficient depends on the precision it was computed
+    at.  Callers check their arguments before they get here, so a served
+    result never skips a check.  A tuple result is truncated entrywise.
+    """
+    held = _MEMO.get(key)
+    if held is None or held[0] < prec:
+        held = _MEMO[key] = (prec, compute(prec))
+    top, value = held
+    if top == prec:
+        return value
+    if isinstance(value, tuple):
+        return tuple(v.truncate(prec) for v in value)
+    return value.truncate(prec)

@@ -121,7 +121,6 @@ def box_partitions() -> list[Partition]:
     ]
 
 
-@lru_cache(maxsize=None)
 def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
     """Littlewood-Richardson coefficient c^nu_{lam,mu}: the number of
     semistandard skew tableaux of shape nu/lam and content mu whose reverse

@@ -2,6 +2,10 @@
 order-3 discriminant form: Rankin-Cohen brackets, the dimension formula, the
 weight-11 basis, the constrained solve for the degree-generating vector, and
 the assembly of the scalar degree series.
+
+``VectorForm`` and the precision memo (``precision_memo``, ``_MEMO``) are
+defined in ``qseries`` and imported here as the same objects; this module
+builds on ``eisenstein``, which never imports it.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from fractions import Fraction
 from math import comb
 
 from ._linalg import row_reduce
+from .eisenstein import alpha_series, beta_series, eisenstein_level1, vv_eisenstein
 from .exactmath import (
     Cyclotomic,
     IntegralityError,
@@ -20,7 +25,7 @@ from .exactmath import (
     gauss_sum,
 )
 from .fqm import DiscriminantForm, Mp2Element, WeilRep, w_prime_form
-from .qseries import QSeries, solve_linear_combination
+from .qseries import _MEMO, QSeries, VectorForm, precision_memo, solve_linear_combination
 
 __all__ = [
     "VectorForm",
@@ -33,78 +38,6 @@ __all__ = [
     "fit_alpha_beta",
     "numeric_modularity_check",
 ]
-
-
-class VectorForm:
-    """Weight-tagged tuple of q-series indexed by discriminant form cosets.
-
-    Two structural facts are enforced at construction: components at gamma
-    and -gamma coincide, and every exponent in the gamma component is
-    congruent to -q(gamma) mod Z (the support condition for the dual
-    representation).
-    """
-
-    __slots__ = ("weight", "form", "components")
-
-    def __init__(self, weight: Fraction | int, form: DiscriminantForm, components):
-        if len(components) != form.order:
-            raise ValueError("need one component per coset")
-        components = tuple(components)
-        for i in range(form.order):
-            j = form.neg(i)
-            if components[i] != components[j]:
-                raise ValueError(f"components at cosets {i} and -{i}={j} differ")
-            # q^(e/den) lies in the class exactly when e = residue * den mod den
-            residue = (-form.qvalue(i)) % 1
-            den = components[i].den
-            r = residue * den
-            off = [e for e in components[i].nums if r.denominator != 1 or (e - r.numerator) % den]
-            if off:
-                raise ValueError(
-                    f"component {i} has exponent {Fraction(min(off), den)} off its "
-                    f"residue class {residue} mod Z"
-                )
-        self.weight = Fraction(weight)
-        self.form = form
-        self.components = components
-
-    def component(self, i: int) -> QSeries:
-        return self.components[i]
-
-    def coefficient(self, n: Fraction | int, i: int) -> Fraction:
-        return self.components[i].coefficient(n)
-
-    def __add__(self, other: "VectorForm") -> "VectorForm":
-        if self.weight != other.weight or self.form is not other.form:
-            raise ValueError("can only add forms of equal weight and type")
-        return VectorForm(
-            self.weight,
-            self.form,
-            tuple(a + b for a, b in zip(self.components, other.components)),
-        )
-
-    def truncate(self, prec: Fraction | int) -> "VectorForm":
-        return VectorForm(
-            self.weight, self.form, tuple(f.truncate(prec) for f in self.components)
-        )
-
-    def scale(self, c: Fraction | int) -> "VectorForm":
-        return VectorForm(
-            self.weight, self.form, tuple(f * Fraction(c) for f in self.components)
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, VectorForm):
-            return NotImplemented
-        return (
-            self.weight == other.weight
-            and self.form is other.form
-            and self.components == other.components
-        )
-
-    def __repr__(self):
-        comps = ", ".join(f"v{i}: {c}" for i, c in enumerate(self.components))
-        return f"VectorForm(weight {self.weight}; {comps})"
 
 
 # ---------------------------------------------------------------------------
@@ -130,10 +63,11 @@ def rankin_cohen(F: VectorForm, g: QSeries, g_weight: int, n: int) -> VectorForm
     if any(e.denominator != 1 for e in g.exponents()):
         raise ValueError("scalar factor must have integer exponents")
     k1 = as_integer(F.weight, "vector form weight")
-    comps = tuple(
-        _scalar_bracket(f, k1, g, g_weight, n) for f in F.components
+    return VectorForm.per_orbit(
+        Fraction(k1 + g_weight + 2 * n),
+        F.form,
+        lambda i: _scalar_bracket(F.components[i], k1, g, g_weight, n),
     )
-    return VectorForm(Fraction(k1 + g_weight + 2 * n), F.form, comps)
 
 
 # ---------------------------------------------------------------------------
@@ -183,32 +117,6 @@ def dim_formula(k: int, form: DiscriminantForm | None = None) -> int:
 
 
 # ---------------------------------------------------------------------------
-# the precision memo
-# ---------------------------------------------------------------------------
-
-_MEMO: dict[tuple, tuple[Fraction, object]] = {}
-
-
-def precision_memo(key: tuple, prec: Fraction, compute):
-    """compute(prec), served by truncating the result at the highest
-    precision asked for so far under ``key``; only that result is kept.
-
-    Exact because no coefficient depends on the precision it was computed
-    at.  Callers check their arguments before they get here, so a served
-    result never skips a check.  A tuple result is truncated entrywise.
-    """
-    held = _MEMO.get(key)
-    if held is None or held[0] < prec:
-        held = _MEMO[key] = (prec, compute(prec))
-    top, value = held
-    if top == prec:
-        return value
-    if isinstance(value, tuple):
-        return tuple(v.truncate(prec) for v in value)
-    return value.truncate(prec)
-
-
-# ---------------------------------------------------------------------------
 # the weight-11 basis and the constrained solve
 # ---------------------------------------------------------------------------
 
@@ -223,8 +131,6 @@ def basis_weight11(prec: Fraction | int) -> tuple[VectorForm, VectorForm]:
 
 
 def _brackets_weight11(prec: Fraction) -> tuple[VectorForm, VectorForm]:
-    from .eisenstein import eisenstein_level1, vv_eisenstein
-
     e5 = vv_eisenstein(w_prime_form(), 5, prec)
     iprec = int(prec) + (prec.denominator != 1)
     f0 = rankin_cohen(e5, eisenstein_level1(6, iprec), 6, 0)
@@ -295,8 +201,6 @@ def assemble_theta(psi: VectorForm) -> HeegnerSeries:
 # ---------------------------------------------------------------------------
 
 def _monomials(weight: int, prec_steps: int, rescaled: bool) -> list[QSeries]:
-    from .eisenstein import alpha_series, beta_series
-
     alpha = alpha_series(prec_steps)
     beta = beta_series(prec_steps)
     if rescaled:
@@ -359,7 +263,7 @@ def fit_alpha_beta(
 
 def _eval_qseries(f: QSeries, tau: complex) -> complex:
     q_third = cmath.exp(2j * cmath.pi * tau / f.den)
-    return sum(complex(c) * q_third**e for e, c in f.coeffs.items())
+    return sum(n / f.scale * q_third**e for e, n in f.nums.items())
 
 
 def _truncation_bound(F: VectorForm, tau: complex) -> float:
@@ -375,11 +279,7 @@ def _truncation_bound(F: VectorForm, tau: complex) -> float:
     for f in F.components:
         if f.prec is None:
             continue
-        mags = [
-            (float(Fraction(e, f.den)), abs(complex(c)))
-            for e, c in sorted(f.coeffs.items())
-            if c
-        ]
+        mags = [(e / f.den, abs(n) / f.scale) for e, n in sorted(f.nums.items())]
         if not mags:
             continue
         tail = mags[len(mags) // 2 :]

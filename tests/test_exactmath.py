@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from cubicforms.exactmath import (
     Cyclotomic,
     IntegralityError,
+    as_fraction,
     as_integer,
     bernoulli_number,
     bernoulli_poly,
@@ -350,6 +351,20 @@ def test_dot_rejects_unequal_lengths():
     one = Cyclotomic.from_rational(1)
     with pytest.raises(ValueError):
         Cyclotomic.dot([one, one], [one])
+
+
+def test_as_fraction_returns_a_fraction_as_it_is():
+    x = F(3, 7)
+    assert as_fraction(x) is x
+
+    class Sub(F):
+        pass
+
+    for value in (3, True, Sub(3, 7)):
+        out = as_fraction(value)
+        assert type(out) is F and out == value
+    with pytest.raises(TypeError, match="int or a Fraction"):
+        as_fraction(0.5)
 
 
 def test_as_integer_rejects_floats():

@@ -4,6 +4,7 @@ every exported name exists, and a cold start loads only what the modular
 path needs."""
 
 import ast
+import graphlib
 import importlib
 import json
 import subprocess
@@ -121,6 +122,49 @@ def test_value_protocol_has_one_definition():
     assert redefined == []
     for cls in (EvenLattice, Mp2Element, RingClassP5, RingClassGr36, ChernSeries, HeegnerSeries):
         assert issubclass(cls, _Value), cls
+
+
+def test_vector_form_is_a_value():
+    # VectorForm takes equality, hashing and immutability from _Value, and
+    # vvmf hands out the objects that qseries defines
+    from cubicforms import qseries, vvmf
+    from cubicforms.exactmath import _Value
+
+    assert issubclass(qseries.VectorForm, _Value)
+    assert {"__eq__", "__hash__", "__repr__"}.isdisjoint(vars(qseries.VectorForm))
+    assert vvmf.VectorForm is qseries.VectorForm
+    assert vvmf._MEMO is qseries._MEMO
+    assert vvmf.precision_memo is qseries.precision_memo
+
+
+def _package_imports(node) -> list[str]:
+    """The package modules that one import statement names."""
+    if isinstance(node, ast.ImportFrom) and node.level:
+        return [alias.name for alias in node.names] if node.module is None else [node.module]
+    if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "cubicforms":
+        return [node.module]
+    if isinstance(node, ast.Import):
+        return [a.name for a in node.names if a.name.split(".")[0] == "cubicforms"]
+    return []
+
+
+def test_package_imports_are_at_module_top_and_acyclic():
+    # an import inside a function hides a cycle between modules; with every
+    # package import at module top, the import graph must have no cycle
+    graph, inner = {}, []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner += [(path.name, node.lineno) for node in ast.walk(fn) if _package_imports(node)]
+        graph[path.stem] = {
+            name.split(".")[-1] for node in tree.body for name in _package_imports(node)
+        }
+    assert inner == []
+    assert graph["vvmf"] >= {"eisenstein", "qseries"}
+    assert "vvmf" not in graph["eisenstein"] | graph["qseries"]
+    order = list(graphlib.TopologicalSorter(graph).static_order())  # CycleError on a cycle
+    assert order.index("qseries") < order.index("eisenstein") < order.index("vvmf")
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

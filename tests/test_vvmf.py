@@ -356,3 +356,63 @@ class TestPrecisionMemo:
             ("theta_series_rank10", F(7, 3)),
             ("vv_eisenstein", 20),
         ]
+
+
+class TestReadOnlyForms:
+    """A VectorForm is a read-only value, and every derived form holds one
+    object for its gamma and -gamma components."""
+
+    def test_memo_served_form_is_read_only(self, w_prime):
+        from cubicforms import theta_degrees
+        from cubicforms.eisenstein import vv_eisenstein
+        from cubicforms.vvmf import basis_weight11
+
+        for served in (vv_eisenstein(w_prime, 5, 30), *basis_weight11(30)):
+            for name, value in (("weight", 7), ("form", None), ("components", ())):
+                with pytest.raises(AttributeError):
+                    setattr(served, name, value)
+                with pytest.raises(AttributeError):
+                    delattr(served, name)
+        heegner = theta_degrees(30)
+        assert (heegner.degree(6), heegner.degree(8)) == (192, 3402)
+
+    def test_value_equality_and_hash(self, w_prime):
+        from cubicforms.fqm import DiscriminantForm
+
+        a = QSeries.from_terms([(F(1, 3), 1)], 3, 2)
+        zero = QSeries.zero(3, 2)
+        form = VectorForm(5, w_prime, (zero, a, a))
+        same = VectorForm(F(5), w_prime, (QSeries.zero(3, 2), a, a.truncate(2)))
+        assert form == same and hash(form) == hash(same)
+        assert form != VectorForm(7, w_prime, (zero, a, a))
+        # DiscriminantForm compares by identity
+        other = DiscriminantForm(w_prime.lattice)
+        assert form != VectorForm(5, other, (zero, a, a))
+
+    def test_derived_forms_share_the_orbit_component(self, w_prime):
+        from cubicforms.eisenstein import vv_eisenstein
+
+        e5 = vv_eisenstein(w_prime, 5, 10)
+        bracket = rankin_cohen(e5, eisenstein_level1(4, 10), 4, 1)
+        derived = {
+            "vv_eisenstein": e5,
+            "rankin_cohen": bracket,
+            "scale": e5.scale(F(2, 3)),
+            "truncate": e5.truncate(5),
+            "add": bracket + bracket,
+        }
+        for name, form in derived.items():
+            assert form.components[1] is form.components[2], name
+            assert form.components[0] is not form.components[1], name
+
+    def test_per_orbit_makes_one_component_per_orbit(self, w_prime):
+        made = []
+
+        def make(gamma):
+            made.append(gamma)
+            return QSeries.zero(3, 2)
+
+        form = VectorForm.per_orbit(5, w_prime, make)
+        assert made == [0, 1]
+        assert form.components[1] is form.components[2]
+        assert form.weight == 5 and type(form.weight) is F
