@@ -431,9 +431,10 @@ def cmd_verify(args, out) -> int:
 # ---------------------------------------------------------------------------
 
 # The largest --terms accepted by theta and eisenstein.  theta --terms 2000
-# takes 0.65-0.95 s and 21 MB on a 2-vCPU Xeon VM under Python 3.11.7,
-# pinned to one processor (1000 takes 0.37-0.56 s); it took 4.6-6.4 s
-# before the packed series product.
+# takes 0.30-0.47 s and 24 MB on a 2-vCPU Xeon VM under Python 3.11.7,
+# pinned to one processor (1000 takes 0.18-0.33 s); it took 0.42-0.65 s,
+# measured side by side, before the Euler product ran in integers, and
+# 4.6-6.4 s before the packed series product.
 MAX_TERMS = 2000
 
 # The largest discriminant group order |det G| accepted by --gram.  The

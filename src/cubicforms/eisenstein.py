@@ -32,7 +32,7 @@ from .fqm import (
     discriminant_form,
     w_prime_form,
 )
-from .qseries import QSeries, VectorForm, precision_memo
+from .qseries import QSeries, VectorForm, _grid_prec, _series, precision_memo
 
 __all__ = [
     "eisenstein_level1",
@@ -70,9 +70,10 @@ def eisenstein_level1(k: int, prec: int) -> QSeries:
     if k < 4 or k % 2:
         raise ValueError(f"level-1 Eisenstein series needs even k >= 4, got {k}")
     factor = Fraction(-2 * k) / bernoulli_number(k)
-    sigma = _divisor_sums(k, prec, (1,))
-    coeffs = {0: Fraction(1)} | {n: factor * sigma[n] for n in range(1, prec)}
-    return QSeries(coeffs, 1, prec)
+    a, b = factor.numerator, factor.denominator
+    nums = {n: a * s for n, s in enumerate(_divisor_sums(k, prec, (1,)))}
+    nums[0] = b
+    return _series(nums, b, 1, _grid_prec(prec, 1))
 
 
 def eisenstein_chi(k: int, prec: int) -> QSeries:
@@ -85,10 +86,10 @@ def eisenstein_chi(k: int, prec: int) -> QSeries:
         raise ValueError(f"character Eisenstein series needs odd k >= 1, got {k}")
     scale = 6 if k == 1 else 1
     sums = _divisor_sums(k, prec, tuple(scale * chi_minus3(m) for m in (1, 2, 3)))
-    coeffs = {n: Fraction(sums[n]) for n in range(1, prec)}
+    nums = dict(enumerate(sums))
     if k == 1:
-        coeffs[0] = Fraction(1)
-    return QSeries(coeffs, 1, prec)
+        nums[0] = 1
+    return _series(nums, 1, 1, _grid_prec(prec, 1))
 
 
 def alpha_series(prec: int) -> QSeries:
@@ -107,30 +108,33 @@ def beta_series(prec: int) -> QSeries:
 
 @lru_cache(maxsize=None)
 def _coset_constants(form: DiscriminantForm, gamma: int):
-    """(lin, q, 2*d_gamma) for coset gamma: lin = Gram * rep, integral by
-    duality, q = (1/2)<rep, rep>, and d_gamma the order of gamma.  Computed
-    once per (form, gamma) and shared by every (n, p)."""
+    """(lin, (a, b), 2*d_gamma) for coset gamma: lin = -Gram * rep, integral
+    by duality, a/b = q(rep) = (1/2)<rep, rep>, and d_gamma the order of
+    gamma.  Computed once per (form, gamma) and shared by every (n, p)."""
     lat = form.lattice
     rep = form.cosets[gamma]
     lin = tuple(
-        as_integer(sum(Fraction(g) * r for g, r in zip(row, rep)), "dual pairing coefficient")
+        -as_integer(sum(Fraction(g) * r for g, r in zip(row, rep)), "dual pairing coefficient")
         for row in lat.gram
     )
-    return lin, lat.half_norm(rep), 2 * form.element_order(gamma)
+    q = lat.half_norm(rep)
+    return lin, (q.numerator, q.denominator), 2 * form.element_order(gamma)
 
 
-def _integer_polynomial(form: DiscriminantForm, gamma: int, n: Fraction):
-    """The congruence (1/2)(r-gamma)^2 + n as an integer polynomial in r.
+def _integer_polynomial(form: DiscriminantForm, gamma: int, n: tuple[int, int]):
+    """The congruence (1/2)(r-gamma)^2 + n as an integer polynomial in r, with
+    n given as a pair (numerator, denominator), not necessarily reduced.
 
     Evenness gives (1/2)<r,r> in Z[r]; duality gives <r,gamma> in Z[r]; and
     q(gamma) + n in Z makes the constant term integral.  Returns (quad, lin,
-    const) with quad the Gram matrix and lin = Gram * gamma.
+    const) with quad the Gram matrix and lin = -Gram * gamma.
     """
-    lin, q, _ = _coset_constants(form, gamma)
-    num = q.numerator * n.denominator + n.numerator * q.denominator
-    const, rem = divmod(num, q.denominator * n.denominator)
+    lin, (a, b), _ = _coset_constants(form, gamma)
+    num, den = n
+    const, rem = divmod(a * den + num * b, b * den)
     if rem:  # as_integer raises, naming the value
-        as_integer(q + n, f"q(gamma) + n for coset {gamma}, n = {n}")
+        n = Fraction(num, den)
+        as_integer(Fraction(a, b) + n, f"q(gamma) + n for coset {gamma}, n = {n}")
     return form.lattice.gram, lin, const
 
 
@@ -157,8 +161,9 @@ def prime_power_counts(
     p^rank residues are enumerated.  The tests pin these counts against a
     brute-force count over (Z/p^v)^rank.
     """
-    gram, lin, const = _integer_polynomial(form, gamma, as_fraction(n, "n"))
-    return _descent_counts(gram, tuple(-b for b in lin), const, p, vmax)
+    n = as_fraction(n, "n")
+    gram, lin, const = _integer_polynomial(form, gamma, (n.numerator, n.denominator))
+    return _descent_counts(gram, lin, const, p, vmax)
 
 
 def _value(gram, lin, const, x) -> int:
@@ -219,16 +224,33 @@ def _descent_counts(gram, lin, const: int, p: int, vmax: int) -> list[int]:
     return counts
 
 
-def _omega(form: DiscriminantForm, gamma: int, n: Fraction, p: int) -> int:
+def _omega(form: DiscriminantForm, gamma: int, n: tuple[int, int], p: int) -> int:
+    """1 + 2 v_p(2 d_gamma n), with n a pair (numerator, denominator)."""
     d2 = _coset_constants(form, gamma)[2]
-    m, rem = divmod(d2 * n.numerator, n.denominator)
+    num, den = n
+    m, rem = divmod(d2 * num, den)
     if rem:
-        as_integer(d2 * n, "2*d_gamma*n")
+        as_integer(Fraction(d2 * num, den), "2*d_gamma*n")
     v = 0
     while m % p == 0:
         m //= p
         v += 1
     return 1 + 2 * v
+
+
+def _local_factor(
+    k: int, form: DiscriminantForm, gamma: int, n: tuple[int, int], p: int
+) -> tuple[int, int]:
+    """L_{gamma,n}(k,p) as the integer pair (numerator, p^(k*omega+k-1)), with
+    n a pair (numerator, denominator); the numerator is
+    (p^(k-1) - 1) sum_{v<omega} N(p^v) p^(k(omega-v)) + p^(k-1) N(p^omega)."""
+    w = _omega(form, gamma, n, p)
+    counts = _descent_counts(*_integer_polynomial(form, gamma, n), p, w)
+    pk, pk1 = p**k, p ** (k - 1)
+    head = 0  # sum_{v<w} N(p^v) p^(k(w-v)), by Horner
+    for c in counts[:w]:
+        head = (head + c) * pk
+    return (pk1 - 1) * head + pk1 * counts[w], pk1 * pk**w
 
 
 def local_euler_factor(
@@ -237,18 +259,13 @@ def local_euler_factor(
     """L_{gamma,n}(k,p) = (1-p^(1-k)) sum_{v<omega} N(p^v) p^(-kv)
                           + N(p^omega) p^(-k*omega).
 
-    Assembled in integers over the fixed denominator p^(k*omega+k-1): the
-    numerator is (p^(k-1) - 1) sum_{v<omega} N(p^v) p^(k(omega-v))
-    + p^(k-1) N(p^omega), and one Fraction is built from the pair.
+    A ``Fraction`` shell over the integer core ``_local_factor``, which
+    assembles the factor over the fixed denominator p^(k*omega+k-1) and
+    returns the pair; ``vv_eisenstein`` multiplies such pairs without ever
+    building a ``Fraction``.
     """
     n = as_fraction(n, "n")
-    w = _omega(form, gamma, n, p)
-    counts = prime_power_counts(form, gamma, n, p, w)
-    pk, pk1 = p**k, p ** (k - 1)
-    head = 0  # sum_{v<w} N(p^v) p^(k(w-v)), by Horner
-    for c in counts[:w]:
-        head = (head + c) * pk
-    return Fraction((pk1 - 1) * head + pk1 * counts[w], pk1 * pk**w)
+    return Fraction(*_local_factor(k, form, gamma, (n.numerator, n.denominator), p))
 
 
 def l_value_ratio(k: int) -> Fraction:
@@ -273,13 +290,15 @@ def vv_eisenstein(form: DiscriminantForm, k: int, prec: Fraction | int) -> Vecto
 
         ratio * n^(k-1) * prod_{p | 18n} L_{gamma,n}(k,p) / (1 - chi(p) p^(-k)).
 
-    Each coefficient is carried as one integer numerator over one integer
-    denominator: ratio * n^(k-1), then each Euler factor times
-    p^k / (p^k - chi(p)).  It is divided once, at the end.  Every assembled
-    coefficient must come out a nonnegative integer; anything else signals
-    an Euler-factor bug and raises.  The component at -gamma equals the one
-    at gamma, so one component is computed per {gamma, -gamma} orbit and
-    reused for the other.
+    The exponent runs as the integer index e = 3n on the 1/3 grid.  Each
+    coefficient is carried as one integer numerator over one integer
+    denominator: ratio * n^(k-1), then each Euler factor, taken from the
+    pair-valued core ``_local_factor``, times p^k / (p^k - chi(p)).  It is
+    divided once, at the end, and goes into the series as an integer
+    numerator.  Every assembled coefficient must come out a nonnegative
+    integer; anything else signals an Euler-factor bug and raises.  The
+    component at -gamma equals the one at gamma, so one component is
+    computed per {gamma, -gamma} orbit and reused for the other.
     """
     if form.order != 3 or form.lattice.rank != 2:
         raise ValueError(
@@ -296,30 +315,30 @@ def vv_eisenstein(form: DiscriminantForm, k: int, prec: Fraction | int) -> Vecto
 def _vv_series(
     form: DiscriminantForm, k: int, ratio: Fraction, prec: Fraction
 ) -> VectorForm:
+    stop = (3 * _grid_prec(prec, 3)).numerator  # q^(e/3) is below prec iff e < stop
+    # ratio * n^(k-1) = ratio * e^(k-1) / 3^(k-1)
+    r_num, r_den = ratio.numerator, ratio.denominator * 3 ** (k - 1)
+
     def component(gamma: int) -> QSeries:
-        offset = (-form.qvalue(gamma)) % 1
-        coeffs: dict[Fraction, int] = {Fraction(0): 2} if gamma == 0 else {}
-        n = offset if offset > 0 else Fraction(1)
-        while n < prec:
-            support = as_integer(18 * n, "18n")
-            num = ratio.numerator * n.numerator ** (k - 1)
-            den = ratio.denominator * n.denominator ** (k - 1)
-            for p in prime_factors(support):
-                factor = local_euler_factor(k, form, gamma, n, p)
+        nums = {0: 2} if gamma == 0 else {}
+        start = as_integer(-3 * form.qvalue(gamma), "3 q(gamma)") % 3 or 3
+        for e in range(start, stop, 3):
+            num, den = r_num * e ** (k - 1), r_den
+            for p in prime_factors(6 * e):  # the primes of 18n
+                f_num, f_den = _local_factor(k, form, gamma, (e, 3), p)
                 pk = p**k
-                num *= factor.numerator * pk
-                den *= factor.denominator * (pk - chi_minus3(p))
+                num *= f_num * pk
+                den *= f_den * (pk - chi_minus3(p))
             c, rem = divmod(num, den)
             if rem:
-                what = f"Eisenstein coefficient at q^{n} v_{gamma}"
+                what = f"Eisenstein coefficient at q^{Fraction(e, 3)} v_{gamma}"
                 as_integer(Fraction(num, den), what)
             if c < 0:
                 raise IntegralityError(
-                    f"negative Eisenstein coefficient {c} at q^{n} v_{gamma}"
+                    f"negative Eisenstein coefficient {c} at q^{Fraction(e, 3)} v_{gamma}"
                 )
-            coeffs[n] = c
-            n += 1
-        return QSeries.from_terms(coeffs.items(), 3, prec)
+            nums[e] = c
+        return _series(nums, 1, 3, prec)
 
     return VectorForm.per_orbit(Fraction(k), form, component)
 

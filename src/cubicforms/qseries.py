@@ -422,13 +422,14 @@ class VectorForm(_Value):
             residue = (-form.qvalue(i)) % 1
             den = components[i].den
             r = residue * den
-            off = [e for e in components[i].nums if r.denominator != 1 or (e - r.numerator) % den]
+            r_num, r_den = r.numerator, r.denominator
+            off = [e for e in components[i].nums if r_den != 1 or (e - r_num) % den]
             if off:
                 raise ValueError(
                     f"component {i} has exponent {Fraction(min(off), den)} off its "
                     f"residue class {residue} mod Z"
                 )
-        self._set(Fraction(weight), form, components)
+        self._set(as_fraction(weight, "weight"), form, components)
 
     @classmethod
     def per_orbit(cls, weight: Fraction | int, form, make) -> "VectorForm":
@@ -460,7 +461,7 @@ class VectorForm(_Value):
         )
 
     def scale(self, c: Fraction | int) -> "VectorForm":
-        c = Fraction(c)
+        c = as_fraction(c, "scale factor")
         return VectorForm.per_orbit(self.weight, self.form, lambda i: self.components[i] * c)
 
 

@@ -60,7 +60,7 @@ def rankin_cohen(F: VectorForm, g: QSeries, g_weight: int, n: int) -> VectorForm
     the result has weight k1 + k2 + 2n."""
     if n < 0:
         raise ValueError("bracket order must be nonnegative")
-    if any(e.denominator != 1 for e in g.exponents()):
+    if any(e % g.den for e in g.nums):
         raise ValueError("scalar factor must have integer exponents")
     k1 = as_integer(F.weight, "vector form weight")
     return VectorForm.per_orbit(
@@ -185,14 +185,15 @@ def assemble_theta(psi: VectorForm) -> HeegnerSeries:
     """Contract the vector form to the scalar degree series; every degree
     must come out an exact integer (half-integral values are a hard error)."""
     theta = psi.component(0) + (psi.component(1) + psi.component(2)) * Fraction(1, 2)
+    nums, scale, den, prec = theta.nums, theta.scale, theta.den, theta.prec
     degrees: dict[int, int] = {}
-    prec = theta.prec
-    d = 2
-    while Fraction(d, 6) < prec:
+    # N_d is the coefficient at q^(d/6), the key d * den / 6 if that is integral
+    for d in range(2, -(-6 * prec.numerator // prec.denominator), 2):
         if d % 6 in (0, 2):
-            val = theta.coefficient(Fraction(d, 6))
-            degrees[d] = as_integer(val, f"degree at discriminant {d}")
-        d += 2
+            num = nums.get(d * den // 6, 0) if d * den % 6 == 0 else 0
+            degrees[d], rem = divmod(num, scale)
+            if rem:
+                as_integer(Fraction(num, scale), f"degree at discriminant {d}")
     return HeegnerSeries(theta, degrees)
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from cubicforms.eisenstein import (
     _descent_counts,
     _integer_polynomial,
+    _local_factor,
     _omega,
     _solutions_mod_p,
     alpha_series,
@@ -47,13 +48,14 @@ def rep_count(form, gamma, n, a):
     """Brute-force count of r in (Z/aZ)^rank with (1/2)(r-gamma)^2 + n = 0 mod a."""
     if a < 1:
         raise ValueError("modulus must be positive")
-    gram, lin, const = _integer_polynomial(form, gamma, F(n))
+    n = F(n)
+    gram, lin, const = _integer_polynomial(form, gamma, (n.numerator, n.denominator))
     rank = form.lattice.rank
     count = 0
     for r in product(range(a), repeat=rank):
         q2 = sum(gram[i][j] * r[i] * r[j] for i in range(rank) for j in range(rank))
         assert q2 % 2 == 0
-        if (q2 // 2 - sum(lin[i] * r[i] for i in range(rank)) + const) % a == 0:
+        if (q2 // 2 + sum(lin[i] * r[i] for i in range(rank)) + const) % a == 0:
             count += 1
     return count
 
@@ -274,7 +276,7 @@ class TestLocalFactors:
     def test_omega_collapse_single_term(self, w_prime):
         # when omega_p = 1 the factor is (1 - p^(1-k)) + N(p) p^(-k)
         p = 3
-        assert _omega(w_prime, 0, F(1), p) == 1
+        assert _omega(w_prime, 0, (1, 1), p) == 1
         counts = prime_power_counts(w_prime, 0, F(1), p, 1)
         got = local_euler_factor(5, w_prime, 0, F(1), p)
         want = (1 - F(p) ** -4) + counts[1] * F(p) ** -5
@@ -286,7 +288,7 @@ class TestLocalFactors:
         assert w_prime.element_order(1) == 3
         assert set(prime_factors(as_integer(18 * n, "18n"))) == {2, 3}
         for p in (2, 3):
-            w = _omega(w_prime, 1, n, p)
+            w = _omega(w_prime, 1, (1, 3), p)
             counts = prime_power_counts(w_prime, 1, n, p, w)
             assert counts[0] == 1
             assert len(counts) == w + 1
@@ -440,6 +442,36 @@ class TestIntegerAssembly:
                         assert got == want, (k, gamma, n, p)
                         checked += 1
         assert checked == 815
+
+    @pytest.mark.parametrize("gamma", [0, 1])
+    def test_public_factor_and_counts_match_integer_core(self, w_prime, gamma):
+        # the Fraction entry points are shells over the pair-valued core,
+        # which _vv_series calls with the unreduced pair (3n, 3)
+        checked = 0
+        for n in _grid(w_prime, gamma, 40):
+            pair, unreduced = (n.numerator, n.denominator), (3 * n.numerator, 3 * n.denominator)
+            for p in (2, 3, 5, 7):
+                w = _omega(w_prime, gamma, pair, p)
+                poly = _integer_polynomial(w_prime, gamma, pair)
+                assert _integer_polynomial(w_prime, gamma, unreduced) == poly
+                assert prime_power_counts(w_prime, gamma, n, p, w) == _descent_counts(*poly, p, w)
+                for k in (3, 5):
+                    num, den = _local_factor(k, w_prime, gamma, pair, p)
+                    assert den == p ** (k * w + k - 1)
+                    assert _local_factor(k, w_prime, gamma, unreduced, p) == (num, den)
+                    assert local_euler_factor(k, w_prime, gamma, n, p) == F(num, den)
+                    checked += 1
+        assert checked == {0: 39, 1: 40}[gamma] * 4 * 2
+
+    def test_core_keeps_integrality_messages(self, w_prime):
+        with pytest.raises(IntegralityError, match=r"^2\*d_gamma\*n = 6/7 is not an integer$"):
+            local_euler_factor(5, w_prime, 1, F(1, 7), 2)
+        with pytest.raises(
+            IntegralityError, match=r"^q\(gamma\) \+ n for coset 1, n = 1 = 2/3 is not an integer$"
+        ):
+            prime_power_counts(w_prime, 1, F(1), 2, 1)
+        with pytest.raises(TypeError, match="n must be an int or a Fraction"):
+            local_euler_factor(5, w_prime, 0, 1.0, 2)
 
     def test_minus_coset_built_independently(self, w_prime):
         # coset 2 = -coset 1 from its own Euler factors, never through _vv_series

@@ -4,6 +4,7 @@ every exported name exists, and a cold start loads only what the modular
 path needs."""
 
 import ast
+import cProfile
 import graphlib
 import importlib
 import json
@@ -70,6 +71,39 @@ def test_series_product_has_no_nested_loop():
     assert {"_pack", "_series"} <= called
     for fn in [mul] + [helpers[name] for name in sorted(called & helpers.keys())]:
         assert _loop_depth(fn) <= 1, fn.name
+
+
+def _fraction_news(compute) -> int:
+    """Calls of fractions.Fraction.__new__ made by compute(), counted with
+    cProfile per raw entry, as the benchmark counts calls."""
+    profiler = cProfile.Profile()
+    profiler.enable()
+    compute()
+    profiler.disable()
+    return sum(
+        e.callcount
+        for e in profiler.getstats()
+        if getattr(e.code, "co_name", "") == "__new__"
+        and getattr(e.code, "co_filename", "").endswith("fractions.py")
+    )
+
+
+def test_theta_path_builds_no_fraction_per_coefficient():
+    # the Euler product, the series and the degree table run in integers, so
+    # a cold theta_degrees(240) builds no more Fractions than a cold (60)
+    from cubicforms.qseries import _MEMO
+
+    saved = dict(_MEMO)
+    try:
+        cubicforms.theta_degrees(10)  # fills the per-form caches
+        counts = []
+        for prec in (60, 240):
+            _MEMO.clear()
+            counts.append(_fraction_news(lambda: cubicforms.theta_degrees(prec)))
+        assert 0 < counts[1] <= counts[0], counts
+    finally:
+        _MEMO.clear()
+        _MEMO.update(saved)
 
 
 def _class_level_names(cls: ast.ClassDef) -> set[str]:

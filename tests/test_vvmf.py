@@ -22,6 +22,15 @@ def is_cuspidal(F: VectorForm) -> bool:
 
 
 class TestVectorForm:
+    def test_floats_raise_type_error(self, e5):
+        # Fraction(0.1) is 3602879701896397/36028797018963968: a float weight
+        # or scale factor would enter as its binary expansion
+        with pytest.raises(TypeError, match="weight must be an int or a Fraction"):
+            VectorForm(0.1, e5.form, e5.components)
+        with pytest.raises(TypeError, match="scale factor must be an int or a Fraction"):
+            e5.scale(0.1)
+        assert e5.scale(F(1, 10)).coefficient(0, 0) == F(1, 5)
+
     def test_symmetry_enforced(self, w_prime):
         a = QSeries.from_terms([(F(1, 3), 1)], 3, 2)
         b = QSeries.from_terms([(F(1, 3), 2)], 3, 2)
@@ -186,7 +195,7 @@ class TestAssemble:
             QSeries.zero(3, 2),
             QSeries.zero(3, 2),
         )
-        with pytest.raises(IntegralityError):
+        with pytest.raises(IntegralityError, match="degree at discriminant"):
             assemble_theta(VectorForm(11, w_prime, comps))
 
 
