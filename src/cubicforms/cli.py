@@ -431,9 +431,9 @@ def cmd_verify(args, out) -> int:
 # ---------------------------------------------------------------------------
 
 # The largest --terms accepted by theta and eisenstein.  theta --terms 2000
-# takes 0.30-0.47 s and 24 MB on a 2-vCPU Xeon VM under Python 3.11.7,
-# pinned to one processor (1000 takes 0.18-0.33 s); it took 0.42-0.65 s,
-# measured side by side, before the Euler product ran in integers, and
+# takes 0.44-0.56 s and 21 MB on a 2-vCPU Xeon VM under Python 3.11.7,
+# pinned to one processor (1000 takes 0.19-0.34 s); side by side it took
+# 0.49-0.69 s before the Euler factors at p >= 5 took a closed form, and
 # 4.6-6.4 s before the packed series product.
 MAX_TERMS = 2000
 

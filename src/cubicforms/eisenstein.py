@@ -142,7 +142,7 @@ def prime_power_counts(
     form: DiscriminantForm, gamma: int, n: Fraction, p: int, vmax: int
 ) -> list[int]:
     """Counts [N(p^0), ..., N(p^vmax)] of the same congruence, by descent at
-    singular points.
+    singular points, for a prime p and vmax >= 0 (else ``ValueError``).
 
     Write the congruence as f(r) = Q(r) + b.r + c with Q(r) = r^T G r / 2 and
     G even.  A solution x mod p with grad f(x) != 0 mod p is nonsingular: by
@@ -161,9 +161,17 @@ def prime_power_counts(
     p^rank residues are enumerated.  The tests pin these counts against a
     brute-force count over (Z/p^v)^rank.
     """
+    if not isinstance(vmax, int) or vmax < 0:
+        raise ValueError(f"vmax must be an integer >= 0, got {vmax!r}")
     n = as_fraction(n, "n")
     gram, lin, const = _integer_polynomial(form, gamma, (n.numerator, n.denominator))
-    return _descent_counts(gram, lin, const, p, vmax)
+    return list(_descent_counts(gram, lin, const, _prime(p), vmax))
+
+
+def _prime(p: int) -> int:
+    if not isinstance(p, int) or p < 2 or prime_factors(p) != [p]:
+        raise ValueError(f"p must be a prime, got {p!r}")
+    return p
 
 
 def _value(gram, lin, const, x) -> int:
@@ -203,12 +211,19 @@ def _solutions_mod_p(gram, lin, const, p: int) -> tuple[int, tuple[tuple[int, ..
     return nonsingular, tuple(singular)
 
 
-def _descent_counts(gram, lin, const: int, p: int, vmax: int) -> list[int]:
-    """[N(p^0), ..., N(p^vmax)] for f(r) = r^T gram r / 2 + lin.r + const."""
+def _descent_counts(gram, lin, const: int, p: int, vmax: int) -> tuple[int, ...]:
+    """(N(p^0), ..., N(p^vmax)) for f(r) = r^T gram r / 2 + lin.r + const,
+    which depend on f only mod p^vmax: one memoized descent per residue class."""
+    m = p**vmax
+    return _descent(gram, tuple([b % m for b in lin]), const % m, p, vmax)
+
+
+@lru_cache(maxsize=None)
+def _descent(gram, lin, const: int, p: int, vmax: int) -> tuple[int, ...]:
     rank = len(gram)
     counts = [1] + [0] * vmax
     if vmax == 0:
-        return counts
+        return (1,)
     nonsingular, singular = _solutions_mod_p(gram, tuple(b % p for b in lin), const % p, p)
     for v in range(1, vmax + 1):
         counts[v] = nonsingular * p ** ((v - 1) * (rank - 1))
@@ -221,7 +236,7 @@ def _descent_counts(gram, lin, const: int, p: int, vmax: int) -> list[int]:
         sub = _descent_counts(gram, g, val // (p * p), p, vmax - 2)
         for v in range(2, vmax + 1):
             counts[v] += p**rank * sub[v - 2]
-    return counts
+    return tuple(counts)
 
 
 def _omega(form: DiscriminantForm, gamma: int, n: tuple[int, int], p: int) -> int:
@@ -253,19 +268,36 @@ def _local_factor(
     return (pk1 - 1) * head + pk1 * counts[w], pk1 * pk**w
 
 
+def _good_factor(k: int, p: int, e: int) -> tuple[int, int]:
+    """L_{gamma,n}(k,p) / (1 - chi(p) p^(-k)) as an integer pair at a prime p
+    not dividing 2 det G, with e = 3n, t = v_p(e) and x = p^(k-1):
+
+        sum_{j<=t} (chi(p) p^(1-k))^j = (x^(t+1) - chi^(t+1)) / ((x - chi) x^t),
+
+    the local factor of a unimodular binary lattice (Bruinier-Kuss, "Eisenstein
+    series attached to lattices and modular forms on orthogonal groups",
+    Manuscripta Math. 106 (2001)); det G = 3 here, so p >= 5, chi = chi_{-3}."""
+    t = 0
+    while e % p == 0:
+        e //= p
+        t += 1
+    x, chi = p ** (k - 1), chi_minus3(p)
+    return (x ** (t + 1) - chi ** (t + 1)) // (x - chi), x**t
+
+
 def local_euler_factor(
     k: int, form: DiscriminantForm, gamma: int, n: Fraction, p: int
 ) -> Fraction:
     """L_{gamma,n}(k,p) = (1-p^(1-k)) sum_{v<omega} N(p^v) p^(-kv)
-                          + N(p^omega) p^(-k*omega).
+                          + N(p^omega) p^(-k*omega),  p prime.
 
     A ``Fraction`` shell over the integer core ``_local_factor``, which
-    assembles the factor over the fixed denominator p^(k*omega+k-1) and
-    returns the pair; ``vv_eisenstein`` multiplies such pairs without ever
-    building a ``Fraction``.
+    assembles the factor by the descent over the fixed denominator
+    p^(k*omega+k-1) and returns the pair; it is the oracle of the closed form
+    ``_good_factor`` that ``vv_eisenstein`` takes at p >= 5.
     """
     n = as_fraction(n, "n")
-    return Fraction(*_local_factor(k, form, gamma, (n.numerator, n.denominator), p))
+    return Fraction(*_local_factor(k, form, gamma, (n.numerator, n.denominator), _prime(p)))
 
 
 def l_value_ratio(k: int) -> Fraction:
@@ -292,11 +324,11 @@ def vv_eisenstein(form: DiscriminantForm, k: int, prec: Fraction | int) -> Vecto
 
     The exponent runs as the integer index e = 3n on the 1/3 grid.  Each
     coefficient is carried as one integer numerator over one integer
-    denominator: ratio * n^(k-1), then each Euler factor, taken from the
-    pair-valued core ``_local_factor``, times p^k / (p^k - chi(p)).  It is
-    divided once, at the end, and goes into the series as an integer
-    numerator.  Every assembled coefficient must come out a nonnegative
-    integer; anything else signals an Euler-factor bug and raises.  The
+    denominator: ratio * n^(k-1), then per prime of 18n the closed form
+    ``_good_factor`` at p >= 5, or at p = 2, 3 the descent's ``_local_factor``
+    times p^k / (p^k - chi(p)).  It is divided once, at the end, and goes
+    into the series as an integer numerator.  Every assembled coefficient
+    must come out a nonnegative integer; anything else raises.  The
     component at -gamma equals the one at gamma, so one component is
     computed per {gamma, -gamma} orbit and reused for the other.
     """
@@ -325,10 +357,12 @@ def _vv_series(
         for e in range(start, stop, 3):
             num, den = r_num * e ** (k - 1), r_den
             for p in prime_factors(6 * e):  # the primes of 18n
-                f_num, f_den = _local_factor(k, form, gamma, (e, 3), p)
-                pk = p**k
-                num *= f_num * pk
-                den *= f_den * (pk - chi_minus3(p))
+                if 6 % p:  # p does not divide 2 det G = 6
+                    f_num, f_den = _good_factor(k, p, e)
+                else:
+                    f_num, f_den = _local_factor(k, form, gamma, (e, 3), p)
+                    f_num, f_den = f_num * p**k, f_den * (p**k - chi_minus3(p))
+                num, den = num * f_num, den * f_den
             c, rem = divmod(num, den)
             if rem:
                 what = f"Eisenstein coefficient at q^{Fraction(e, 3)} v_{gamma}"

@@ -36,7 +36,7 @@ from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 from ._linalg import row_reduce
-from .exactmath import _Value, as_fraction
+from .exactmath import _read_only, _Value, as_fraction
 
 __all__ = [
     "QSeries",
@@ -87,11 +87,12 @@ def _pack(nums: dict[int, int], low: int, s: int, size: int, blank: bytes) -> in
 
 
 class QSeries:
-    """Integer numerators ``nums`` over one ``scale`` on the 1/``den`` grid
-    (see the module docstring); a series exact to all orders with support in
-    {0} hashes as its constant ``Fraction``."""
+    """Read-only integer numerators ``nums`` over one ``scale`` on the
+    1/``den`` grid (see the module docstring); a series exact to all orders
+    with support in {0} hashes as its constant ``Fraction``."""
 
     __slots__ = ("den", "prec", "nums", "scale")
+    __setattr__ = __delattr__ = _read_only
 
     def __init__(
         self,
@@ -126,8 +127,12 @@ class QSeries:
         if g != 1:
             nums = {e: n // g for e, n in nums.items()}
             scale //= g
-        self.den, self.prec, self.nums, self.scale = den, prec, nums, scale
+        for name, value in zip(self.__slots__, (den, prec, nums, scale)):
+            object.__setattr__(self, name, value)
         return self
+
+    def __reduce__(self):
+        return _series, (self.nums, self.scale, self.den, self.prec)
 
     # -- constructors ------------------------------------------------------
 

@@ -6,8 +6,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cubicforms import eisenstein, theta_degrees
 from cubicforms.eisenstein import (
+    _descent,
     _descent_counts,
+    _good_factor,
     _integer_polynomial,
     _local_factor,
     _omega,
@@ -33,6 +36,7 @@ from cubicforms.exactmath import (
 from cubicforms.fqm import (
     E8_GRAM,
     W_GRAM,
+    W_PRIME_GRAM,
     EvenLattice,
     _scaled_short_vectors,
     discriminant_form,
@@ -193,7 +197,7 @@ def _brute_counts(gram, lin, const, p, depth):
             v += 1
         hits[v] += 1
     # hits[v] counts exact valuation v (capped); N(p^v) sums valuations >= v
-    return [sum(hits[v:]) // p ** (2 * (depth - v)) for v in range(depth + 1)]
+    return tuple(sum(hits[v:]) // p ** (2 * (depth - v)) for v in range(depth + 1))
 
 
 # depth per prime at which the brute pass stays under about 5k points
@@ -222,6 +226,31 @@ def test_descent_matches_brute_force(case):
     assert _descent_counts(gram, lin, const, p, depth) == _brute_counts(
         gram, lin, const, p, depth
     )
+
+
+@settings(deadline=None, max_examples=100)
+@given(_congruences(), st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3))
+def test_descent_depends_only_on_residues_mod_p_vmax(case, s0, s1, s2):
+    # the memo key: the unmemoized top level of the descent on (lin, const),
+    # shifted by multiples of p^vmax, equals the descent on their residues
+    gram, lin, const, p = case
+    depth = _HYPO_DEPTH[p]
+    m = p**depth
+    shifted = (lin[0] + s0 * m, lin[1] + s1 * m), const + s2 * m
+    reduced = (lin[0] % m, lin[1] % m), const % m
+    got = _descent.__wrapped__(gram, *shifted, p, depth)
+    assert got == _descent.__wrapped__(gram, *reduced, p, depth)
+    assert got == _descent_counts(gram, *reduced, p, depth)
+    assert got == _brute_counts(gram, lin, const, p, depth)
+
+
+def test_counts_handed_out_cannot_change_the_memo(w_prime):
+    counts = prime_power_counts(w_prime, 0, F(9), 3, 5)
+    assert isinstance(_descent_counts(*_integer_polynomial(w_prime, 0, (9, 1)), 3, 5), tuple)
+    want = list(counts)
+    counts[1] = -1
+    counts.append(7)
+    assert prime_power_counts(w_prime, 0, F(9), 3, 5) == want
 
 
 def _fresh_solutions_mod_p(gram, lin, const, p):
@@ -304,6 +333,70 @@ class TestLocalFactors:
                     1 - chi_minus3(p) * F(p) ** -5
                 )
                 assert factor == 1
+
+
+    @pytest.mark.parametrize("p", [1, 0, -3, 4, 9, 5.0])
+    def test_p_must_be_a_prime(self, w_prime, p):
+        # p = 1 looped for ever in _omega; 4 gave counts; 0 divided by zero
+        with pytest.raises(ValueError, match=r"^p must be a prime, got "):
+            local_euler_factor(5, w_prime, 0, 1, p)
+        with pytest.raises(ValueError, match=r"^p must be a prime, got "):
+            prime_power_counts(w_prime, 0, 1, p, 3)
+
+    @pytest.mark.parametrize("vmax", [-1, -5, 1.0])
+    def test_vmax_must_be_nonnegative(self, w_prime, vmax):
+        with pytest.raises(ValueError, match=r"^vmax must be an integer >= 0, got "):
+            prime_power_counts(w_prime, 0, 1, 3, vmax)
+
+    def test_vmax_zero_counts_the_empty_congruence(self, w_prime):
+        assert prime_power_counts(w_prime, 0, 1, 3, 0) == [1]
+
+
+# every rank-2 even lattice with |det G| = 3 has det G = 3: -W and W itself
+_DET3_FORMS = {"w_prime": W_PRIME_GRAM, "w": W_GRAM}
+
+
+class TestGoodPrimes:
+    """At p not dividing 2 det G = 6 the Euler product takes the closed form
+    _good_factor; the descent in local_euler_factor is its oracle."""
+
+    @pytest.mark.parametrize("name", sorted(_DET3_FORMS))
+    def test_closed_form_equals_descent(self, name):
+        form = discriminant_form(_DET3_FORMS[name])
+        checked = 0
+        for k in (3, 5, 7, 9, 11):
+            for gamma in range(3):
+                for n in _grid(form, gamma, 200):
+                    e = as_integer(3 * n, "3n")
+                    for p in (5, 7, 11, 13, 17, 19, 23):
+                        if e % p:
+                            continue
+                        descent = local_euler_factor(k, form, gamma, n, p)
+                        want = descent / (1 - chi_minus3(p) * F(p) ** -k)
+                        assert F(*_good_factor(k, p, e)) == want, (k, gamma, n, p)
+                        checked += 1
+        assert checked == {"w_prime": 1995, "w": 1965}[name]
+
+    def test_cold_theta_enters_descent_only_at_2_and_3(self, monkeypatch):
+        from cubicforms.qseries import _MEMO
+
+        primes = set()
+        descent = eisenstein._descent_counts
+
+        def spy(gram, lin, const, p, vmax):
+            primes.add(p)
+            return descent(gram, lin, const, p, vmax)
+
+        saved = dict(_MEMO)
+        monkeypatch.setattr(eisenstein, "_descent_counts", spy)
+        try:
+            _MEMO.clear()
+            _descent.cache_clear()
+            assert theta_degrees(240).degree(8) == 3402
+        finally:
+            _MEMO.clear()
+            _MEMO.update(saved)
+        assert primes == {2, 3}
 
 
 class TestVectorEisenstein:
@@ -454,7 +547,8 @@ class TestIntegerAssembly:
                 w = _omega(w_prime, gamma, pair, p)
                 poly = _integer_polynomial(w_prime, gamma, pair)
                 assert _integer_polynomial(w_prime, gamma, unreduced) == poly
-                assert prime_power_counts(w_prime, gamma, n, p, w) == _descent_counts(*poly, p, w)
+                counts = _descent_counts(*poly, p, w)
+                assert prime_power_counts(w_prime, gamma, n, p, w) == list(counts)
                 for k in (3, 5):
                     num, den = _local_factor(k, w_prime, gamma, pair, p)
                     assert den == p ** (k * w + k - 1)

@@ -127,12 +127,18 @@ def _is_object_setattr(node) -> bool:
 
 def test_value_protocol_has_one_definition():
     # immutability, copy and pickle of the value classes live in
-    # exactmath._Value alone; a second copy would drift from the first
-    from cubicforms.exactmath import _Value
+    # exactmath._Value alone; a second copy would drift from the first.
+    # QSeries is the one other read-only class: not a _Value, since its
+    # fields are not its constructor's arguments, it binds the same
+    # _read_only, writes its fields only in its own _set and pickles
+    # through _series
+    from cubicforms.exactmath import _read_only, _Value
     from cubicforms.fqm import EvenLattice, Mp2Element
+    from cubicforms.qseries import QSeries
     from cubicforms.schubert import ChernSeries, RingClassGr36, RingClassP5
     from cubicforms.vvmf import HeegnerSeries
 
+    own_setters = {("exactmath.py", "_Value"), ("qseries.py", "QSeries")}
     allowed, setattrs, redefined = set(), [], []
     for path in MODULES:
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -141,7 +147,7 @@ def test_value_protocol_has_one_definition():
                 setattrs.append((path.name, node.lineno))
             if not isinstance(node, ast.ClassDef):
                 continue
-            if node.name == "_Value":
+            if (path.name, node.name) in own_setters:
                 allowed.update(
                     (path.name, inner.lineno)
                     for stmt in node.body
@@ -149,11 +155,18 @@ def test_value_protocol_has_one_definition():
                     for inner in ast.walk(stmt)
                     if _is_object_setattr(inner)
                 )
-            else:
+            if node.name != "_Value":
                 own = _class_level_names(node) & {"__reduce__", "__setattr__", "__delattr__"}
                 redefined += [(path.name, node.name, name) for name in sorted(own)]
-    assert allowed and set(setattrs) == allowed, setattrs
-    assert redefined == []
+    assert set(setattrs) == allowed, setattrs
+    assert {path for path, _ in allowed} == {"exactmath.py", "qseries.py"}
+    assert redefined == [
+        ("qseries.py", "QSeries", "__delattr__"),
+        ("qseries.py", "QSeries", "__reduce__"),
+        ("qseries.py", "QSeries", "__setattr__"),
+    ]
+    assert QSeries.__setattr__ is QSeries.__delattr__ is _read_only
+    assert not issubclass(QSeries, _Value)
     for cls in (EvenLattice, Mp2Element, RingClassP5, RingClassGr36, ChernSeries, HeegnerSeries):
         assert issubclass(cls, _Value), cls
 

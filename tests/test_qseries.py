@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 import random
 from fractions import Fraction as F
 from math import gcd, lcm
@@ -189,6 +191,30 @@ class TestSerialization:
         d = f.to_json_dict()
         assert d["terms"][0]["num"] == "1" and d["terms"][0]["den"] == "3"
         assert isinstance(d["prec_num"], str)
+
+
+class TestReadOnly:
+    FIELDS = ("den", "prec", "nums", "scale")
+
+    @pytest.mark.parametrize("prec", [F(10, 3), None])
+    def test_fields_are_read_only(self, prec):
+        f = series([(0, -2), (F(4, 3), F(3402, 7))], den=3, prec=prec)
+        for name in self.FIELDS:
+            value = getattr(f, name)
+            with pytest.raises(AttributeError, match="QSeries is immutable"):
+                setattr(f, name, value)
+            with pytest.raises(AttributeError, match="QSeries is immutable"):
+                delattr(f, name)
+            assert getattr(f, name) is value
+        with pytest.raises(AttributeError):
+            f.extra = 1
+
+    @pytest.mark.parametrize("prec", [F(10, 3), None])
+    def test_copy_and_pickle_round_trip(self, prec):
+        f = series([(0, -2), (F(4, 3), F(3402, 7))], den=3, prec=prec)
+        for g in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+            assert type(g) is QSeries and g == f and hash(g) == hash(f)
+            assert (g.den, g.prec, g.nums, g.scale) == (f.den, f.prec, f.nums, f.scale)
 
 
 class TestExactInputs:

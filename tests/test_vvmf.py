@@ -385,6 +385,22 @@ class TestReadOnlyForms:
         heegner = theta_degrees(30)
         assert (heegner.degree(6), heegner.degree(8)) == (192, 3402)
 
+    def test_memo_served_components_are_read_only(self, w_prime):
+        # reassigning a served component's scale once made every later
+        # theta_degrees(30) in the process read degree(8) = 23814
+        from cubicforms import theta_degrees
+        from cubicforms.eisenstein import vv_eisenstein
+
+        served = vv_eisenstein(w_prime, 5, 30)
+        for comp in served.components:
+            for name in ("den", "prec", "nums", "scale"):
+                with pytest.raises(AttributeError):
+                    setattr(comp, name, 7)
+                with pytest.raises(AttributeError):
+                    delattr(comp, name)
+        assert vv_eisenstein(w_prime, 5, 30).components[0].scale == 1
+        assert theta_degrees(30).degree(8) == 3402
+
     def test_value_equality_and_hash(self, w_prime):
         from cubicforms.fqm import DiscriminantForm
 
