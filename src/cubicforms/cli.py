@@ -431,10 +431,10 @@ def cmd_verify(args, out) -> int:
 # ---------------------------------------------------------------------------
 
 # The largest --terms accepted by theta and eisenstein.  theta --terms 2000
-# takes 0.44-0.56 s and 21 MB on a 2-vCPU Xeon VM under Python 3.11.7,
-# pinned to one processor (1000 takes 0.19-0.34 s); side by side it took
-# 0.49-0.69 s before the Euler factors at p >= 5 took a closed form, and
-# 4.6-6.4 s before the packed series product.
+# takes 0.32-0.38 s and 20 MB on a 2-vCPU Xeon VM under Python 3.11.7,
+# pinned to one processor (1000 takes 0.24-0.25 s); side by side it took
+# 0.45-0.48 s before vv_eisenstein became one divisor sieve, and 4.6-6.4 s
+# before the packed series product.
 MAX_TERMS = 2000
 
 # The largest discriminant group order |det G| accepted by --gram.  The

@@ -3,8 +3,10 @@ quadratic character, and the vector-valued Eisenstein series attached to the
 order-3 discriminant form, assembled from local Euler products.
 
 The vector-valued coefficients are computed exactly: the transcendental parts
-of the normalizing L-value cancel against Bernoulli sums, and each local
-factor is built from representation counts of a quadratic congruence.
+of the normalizing L-value cancel against Bernoulli sums, and every local
+factor has a closed form, so the series is read off one twisted divisor sieve.
+The same factors, built from representation counts of a quadratic congruence
+by descent, are kept as the oracle of that closed form.
 """
 
 from __future__ import annotations
@@ -268,23 +270,6 @@ def _local_factor(
     return (pk1 - 1) * head + pk1 * counts[w], pk1 * pk**w
 
 
-def _good_factor(k: int, p: int, e: int) -> tuple[int, int]:
-    """L_{gamma,n}(k,p) / (1 - chi(p) p^(-k)) as an integer pair at a prime p
-    not dividing 2 det G, with e = 3n, t = v_p(e) and x = p^(k-1):
-
-        sum_{j<=t} (chi(p) p^(1-k))^j = (x^(t+1) - chi^(t+1)) / ((x - chi) x^t),
-
-    the local factor of a unimodular binary lattice (Bruinier-Kuss, "Eisenstein
-    series attached to lattices and modular forms on orthogonal groups",
-    Manuscripta Math. 106 (2001)); det G = 3 here, so p >= 5, chi = chi_{-3}."""
-    t = 0
-    while e % p == 0:
-        e //= p
-        t += 1
-    x, chi = p ** (k - 1), chi_minus3(p)
-    return (x ** (t + 1) - chi ** (t + 1)) // (x - chi), x**t
-
-
 def local_euler_factor(
     k: int, form: DiscriminantForm, gamma: int, n: Fraction, p: int
 ) -> Fraction:
@@ -293,8 +278,9 @@ def local_euler_factor(
 
     A ``Fraction`` shell over the integer core ``_local_factor``, which
     assembles the factor by the descent over the fixed denominator
-    p^(k*omega+k-1) and returns the pair; it is the oracle of the closed form
-    ``_good_factor`` that ``vv_eisenstein`` takes at p >= 5.
+    p^(k*omega+k-1) and returns the pair.  It is the oracle, not the hot
+    path: ``vv_eisenstein`` takes every factor in closed form, and the tests
+    check each closed form against this descent.
     """
     n = as_fraction(n, "n")
     return Fraction(*_local_factor(k, form, gamma, (n.numerator, n.denominator), _prime(p)))
@@ -322,15 +308,21 @@ def vv_eisenstein(form: DiscriminantForm, k: int, prec: Fraction | int) -> Vecto
 
         ratio * n^(k-1) * prod_{p | 18n} L_{gamma,n}(k,p) / (1 - chi(p) p^(-k)).
 
-    The exponent runs as the integer index e = 3n on the 1/3 grid.  Each
-    coefficient is carried as one integer numerator over one integer
-    denominator: ratio * n^(k-1), then per prime of 18n the closed form
-    ``_good_factor`` at p >= 5, or at p = 2, 3 the descent's ``_local_factor``
-    times p^k / (p^k - chi(p)).  It is divided once, at the end, and goes
-    into the series as an integer numerator.  Every assembled coefficient
-    must come out a nonnegative integer; anything else raises.  The
-    component at -gamma equals the one at gamma, so one component is
-    computed per {gamma, -gamma} orbit and reused for the other.
+    Each factor has a closed form (Bruinier-Kuss, "Eisenstein series attached
+    to lattices and modular forms on orthogonal groups", Manuscripta Math. 106
+    (2001)).  With e = 3n, chi = chi_{-3} and t = v_p(e) it is
+    sum_{j<=t} (chi(p) p^(1-k))^j at p != 3; at p = 3 it is 1 for gamma != 0
+    and 1 + eps chi(u) 3^((1-k)t) for gamma = 0, where e = 3^t u, 3 not
+    dividing u, and eps = chi(-3 q(gamma)) at any gamma != 0 is +1 on -W and
+    -1 on W.  So with s(m) = sum_{d | m} chi(m/d) d^(k-1), from one sieve, and
+    r = ratio / 3^(k-1), the coefficient at q^(e/3) is
+
+        r * s(e) for gamma != 0,    r * (s(e) + eps chi(u) s(u)) for gamma = 0.
+
+    The descent of ``local_euler_factor`` is the tests' oracle of each
+    factor.  Every coefficient must come out a nonnegative integer; anything
+    else raises.  One component is computed per {gamma, -gamma} orbit and
+    serves both.
     """
     if form.order != 3 or form.lattice.rank != 2:
         raise ValueError(
@@ -348,25 +340,24 @@ def _vv_series(
     form: DiscriminantForm, k: int, ratio: Fraction, prec: Fraction
 ) -> VectorForm:
     stop = (3 * _grid_prec(prec, 3)).numerator  # q^(e/3) is below prec iff e < stop
-    # ratio * n^(k-1) = ratio * e^(k-1) / 3^(k-1)
+    sums = _divisor_sums(k, stop, (1, -1, 0))
     r_num, r_den = ratio.numerator, ratio.denominator * 3 ** (k - 1)
+    starts = [as_integer(-3 * q, "3 q(gamma)") % 3 for q in form.qvalues]
+    eps = chi_minus3(starts[1])  # the class mod 3 of the exponents at gamma != 0
 
     def component(gamma: int) -> QSeries:
         nums = {0: 2} if gamma == 0 else {}
-        start = as_integer(-3 * form.qvalue(gamma), "3 q(gamma)") % 3 or 3
-        for e in range(start, stop, 3):
-            num, den = r_num * e ** (k - 1), r_den
-            for p in prime_factors(6 * e):  # the primes of 18n
-                if 6 % p:  # p does not divide 2 det G = 6
-                    f_num, f_den = _good_factor(k, p, e)
-                else:
-                    f_num, f_den = _local_factor(k, form, gamma, (e, 3), p)
-                    f_num, f_den = f_num * p**k, f_den * (p**k - chi_minus3(p))
-                num, den = num * f_num, den * f_den
-            c, rem = divmod(num, den)
+        for e in range(starts[gamma] or 3, stop, 3):
+            total = sums[e]
+            if gamma == 0:
+                u = e // 3
+                while u % 3 == 0:
+                    u //= 3
+                total += eps * chi_minus3(u) * sums[u]
+            c, rem = divmod(r_num * total, r_den)
             if rem:
                 what = f"Eisenstein coefficient at q^{Fraction(e, 3)} v_{gamma}"
-                as_integer(Fraction(num, den), what)
+                as_integer(Fraction(r_num * total, r_den), what)
             if c < 0:
                 raise IntegralityError(
                     f"negative Eisenstein coefficient {c} at q^{Fraction(e, 3)} v_{gamma}"

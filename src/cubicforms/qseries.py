@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from ._linalg import row_reduce
@@ -127,12 +128,12 @@ class QSeries:
         if g != 1:
             nums = {e: n // g for e, n in nums.items()}
             scale //= g
-        for name, value in zip(self.__slots__, (den, prec, nums, scale)):
+        for name, value in zip(self.__slots__, (den, prec, MappingProxyType(nums), scale)):
             object.__setattr__(self, name, value)
         return self
 
     def __reduce__(self):
-        return _series, (self.nums, self.scale, self.den, self.prec)
+        return _series, (dict(self.nums), self.scale, self.den, self.prec)
 
     # -- constructors ------------------------------------------------------
 

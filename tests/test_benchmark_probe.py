@@ -1,20 +1,25 @@
 """The benchmark's child script, ``perfbench/probe.py``, drives this package:
 every function it wraps resolves, every verify suite it names exists, and a
 traced ``theta`` run ends in one JSON result line with nothing absent.  The
-script is imported by path and run as it is."""
+script is imported by path and run as it is.  A traced run of the harness,
+``perfbench/run.py``, ends in a result line that strict JSON reads."""
 
 import importlib
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import cubicforms
 from cubicforms import cli
 
-PROBE = Path(__file__).resolve().parents[1] / "perfbench" / "probe.py"
+ROOT = Path(__file__).resolve().parents[1]
+PROBE = ROOT / "perfbench" / "probe.py"
 
 
 def _load_probe():
@@ -49,3 +54,23 @@ def test_traced_theta_run_ends_in_a_result_line(tmp_path):
     assert report["absent"] == []
     assert report["layers"]["eisenstein.vv_eisenstein"]["calls"] >= 1
     assert json.loads(report["output"])["result"]["degrees"]
+
+
+def _not_strict_json(constant):
+    raise ValueError(f"{constant} is not a strict JSON value")
+
+
+@pytest.mark.parametrize("workload", ["theta_depth", "theta_session", "verify_all"])
+def test_traced_harness_run_ends_in_a_strict_json_result(workload):
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", "1", "--seconds", "1", "--trace", "1"],
+        capture_output=True, text=True, timeout=300, cwd=ROOT,
+    )
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout.strip().splitlines()[-1], parse_constant=_not_strict_json)
+    assert report["correct"] is True
+    assert report["failed"] == 0
+    for name, metric in report["metrics"].items():
+        value = metric["value"]
+        assert type(value) in (int, float) and math.isfinite(value), (name, value)

@@ -10,7 +10,6 @@ from cubicforms import eisenstein, theta_degrees
 from cubicforms.eisenstein import (
     _descent,
     _descent_counts,
-    _good_factor,
     _integer_polynomial,
     _local_factor,
     _omega,
@@ -354,11 +353,43 @@ class TestLocalFactors:
 
 # every rank-2 even lattice with |det G| = 3 has det G = 3: -W and W itself
 _DET3_FORMS = {"w_prime": W_PRIME_GRAM, "w": W_GRAM}
+# the sign of the twist at p = 3 on each of them
+_EPS = {"w_prime": 1, "w": -1}
+
+
+def _good_factor(k: int, p: int, e: int) -> tuple[int, int]:
+    """L_{gamma,n}(k,p) / (1 - chi(p) p^(-k)) as an integer pair at a prime
+    p != 3, with e = 3n, t = v_p(e), x = p^(k-1) and chi = chi_{-3}:
+
+        sum_{j<=t} (chi(p) p^(1-k))^j = (x^(t+1) - chi^(t+1)) / ((x - chi) x^t),
+
+    the local factor of a unimodular binary lattice (Bruinier-Kuss, "Eisenstein
+    series attached to lattices and modular forms on orthogonal groups",
+    Manuscripta Math. 106 (2001)); it holds at p = 2 as well."""
+    t = 0
+    while e % p == 0:
+        e //= p
+        t += 1
+    x, chi = p ** (k - 1), chi_minus3(p)
+    return (x ** (t + 1) - chi ** (t + 1)) // (x - chi), x**t
+
+
+def _factor_at_3(k: int, eps: int, gamma: int, e: int) -> F:
+    """L_{gamma,n}(k,3) with e = 3n: 1 at gamma != 0, and
+    1 + eps chi(u) 3^((1-k)t) at gamma = 0, where e = 3^t u, 3 not dividing u."""
+    if gamma:
+        return F(1)
+    t = 0
+    while e % 3 == 0:
+        e //= 3
+        t += 1
+    return 1 + eps * chi_minus3(e) * F(3) ** ((1 - k) * t)
 
 
 class TestGoodPrimes:
-    """At p not dividing 2 det G = 6 the Euler product takes the closed form
-    _good_factor; the descent in local_euler_factor is its oracle."""
+    """Every factor of the Euler product has a closed form, which
+    vv_eisenstein reads off its divisor sieve; the descent in
+    local_euler_factor is the oracle of each one."""
 
     @pytest.mark.parametrize("name", sorted(_DET3_FORMS))
     def test_closed_form_equals_descent(self, name):
@@ -368,35 +399,48 @@ class TestGoodPrimes:
             for gamma in range(3):
                 for n in _grid(form, gamma, 200):
                     e = as_integer(3 * n, "3n")
-                    for p in (5, 7, 11, 13, 17, 19, 23):
-                        if e % p:
+                    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23):
+                        if (6 * e) % p:  # only the primes of 18n enter
                             continue
                         descent = local_euler_factor(k, form, gamma, n, p)
                         want = descent / (1 - chi_minus3(p) * F(p) ** -k)
-                        assert F(*_good_factor(k, p, e)) == want, (k, gamma, n, p)
+                        if p == 3:
+                            got = _factor_at_3(k, _EPS[name], gamma, e)
+                        else:
+                            got = F(*_good_factor(k, p, e))
+                        assert got == want, (k, gamma, n, p)
                         checked += 1
-        assert checked == {"w_prime": 1995, "w": 1965}[name]
+        assert checked == {"w_prime": 7985, "w": 7955}[name]
 
-    def test_cold_theta_enters_descent_only_at_2_and_3(self, monkeypatch):
+    def test_cold_theta_enters_neither_descent_nor_factorization(self, monkeypatch):
+        """A cold theta_degrees runs the descent at no prime and factors no
+        exponent: factorize is what prime_factors calls."""
+        from cubicforms import exactmath
         from cubicforms.qseries import _MEMO
 
-        primes = set()
-        descent = eisenstein._descent_counts
+        entered = set()
 
-        def spy(gram, lin, const, p, vmax):
-            primes.add(p)
-            return descent(gram, lin, const, p, vmax)
+        def spy(module, name):
+            real = getattr(module, name)
 
+            def wrapper(*args):
+                entered.add(name)
+                return real(*args)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        spy(eisenstein, "_descent_counts")
+        spy(eisenstein, "prime_factors")
+        spy(exactmath, "prime_factors")
+        spy(exactmath, "factorize")
         saved = dict(_MEMO)
-        monkeypatch.setattr(eisenstein, "_descent_counts", spy)
         try:
             _MEMO.clear()
-            _descent.cache_clear()
             assert theta_degrees(240).degree(8) == 3402
         finally:
             _MEMO.clear()
             _MEMO.update(saved)
-        assert primes == {2, 3}
+        assert entered == set()
 
 
 class TestVectorEisenstein:
@@ -447,6 +491,14 @@ class TestVectorEisenstein:
 
         with pytest.raises(ValueError):
             vv_eisenstein(discriminant_form(E8_GRAM), 5, 4)
+
+    def test_memo_served_series_cannot_change_in_place(self):
+        # a write into a component's numerators once reached every later
+        # result served from the precision memo: degree(6) read -778
+        with pytest.raises(TypeError):
+            vv_eisenstein(w_prime_form(), 5, 60).components[0].nums[3] = 7
+        assert vv_eisenstein(w_prime_form(), 5, 60).coefficient(1, 0) == 492
+        assert theta_degrees(30).degree(6) == 192
 
 
 def _oracle_factor(k, form, gamma, n, p):
@@ -503,24 +555,40 @@ def _grid(form, gamma, prec):
     return [offset + j for j in range(prec + 1) if 0 < offset + j < prec]
 
 
+def _form_weights(name_weights):
+    """(form name, k) cases on both det-3 forms; the -W cases keep the bare
+    weight as their id, the W cases are named w-k."""
+    return pytest.mark.parametrize(
+        "name, k",
+        name_weights,
+        ids=[str(k) if name == "w_prime" else f"{name}-{k}" for name, k in name_weights],
+    )
+
+
 class TestIntegerAssembly:
+    """The divisor sieve against the Fraction Euler product _vv_oracle,
+    which runs every prime through the descent, on both det-3 forms: the
+    twist sign eps is where -W and W differ."""
+
     PREC = 120
 
-    @pytest.mark.parametrize("k", [3, 5])
-    def test_series_matches_fraction_oracle(self, w_prime, k):
-        got = vv_eisenstein(w_prime, k, self.PREC)
-        want = _vv_oracle(w_prime, k, self.PREC)
+    @_form_weights([("w_prime", 3), ("w_prime", 5), ("w", 3), ("w", 5), ("w", 7)])
+    def test_series_matches_fraction_oracle(self, name, k):
+        form = discriminant_form(_DET3_FORMS[name])
+        got = vv_eisenstein(form, k, self.PREC)
+        want = _vv_oracle(form, k, self.PREC)
         assert got == want
         for mine, theirs in zip(got.components, want.components):
             assert mine.nums == theirs.nums
             assert (mine.scale, mine.prec) == (theirs.scale, theirs.prec)
 
-    @pytest.mark.parametrize("k", [7, 9, 11])
-    def test_failing_weight_raises_as_oracle(self, w_prime, k):
+    @_form_weights([("w_prime", 7), ("w_prime", 9), ("w_prime", 11), ("w", 9), ("w", 11)])
+    def test_failing_weight_raises_as_oracle(self, name, k):
+        form = discriminant_form(_DET3_FORMS[name])
         with pytest.raises(IntegralityError) as want:
-            _vv_oracle(w_prime, k, self.PREC)
+            _vv_oracle(form, k, self.PREC)
         with pytest.raises(IntegralityError) as got:
-            vv_eisenstein(w_prime, k, self.PREC)
+            vv_eisenstein(form, k, self.PREC)
         assert str(got.value) == str(want.value)
         assert "is not an integer" in str(got.value)
 

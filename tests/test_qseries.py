@@ -216,6 +216,23 @@ class TestReadOnly:
             assert type(g) is QSeries and g == f and hash(g) == hash(f)
             assert (g.den, g.prec, g.nums, g.scale) == (f.den, f.prec, f.nums, f.scale)
 
+    @pytest.mark.parametrize("prec", [F(10, 3), None])
+    def test_numerators_cannot_change_in_place(self, prec):
+        # a memo-served series is shared: a write through nums would change
+        # every later result built from it
+        f = series([(0, -2), (F(4, 3), F(3402, 7))], den=3, prec=prec)
+        for g in (f, copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+            with pytest.raises(TypeError):
+                g.nums[4] = 7
+            with pytest.raises(TypeError):
+                g.nums[1] = 7
+            with pytest.raises(TypeError):
+                del g.nums[0]
+            with pytest.raises(AttributeError):
+                g.nums.clear()
+            assert dict(g.nums) == {0: -2, 4: 486} and g.scale == 1
+            assert g == f
+
 
 class TestExactInputs:
     @pytest.mark.parametrize(
