@@ -2,19 +2,29 @@
 
 ``row_reduce`` is the one elimination over Q: ``det``, ``inverse_and_det``,
 ``qseries.solve_linear_combination`` and ``vvmf.fit_alpha_beta`` read their
-answers off its reduced rows, pivot columns and pivot product.  ``inertia``
-keeps a symmetric congruence, since row operations alone do not preserve
-inertia.  The discriminant group of a lattice needs no elimination over Z:
-``fqm.DiscriminantForm`` closes the columns of G^-1 under addition mod 1.
+answers off its reduced rows, pivot columns and pivot product.  It runs
+fraction-free (Bareiss) on integer rows and builds ``Fraction``s only for
+the answer.  ``inertia`` keeps a symmetric congruence, since row operations
+alone do not preserve inertia; it too runs on integers.  The discriminant
+group of a lattice needs no elimination over Z: ``fqm.DiscriminantForm``
+closes the columns of G^-1 under addition mod 1.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+
+
+def _integer_row(row) -> tuple[list[int], int]:
+    """The row times s, the lcm of its entries' denominators, and s."""
+    ratios = [x.as_integer_ratio() for x in row]
+    s = lcm(1, *[d for _, d in ratios])
+    return [n * (s // d) for n, d in ratios], s
 
 
 def row_reduce(rows, ncols=None):
-    """Gauss-Jordan elimination over Q on a Fraction copy of ``rows``.
+    """Gauss-Jordan elimination over Q of ``rows`` (ints or Fractions).
 
     Only the first ``ncols`` columns (default: all) are eliminated; later
     columns, such as a right-hand side or an identity block, ride along.
@@ -22,29 +32,51 @@ def row_reduce(rows, ncols=None):
     used, and the pivot row is scaled to lead with 1.  Returns the reduced
     rows, the pivot columns (the earliest columns independent of those
     before them) and the product of the pivots, negated once per row swap.
+
+    The elimination is fraction-free (Bareiss, Math. Comp. 22, 1968): each
+    row is scaled to integers by the lcm s of its denominators, and a pivot
+    p updates every other row as (p*x - f*y) // prev, prev the pivot before
+    it (1 at first).  Every entry stays a minor of the scaled rows, so the
+    division is exact, and each earlier pivot row's pivot becomes p.  With
+    P the last pivot, a pivot row is its reduced row times P, a non-pivot
+    row its reduced row times P*s, and the pivot product is +-P over the
+    product of the pivot rows' s; only these quotients are Fractions.
     """
-    a = [[Fraction(x) for x in row] for row in rows]
+    a, scales = [], []
+    for row in rows:
+        ints, s = _integer_row(row)
+        a.append(ints)
+        scales.append(s)
     if ncols is None:
         ncols = len(a[0]) if a else 0
     pivots: list[int] = []
-    product = Fraction(1)
+    sign = prev = used = 1  # used: product of the pivot rows' scales
     for col in range(ncols):
         r = len(pivots)
-        piv = next((i for i in range(r, len(a)) if a[i][col]), None)
-        if piv is None:
+        for piv in range(r, len(a)):
+            if a[piv][col]:
+                break
+        else:
             continue
         if piv != r:
             a[r], a[piv] = a[piv], a[r]
-            product = -product
-        lead = a[r][col]
-        product *= lead
-        a[r] = [x / lead for x in a[r]]
-        for i in range(len(a)):
-            if i != r and a[i][col]:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+            scales[r], scales[piv] = scales[piv], scales[r]
+            sign = -sign
+        top = a[r]
+        p = top[col]
+        used *= scales[r]
+        for i, row in enumerate(a):
+            if i != r:
+                f = row[col]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+        prev = p
         pivots.append(col)
-    return a, pivots, product
+    rank = len(pivots)
+    reduced = [
+        [Fraction(x, prev if i < rank else prev * scales[i]) for x in row]
+        for i, row in enumerate(a)
+    ]
+    return reduced, pivots, Fraction(sign * prev, used)
 
 
 def inverse_and_det(mat) -> tuple[list[list[Fraction]], Fraction]:
@@ -66,35 +98,47 @@ def rational_inverse(mat) -> list[list[Fraction]]:
 
 def inertia(mat) -> tuple[int, int]:
     """Signature (n_plus, n_minus) of a nondegenerate symmetric matrix, by
-    exact symmetric reduction (Sylvester's law of inertia)."""
+    exact symmetric reduction (Sylvester's law of inertia).
+
+    The matrix is scaled to integers by one positive lcm.  Each step takes
+    the first remaining k with a_kk != 0 and counts its sign; if every
+    remaining diagonal entry vanishes, e_i += e_j first makes a_ii =
+    2*a_ij != 0.  Row and column i of each remaining i are scaled by a_kk
+    before a_ik times row and column k is subtracted, a congruence that
+    leaves the remaining block a_kk^2 times the Schur complement.  That
+    block is then divided by |a_kk| times the previous |pivot|, which is
+    exact (Bareiss) and positive, so the signs still follow Sylvester's law.
+    """
     n = len(mat)
-    a = [[Fraction(x) for x in row] for row in mat]
+    rows = [_integer_row(row) for row in mat]
+    s = lcm(1, *[si for _, si in rows])
+    a = [[x * (s // si) for x in ints] for ints, si in rows]
     pos = neg = 0
+    prev = 1
     remaining = list(range(n))
     while remaining:
-        k = next((i for i in remaining if a[i][i] != 0), None)
-        if k is None:
-            # all remaining diagonal entries vanish; e_i += e_j makes
-            # the (i,i) entry 2*a[i][j] != 0
+        for k in remaining:
+            if a[k][k]:
+                break
+        else:
             i = remaining[0]
-            j = next(j for j in remaining if a[i][j] != 0)
+            j = next(j for j in remaining if a[i][j])
             for t in range(n):
                 a[i][t] += a[j][t]
             for t in range(n):
                 a[t][i] += a[t][j]
             k = i
-        if a[k][k] > 0:
+        p = a[k][k]
+        if p > 0:
             pos += 1
         else:
             neg += 1
         remaining.remove(k)
+        top, q = a[k], prev if p > 0 else -prev
         for i in remaining:
-            if a[i][k]:
-                f = a[i][k] / a[k][k]
-                for t in range(n):
-                    a[i][t] -= f * a[k][t]
-                for t in range(n):
-                    a[t][i] -= f * a[t][k]
+            f = a[i][k]
+            a[i] = [(p * x - f * y) // q for x, y in zip(a[i], top)]
+        prev = abs(p)
     return pos, neg
 
 

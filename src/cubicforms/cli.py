@@ -215,7 +215,7 @@ def _suite_weil(gram=None):
 
     def random_element(max_len=10):
         g = Mp2Element.identity()
-        for _ in range(rng.randint(1, max_len)):
+        for _ in range(rng.randrange(1, max_len + 1)):
             tok = rng.choice(["S", "T", "T-"])
             g = g * (
                 Mp2Element.S() if tok == "S" else Mp2Element.T(1 if tok == "T" else -1)
@@ -291,8 +291,8 @@ def _suite_qseries(gram=None):
 
     def random_series(den, prec):
         terms = {
-            e: Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-            for e in range(rng.randint(0, 3), prec * den)
+            e: Fraction(rng.randrange(-9, 10), rng.randrange(1, 5))
+            for e in range(rng.randrange(0, 4), prec * den)
         }
         return QSeries(terms, den, prec)
 
@@ -439,9 +439,11 @@ MAX_TERMS = 2000
 
 # The largest discriminant group order |det G| accepted by --gram.  The
 # closure, the q-values and the Gauss sum all grow with the order:
-# diag(12,12,12,12), order 20736, runs the milgram suite in 6.3-6.6 s on a
-# 2-vCPU Xeon VM under Python 3.11, and diag(12)^5 would list 248832
-# cosets.
+# diag(12,12,12,12), order 20736, runs the milgram suite in 5.6-7.9 s on a
+# 2-vCPU Xeon VM under Python 3.11.7, pinned to one processor (seven runs,
+# spread by the machine's load; 4.7-7.1 s alternating with them before the
+# fraction-free elimination, which leaves this suite's work unchanged), and
+# diag(12)^5 would list 248832 cosets.
 MAX_GRAM_ORDER = 20736
 
 

@@ -388,7 +388,7 @@ def _coset_theta_series(lattice: EvenLattice, offset, prec: Fraction) -> QSeries
     walk counted per integer norm y^T G y = d^2 <v,v>, one Fraction each."""
     bound = 2 * prec - Fraction(2, 3)  # largest half-norm strictly below prec
     d, leaves = _scaled_short_vectors(lattice, offset, bound)
-    counts = Counter(ygy for _y, ygy in leaves)
+    counts = Counter([ygy for _y, ygy in leaves])
     return QSeries.from_terms(
         ((Fraction(ygy, 2 * d * d), c) for ygy, c in counts.items()), 3, prec
     )

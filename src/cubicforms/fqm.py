@@ -471,8 +471,10 @@ def short_vectors(
     S.  The window W_i * t_i^2 <= R is then exactly |t_i| <= isqrt(R // W_i).
     The norm y^T G y = d^2 <v,v> is built from the Gram rows as the walk
     descends, not from the LDL remainder, so it checks the window
-    independently: level i adds y_i * (G_ii * y_i + 2 * sum_{j>i} G_ij * y_j),
-    whose sum over the fixed coordinates j > i is taken once per node.  The
+    independently: level i adds y_i * (G_ii * y_i + 2 * sum_{j>i} G_ij * y_j).
+    Both sums over the fixed coordinates j > i, the window's centre and this
+    one, come from one loop per node over a merged row of (j, K_ij, 2*G_ij),
+    kept where the LDL factor or the Gram entry is nonzero.  The
     last level is a plain loop that keeps y when y^T G y * den(bound) <=
     num(bound) * d^2, in integers.
     """
@@ -513,19 +515,19 @@ def _scaled_short_vectors(
     scale = lcm(bound.denominator, *(w.denominator for w in weights))
     # level i: t = D_i * u_i = D_i * x_i + L_i * base_i + sum_j K_ij * y_j,
     # and the norm so far acc_i = acc_{i+1} + y_i * (G_ii * y_i + h_i) with
-    # h_i = sum_{j>i} 2 * G_ij * y_j, both sums over the fixed j > i
+    # h_i = sum_{j>i} 2 * G_ij * y_j; one row of (j, K_ij, 2 * G_ij) over the
+    # fixed j > i carries both sums
     levels = [
         (
             d * li,
             as_integer(weights[i] * scale, "scaled diagonal"),
             li * base[i],
-            [
-                (j, as_integer(coef[i][j] * li, "LDL factor"))
-                for j in range(i + 1, n)
-                if coef[i][j]
-            ],
             gram[i][i],
-            [(j, 2 * gram[i][j]) for j in range(i + 1, n) if gram[i][j]],
+            [
+                (j, as_integer(coef[i][j] * li, "LDL factor"), 2 * gram[i][j])
+                for j in range(i + 1, n)
+                if coef[i][j] or gram[i][j]
+            ],
         )
         for i, li in enumerate(mults)
     ]
@@ -533,9 +535,12 @@ def _scaled_short_vectors(
     den_bound, cap = bound.denominator, bound.numerator * d * d
 
     def walk(i: int, rem: int, acc: int):
-        di, wi, c, ks, gii, hs = levels[i]
-        c += sum(k * y[j] for j, k in ks)
-        h = sum(g * y[j] for j, g in hs)
+        di, wi, c, gii, row = levels[i]
+        h = 0
+        for j, k, g in row:
+            yj = y[j]
+            c += k * yj
+            h += g * yj
         t_max = isqrt(rem // wi)
         xs = range(-((t_max + c) // di), (t_max - c) // di + 1)
         bi = base[i]

@@ -113,8 +113,9 @@ class QSeries:
                     raise ValueError(f"exponent index {e} is not an integer")
                 e = key.numerator
             c = c if type(c) is Fraction else as_fraction(c, "coefficient")
-            if c.numerator:
-                terms[e] = (c.numerator, c.denominator)
+            n, d = c.as_integer_ratio()
+            if n:
+                terms[e] = (n, d)
         scale = lcm(*[d for _, d in terms.values()])
         self._set({e: n * (scale // d) for e, (n, d) in terms.items()}, scale, den, prec)
 

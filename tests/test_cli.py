@@ -203,6 +203,21 @@ class TestVerify:
             main(["verify", "--suite", "nonsense"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize(
+        "seed, low, high",
+        [(20240817, 1, 10), (20240817, 1, 6), (99, -9, 9), (99, 1, 4), (99, 0, 3)],
+    )
+    def test_suite_draws_are_those_of_randint(self, seed, low, high):
+        # the weil (seed 20240817) and qseries (seed 99) suites draw with
+        # randrange(low, high + 1), which must draw what randint(low, high)
+        # drew, so every random word and series stays the same
+        import random
+
+        a, b = random.Random(seed), random.Random(seed)
+        assert [a.randint(low, high) for _ in range(10000)] == [
+            b.randrange(low, high + 1) for _ in range(10000)
+        ]
+
 
 GOLDEN = Path(__file__).parent / "golden"
 

@@ -565,6 +565,50 @@ def _form_weights(name_weights):
     )
 
 
+class TestWeightParity:
+    """E_k against the Gamma0(3) generators: f = sum_gamma F_gamma(3 tau) lies
+    in M_k(Gamma0(3), chi_{-3}), spanned by alpha^(k-3j) beta^j, and
+    fit_alpha_beta must find f there with 25 or more points to spare.  The
+    sign of the gamma = 0 correction is + at k = 1 mod 4 and - at k = 3 mod 4,
+    but vv_eisenstein takes + at every weight."""
+
+    @pytest.mark.parametrize(
+        "k",
+        [
+            pytest.param(
+                3,
+                marks=pytest.mark.xfail(
+                    raises=ArithmeticError,
+                    strict=True,
+                    reason="k = 3 mod 4 takes sign +, so E_3 leaves the span",
+                ),
+            ),
+            5,
+            *(
+                pytest.param(
+                    k,
+                    marks=pytest.mark.xfail(
+                        raises=IntegralityError, strict=True, reason=reason
+                    ),
+                )
+                for k, reason in (
+                    (7, "k = 3 mod 4 takes sign +, and the true E_7 is not integral"),
+                    (9, "the sign is right, but vv_eisenstein rejects the true "
+                        "coefficients, which are not integers"),
+                    (11, "k = 3 mod 4 takes sign +, and the true E_11 is not integral"),
+                )
+            ),
+        ],
+    )
+    def test_fits_the_gamma0_generators(self, k):
+        from cubicforms.vvmf import fit_alpha_beta
+
+        e = vv_eisenstein(w_prime_form(), k, 120)
+        f = sum(e.components[1:], e.component(0)).rescale_exponent(3)
+        assert f.prec == 360
+        assert fit_alpha_beta(f, k, min_extra=25)[0] == 2  # the constant term
+
+
 class TestIntegerAssembly:
     """The divisor sieve against the Fraction Euler product _vv_oracle,
     which runs every prime through the descent, on both det-3 forms: the

@@ -613,6 +613,43 @@ def test_scaled_walk_matches_per_leaf_oracle(case):
     assert _scaled_short_vectors(lattice, offset, bound) == _walk_oracle(lattice, offset, bound)
 
 
+D4_GRAM = ((2, -1, 0, 0), (-1, 2, -1, -1), (0, -1, 2, 0), (0, -1, 0, 2))
+
+
+def _ldl_factor(gram, i, j):
+    """coef_ij of the exact LDL^T form that the walk centres its windows on."""
+    n = len(gram)
+    a = [[F(x) for x in row] for row in gram]
+    for r in range(i):
+        for s in range(r + 1, n):
+            for t in range(r + 1, n):
+                a[s][t] -= a[r][s] * a[r][t] / a[r][r]
+    return a[i][j] / a[i][i]
+
+
+@pytest.mark.parametrize(
+    "gram, fill",
+    [
+        # G_12 = 0 while the LDL factor there is -1/3
+        (((2, 1, 1), (1, 2, 0), (1, 0, 2)), (1, 2)),
+        (D4_GRAM, (2, 3)),
+        # the converse: G_12 = 2 while the LDL factor there cancels to 0
+        (((2, 2, 2), (2, 4, 2), (2, 2, 4)), (1, 2)),
+    ],
+)
+@pytest.mark.parametrize("offset_num, den, bound", [(0, 1, 8), (1, 2, F(20, 3)), (2, 3, 6)])
+def test_merged_row_keeps_factor_and_gram_entries(gram, fill, offset_num, den, bound):
+    """Each level's row of (j, K_ij, 2 G_ij) must keep j where either the LDL
+    factor or the Gram entry is nonzero; these cases have one without the
+    other, so a row filtered on one alone drifts from the oracle."""
+    i, j = fill
+    assert (gram[i][j] == 0) != (_ldl_factor(gram, i, j) == 0)
+    lattice = EvenLattice(gram)
+    offset = tuple(F(offset_num * (k + 1), den) for k in range(len(gram)))
+    got = _scaled_short_vectors(lattice, offset, bound)
+    assert got[1] and got == _walk_oracle(lattice, offset, bound)
+
+
 def test_e8_walk_norms_and_order_at_bound_8():
     d, leaves = _scaled_short_vectors(EvenLattice(E8_GRAM), (0,) * 8, 8)
     assert d == 1 and len(leaves) == 26641

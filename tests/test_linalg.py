@@ -1,6 +1,7 @@
 """Exact linear algebra over Q, checked against independent exact oracles:
-the Leibniz permutation sum for determinants and minors, and Descartes'
-rule of signs on the characteristic polynomial for the inertia."""
+the Leibniz permutation sum for determinants and minors, Descartes' rule of
+signs on the characteristic polynomial for the inertia, and the Fraction
+eliminations that the fraction-free ones replaced."""
 
 from fractions import Fraction as F
 from itertools import combinations, permutations
@@ -10,9 +11,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cubicforms._linalg import det, inertia, rational_inverse, row_reduce
-from cubicforms.fqm import U_GRAM, W_GRAM
-from lattices import direct_sum
+from cubicforms._linalg import det, inertia, inverse_and_det, rational_inverse, row_reduce
+from cubicforms.fqm import E8_GRAM, U_GRAM, W_GRAM
+from lattices import direct_sum, lambda0_prime_gram
 
 entries = st.builds(F, st.integers(-6, 6), st.sampled_from((1, 1, 1, 2, 3)))
 
@@ -191,3 +192,146 @@ def test_inertia_adds_under_direct_sums(a, b):
 def test_inertia_of_hyperbolic_plane():
     assert inertia(U_GRAM) == (1, 1)
     assert inertia(direct_sum(W_GRAM, U_GRAM)) == (3, 1)
+
+
+# ---------------------------------------------------------------------------
+# the Fraction eliminations that row_reduce and inertia replaced, as oracles
+# ---------------------------------------------------------------------------
+
+def fraction_row_reduce(rows, ncols=None):
+    """Gauss-Jordan over Q on Fraction rows, each pivot row divided by its
+    lead: the pivot rule, swaps and row order that row_reduce keeps."""
+    a = [[F(x) for x in row] for row in rows]
+    if ncols is None:
+        ncols = len(a[0]) if a else 0
+    pivots = []
+    product = F(1)
+    for col in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(a)) if a[i][col]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            product = -product
+        lead = a[r][col]
+        product *= lead
+        a[r] = [x / lead for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][col]:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(col)
+    return a, pivots, product
+
+
+def fraction_inertia(mat):
+    """Symmetric reduction over Q: the first remaining nonzero diagonal entry
+    pivots, and e_i += e_j makes one when every remaining one vanishes."""
+    n = len(mat)
+    a = [[F(x) for x in row] for row in mat]
+    pos = neg = 0
+    remaining = list(range(n))
+    while remaining:
+        k = next((i for i in remaining if a[i][i] != 0), None)
+        if k is None:
+            i = remaining[0]
+            j = next(j for j in remaining if a[i][j] != 0)
+            for t in range(n):
+                a[i][t] += a[j][t]
+            for t in range(n):
+                a[t][i] += a[t][j]
+            k = i
+        if a[k][k] > 0:
+            pos += 1
+        else:
+            neg += 1
+        remaining.remove(k)
+        for i in remaining:
+            if a[i][k]:
+                f = a[i][k] / a[k][k]
+                for t in range(n):
+                    a[i][t] -= f * a[k][t]
+                for t in range(n):
+                    a[t][i] -= f * a[t][k]
+    return pos, neg
+
+
+@st.composite
+def eliminations(draw):
+    """(rows, ncols): rational rows, often rank-deficient, with ncols up to
+    the width, a zero leading column or a zero leading entry that forces a
+    row swap."""
+    m = draw(st.integers(1, 5))
+    width = draw(st.integers(1, 6))
+    mat = [[draw(entries) for _ in range(width)] for _ in range(m)]
+    if m > 1 and draw(st.booleans()):
+        # a later row becomes a combination of the rows before it
+        r = draw(st.integers(1, m - 1))
+        cs = [draw(entries) for _ in range(r)]
+        mat[r] = [sum((c * row[j] for c, row in zip(cs, mat)), F(0)) for j in range(width)]
+    shape = draw(st.sampled_from(("plain", "zero-column", "swap")))
+    if shape == "zero-column":
+        for row in mat:
+            row[0] = F(0)
+    elif shape == "swap":
+        mat[0][0] = F(0)
+    ncols = draw(st.one_of(st.none(), st.integers(0, width)))
+    return mat, ncols
+
+
+@settings(deadline=None, max_examples=200)
+@given(eliminations())
+def test_row_reduce_matches_fraction_oracle(case):
+    mat, ncols = case
+    assert row_reduce(mat, ncols) == fraction_row_reduce(mat, ncols)
+
+
+@pytest.mark.parametrize(
+    "mat, ncols",
+    [
+        ([[0, 1], [1, 0]], None),  # the first column pivots on row 1
+        ([[0, 0, 1], [0, 2, 3]], None),  # a zero leading column, then a swap
+        ([[1, 2, 5], [2, 4, 7]], 2),  # rank 1 in the eliminated columns
+        ([[F(1, 2), F(1, 3), 1], [F(1, 4), F(1, 6), F(2, 5)]], 2),
+        ([[0, 0], [0, 0]], None),  # rank 0: no pivot, product 1
+    ],
+)
+def test_row_reduce_pinned_cases_match_fraction_oracle(mat, ncols):
+    assert row_reduce(mat, ncols) == fraction_row_reduce(mat, ncols)
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.one_of(symmetric(), symmetric().map(lambda a: [[F(x, 6) for x in r] for r in a])))
+def test_inertia_matches_fraction_oracle(a):
+    assert inertia(a) == fraction_inertia(a)
+
+
+@pytest.mark.parametrize(
+    "gram, expected",
+    [
+        (U_GRAM, (1, 1)),
+        (direct_sum(W_GRAM, U_GRAM), (3, 1)),
+        (lambda0_prime_gram(), (2, 20)),  # two U blocks: the zero-diagonal branch
+    ],
+)
+def test_inertia_of_indefinite_lattices_matches_fraction_oracle(gram, expected):
+    assert inertia(gram) == fraction_inertia(gram) == expected
+
+
+def test_inverse_and_det_builds_fractions_only_for_its_answer(monkeypatch):
+    """Every Fraction made while inverting E8, counted at its constructor:
+    at most one per entry of the reduced [G | I] and one for the product."""
+    built = []
+    real_new = F.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return real_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", staticmethod(counting_new))
+    inverse, d = inverse_and_det(E8_GRAM)
+    monkeypatch.undo()
+    assert d == 1
+    assert mul(inverse, E8_GRAM) == [[int(i == j) for j in range(8)] for i in range(8)]
+    assert 0 < len(built) <= 8 * 16 + 1
