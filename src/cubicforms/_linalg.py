@@ -108,6 +108,8 @@ def inertia(mat) -> tuple[int, int]:
     leaves the remaining block a_kk^2 times the Schur complement.  That
     block is then divided by |a_kk| times the previous |pivot|, which is
     exact (Bareiss) and positive, so the signs still follow Sylvester's law.
+    A degenerate matrix leaves a remaining block with a zero row, which
+    raises ValueError.
     """
     n = len(mat)
     rows = [_integer_row(row) for row in mat]
@@ -122,7 +124,9 @@ def inertia(mat) -> tuple[int, int]:
                 break
         else:
             i = remaining[0]
-            j = next(j for j in remaining if a[i][j])
+            j = next((j for j in remaining if a[i][j]), None)
+            if j is None:  # a zero row of the remaining block
+                raise ValueError("inertia of a degenerate symmetric matrix (det 0)")
             for t in range(n):
                 a[i][t] += a[j][t]
             for t in range(n):

@@ -18,7 +18,10 @@ with a width-byte slot per k, wide enough for max|a| * max|b| * min(len)
 and a sign bit; a bias of half the slot range keeps every slot nonnegative
 while packing and unpacking and comes off once, times the repunit.  The
 product is reduced to the slots below the cutoff with a mask (never with
-``%``, whose long division is quadratic) and unpacked slot by slot.
+``%``, whose long division is quadratic).  Packing and unpacking make no
+interpreter call per slot: ``map`` runs ``int.to_bytes`` over the biased
+slots and ``int.from_bytes`` over the product's chunks in C, and the zero
+slots fall to the filter that every result passes through.
 
 A ``VectorForm`` is an immutable ``_Value``: a weight, a discriminant form
 and one ``QSeries`` per coset, with the gamma and -gamma components one
@@ -32,7 +35,9 @@ direction.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm
+from operator import sub
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -79,12 +84,13 @@ def _pack(nums: dict[int, int], low: int, s: int, size: int, blank: bytes) -> in
     bias comes off once from every slot."""
     width = len(blank)
     bias = 1 << (8 * width - 1)
-    slots = [blank] * size
+    slots = [bias] * size
     for e, n in nums.items():
         k = (e - low) // s
         if k < size:
-            slots[k] = (n + bias).to_bytes(width, "little")
-    return int.from_bytes(b"".join(slots), "little") - int.from_bytes(blank * size, "little")
+            slots[k] = n + bias
+    packed = b"".join(map(int.to_bytes, slots, repeat(width), repeat("little")))
+    return int.from_bytes(packed, "little") - int.from_bytes(blank * size, "little")
 
 
 class QSeries:
@@ -112,8 +118,11 @@ class QSeries:
                 if key.denominator != 1:
                     raise ValueError(f"exponent index {e} is not an integer")
                 e = key.numerator
-            c = c if type(c) is Fraction else as_fraction(c, "coefficient")
-            n, d = c.as_integer_ratio()
+            if type(c) is int:
+                n, d = c, 1
+            else:
+                c = c if type(c) is Fraction else as_fraction(c, "coefficient")
+                n, d = c.as_integer_ratio()
             if n:
                 terms[e] = (n, d)
         scale = lcm(*[d for _, d in terms.values()])
@@ -249,7 +258,10 @@ class QSeries:
         out = {e * fa: n * ma for e, n in self.nums.items()}
         for e, n in other.nums.items():
             e *= fb
-            out[e] = out.get(e, 0) + n * mb
+            if e in out:
+                out[e] += n * mb
+            else:
+                out[e] = n * mb
         precs = [p for p in (self.prec, other.prec) if p is not None]
         return _series(out, scale, den, min(precs, default=None))
 
@@ -313,12 +325,10 @@ class QSeries:
                 )
                 biased = packed + int.from_bytes(blank * size, "little")
                 data = (biased & ((1 << (8 * width * size)) - 1)).to_bytes(width * size, "little")
+                chunks = [data[i : i + width] for i in range(0, width * size, width)]
+                values = map(int.from_bytes, chunks, repeat("little"))
                 bias = 1 << (8 * width - 1)
-                out = {
-                    lo + s * (i // width): int.from_bytes(chunk, "little") - bias
-                    for i in range(0, width * size, width)
-                    if (chunk := data[i : i + width]) != blank
-                }
+                out = dict(zip(range(lo, lo + s * size, s), map(sub, values, repeat(bias))))
         return _series(out, self.scale * other.scale, den, prec)
 
     __rmul__ = __mul__

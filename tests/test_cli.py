@@ -1,5 +1,7 @@
 import io
 import json
+import random
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -8,10 +10,12 @@ from cubicforms.cli import (
     MAX_GRAM_ORDER,
     MAX_TERMS,
     _gram_matrix,
+    _suite_qseries,
     build_parser,
     canonical_json,
     main,
 )
+from cubicforms.qseries import QSeries
 
 
 def run(argv):
@@ -217,6 +221,55 @@ class TestVerify:
         assert [a.randint(low, high) for _ in range(10000)] == [
             b.randrange(low, high + 1) for _ in range(10000)
         ]
+
+    def test_qseries_suite_draws_the_fraction_oracle_series(self):
+        # every series the three checks draw is the one that the oracle, the
+        # suite's former Fraction-built random_series, makes from the same
+        # position of the same random.Random(99) stream, and both consume
+        # the same draws
+        checks = _suite_qseries()
+        ring = checks[0][1]
+        cells = dict(zip(ring.__code__.co_freevars, ring.__closure__))
+        rng, cell = cells["rng"].cell_contents, cells["random_series"]
+        assert rng.getstate() == random.Random(99).getstate()
+        suite_series, drawn = cell.cell_contents, []
+
+        def recording(den, prec):
+            state = rng.getstate()
+            got = suite_series(den, prec)
+            oracle_rng = random.Random()
+            oracle_rng.setstate(state)
+            want = fraction_random_series(oracle_rng, den, prec)
+            drawn.append((got, want, oracle_rng.getstate() == rng.getstate()))
+            return got
+
+        cell.cell_contents = recording
+        assert [check() for _, check in checks] == [True, True, True]
+        assert len(drawn) == 200 * 3 + 50 * 2 + 50 * 2
+        for got, want, same_stream in drawn:
+            assert same_stream
+            assert (got.den, got.prec, dict(got.nums), got.scale) == (
+                want.den, want.prec, dict(want.nums), want.scale
+            )
+
+    def test_qseries_suite_passes(self):
+        code, out = run(["verify", "--suite", "qseries"])
+        assert code == 0
+        assert out == (
+            "pass  qseries: qseries-ring-axioms-200\n"
+            "pass  qseries: qseries-leibniz-50\n"
+            "pass  qseries: qseries-truncation-soundness-50\n"
+        )
+
+
+def fraction_random_series(rng, den, prec):
+    """The qseries suite's random series as it was built from one Fraction
+    per coefficient, kept as the oracle of its integer draws."""
+    terms = {
+        e: F(rng.randrange(-9, 10), rng.randrange(1, 5))
+        for e in range(rng.randrange(0, 4), prec * den)
+    }
+    return QSeries(terms, den, prec)
 
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -319,6 +319,54 @@ def test_inertia_of_indefinite_lattices_matches_fraction_oracle(gram, expected):
     assert inertia(gram) == fraction_inertia(gram) == expected
 
 
+@pytest.mark.parametrize(
+    "mat",
+    [
+        [[0]],
+        [[0, 0], [0, 0]],
+        [[1, 1], [1, 1]],
+        [[0, 0, 0], [0, 0, 1], [0, 1, 0]],  # a zero row beside U: all diagonals vanish
+        [[F(1, 2), F(1, 3)], [F(1, 3), F(2, 9)]],
+        direct_sum(U_GRAM, [[0]]),
+        direct_sum(W_GRAM, [[2, 2], [2, 2]]),
+    ],
+)
+def test_inertia_of_degenerate_matrix_raises(mat):
+    assert leibniz(mat) == 0
+    with pytest.raises(ValueError, match="degenerate"):
+        inertia(mat)
+
+
+@st.composite
+def any_symmetric(draw):
+    """Symmetric matrices, degenerate about as often as not: small entries,
+    or M^T D M with M of fewer rows than columns (rank below the size)."""
+    n = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        a = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                a[i][j] = a[j][i] = draw(st.integers(-2, 2))
+    else:
+        k = draw(st.integers(0, n - 1))
+        m = [[draw(st.integers(-3, 3)) for _ in range(n)] for _ in range(k)]
+        d = [draw(st.integers(-3, 3)) for _ in range(k)]
+        a = [[sum(m[r][i] * d[r] * m[r][j] for r in range(k)) for j in range(n)] for i in range(n)]
+    if draw(st.booleans()):
+        a = [[F(x, 6) for x in row] for row in a]
+    return a
+
+
+@settings(deadline=None, max_examples=200)
+@given(any_symmetric())
+def test_inertia_raises_exactly_when_det_is_zero(a):
+    if leibniz(a) == 0:
+        with pytest.raises(ValueError, match="degenerate"):
+            inertia(a)
+    else:
+        assert inertia(a) == fraction_inertia(a) == descartes_inertia(a)
+
+
 def test_inverse_and_det_builds_fractions_only_for_its_answer(monkeypatch):
     """Every Fraction made while inverting E8, counted at its constructor:
     at most one per entry of the reduced [G | I] and one for the product."""

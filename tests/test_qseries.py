@@ -1,4 +1,5 @@
 import copy
+import cProfile
 import json
 import pickle
 import random
@@ -275,6 +276,41 @@ class TestExactInputs:
         # a truncated constant is not the number, whatever it hashes as
         assert QSeries.constant(3).truncate(5) != 3
 
+    @pytest.mark.parametrize(
+        "coeffs, nums, scale",
+        [
+            ({0: 3, 2: -7}, {0: 3, 2: -7}, 1),
+            ({0: 4, 1: 6}, {0: 4, 1: 6}, 1),  # scale 1: a common factor of 2 stays
+            ({0: 2**80, 5: -(2**80)}, {0: 2**80, 5: -(2**80)}, 1),
+            ({1: True, 3: False}, {1: 1}, 1),
+            ({0: F(1, 2), 1: F(-2, 3)}, {0: 3, 1: -4}, 6),
+            ({0: F(4, 2), 1: F(-9, 3)}, {0: 2, 1: -3}, 1),  # integral Fractions
+            ({0: 3, 1: True, 2: F(1, 2), 3: F(4, 2)}, {0: 6, 1: 2, 2: 1, 3: 4}, 2),
+        ],
+        ids=["int", "int-even", "big-int", "bool", "fraction", "integral-fraction", "mixed"],
+    )
+    def test_coefficient_types_give_the_same_layout(self, coeffs, nums, scale):
+        f = QSeries(coeffs, 1, 6)
+        assert (dict(f.nums), f.scale, f.den, f.prec) == (nums, scale, 1, F(6))
+        assert all(type(n) is int for n in f.nums.values())
+        assert f == QSeries({e: F(c) for e, c in coeffs.items()}, 1, 6)
+        assert f.coeffs == {e: F(c) for e, c in coeffs.items() if c}
+
+    def test_all_int_series_has_scale_one(self):
+        f = QSeries({e: e * e - 5 for e in range(40)})
+        assert f.scale == 1 and dict(f.nums) == {e: e * e - 5 for e in range(40)}
+
+    @pytest.mark.parametrize("coeffs", [{0: 0}, {0: 0, 3: 0}, {0: False}, {0: F(0)}])
+    def test_zero_coefficients_give_zero(self, coeffs):
+        f = QSeries(coeffs)
+        assert f.is_zero() and dict(f.nums) == {} and f.scale == 1
+        assert f == QSeries.zero() == 0
+
+    @pytest.mark.parametrize("coeffs", [{0: 1.0}, {0: 1, 1: 2.0}, {0: 0.0}])
+    def test_float_coefficient_raises_type_error(self, coeffs):
+        with pytest.raises(TypeError, match="coefficient must be an int or a Fraction"):
+            QSeries(coeffs)
+
 
 def _naive_mul(f, g):
     """The product by a plain Fraction double loop, with the same truncation
@@ -368,6 +404,101 @@ def test_packed_mul_edge_factors(f, g):
     for x, y in ((f, g), (g, f)):
         got, ref = x * y, _naive_mul(x, y)
         assert (got.den, got.prec, got.coeffs) == (ref.den, ref.prec, ref.coeffs)
+
+
+# (w, bound, n, x, y): n equal terms x times n equal terms y make the slot
+# bound max|a| * max|b| * min(len) = n*x*y, and the middle slot reaches it;
+# 2^(8w - 1) - 1 is the largest bound a w-byte slot holds, 2^(8w - 1) the
+# first that takes w + 1 bytes
+_SLOT_BOUNDS = [
+    (1, 2**7 - 1, 127, 1, 1),
+    (1, 2**7, 2, 8, 8),
+    (2, 2**15 - 1, 7, 31, 151),
+    (2, 2**15, 8, 64, 64),
+    (3, 2**23 - 1, 47, 1, 178481),
+    (3, 2**23, 8, 2**10, 2**10),
+]
+
+
+@pytest.mark.parametrize("sign", [1, -1], ids=["plus", "minus"])
+@pytest.mark.parametrize(
+    "w, bound, n, x, y", _SLOT_BOUNDS, ids=[f"w{w}-{b}" for w, b, *_ in _SLOT_BOUNDS]
+)
+def test_packed_mul_at_the_slot_bound(w, bound, n, x, y, sign):
+    assert n * x * y == bound and bound - 2 ** (8 * w - 1) in (-1, 0)
+    f = QSeries({k: x for k in range(n)})
+    g = QSeries({k: sign * y for k in range(n)})
+    for h in (g, g.truncate(n)):  # exact, and cut just past the middle slot
+        got, ref = f * h, _naive_mul(f, h)
+        assert (got.den, got.prec, got.coeffs) == (ref.den, ref.prec, ref.coeffs)
+        assert got.coeffs[n - 1] == sign * bound
+
+
+@pytest.mark.parametrize(
+    "f, g",
+    [
+        (QSeries({0: 1, 1: 1}), QSeries({0: 1, 1: -1})),  # 1 - q^2
+        (QSeries({0: 1, 1: 1, 2: 1}), QSeries({0: 1, 1: -1})),  # 1 - q^3
+        (QSeries({0: 2**70, 1: 2**70}), QSeries({0: 3, 1: -3}, 1, 9)),  # big slots
+        (QSeries({0: F(1, 2), 1: F(1, 2), 2: F(1, 2)}, 3), QSeries({0: 1, 1: -1}, 3, 5)),
+        (QSeries({0: 1, 1: 1}), QSeries({0: 1, 1: -1}, 1, 2)),  # 1 + 0*q: zero top slot
+        (QSeries({0: 1, 1: 1}), QSeries({0: 1, 1: -1, 2: 1}, 1, 3)),  # 1 + 0*q + 0*q^2
+        (QSeries({0: 1, 1: 1}), QSeries({0: 1, 1: -1}, 1, 1)),  # the one slot kept is 1
+        (QSeries({0: 1, 2: 1}, 1, 3), QSeries({0: 1, 2: -1})),  # stride 2: 1 + 0*q^2
+    ],
+    ids=[
+        "interior-zero", "two-interior-zeros", "big-interior-zeros", "den3-interior-zeros",
+        "zero-top-slot", "two-zero-top-slots", "one-slot", "stride-two-zero-top-slot",
+    ],
+)
+def test_packed_mul_with_zero_slots(f, g):
+    for x, y in ((f, g), (g, f)):
+        got, ref = x * y, _naive_mul(x, y)
+        assert (got.den, got.prec, got.coeffs) == (ref.den, ref.prec, ref.coeffs)
+        assert all(got.nums.values())
+
+
+@pytest.mark.parametrize(
+    "f, g",
+    [
+        (QSeries({1: 2, 4: -3, 7: 5}, 3), QSeries({2: 1, 5: 4, 11: -7}, 3)),
+        (QSeries({1: 2, 4: -3, 7: 5}, 3, F(10, 3)), QSeries({-1: F(1, 7), 8: 4}, 3)),
+        (QSeries({0: 1, 1: 2, 3: -1}), QSeries({1: 1, 4: 2, 13: -3}, 3, 6)),  # den 1 x den 3
+    ],
+    ids=["exact", "truncated", "mixed-den"],
+)
+def test_packed_mul_on_a_stride_three_progression(f, g):
+    for x, y in ((f, g), (g, f)):
+        got, ref = x * y, _naive_mul(x, y)
+        assert (got.den, got.prec, got.coeffs) == (ref.den, ref.prec, ref.coeffs)
+
+
+def _profiled_calls(fn) -> int:
+    """Calls made while fn() runs, counted as ``perfbench/probe.py count``
+    counts them: the sum of the call counts of cProfile's entries."""
+    fn()  # once unprofiled, so nothing is counted that only a first call does
+    profiler = cProfile.Profile()
+    profiler.enable()
+    fn()
+    profiler.disable()
+    return sum(e.callcount for e in profiler.getstats())
+
+
+def _int_terms(n):
+    return {k: (k * 7919) % 23 - 11 or 5 for k in range(n)}
+
+
+def test_packed_mul_makes_no_call_per_slot():
+    def product(n):
+        f, g = QSeries(_int_terms(n), 1, n), QSeries(_int_terms(n + 3), 1, n + 1)
+        return lambda: f * g
+
+    assert _profiled_calls(product(30)) == _profiled_calls(product(3000))
+
+
+def test_integer_coefficients_make_no_call_per_term():
+    small, large = _int_terms(10), _int_terms(1000)
+    assert _profiled_calls(lambda: QSeries(small)) == _profiled_calls(lambda: QSeries(large))
 
 
 _EXACT = QSeries({-2: F(1, 2), 1: 3}, 3)  # lowest exponent -2/3, prec None
