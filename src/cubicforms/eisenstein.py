@@ -5,8 +5,9 @@ order-3 discriminant form, assembled from local Euler products.
 The vector-valued coefficients are computed exactly: the transcendental parts
 of the normalizing L-value cancel against Bernoulli sums, and every local
 factor has a closed form, so the series is read off one twisted divisor sieve.
-The same factors, built from representation counts of a quadratic congruence
-by descent, are kept as the oracle of that closed form.
+The same factors, assembled by ``local_euler_factor`` from representation
+counts of a quadratic congruence by one memoized descent, are kept as the
+tests' oracle of that closed form; nothing on the series path calls them.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .exactmath import (
     bernoulli_number,
     bernoulli_poly,
     chi_minus3,
+    p_valuation,
     prime_factors,
 )
 from .fqm import (
@@ -109,35 +111,21 @@ def beta_series(prec: int) -> QSeries:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _coset_constants(form: DiscriminantForm, gamma: int):
-    """(lin, (a, b), 2*d_gamma) for coset gamma: lin = -Gram * rep, integral
-    by duality, a/b = q(rep) = (1/2)<rep, rep>, and d_gamma the order of
-    gamma.  Computed once per (form, gamma) and shared by every (n, p)."""
+def _integer_polynomial(form: DiscriminantForm, gamma: int, n: Fraction):
+    """The congruence (1/2)(r-gamma)^2 + n as an integer polynomial in r.
+
+    Evenness gives (1/2)<r,r> in Z[r]; duality gives <r,gamma> in Z[r]; and
+    q(gamma) + n in Z makes the constant term integral.  Returns (quad, lin,
+    const) with quad the Gram matrix and lin = -Gram * gamma.
+    """
     lat = form.lattice
     rep = form.cosets[gamma]
     lin = tuple(
         -as_integer(sum(Fraction(g) * r for g, r in zip(row, rep)), "dual pairing coefficient")
         for row in lat.gram
     )
-    q = lat.half_norm(rep)
-    return lin, (q.numerator, q.denominator), 2 * form.element_order(gamma)
-
-
-def _integer_polynomial(form: DiscriminantForm, gamma: int, n: tuple[int, int]):
-    """The congruence (1/2)(r-gamma)^2 + n as an integer polynomial in r, with
-    n given as a pair (numerator, denominator), not necessarily reduced.
-
-    Evenness gives (1/2)<r,r> in Z[r]; duality gives <r,gamma> in Z[r]; and
-    q(gamma) + n in Z makes the constant term integral.  Returns (quad, lin,
-    const) with quad the Gram matrix and lin = -Gram * gamma.
-    """
-    lin, (a, b), _ = _coset_constants(form, gamma)
-    num, den = n
-    const, rem = divmod(a * den + num * b, b * den)
-    if rem:  # as_integer raises, naming the value
-        n = Fraction(num, den)
-        as_integer(Fraction(a, b) + n, f"q(gamma) + n for coset {gamma}, n = {n}")
-    return form.lattice.gram, lin, const
+    const = as_integer(lat.half_norm(rep) + n, f"q(gamma) + n for coset {gamma}, n = {n}")
+    return lat.gram, lin, const
 
 
 def prime_power_counts(
@@ -166,8 +154,7 @@ def prime_power_counts(
     if not isinstance(vmax, int) or vmax < 0:
         raise ValueError(f"vmax must be an integer >= 0, got {vmax!r}")
     n = as_fraction(n, "n")
-    gram, lin, const = _integer_polynomial(form, gamma, (n.numerator, n.denominator))
-    return list(_descent_counts(gram, lin, const, _prime(p), vmax))
+    return list(_descent(*_integer_polynomial(form, gamma, n), _prime(p), vmax))
 
 
 def _prime(p: int) -> int:
@@ -186,12 +173,9 @@ def _gradient(gram, lin, x) -> list[int]:
     return [sum(g * xj for g, xj in zip(row, x)) + b for row, b in zip(gram, lin)]
 
 
-@lru_cache(maxsize=None)
 def _solutions_mod_p(gram, lin, const, p: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """(number of nonsingular solutions of f = 0 mod p, the singular ones).
-
-    The answer depends only on lin and const mod p, so callers pass them
-    reduced and the result is shared by every (gamma, n) and descent level."""
+    """(number of nonsingular solutions of f = 0 mod p, the singular ones),
+    with the singular points as residues in [0, p)."""
     if len(gram) == 2:
         (a, h), (_, d) = gram
         det = a * d - h * h
@@ -213,20 +197,14 @@ def _solutions_mod_p(gram, lin, const, p: int) -> tuple[int, tuple[tuple[int, ..
     return nonsingular, tuple(singular)
 
 
-def _descent_counts(gram, lin, const: int, p: int, vmax: int) -> tuple[int, ...]:
-    """(N(p^0), ..., N(p^vmax)) for f(r) = r^T gram r / 2 + lin.r + const,
-    which depend on f only mod p^vmax: one memoized descent per residue class."""
-    m = p**vmax
-    return _descent(gram, tuple([b % m for b in lin]), const % m, p, vmax)
-
-
 @lru_cache(maxsize=None)
 def _descent(gram, lin, const: int, p: int, vmax: int) -> tuple[int, ...]:
+    """(N(p^0), ..., N(p^vmax)) for f(r) = r^T gram r / 2 + lin.r + const."""
     rank = len(gram)
     counts = [1] + [0] * vmax
     if vmax == 0:
         return (1,)
-    nonsingular, singular = _solutions_mod_p(gram, tuple(b % p for b in lin), const % p, p)
+    nonsingular, singular = _solutions_mod_p(gram, lin, const, p)
     for v in range(1, vmax + 1):
         counts[v] = nonsingular * p ** ((v - 1) * (rank - 1))
     counts[1] += len(singular)
@@ -235,55 +213,35 @@ def _descent(gram, lin, const: int, p: int, vmax: int) -> tuple[int, ...]:
         if vmax < 2 or val % (p * p):
             continue
         g = tuple(d // p for d in _gradient(gram, lin, x))
-        sub = _descent_counts(gram, g, val // (p * p), p, vmax - 2)
+        sub = _descent(gram, g, val // (p * p), p, vmax - 2)
         for v in range(2, vmax + 1):
             counts[v] += p**rank * sub[v - 2]
     return tuple(counts)
-
-
-def _omega(form: DiscriminantForm, gamma: int, n: tuple[int, int], p: int) -> int:
-    """1 + 2 v_p(2 d_gamma n), with n a pair (numerator, denominator)."""
-    d2 = _coset_constants(form, gamma)[2]
-    num, den = n
-    m, rem = divmod(d2 * num, den)
-    if rem:
-        as_integer(Fraction(d2 * num, den), "2*d_gamma*n")
-    v = 0
-    while m % p == 0:
-        m //= p
-        v += 1
-    return 1 + 2 * v
-
-
-def _local_factor(
-    k: int, form: DiscriminantForm, gamma: int, n: tuple[int, int], p: int
-) -> tuple[int, int]:
-    """L_{gamma,n}(k,p) as the integer pair (numerator, p^(k*omega+k-1)), with
-    n a pair (numerator, denominator); the numerator is
-    (p^(k-1) - 1) sum_{v<omega} N(p^v) p^(k(omega-v)) + p^(k-1) N(p^omega)."""
-    w = _omega(form, gamma, n, p)
-    counts = _descent_counts(*_integer_polynomial(form, gamma, n), p, w)
-    pk, pk1 = p**k, p ** (k - 1)
-    head = 0  # sum_{v<w} N(p^v) p^(k(w-v)), by Horner
-    for c in counts[:w]:
-        head = (head + c) * pk
-    return (pk1 - 1) * head + pk1 * counts[w], pk1 * pk**w
 
 
 def local_euler_factor(
     k: int, form: DiscriminantForm, gamma: int, n: Fraction, p: int
 ) -> Fraction:
     """L_{gamma,n}(k,p) = (1-p^(1-k)) sum_{v<omega} N(p^v) p^(-kv)
-                          + N(p^omega) p^(-k*omega),  p prime.
+                          + N(p^omega) p^(-k*omega),  p prime,
 
-    A ``Fraction`` shell over the integer core ``_local_factor``, which
-    assembles the factor by the descent over the fixed denominator
-    p^(k*omega+k-1) and returns the pair.  It is the oracle, not the hot
-    path: ``vv_eisenstein`` takes every factor in closed form, and the tests
-    check each closed form against this descent.
+    with omega = 1 + 2 v_p(2 d_gamma n), d_gamma the order of gamma, and n > 0
+    (n = 0 has no valuation and raises ``ValueError``).  The counts come from
+    the descent of ``prime_power_counts``; the sum is taken by Horner over the
+    denominator p^(k*omega+k-1), with one ``Fraction`` at the end.  It is the
+    oracle, not the hot path: ``vv_eisenstein`` takes every factor in closed
+    form, and the tests check each closed form against this descent.
     """
     n = as_fraction(n, "n")
-    return Fraction(*_local_factor(k, form, gamma, (n.numerator, n.denominator), _prime(p)))
+    p = _prime(p)
+    two_d_n = as_integer(2 * form.element_order(gamma) * n, "2*d_gamma*n")
+    w = 1 + 2 * p_valuation(two_d_n, p)
+    counts = _descent(*_integer_polynomial(form, gamma, n), p, w)
+    pk, pk1 = p**k, p ** (k - 1)
+    head = 0  # sum_{v<w} N(p^v) p^(k(w-v)), by Horner
+    for c in counts[:w]:
+        head = (head + c) * pk
+    return Fraction((pk1 - 1) * head + pk1 * counts[w], pk1 * pk**w)
 
 
 def l_value_ratio(k: int) -> Fraction:

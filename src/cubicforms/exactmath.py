@@ -8,11 +8,11 @@ holds eight integer numerators over one positive integer denominator, also in
 lowest terms, and computes in integers only.
 
 ``_Value`` is the one definition of value semantics for the immutable
-classes of the other modules (``EvenLattice``, ``Mp2Element``,
-``VectorForm``, ``HeegnerSeries``, ``RingClassP5``, ``RingClassGr36``,
-``ChernSeries``):
-read-only ``__slots__`` fields set once by ``__init__``, and equality,
-hashing, ``repr``, copy and pickle from the field tuple.
+classes (``Cyclotomic`` here; ``EvenLattice``, ``Mp2Element``,
+``VectorForm``, ``HeegnerSeries``, ``RingClassP5``, ``RingClassGr36`` and
+``ChernSeries`` in the other modules): read-only ``__slots__`` fields set
+once by ``__init__``, and equality, hashing, ``repr``, copy and pickle from
+the field tuple; ``Cyclotomic`` keeps its own equality, hashing and ``repr``.
 """
 
 from __future__ import annotations
@@ -225,17 +225,21 @@ def _canonical(coeffs: list[int], den: int) -> "Cyclotomic":
             coeffs[k - 8] -= c
     nums = coeffs[:_DEGREE]
     g = gcd(den, *nums)
+    if g != 1:
+        nums = [n // g for n in nums]
+        den //= g
     out = object.__new__(Cyclotomic)
-    out.nums = tuple(n // g for n in nums) if g != 1 else tuple(nums)
-    out.den = den // g
+    out._set(tuple(nums), den)
     return out
 
 
-class Cyclotomic:
+class Cyclotomic(_Value):
     """Exact element of Q(zeta_24) in the power basis 1, zeta, ..., zeta^7,
-    held as integer numerators ``nums`` over one ``den`` > 0 with
+    held read-only as integer numerators ``nums`` over one ``den`` > 0 with
     gcd(den, *nums) = 1, so equal elements have equal layouts.  ``coeffs`` is
     the ``Fraction`` view; a rational element hashes as its ``Fraction``.
+    ``Cyclotomic(coeffs, den)`` is sum_k coeffs[k] zeta^k / den, so the field
+    pair (nums, den) rebuilds the element on copy and pickle.
 
     The field contains i, sqrt(2), sqrt(3) and the eighth roots of unity,
     which covers every root of unity and surd this project needs.
@@ -243,13 +247,16 @@ class Cyclotomic:
 
     __slots__ = ("nums", "den")
 
-    def __init__(self, coeffs: Sequence[Fraction | int]):
+    def __init__(self, coeffs: Sequence[Fraction | int], den: int = 1):
         if len(coeffs) != _DEGREE:
             raise ValueError(f"need {_DEGREE} coordinates for order {_ORDER}")
         coeffs = [as_fraction(c, "cyclotomic coordinate") for c in coeffs]
-        den = lcm(*(c.denominator for c in coeffs))
-        self.nums = tuple((c * den).numerator for c in coeffs)
-        self.den = den  # in lowest terms, as den is the lcm of the denominators
+        if not isinstance(den, int) or den < 1:
+            raise ValueError(f"cyclotomic denominator must be a positive integer, got {den!r}")
+        scale = lcm(*(c.denominator for c in coeffs))
+        nums = [(c * scale).numerator for c in coeffs]
+        g = gcd(den, *nums)  # the numerators are already prime to scale
+        self._set(tuple([n // g for n in nums]), scale * den // g)
 
     # -- constructors ------------------------------------------------------
 

@@ -346,7 +346,7 @@ class WeilRep:
     def __init__(self, form: DiscriminantForm, dual: bool = False):
         self.form = form
         self.dual = dual
-        self._cache: dict[tuple[int, int, int, int, int], list[list[Cyclotomic]]] = {}
+        self._cache: dict[tuple[int, int, int, int, int], tuple[tuple[Cyclotomic, ...], ...]] = {}
         self._gen: dict[str, list[list[Cyclotomic]]] = {}
 
     # -- generator matrices --------------------------------------------------
@@ -386,9 +386,10 @@ class WeilRep:
     # -- arbitrary elements ---------------------------------------------------
 
     def rho(self, g: Mp2Element):
+        """rho(g) as a new list of row lists; the cache keeps its own rows."""
         key = (*g.matrix, g.eps)
         if key in self._cache:
-            return self._cache[key]
+            return list(map(list, self._cache[key]))
         if "S" not in self._gen:
             self._gen["S"] = self.s_matrix()
         out = _mat_identity_cyc(self.form.order)
@@ -398,7 +399,7 @@ class WeilRep:
                 out = [[x * t for x, t in zip(row, diag)] for row in out]
             else:
                 out = _mat_mul_cyc(out, self._gen["S"])
-        self._cache[key] = out
+        self._cache[key] = tuple(map(tuple, out))
         return out
 
     def rho_gamma0_formula(self, g: Mp2Element):

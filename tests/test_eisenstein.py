@@ -9,10 +9,7 @@ from hypothesis import strategies as st
 from cubicforms import eisenstein, theta_degrees
 from cubicforms.eisenstein import (
     _descent,
-    _descent_counts,
     _integer_polynomial,
-    _local_factor,
-    _omega,
     _solutions_mod_p,
     alpha_series,
     beta_series,
@@ -30,6 +27,7 @@ from cubicforms.exactmath import (
     bernoulli_number,
     bernoulli_poly,
     chi_minus3,
+    p_valuation,
     prime_factors,
 )
 from cubicforms.fqm import (
@@ -52,7 +50,7 @@ def rep_count(form, gamma, n, a):
     if a < 1:
         raise ValueError("modulus must be positive")
     n = F(n)
-    gram, lin, const = _integer_polynomial(form, gamma, (n.numerator, n.denominator))
+    gram, lin, const = _integer_polynomial(form, gamma, n)
     rank = form.lattice.rank
     count = 0
     for r in product(range(a), repeat=rank):
@@ -222,7 +220,7 @@ def _congruences(draw):
 def test_descent_matches_brute_force(case):
     gram, lin, const, p = case
     depth = _HYPO_DEPTH[p]
-    assert _descent_counts(gram, lin, const, p, depth) == _brute_counts(
+    assert _descent(gram, lin, const, p, depth) == _brute_counts(
         gram, lin, const, p, depth
     )
 
@@ -230,22 +228,21 @@ def test_descent_matches_brute_force(case):
 @settings(deadline=None, max_examples=100)
 @given(_congruences(), st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3))
 def test_descent_depends_only_on_residues_mod_p_vmax(case, s0, s1, s2):
-    # the memo key: the unmemoized top level of the descent on (lin, const),
-    # shifted by multiples of p^vmax, equals the descent on their residues
+    # the descent on (lin, const) shifted by multiples of p^vmax equals the
+    # descent on their residues: the counts see f only mod p^vmax
     gram, lin, const, p = case
     depth = _HYPO_DEPTH[p]
     m = p**depth
     shifted = (lin[0] + s0 * m, lin[1] + s1 * m), const + s2 * m
     reduced = (lin[0] % m, lin[1] % m), const % m
-    got = _descent.__wrapped__(gram, *shifted, p, depth)
-    assert got == _descent.__wrapped__(gram, *reduced, p, depth)
-    assert got == _descent_counts(gram, *reduced, p, depth)
+    got = _descent(gram, *shifted, p, depth)
+    assert got == _descent(gram, *reduced, p, depth)
     assert got == _brute_counts(gram, lin, const, p, depth)
 
 
 def test_counts_handed_out_cannot_change_the_memo(w_prime):
     counts = prime_power_counts(w_prime, 0, F(9), 3, 5)
-    assert isinstance(_descent_counts(*_integer_polynomial(w_prime, 0, (9, 1)), 3, 5), tuple)
+    assert isinstance(_descent(*_integer_polynomial(w_prime, 0, F(9)), 3, 5), tuple)
     want = list(counts)
     counts[1] = -1
     counts.append(7)
@@ -269,8 +266,8 @@ def _fresh_solutions_mod_p(gram, lin, const, p):
     return nonsingular, tuple(singular)
 
 
-@pytest.mark.parametrize("p", [2, 3])
-def test_solutions_mod_p_memo_equals_fresh_enumeration(p):
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_solutions_mod_p_equals_fresh_enumeration(p):
     gram = w_prime_form().lattice.gram
     for lin in product(range(p), repeat=2):
         for const in range(p):
@@ -280,7 +277,13 @@ def test_solutions_mod_p_memo_equals_fresh_enumeration(p):
             # a representative off [0, p) gives the same answer
             far = tuple(b - 7 * p for b in lin), const + 11 * p
             assert got == _fresh_solutions_mod_p(gram, *far, p)
-            assert _solutions_mod_p.__wrapped__(gram, *far, p) == got
+            assert _solutions_mod_p(gram, *far, p) == got
+
+
+# every rank-2 even lattice with |det G| = 3 has det G = 3: -W and W itself
+_DET3_FORMS = {"w_prime": W_PRIME_GRAM, "w": W_GRAM}
+# the sign of the twist at p = 3 on each of them
+_EPS = {"w_prime": 1, "w": -1}
 
 
 class TestLocalFactors:
@@ -304,7 +307,7 @@ class TestLocalFactors:
     def test_omega_collapse_single_term(self, w_prime):
         # when omega_p = 1 the factor is (1 - p^(1-k)) + N(p) p^(-k)
         p = 3
-        assert _omega(w_prime, 0, (1, 1), p) == 1
+        assert p_valuation(2 * w_prime.element_order(0) * F(1), p) == 0  # omega = 1
         counts = prime_power_counts(w_prime, 0, F(1), p, 1)
         got = local_euler_factor(5, w_prime, 0, F(1), p)
         want = (1 - F(p) ** -4) + counts[1] * F(p) ** -5
@@ -316,7 +319,7 @@ class TestLocalFactors:
         assert w_prime.element_order(1) == 3
         assert set(prime_factors(as_integer(18 * n, "18n"))) == {2, 3}
         for p in (2, 3):
-            w = _omega(w_prime, 1, (1, 3), p)
+            w = 1 + 2 * p_valuation(2 * w_prime.element_order(1) * n, p)
             counts = prime_power_counts(w_prime, 1, n, p, w)
             assert counts[0] == 1
             assert len(counts) == w + 1
@@ -336,7 +339,7 @@ class TestLocalFactors:
 
     @pytest.mark.parametrize("p", [1, 0, -3, 4, 9, 5.0])
     def test_p_must_be_a_prime(self, w_prime, p):
-        # p = 1 looped for ever in _omega; 4 gave counts; 0 divided by zero
+        # p = 1 looped for ever in the valuation; 4 gave counts; 0 divided by zero
         with pytest.raises(ValueError, match=r"^p must be a prime, got "):
             local_euler_factor(5, w_prime, 0, 1, p)
         with pytest.raises(ValueError, match=r"^p must be a prime, got "):
@@ -350,11 +353,14 @@ class TestLocalFactors:
     def test_vmax_zero_counts_the_empty_congruence(self, w_prime):
         assert prime_power_counts(w_prime, 0, 1, 3, 0) == [1]
 
-
-# every rank-2 even lattice with |det G| = 3 has det G = 3: -W and W itself
-_DET3_FORMS = {"w_prime": W_PRIME_GRAM, "w": W_GRAM}
-# the sign of the twist at p = 3 on each of them
-_EPS = {"w_prime": 1, "w": -1}
+    @pytest.mark.parametrize("name", sorted(_DET3_FORMS))
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_index_zero_raises(self, name, p):
+        # n = 0 has no p-adic valuation: omega was found by dividing 0 by p
+        # until a remainder showed, which never came
+        form = discriminant_form(_DET3_FORMS[name])
+        with pytest.raises(ValueError, match=r"^p-adic valuation of 0 is undefined$"):
+            local_euler_factor(5, form, 0, 0, p)
 
 
 def _good_factor(k: int, p: int, e: int) -> tuple[int, int]:
@@ -429,7 +435,8 @@ class TestGoodPrimes:
 
             monkeypatch.setattr(module, name, wrapper)
 
-        spy(eisenstein, "_descent_counts")
+        for name in ("local_euler_factor", "prime_power_counts", "_descent", "_solutions_mod_p"):
+            spy(eisenstein, name)
         spy(eisenstein, "prime_factors")
         spy(exactmath, "prime_factors")
         spy(exactmath, "factorize")
@@ -647,27 +654,6 @@ class TestIntegerAssembly:
                         assert got == want, (k, gamma, n, p)
                         checked += 1
         assert checked == 815
-
-    @pytest.mark.parametrize("gamma", [0, 1])
-    def test_public_factor_and_counts_match_integer_core(self, w_prime, gamma):
-        # the Fraction entry points are shells over the pair-valued core,
-        # which _vv_series calls with the unreduced pair (3n, 3)
-        checked = 0
-        for n in _grid(w_prime, gamma, 40):
-            pair, unreduced = (n.numerator, n.denominator), (3 * n.numerator, 3 * n.denominator)
-            for p in (2, 3, 5, 7):
-                w = _omega(w_prime, gamma, pair, p)
-                poly = _integer_polynomial(w_prime, gamma, pair)
-                assert _integer_polynomial(w_prime, gamma, unreduced) == poly
-                counts = _descent_counts(*poly, p, w)
-                assert prime_power_counts(w_prime, gamma, n, p, w) == list(counts)
-                for k in (3, 5):
-                    num, den = _local_factor(k, w_prime, gamma, pair, p)
-                    assert den == p ** (k * w + k - 1)
-                    assert _local_factor(k, w_prime, gamma, unreduced, p) == (num, den)
-                    assert local_euler_factor(k, w_prime, gamma, n, p) == F(num, den)
-                    checked += 1
-        assert checked == {0: 39, 1: 40}[gamma] * 4 * 2
 
     def test_core_keeps_integrality_messages(self, w_prime):
         with pytest.raises(IntegralityError, match=r"^2\*d_gamma\*n = 6/7 is not an integer$"):

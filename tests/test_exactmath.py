@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction as F
 from math import gcd
@@ -172,6 +174,33 @@ class TestCyclotomic:
         with pytest.raises(IntegralityError):
             Cyclotomic.sqrt_int(3).as_rational()
 
+
+    def test_fields_are_read_only(self):
+        # a write once reached every rho matrix sharing the entry
+        z = Cyclotomic.zeta_power(1)
+        for name, value in (("nums", (5, 0, 0, 0, 0, 0, 0, 0)), ("den", 2)):
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(z, name, value)
+            with pytest.raises(AttributeError, match="immutable"):
+                delattr(z, name)
+        assert z == Cyclotomic.zeta_power(1) and z.nums == (0, 1, 0, 0, 0, 0, 0, 0)
+
+    def test_copy_and_pickle_rebuild_through_init(self):
+        z = Cyclotomic([F(1, 2), F(-3, 4)] + [F(0)] * 5 + [F(5, 6)])
+        assert (z.nums, z.den) == ((6, -9, 0, 0, 0, 0, 0, 10), 12)
+        for other in (copy.copy(z), copy.deepcopy(z), pickle.loads(pickle.dumps(z))):
+            assert type(other) is Cyclotomic
+            assert (other.nums, other.den) == (z.nums, z.den)
+            assert other == z and hash(other) == hash(z)
+        assert Cyclotomic(z.nums, z.den) == z
+
+    def test_denominator_argument(self):
+        # (coeffs, den) is the element sum coeffs[k] zeta^k / den, reduced
+        assert Cyclotomic([2, 4] + [0] * 6, 6) == Cyclotomic([F(1, 3), F(2, 3)] + [0] * 6)
+        assert Cyclotomic([F(1, 2)] + [0] * 7, 3).den == 6
+        for den in (0, -1, 1.0, F(1, 2)):
+            with pytest.raises(ValueError, match="denominator must be a positive integer"):
+                Cyclotomic([1] + [0] * 7, den)
 
     def test_rational_elements_hash_as_their_fraction(self):
         one = Cyclotomic.from_rational(1)

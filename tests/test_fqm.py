@@ -394,6 +394,22 @@ class TestWeilRep:
         assert plus == minus
 
 
+    @pytest.mark.parametrize("dual", [False, True])
+    def test_editing_a_returned_matrix_leaves_the_cache(self, w_prime, dual):
+        # rho once handed out the list it cached: an edit reached every later rho(S)
+        rep = WeilRep(w_prime, dual=dual)
+        elements = (Mp2Element.S(), Mp2Element(2, 1, 1, 1, 1), Mp2Element.T(1))
+        for g in elements:
+            for _ in range(2):  # the miss that fills the cache, then a hit
+                m = rep.rho(g)
+                m[0][0] = Cyclotomic.zero()
+                m[1] = []
+                m.append([])
+        for g in elements:
+            assert rep.rho(g) == WeilRep(w_prime, dual=dual).rho(g)
+        assert rep.rho(Mp2Element.S()) == rep.s_matrix()
+
+
 class TestGamma0ClosedForm:
     def test_t_case(self, w_prime):
         rep = WeilRep(w_prime, dual=True)

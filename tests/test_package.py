@@ -132,7 +132,7 @@ def test_value_protocol_has_one_definition():
     # fields are not its constructor's arguments, it binds the same
     # _read_only, writes its fields only in its own _set and pickles
     # through _series
-    from cubicforms.exactmath import _read_only, _Value
+    from cubicforms.exactmath import Cyclotomic, _read_only, _Value
     from cubicforms.fqm import EvenLattice, Mp2Element
     from cubicforms.qseries import QSeries
     from cubicforms.schubert import ChernSeries, RingClassGr36, RingClassP5
@@ -167,7 +167,9 @@ def test_value_protocol_has_one_definition():
     ]
     assert QSeries.__setattr__ is QSeries.__delattr__ is _read_only
     assert not issubclass(QSeries, _Value)
-    for cls in (EvenLattice, Mp2Element, RingClassP5, RingClassGr36, ChernSeries, HeegnerSeries):
+    for cls in (
+        Cyclotomic, EvenLattice, Mp2Element, RingClassP5, RingClassGr36, ChernSeries, HeegnerSeries
+    ):
         assert issubclass(cls, _Value), cls
 
 
