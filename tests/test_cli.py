@@ -289,8 +289,18 @@ GOLDEN_RUNS = {
         ]
         for fmt in ("plain", "json", "csv")
     },
+    **{
+        f"eisenstein_k4_terms5.{fmt}.txt": [
+            "eisenstein", "--k", "4", "--terms", "5", "--format", fmt
+        ]
+        for fmt in ("json", "csv")
+    },
+    "eisenstein_k1_terms5.plain.txt": ["eisenstein", "--k", "1", "--terms", "5"],
     "dim_k11.plain.txt": ["dim", "--k", "11"],
+    "dim_k11.csv.txt": ["dim", "--k", "11", "--format", "csv"],
     "degree_d8_all.plain.txt": ["degree", "--d", "8", "--method", "all"],
+    "degree_d6.json.txt": ["degree", "--d", "6", "--format", "json"],
+    "degree_d8.csv.txt": ["degree", "--d", "8", "--format", "csv"],
     "verify_schubert.json.txt": ["verify", "--suite", "schubert", "--format", "json"],
     "verify_weil.json.txt": ["verify", "--suite", "weil", "--format", "json"],
     "verify_milgram.json.txt": ["verify", "--suite", "milgram", "--format", "json"],
