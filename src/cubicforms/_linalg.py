@@ -91,11 +91,6 @@ def inverse_and_det(mat) -> tuple[list[list[Fraction]], Fraction]:
     return [row[n:] for row in reduced], product
 
 
-def rational_inverse(mat) -> list[list[Fraction]]:
-    """Inverse of a nonsingular square matrix, exactly over Q."""
-    return inverse_and_det(mat)[0]
-
-
 def inertia(mat) -> tuple[int, int]:
     """Signature (n_plus, n_minus) of a nondegenerate symmetric matrix, by
     exact symmetric reduction (Sylvester's law of inertia).

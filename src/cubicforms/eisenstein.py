@@ -225,14 +225,19 @@ def local_euler_factor(
     """L_{gamma,n}(k,p) = (1-p^(1-k)) sum_{v<omega} N(p^v) p^(-kv)
                           + N(p^omega) p^(-k*omega),  p prime,
 
-    with omega = 1 + 2 v_p(2 d_gamma n), d_gamma the order of gamma, and n > 0
-    (n = 0 has no valuation and raises ``ValueError``).  The counts come from
+    with omega = 1 + 2 v_p(2 d_gamma n), d_gamma the order of gamma, an
+    integer k >= 1 and n > 0; any other k, n < 0 and n = 0 (no valuation)
+    raise ``ValueError`` before the descent runs.  The counts come from
     the descent of ``prime_power_counts``; the sum is taken by Horner over the
     denominator p^(k*omega+k-1), with one ``Fraction`` at the end.  It is the
     oracle, not the hot path: ``vv_eisenstein`` takes every factor in closed
     form, and the tests check each closed form against this descent.
     """
+    if not isinstance(k, int) or k < 1:
+        raise ValueError(f"k must be an integer >= 1, got {k!r}")
     n = as_fraction(n, "n")
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     p = _prime(p)
     two_d_n = as_integer(2 * form.element_order(gamma) * n, "2*d_gamma*n")
     w = 1 + 2 * p_valuation(two_d_n, p)

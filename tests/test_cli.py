@@ -1,3 +1,4 @@
+import ast
 import io
 import json
 import random
@@ -6,9 +7,11 @@ from pathlib import Path
 
 import pytest
 
+from cubicforms import cli
 from cubicforms.cli import (
     MAX_GRAM_ORDER,
     MAX_TERMS,
+    MAX_WEIGHT,
     _gram_matrix,
     _suite_qseries,
     build_parser,
@@ -85,6 +88,37 @@ class TestTheta:
             assert f"--terms: must be at most {MAX_TERMS}" in capsys.readouterr().err
 
 
+class TestWriter:
+    def test_only_the_writer_writes(self):
+        # every .write/.writelines call sits in _write and goes to out; the one
+        # print is main's error line on stderr
+        tree = ast.parse(Path(cli.__file__).read_text())
+        writes, prints = [], []
+        for top in tree.body:
+            name = getattr(top, "name", "<module>")
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call):
+                    continue
+                if isinstance(node.func, ast.Attribute) and node.func.attr in (
+                    "write", "writelines"
+                ):
+                    writes.append((name, ast.unparse(node.func.value)))
+                elif isinstance(node.func, ast.Name) and node.func.id == "print":
+                    prints.append((name, ast.unparse(node)))
+        assert writes and set(writes) == {("_write", "out")}
+        assert prints == [("main", "print(f'error: {exc}', file=sys.stderr)")]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_other_formats_build_no_plain_series(self, fmt, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a plain series string was built")
+
+        monkeypatch.setattr(QSeries, "__str__", refuse)
+        for k in ("1", "4", "5"):
+            code, out = run(["eisenstein", "--k", k, "--terms", "50", "--format", fmt])
+            assert code == 0 and out
+
+
 class TestOtherCommands:
     def test_dim(self):
         code, out = run(["dim", "--k", "11"])
@@ -105,6 +139,18 @@ class TestOtherCommands:
             main(["eisenstein", "--terms", terms])
         assert err.value.code == 2
         assert "--terms: must be a positive integer" in capsys.readouterr().err
+
+    def test_eisenstein_weight_cap_boundary(self, capsys):
+        args = build_parser().parse_args(["eisenstein", "--k", str(MAX_WEIGHT)])
+        assert args.k == MAX_WEIGHT
+        for k in (str(MAX_WEIGHT + 1), "1000000000"):
+            with pytest.raises(SystemExit) as err:
+                main(["eisenstein", "--k", k])
+            assert err.value.code == 2
+            assert f"--k: must be at most {MAX_WEIGHT}, got '{k}'" in capsys.readouterr().err
+        # dim --k is a closed form and stays unbounded
+        code, out = run(["dim", "--k", "1000001", "--format", "json"])
+        assert code == 0 and json.loads(out)["parameters"] == {"k": 1000001}
 
     def test_eisenstein_scalar(self):
         code, out = run(["eisenstein", "--k", "4", "--terms", "3"])

@@ -362,6 +362,30 @@ class TestLocalFactors:
         with pytest.raises(ValueError, match=r"^p-adic valuation of 0 is undefined$"):
             local_euler_factor(5, form, 0, 0, p)
 
+    @pytest.mark.parametrize("name", sorted(_DET3_FORMS))
+    @pytest.mark.parametrize(
+        "k, n, message",
+        [
+            (0, 1, r"^k must be an integer >= 1, got 0$"),
+            (-5, 1, r"^k must be an integer >= 1, got -5$"),
+            (5.0, 1, r"^k must be an integer >= 1, got 5\.0$"),
+            (F(5), 1, r"^k must be an integer >= 1, got Fraction\(5, 1\)$"),
+            (5, -1, r"^n must be >= 0, got -1$"),
+            (5, F(-2, 3), r"^n must be >= 0, got -2/3$"),
+        ],
+        ids=["k=0", "k=-5", "k-float", "k-fraction", "n=-1", "n=-2/3"],
+    )
+    def test_bad_weight_or_index_raises_before_the_descent(
+        self, name, k, n, message, monkeypatch
+    ):
+        # k <= 0 raised TypeError from fractions.py (p**(k-1) is a float) and
+        # n = -1 returned 80/81, a factor at an index that has none
+        monkeypatch.setattr(eisenstein, "_descent", lambda *a: pytest.fail("descent ran"))
+        form = discriminant_form(_DET3_FORMS[name])
+        for p in (2, 3):
+            with pytest.raises(ValueError, match=message):
+                local_euler_factor(k, form, 0, n, p)
+
 
 def _good_factor(k: int, p: int, e: int) -> tuple[int, int]:
     """L_{gamma,n}(k,p) / (1 - chi(p) p^(-k)) as an integer pair at a prime

@@ -754,7 +754,7 @@ def test_form_takes_inverse_and_det_from_one_elimination(gram, monkeypatch):
     from cubicforms import _linalg
     from cubicforms.fqm import DiscriminantForm
 
-    det, inverse = _linalg.det(gram), _linalg.rational_inverse(gram)
+    det, inverse = _linalg.det(gram), _linalg.inverse_and_det(gram)[0]
     lattice = EvenLattice(gram)
     calls = []
     row_reduce = _linalg.row_reduce
