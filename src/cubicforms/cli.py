@@ -1,9 +1,10 @@
 """Command-line surface: every pipeline behind one executable with
 machine-readable output.
 
-Each subcommand computes its result and returns its exit code, its JSON
-record, its plain lines, its CSV header and its CSV rows; ``_write`` is the
-one writer that picks plain, JSON or CSV and writes to the output stream.
+Each subcommand computes its result and returns its exit code, a thunk
+that builds its JSON record, its plain lines, its CSV header and its CSV
+rows; ``_write`` is the one writer that picks plain, JSON or CSV and writes
+to the output stream.
 
 Exit codes: 0 success, 1 verification/integrity failure, 2 usage error.
 All numbers in JSON output are exact decimal strings (floats appear only in
@@ -16,6 +17,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import partial
 from itertools import chain
 
 from . import schubert
@@ -41,7 +43,7 @@ from .fqm import (
     gauss_milgram_check,
     w_prime_form,
 )
-from .qseries import QSeries
+from .qseries import _series
 from .vvmf import assemble_theta, basis_weight11, dim_formula, numeric_modularity_check, solve_psi
 
 FORMATS = ("plain", "json", "csv")
@@ -56,15 +58,15 @@ def _record(command: str, parameters: dict, result, provenance: list[str]) -> di
     return dict(command=command, parameters=parameters, result=result, provenance=provenance)
 
 
-def _write(args, out, code: int, record: dict, plain, header: str, rows) -> int:
+def _write(args, out, code: int, record, plain, header: str, rows) -> int:
     """The one writer of every subcommand: the only code that chooses
     between plain, JSON and CSV, and the only code that writes to ``out``.
-    A subcommand hands it its exit code, its record, its plain lines, its
-    CSV header and its CSV rows.  The lines and rows are iterables that only
-    their own format consumes, so a generator passed for another format
-    never runs."""
+    A subcommand hands it its exit code, a thunk that returns its record,
+    its plain lines, its CSV header and its CSV rows.  Each is consumed only
+    by its own format: the thunk is called only for JSON, and a generator
+    passed for another format never runs."""
     if args.format == "json":
-        out.write(canonical_json(record))
+        out.write(canonical_json(record()))
     else:
         if args.format == "csv":
             plain = chain([header], (",".join(map(str, row)) for row in rows))
@@ -97,7 +99,9 @@ def cmd_theta(args):
             for d, en, ed, deg in rows
         ],
     }
-    record = _record("theta", {"terms": args.terms, "format": args.format}, result, provenance)
+    record = partial(
+        _record, "theta", {"terms": args.terms, "format": args.format}, result, provenance
+    )
 
     def plain():
         yield f"Theta(q) constant term: {constant}"
@@ -120,24 +124,30 @@ def cmd_eisenstein(args):
         form = vv_eisenstein(w_prime_form(), k, terms)
         series = {f"v{i}": form.component(i) for i in range(3)}
         provenance = ["local-euler-products", "bernoulli-l-value"]
-    result = {name: s.to_json_dict()["terms"] for name, s in series.items()}
-    record = _record(
-        "eisenstein", {"k": k, "terms": terms, "format": args.format}, result, provenance
-    )
+
+    def record():
+        result = {name: s.to_json_dict()["terms"] for name, s in series.items()}
+        return _record(
+            "eisenstein", {"k": k, "terms": terms, "format": args.format}, result, provenance
+        )
 
     def plain():
         for name, s in series.items():
             yield f"{name}: {s}"
         yield "# via: " + ", ".join(provenance)
 
-    rows = ((n, t["e"], s.den, t["num"], t["den"]) for n, s in series.items() for t in result[n])
+    rows = (
+        (name, t["e"], s.den, t["num"], t["den"])
+        for name, s in series.items()
+        for t in s.to_json_dict()["terms"]
+    )
     return 0, record, plain(), "component,e,exp_den,num,den", rows
 
 
 def cmd_dim(args):
     value = dim_formula(args.k)
-    record = _record(
-        "dim", {"k": args.k}, {"dimension": value}, ["cyclotomic-gauss-sum-formula"]
+    record = partial(
+        _record, "dim", {"k": args.k}, {"dimension": value}, ["cyclotomic-gauss-sum-formula"]
     )
 
     def plain():
@@ -155,7 +165,8 @@ def cmd_degree(args):
     }
     values = {name: path() for name, path in paths.items() if args.method in (name, "all")}
     agree = len(set(values.values())) == 1
-    record = _record(
+    record = partial(
+        _record,
         "degree",
         {"d": d, "method": args.method},
         {"values": {k: str(v) for k, v in values.items()}, "agree": agree},
@@ -174,6 +185,20 @@ def cmd_degree(args):
 # ---------------------------------------------------------------------------
 # verification suites
 # ---------------------------------------------------------------------------
+
+def _below(rng, n: int) -> int:
+    """What ``rng.randrange(n)`` returns, leaving ``rng`` in the same state:
+    it reproduces the stdlib's ``randrange`` stream by drawing
+    ``rng.getrandbits(n.bit_length())`` until the draw is below ``n``, as
+    the stdlib does, without its argument checks.  Every suite draw goes
+    through it: ``randrange(a, b)`` is ``a + _below(rng, b - a)`` and
+    ``choice(seq)`` is ``seq[_below(rng, len(seq))]``."""
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
 
 def _suite_milgram(gram=None):
     grams = {
@@ -196,14 +221,13 @@ def _suite_weil(gram=None):
     form = w_prime_form()
     rep = WeilRep(form, dual=True)
     rng = random.Random(20240817)
+    # the tokens S, T, T^-1 in the order the words draw them
+    generators = (Mp2Element.S(), Mp2Element.T(1), Mp2Element.T(-1))
 
     def random_element(max_len=10):
         g = Mp2Element.identity()
-        for _ in range(rng.randrange(1, max_len + 1)):
-            tok = rng.choice(["S", "T", "T-"])
-            g = g * (
-                Mp2Element.S() if tok == "S" else Mp2Element.T(1 if tok == "T" else -1)
-            )
+        for _ in range(1 + _below(rng, max_len)):
+            g = g * generators[_below(rng, 3)]
         return g
 
     def unitary_and_homomorphic():
@@ -274,16 +298,17 @@ def _suite_qseries(gram=None):
     rng = random.Random(99)
 
     def random_series(den, prec):
-        # coefficients n/d with d in 1..4, as integers over the scale 12
+        # coefficients n/d with n in -9..9 and d in 1..4, drawn in that order,
+        # as integer numerators over the scale 12; _series reduces them once
         nums = {
-            e: rng.randrange(-9, 10) * (12 // rng.randrange(1, 5))
-            for e in range(rng.randrange(0, 4), prec * den)
+            e: (_below(rng, 19) - 9) * (12 // (1 + _below(rng, 4)))
+            for e in range(_below(rng, 4), prec * den)
         }
-        return QSeries(nums, den, prec) * Fraction(1, 12)
+        return _series(nums, 12, den, Fraction(prec))
 
     def ring_axioms():
         for _ in range(200):
-            den = rng.choice((1, 3))
+            den = (1, 3)[_below(rng, 2)]
             f, g, h = (random_series(den, 10) for _ in range(3))
             fg = f * g
             if fg * h != f * (g * h):
@@ -294,7 +319,7 @@ def _suite_qseries(gram=None):
 
     def leibniz():
         for _ in range(50):
-            den = rng.choice((1, 3))
+            den = (1, 3)[_below(rng, 2)]
             f, g = (random_series(den, 10) for _ in range(2))
             if (f * g).derivative() != f.derivative() * g + f * g.derivative():
                 return False
@@ -393,7 +418,8 @@ def cmd_verify(args):
                 ok = False
                 prop = f"{prop} [{type(exc).__name__}: {exc}]"
             results.append((name, prop, "pass" if ok else "FAIL"))
-    record = _record(
+    record = partial(
+        _record,
         "verify",
         {"suite": args.suite},
         [{"suite": s, "property": p, "status": st} for s, p, st in results],

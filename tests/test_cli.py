@@ -7,18 +7,23 @@ from pathlib import Path
 
 import pytest
 
+from test_fqm import random_word_element
+
 from cubicforms import cli
 from cubicforms.cli import (
     MAX_GRAM_ORDER,
     MAX_TERMS,
     MAX_WEIGHT,
+    _below,
     _gram_matrix,
     _suite_qseries,
+    _suite_weil,
     build_parser,
     canonical_json,
     main,
 )
-from cubicforms.qseries import QSeries
+from cubicforms.exactmath import Cyclotomic
+from cubicforms.qseries import QSeries, _series
 
 
 def run(argv):
@@ -116,6 +121,15 @@ class TestWriter:
         monkeypatch.setattr(QSeries, "__str__", refuse)
         for k in ("1", "4", "5"):
             code, out = run(["eisenstein", "--k", k, "--terms", "50", "--format", fmt])
+            assert code == 0 and out
+
+    def test_plain_builds_no_json_record(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a JSON term list was built")
+
+        monkeypatch.setattr(QSeries, "to_json_dict", refuse)
+        for k in ("1", "4", "5"):
+            code, out = run(["eisenstein", "--k", k, "--terms", "50", "--format", "plain"])
             assert code == 0 and out
 
 
@@ -298,6 +312,61 @@ class TestVerify:
                 want.den, want.prec, dict(want.nums), want.scale
             )
 
+    def test_weil_suite_draws_the_random_word_elements(self):
+        # every element the two checks draw is the one that the oracle,
+        # test_fqm's randint/choice word, makes from the same position of the
+        # same random.Random(20240817) stream, and both consume the same draws
+        checks = _suite_weil()
+        unitary = checks[0][1]
+        cells = dict(zip(unitary.__code__.co_freevars, unitary.__closure__))
+        cell = cells["random_element"]
+        suite_element, drawn = cell.cell_contents, []
+        element_cells = suite_element.__code__.co_freevars, suite_element.__closure__
+        rng = dict(zip(*element_cells))["rng"].cell_contents
+        assert rng.getstate() == random.Random(20240817).getstate()
+
+        def recording(max_len=10):
+            state = rng.getstate()
+            got = suite_element(max_len)
+            oracle_rng = random.Random()
+            oracle_rng.setstate(state)
+            want = random_word_element(oracle_rng, max_len)
+            drawn.append((got == want, oracle_rng.getstate() == rng.getstate()))
+            return got
+
+        cell.cell_contents = recording
+        assert [check() for _, check in checks] == [True, True]
+        assert len(drawn) >= 50 * 2 + 20
+        assert all(same_element and same_stream for same_element, same_stream in drawn)
+
+    def test_qseries_suite_fails_on_a_product_that_drops_its_top_term(self, monkeypatch):
+        mul = QSeries.__mul__
+
+        def drop_top(self, other):
+            got = mul(self, other)
+            if not isinstance(other, QSeries) or not got.nums:
+                return got
+            nums = dict(got.nums)
+            del nums[max(nums)]
+            return _series(nums, got.scale, got.den, got.prec)
+
+        monkeypatch.setattr(QSeries, "__mul__", drop_top)
+        code, out = run(["verify", "--suite", "qseries"])
+        assert code == 1
+        assert "FAIL  qseries: qseries-ring-axioms-200\n" in out
+
+    def test_weil_suite_fails_on_one_perturbed_dot_product(self, monkeypatch):
+        dot, calls = Cyclotomic.dot, []
+
+        def perturb_first(xs, ys):
+            calls.append(None)
+            got = dot(xs, ys)
+            return got + 1 if len(calls) == 1 else got
+
+        monkeypatch.setattr(Cyclotomic, "dot", staticmethod(perturb_first))
+        code, out = run(["verify", "--suite", "weil"])
+        assert code == 1 and "FAIL  weil:" in out
+
     def test_qseries_suite_passes(self):
         code, out = run(["verify", "--suite", "qseries"])
         assert code == 0
@@ -306,6 +375,37 @@ class TestVerify:
             "pass  qseries: qseries-leibniz-50\n"
             "pass  qseries: qseries-truncation-soundness-50\n"
         )
+
+
+class TestSuiteDraws:
+    @pytest.mark.parametrize("seed", [20240817, 99])
+    @pytest.mark.parametrize("n", [2, 3, 4, 6, 10, 19])
+    def test_below_draws_the_randrange_stream(self, n, seed):
+        a, b = random.Random(seed), random.Random(seed)
+        assert [_below(a, n) for _ in range(10000)] == [b.randrange(n) for _ in range(10000)]
+        assert a.getstate() == b.getstate()
+
+    @pytest.mark.parametrize("seed", [20240817, 99])
+    @pytest.mark.parametrize("seq", [(1, 3), ("S", "T", "T-")])
+    def test_below_draws_the_choice_stream(self, seq, seed):
+        a, b = random.Random(seed), random.Random(seed)
+        assert [seq[_below(a, len(seq))] for _ in range(10000)] == [
+            b.choice(seq) for _ in range(10000)
+        ]
+        assert a.getstate() == b.getstate()
+
+    def test_every_suite_draw_goes_through_below(self):
+        # no call in cli.py is to the stdlib's randrange, randint or choice,
+        # and getrandbits is called only inside _below
+        tree = ast.parse(Path(cli.__file__).read_text())
+        draws = []
+        for top in tree.body:
+            name = getattr(top, "name", "<module>")
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                    if node.func.attr in ("randrange", "randint", "choice", "getrandbits"):
+                        draws.append((name, node.func.attr))
+        assert draws and set(draws) == {("_below", "getrandbits")}
 
 
 def fraction_random_series(rng, den, prec):
