@@ -65,5 +65,8 @@ __version__ = "0.1.0"
 
 
 def theta_degrees(prec: int = 30) -> HeegnerSeries:
-    """The full modular pipeline at the given precision (integer q-steps)."""
+    """The full modular pipeline at the given precision (integer q-steps).
+
+    Psi comes from the precision memo, so a repeat or lower precision in
+    one process truncates Psi and only re-contracts it."""
     return assemble_theta(solve_psi(prec))

@@ -80,11 +80,12 @@ def _write(args, out, code: int, record, plain, header: str, rows) -> int:
 
 def cmd_theta(args):
     heegner = assemble_theta(solve_psi(max(2, args.terms)))
-    rows = []
-    for d, deg in sorted(heegner.degrees.items()):
-        exp = Fraction(d, 6)
-        if exp < args.terms:
-            rows.append((d, exp.numerator, exp.denominator, deg))
+    # d/6 in lowest terms: every d is 0 or 2 mod 6
+    rows = [
+        (d, *((d // 6, 1) if d % 6 == 0 else (d // 2, 3)), deg)
+        for d, deg in sorted(heegner.degrees.items())
+        if d < 6 * args.terms
+    ]
     constant = str(heegner.theta.coefficient(0))
     provenance = [
         "vector-eisenstein-euler-products",

@@ -249,11 +249,13 @@ def local_euler_factor(
     return Fraction((pk1 - 1) * head + pk1 * counts[w], pk1 * pk**w)
 
 
+@lru_cache(maxsize=None)
 def l_value_ratio(k: int) -> Fraction:
     """Exact rational value of 2^(k+1) pi^k (-1)^((k-1)/2) / (sqrt(3) Gamma(k) L(k,chi)).
 
     Expanding L(k, chi) = (2^(k-1) pi^k / (k! sqrt(3))) * sum_m chi(m) B_k(1-m/3)
     cancels pi^k and sqrt(3), leaving 4k(-1)^((k-1)/2) / sum_m chi(m) B_k(1-m/3).
+    Cached per k; only an int k gets past the body, so only ints are cached.
     """
     if k < 3 or k % 2 == 0:
         raise ValueError(f"L-value ratio needs odd k >= 3, got {k}")

@@ -161,6 +161,8 @@ class DiscriminantForm:
         self.qvalues: list[Fraction] = [
             lattice.half_norm(rep) % 1 for rep in self.cosets
         ]
+        # the class -q(gamma) mod Z of a component's exponents, as (num, den)
+        self._residues = [((-q) % 1).as_integer_ratio() for q in self.qvalues]
         self._neg = [self.multiple(i, -1) for i in range(self.order)]
 
     # -- group structure ---------------------------------------------------

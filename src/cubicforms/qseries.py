@@ -27,9 +27,12 @@ A ``VectorForm`` is an immutable ``_Value``: a weight, a discriminant form
 and one ``QSeries`` per coset, with the gamma and -gamma components one
 shared object wherever ``VectorForm.per_orbit`` built it, as every derived
 form is.  ``precision_memo`` keeps, per key, the result at the highest
-precision asked for so far and serves a lower one by truncating.  Both live
-here, below ``eisenstein`` and ``vvmf``, so the package imports in one
-direction.
+precision asked for so far and serves a lower one by truncating.  It holds
+the vector-valued Eisenstein series per (Gram matrix, weight), the rank-10
+theta series, the weight-11 bracket basis and the degree-generating vector
+Psi.  Psi truncates exactly because the solve that fixes it reads only
+q^0 and q^(1/3), below every precision it accepts.  Both live here, below
+``eisenstein`` and ``vvmf``, so the package imports in one direction.
 """
 
 from __future__ import annotations
@@ -431,20 +434,16 @@ class VectorForm(_Value):
         if len(components) != form.order:
             raise ValueError("need one component per coset")
         components = tuple(components)
-        for i in range(form.order):
-            j = form.neg(i)
-            if components[i] is not components[j] and components[i] != components[j]:
+        for i, (j, (a, b), comp) in enumerate(zip(form._neg, form._residues, components)):
+            if comp is not components[j] and comp != components[j]:
                 raise ValueError(f"components at cosets {i} and -{i}={j} differ")
-            # q^(e/den) lies in the class exactly when e = residue * den mod den
-            residue = (-form.qvalue(i)) % 1
-            den = components[i].den
-            r = residue * den
-            r_num, r_den = r.numerator, r.denominator
-            off = [e for e in components[i].nums if r_den != 1 or (e - r_num) % den]
+            # q^(e/den) lies in the class a/b mod Z exactly when b*e = a*den mod b*den
+            den = comp.den
+            off = [e for e in comp.nums if (b * e - a * den) % (b * den)]
             if off:
                 raise ValueError(
                     f"component {i} has exponent {Fraction(min(off), den)} off its "
-                    f"residue class {residue} mod Z"
+                    f"residue class {Fraction(a, b)} mod Z"
                 )
         self._set(as_fraction(weight, "weight"), form, components)
 
@@ -454,8 +453,7 @@ class VectorForm(_Value):
         {gamma, -gamma} orbit, on its smaller index, and -gamma shares the
         result.  Every derived form is built here."""
         components: list[QSeries] = []
-        for gamma in range(form.order):
-            j = form.neg(gamma)
+        for gamma, j in enumerate(form._neg):
             components.append(components[j] if j < gamma else make(gamma))
         return cls(weight, form, components)
 
@@ -489,9 +487,13 @@ def precision_memo(key: tuple, prec: Fraction, compute):
     """compute(prec), served by truncating the result at the highest
     precision asked for so far under ``key``; only that result is kept.
 
-    Exact because no coefficient depends on the precision it was computed
-    at.  Callers check their arguments before they get here, so a served
-    result never skips a check.  A tuple result is truncated entrywise.
+    The keys are ("vv_eisenstein", gram, k), ("theta_series_rank10",),
+    ("basis_weight11",) and ("solve_psi",).  Exact because no coefficient
+    depends on the precision it was computed at: for Psi, the solve reads
+    only q^0 on v_0 and q^(1/3) on v_1, which every accepted precision
+    (at least 2) covers, so Psi(top).truncate(prec) is Psi(prec).  Callers
+    check their arguments before they get here, so a served result never
+    skips a check.  A tuple result is truncated entrywise.
     """
     held = _MEMO.get(key)
     if held is None or held[0] < prec:

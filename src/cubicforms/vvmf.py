@@ -120,14 +120,18 @@ def dim_formula(k: int, form: DiscriminantForm | None = None) -> int:
 # the weight-11 basis and the constrained solve
 # ---------------------------------------------------------------------------
 
+def _weight11_prec(prec: Fraction | int) -> Fraction:
+    prec = as_fraction(prec, "prec")
+    if prec < 2:
+        raise ValueError("need at least two integer q-steps")
+    return prec
+
+
 def basis_weight11(prec: Fraction | int) -> tuple[VectorForm, VectorForm]:
     """The two brackets [E5, E6]_0 and [E5, E4]_1 spanning the weight-11
     space; linear independence is certified by a nonsingular 2x2 minor of
     leading coefficients."""
-    prec = as_fraction(prec, "prec")
-    if prec < 2:
-        raise ValueError("need at least two integer q-steps")
-    return precision_memo(("basis_weight11",), prec, _brackets_weight11)
+    return precision_memo(("basis_weight11",), _weight11_prec(prec), _brackets_weight11)
 
 
 def _brackets_weight11(prec: Fraction) -> tuple[VectorForm, VectorForm]:
@@ -147,7 +151,16 @@ def solve_psi(prec: Fraction | int) -> VectorForm:
     """Solve c0*F0 + c1*F1 against the two normalizations pinning the degree
     series: constant coefficient -2 on the trivial coset (the Hodge bundle
     degree of a pencil) and vanishing q^(1/3) coefficient on the first
-    nonzero coset (no discriminant-2 members in a general pencil)."""
+    nonzero coset (no discriminant-2 members in a general pencil).
+
+    Psi is held in the precision memo: the solve reads only those two
+    coefficients, so a repeat or lower precision is Psi at the highest
+    precision so far, truncated, and runs neither the basis nor the solve.
+    """
+    return precision_memo(("solve_psi",), _weight11_prec(prec), _solve_psi)
+
+
+def _solve_psi(prec: Fraction) -> VectorForm:
     f0, f1 = basis_weight11(prec)
     third = Fraction(1, 3)
     c0, c1 = solve_linear_combination(
@@ -186,14 +199,16 @@ def assemble_theta(psi: VectorForm) -> HeegnerSeries:
     must come out an exact integer (half-integral values are a hard error)."""
     theta = psi.component(0) + (psi.component(1) + psi.component(2)) * Fraction(1, 2)
     nums, scale, den, prec = theta.nums, theta.scale, theta.den, theta.prec
-    degrees: dict[int, int] = {}
     # N_d is the coefficient at q^(d/6), the key d * den / 6 if that is integral
-    for d in range(2, -(-6 * prec.numerator // prec.denominator), 2):
-        if d % 6 in (0, 2):
-            num = nums.get(d * den // 6, 0) if d * den % 6 == 0 else 0
-            degrees[d], rem = divmod(num, scale)
-            if rem:
-                as_integer(Fraction(num, scale), f"degree at discriminant {d}")
+    degrees = {
+        d: nums.get(d * den // 6, 0) if d * den % 6 == 0 else 0
+        for d in range(2, -(-6 * prec.numerator // prec.denominator), 2)
+        if d % 6 in (0, 2)
+    }
+    if scale != 1:  # a coefficient is fractional: name the first d that holds one
+        for d, num in degrees.items():
+            as_integer(Fraction(num, scale), f"degree at discriminant {d}")
+        degrees = {d: num // scale for d, num in degrees.items()}
     return HeegnerSeries(theta, degrees)
 
 

@@ -304,6 +304,13 @@ class TestLocalFactors:
         with pytest.raises(ValueError):
             l_value_ratio(4)
 
+    def test_cached_ratio_still_rejects_a_float_weight(self):
+        # 5.0 hashes and compares equal to 5, and the body rejects it: a
+        # cached 5 must not serve it
+        assert l_value_ratio(5) == 486
+        with pytest.raises(TypeError):
+            l_value_ratio(5.0)
+
     def test_omega_collapse_single_term(self, w_prime):
         # when omega_p = 1 the factor is (1 - p^(1-k)) + N(p) p^(-k)
         p = 3

@@ -7,6 +7,7 @@ import ast
 import cProfile
 import graphlib
 import importlib
+import io
 import json
 import subprocess
 import sys
@@ -90,17 +91,23 @@ def _fraction_news(compute) -> int:
 
 def test_theta_path_builds_no_fraction_per_coefficient():
     # the Euler product, the series and the degree table run in integers, so
-    # a cold theta_degrees(240) builds no more Fractions than a cold (60)
+    # a cold theta_degrees(240) builds no more Fractions than a cold (60);
+    # the CLI's rows read each exponent d/6 in integers too
+    from cubicforms import cli
     from cubicforms.qseries import _MEMO
 
     saved = dict(_MEMO)
     try:
         cubicforms.theta_degrees(10)  # fills the per-form caches
-        counts = []
+        counts, cli_counts = [], []
         for prec in (60, 240):
             _MEMO.clear()
             counts.append(_fraction_news(lambda: cubicforms.theta_degrees(prec)))
+            _MEMO.clear()
+            argv = ["theta", "--terms", str(prec), "--format", "json"]
+            cli_counts.append(_fraction_news(lambda: cli.main(argv, out=io.StringIO())))
         assert 0 < counts[1] <= counts[0], counts
+        assert 0 < cli_counts[1] <= cli_counts[0], cli_counts
     finally:
         _MEMO.clear()
         _MEMO.update(saved)

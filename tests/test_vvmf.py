@@ -1,9 +1,11 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubicforms.eisenstein import eisenstein_level1
-from cubicforms.fqm import Mp2Element
+from cubicforms.fqm import W_GRAM, W_PRIME_GRAM, Mp2Element, discriminant_form
 from cubicforms.qseries import QSeries
 from cubicforms.vvmf import (
     VectorForm,
@@ -70,6 +72,35 @@ class TestVectorForm:
         with pytest.raises(ValueError) as err:
             VectorForm(5, w_prime, (v0, v1, v1))
         assert str(err.value) == message
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        gram=st.sampled_from([W_GRAM, W_PRIME_GRAM, ((2, 0), (0, 6))]),
+        den=st.sampled_from([1, 2, 3, 6]),
+        coset=st.integers(0, 11),
+        e=st.integers(-40, 19),
+    )
+    def test_integer_support_rule_matches_fraction_rule(self, gram, den, coset, e):
+        # the oracle is the Fraction rule: q^(e/den) lies in the class of
+        # -q(gamma) mod Z exactly when residue * den is an integer r and
+        # e = r mod den; the third form has order 12
+        form = discriminant_form(gram)
+        i = coset % form.order
+        j = form.neg(i)
+        residue = (-form.qvalue(i)) % 1
+        r = residue * den
+        off = r.denominator != 1 or (e - r.numerator) % den != 0
+        term, zero = QSeries({e: 1}, den, 20), QSeries.zero(den, 20)
+        comps = [term if c in (i, j) else zero for c in range(form.order)]
+        if not off:
+            VectorForm(5, form, comps)
+            return
+        with pytest.raises(ValueError) as err:
+            VectorForm(5, form, comps)
+        assert str(err.value) == (
+            f"component {min(i, j)} has exponent {F(e, den)} off its "
+            f"residue class {residue} mod Z"
+        )
 
     def test_constructed_forms_satisfy_support(self, e5, basis30, psi30):
         for form in (e5, *basis30, psi30):
@@ -197,6 +228,16 @@ class TestAssemble:
         )
         with pytest.raises(IntegralityError, match="degree at discriminant"):
             assemble_theta(VectorForm(11, w_prime, comps))
+        # the degree at d = 6 is 3 and at d = 12 is 1/2: the message names
+        # d = 12, the first non-integral discriminant
+        comps = (
+            QSeries.from_terms([(1, 3), (2, F(1, 2))], 3, 3),
+            QSeries.zero(3, 3),
+            QSeries.zero(3, 3),
+        )
+        with pytest.raises(IntegralityError) as err:
+            assemble_theta(VectorForm(11, w_prime, comps))
+        assert str(err.value) == "degree at discriminant 12 = 1/2 is not an integer"
 
 
 class TestFits:
@@ -327,6 +368,7 @@ class TestPrecisionMemo:
         assert {key[0]: held[0] for key, held in memo.items()} == {
             "vv_eisenstein": 40,
             "basis_weight11": 40,
+            "solve_psi": 40,
         }
 
     def test_theta_rank10_truncation_equals_fresh(self, memo):
@@ -342,6 +384,7 @@ class TestPrecisionMemo:
         from cubicforms.vvmf import basis_weight11, solve_psi
 
         basis_weight11(30)
+        solve_psi(30)
         for call in (
             lambda: basis_weight11(1),
             lambda: solve_psi(1),
@@ -362,9 +405,38 @@ class TestPrecisionMemo:
             theta_series_rank10(prec)
         assert sorted((key[0], held[0]) for key, held in memo.items()) == [
             ("basis_weight11", 20),
+            ("solve_psi", 20),
             ("theta_series_rank10", F(7, 3)),
             ("vv_eisenstein", 20),
         ]
+
+    def test_served_theta_runs_neither_basis_nor_solve(self, memo, monkeypatch):
+        # a repeat or lower precision truncates the memo's Psi: no bracket,
+        # no solve, no Eisenstein series and no L-value
+        from cubicforms import eisenstein, theta_degrees, vvmf
+
+        precs = (16, F(10, 3), 39, 40)
+        theta_degrees(40)
+        entered = set()
+
+        def spy(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args):
+                entered.add(name)
+                return real(*args)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        spy(vvmf, "_brackets_weight11")
+        spy(vvmf, "solve_linear_combination")
+        spy(eisenstein, "_vv_series")
+        spy(eisenstein, "l_value_ratio")
+        served = {p: theta_degrees(p) for p in precs}
+        monkeypatch.undo()
+        assert entered == set()
+        for p in precs:
+            assert served[p] == self.fresh(memo, theta_degrees, p), p
 
 
 class TestReadOnlyForms:
