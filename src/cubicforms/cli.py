@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from functools import partial
 from itertools import chain
 
@@ -305,7 +304,7 @@ def _suite_qseries(gram=None):
             e: (_below(rng, 19) - 9) * (12 // (1 + _below(rng, 4)))
             for e in range(_below(rng, 4), prec * den)
         }
-        return _series(nums, 12, den, Fraction(prec))
+        return _series(nums, 12, den, prec * den)
 
     def ring_axioms():
         for _ in range(200):

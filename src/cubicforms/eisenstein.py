@@ -36,7 +36,7 @@ from .fqm import (
     discriminant_form,
     w_prime_form,
 )
-from .qseries import QSeries, VectorForm, _grid_prec, _series, precision_memo
+from .qseries import QSeries, VectorForm, _cutoff, _series, precision_memo
 
 __all__ = [
     "eisenstein_level1",
@@ -77,7 +77,7 @@ def eisenstein_level1(k: int, prec: int) -> QSeries:
     a, b = factor.numerator, factor.denominator
     nums = {n: a * s for n, s in enumerate(_divisor_sums(k, prec, (1,)))}
     nums[0] = b
-    return _series(nums, b, 1, _grid_prec(prec, 1))
+    return _series(nums, b, 1, _cutoff(prec, 1))
 
 
 def eisenstein_chi(k: int, prec: int) -> QSeries:
@@ -93,7 +93,7 @@ def eisenstein_chi(k: int, prec: int) -> QSeries:
     nums = dict(enumerate(sums))
     if k == 1:
         nums[0] = 1
-    return _series(nums, 1, 1, _grid_prec(prec, 1))
+    return _series(nums, 1, 1, _cutoff(prec, 1))
 
 
 def alpha_series(prec: int) -> QSeries:
@@ -304,7 +304,7 @@ def vv_eisenstein(form: DiscriminantForm, k: int, prec: Fraction | int) -> Vecto
 def _vv_series(
     form: DiscriminantForm, k: int, ratio: Fraction, prec: Fraction
 ) -> VectorForm:
-    stop = (3 * _grid_prec(prec, 3)).numerator  # q^(e/3) is below prec iff e < stop
+    stop = _cutoff(prec, 3)  # q^(e/3) is below prec iff e < stop
     sums = _divisor_sums(k, stop, (1, -1, 0))
     r_num, r_den = ratio.numerator, ratio.denominator * 3 ** (k - 1)
     starts = [as_integer(-3 * q, "3 q(gamma)") % 3 for q in form.qvalues]
@@ -328,7 +328,7 @@ def _vv_series(
                     f"negative Eisenstein coefficient {c} at q^{Fraction(e, 3)} v_{gamma}"
                 )
             nums[e] = c
-        return _series(nums, 1, 3, prec)
+        return _series(nums, 1, 3, stop)
 
     return VectorForm.per_orbit(Fraction(k), form, component)
 

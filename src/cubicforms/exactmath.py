@@ -20,7 +20,7 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Rational = Fraction
@@ -175,24 +175,40 @@ def prime_factors(n: int) -> list[int]:
 
 @lru_cache(maxsize=None)
 def bernoulli_number(k: int) -> Fraction:
-    """B_k with B_1 = -1/2, via sum_{j<m} C(m+1,j) B_j = 0."""
-    if k < 0:
-        raise ValueError("Bernoulli index must be nonnegative")
-    if k == 0:
-        return Fraction(1)
-    s = sum(Fraction(comb(k + 1, j)) * bernoulli_number(j) for j in range(k))
-    return -s / (k + 1)
+    """B_k with B_1 = -1/2, by Gould's double sum
+
+        B_k = sum_{j=0}^{k} 1/(j+1) sum_{i=0}^{j} (-1)^i C(j,i) i^k
+
+    (H. W. Gould, "Explicit formulas for Bernoulli numbers", Amer. Math.
+    Monthly 79 (1972)), in integers over the common denominator
+    lcm(1, ..., k+1), with one Fraction at the end; it is the sum of
+    ``bernoulli_poly`` at x = 0."""
+    return _bernoulli(k, 0, 1)
 
 
 def bernoulli_poly(k: int, x: Fraction | int) -> Fraction:
-    """B_k(x) = sum_j C(k,j) B_j x^(k-j), exactly."""
+    """B_k(x) = sum_{j=0}^{k} 1/(j+1) sum_{i=0}^{j} (-1)^i C(j,i) (x+i)^k,
+    exactly: Gould's sum for B_k shifted by x (H. Hasse, Math. Z. 32 (1930)).
+    At x = p/q it is one integer sum over the common denominator
+    lcm(1, ..., k+1) * q^k, with one Fraction at the end."""
+    x = as_fraction(x, "x")
+    return _bernoulli(k, *x.as_integer_ratio())
+
+
+def _bernoulli(k: int, p: int, q: int) -> Fraction:
     if k < 0:
         raise ValueError("Bernoulli index must be nonnegative")
-    x = as_fraction(x, "x")
-    return sum(
-        Fraction(comb(k, j)) * bernoulli_number(j) * x ** (k - j)
-        for j in range(k + 1)
-    )
+    den = lcm(*range(1, k + 2))
+    # a[0] runs through the j-th forward differences of (p + i*q)^k at i = 0,
+    # sum_i (-1)^(j-i) C(j,i) (p + i*q)^k, one subtraction per entry and step
+    a = [(p + i * q) ** k for i in range(k + 1)]
+    total = 0
+    for j in range(k + 1):
+        term = a[0] * (den // (j + 1))
+        total += -term if j % 2 else term
+        for i in range(k - j):
+            a[i] = a[i + 1] - a[i]
+    return Fraction(total, den * q**k)
 
 
 # ---------------------------------------------------------------------------

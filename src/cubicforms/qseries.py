@@ -2,12 +2,15 @@
 rational coefficients, the vector-valued forms built from them, and the
 precision memo that holds such forms.
 
-A ``QSeries`` is sum_e (nums[e]/scale) q^(e/den) + O(q^prec): integer
-numerators ``nums`` (none zero, none at an exponent >= prec) over one
-``scale`` > 0 with gcd(scale, *nums) = 1.  Arithmetic runs in integers and
-reduces once per result; ``coeffs`` is the ``Fraction`` view.  Coefficients
-at exponents >= prec are unknown (not zero), and asking for one raises.
-``prec = None`` marks a series known exactly to all orders (constants and
+A ``QSeries`` is sum_e (nums[e]/scale) q^(e/den) + O(q^(cut/den)): it
+stores four fields, the grid ``den`` (an int >= 1), the integer cutoff
+``cut`` on that grid, integer numerators ``nums`` (none zero, none at an
+exponent e >= cut) and one ``scale`` > 0 with gcd(scale, *nums) = 1.
+Arithmetic, truncation included, runs in integers and reduces once per
+result.  ``prec`` = Fraction(cut, den) and ``coeffs`` are derived
+``Fraction`` views, built only when read.  Coefficients at exponents >= prec
+are unknown (not zero), and asking for one raises.  ``cut = None`` (so
+``prec = None``) marks a series known exactly to all orders (constants and
 their products); it behaves as +infinity in the propagation rules.
 
 A product is one big-integer multiply (Kronecker substitution; D. Harvey,
@@ -69,15 +72,27 @@ class InconsistentSystemError(LinearSolveError):
     """Constraints admit no exact solution (and we never least-squares)."""
 
 
-def _grid_prec(prec: Fraction | int, den: int) -> Fraction:
-    prec = as_fraction(prec, "prec")
-    if (prec * den).denominator != 1:
+def _cutoff(prec: Fraction | int, den: int) -> int:
+    """The cutoff prec * den of a precision on the 1/den grid: q^(e/den)
+    lies beyond prec exactly when e >= prec * den."""
+    if type(prec) is int:
+        return prec * den
+    n, d = as_fraction(prec, "prec").as_integer_ratio()
+    if den % d:
         raise ValueError(f"prec {prec} is not on the 1/{den} grid")
-    return prec
+    return n * (den // d)
 
 
-def _series(nums: dict[int, int], scale: int, den: int, prec: Fraction | None) -> "QSeries":
-    return object.__new__(QSeries)._set(nums, scale, den, prec)
+def _check_den(den: int) -> None:
+    # an int subclass such as bool would be stored and serialized as itself
+    if type(den) is not int:
+        raise TypeError(f"den must be an int, not {type(den).__name__}")
+    if den < 1:
+        raise ValueError("den must be a positive integer")
+
+
+def _series(nums: dict[int, int], scale: int, den: int, cut: int | None) -> "QSeries":
+    return object.__new__(QSeries)._set(nums, scale, den, cut)
 
 
 def _pack(nums: dict[int, int], low: int, s: int, size: int, blank: bytes) -> int:
@@ -101,7 +116,7 @@ class QSeries:
     1/``den`` grid (see the module docstring); a series exact to all orders
     with support in {0} hashes as its constant ``Fraction``."""
 
-    __slots__ = ("den", "prec", "nums", "scale")
+    __slots__ = ("den", "cut", "nums", "scale")
     __setattr__ = __delattr__ = _read_only
 
     def __init__(
@@ -110,9 +125,8 @@ class QSeries:
         den: int = 1,
         prec: Fraction | int | None = None,
     ):
-        if den < 1:
-            raise ValueError("den must be a positive integer")
-        prec = None if prec is None else _grid_prec(prec, den)
+        _check_den(den)
+        cut = None if prec is None else _cutoff(prec, den)
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
         terms: dict[int, tuple[int, int]] = {}
         for e, c in items:
@@ -129,24 +143,22 @@ class QSeries:
             if n:
                 terms[e] = (n, d)
         scale = lcm(*[d for _, d in terms.values()])
-        self._set({e: n * (scale // d) for e, (n, d) in terms.items()}, scale, den, prec)
+        self._set({e: n * (scale // d) for e, (n, d) in terms.items()}, scale, den, cut)
 
-    def _set(self, nums: dict[int, int], scale: int, den: int, prec: Fraction | None):
+    def _set(self, nums: dict[int, int], scale: int, den: int, cut: int | None):
         """The one normalization: keep the nonzero numerators below the
-        cutoff prec * den, then divide out gcd(scale, *nums)."""
-        # q^(e/den) lies beyond prec exactly when e >= prec * den, an integer
-        cutoff = None if prec is None else prec.numerator * den // prec.denominator
-        nums = {e: n for e, n in nums.items() if n and (cutoff is None or e < cutoff)}
+        cutoff, then divide out gcd(scale, *nums)."""
+        nums = {e: n for e, n in nums.items() if n and (cut is None or e < cut)}
         g = gcd(scale, *nums.values())
         if g != 1:
             nums = {e: n // g for e, n in nums.items()}
             scale //= g
-        for name, value in zip(self.__slots__, (den, prec, MappingProxyType(nums), scale)):
+        for name, value in zip(self.__slots__, (den, cut, MappingProxyType(nums), scale)):
             object.__setattr__(self, name, value)
         return self
 
     def __reduce__(self):
-        return _series, (dict(self.nums), self.scale, self.den, self.prec)
+        return _series, (dict(self.nums), self.scale, self.den, self.cut)
 
     # -- constructors ------------------------------------------------------
 
@@ -158,6 +170,7 @@ class QSeries:
         prec: Fraction | int | None = None,
     ) -> "QSeries":
         """Build from (exponent, coefficient) pairs with rational exponents."""
+        _check_den(den)
         keyed = []
         for e, c in terms:
             e = as_fraction(e, "exponent")
@@ -182,6 +195,11 @@ class QSeries:
     # -- inspection --------------------------------------------------------
 
     @property
+    def prec(self) -> Fraction | None:
+        """The truncation order Fraction(cut, den), or None if exact."""
+        return None if self.cut is None else Fraction(self.cut, self.den)
+
+    @property
     def coeffs(self) -> dict[int, Fraction]:
         """The ``Fraction`` view {e: coefficient at q^(e/den)}, a fresh dict."""
         return {e: Fraction(n, self.scale) for e, n in self.nums.items()}
@@ -189,22 +207,16 @@ class QSeries:
     def exponents(self) -> list[Fraction]:
         return sorted([Fraction(e, self.den) for e in self.nums])
 
-    def lowest_exponent(self) -> Fraction | None:
-        """Smallest exponent known to carry a nonzero coefficient; if there is
-        none, everything below prec is known zero and prec itself is the
-        earliest place a term could hide."""
-        return Fraction(min(self.nums), self.den) if self.nums else self.prec
-
     def coefficient(self, n: Fraction | int) -> Fraction:
         n = as_fraction(n, "exponent")
-        if self.prec is not None and n >= self.prec:
+        num, d = n.as_integer_ratio()
+        if self.cut is not None and num * self.den >= self.cut * d:
             raise ValueError(
                 f"coefficient at q^{n} is beyond the truncation order {self.prec}"
             )
-        key = n * self.den
-        if key.denominator != 1:
+        if self.den % d:  # q^n is off the 1/den grid
             return Fraction(0)
-        return Fraction(self.nums.get(key.numerator, 0), self.scale)
+        return Fraction(self.nums.get(num * (self.den // d), 0), self.scale)
 
     def is_zero(self) -> bool:
         return not self.nums
@@ -227,23 +239,28 @@ class QSeries:
                 else:
                     parts.append(f"{c}*q^({exp})")
             body = " + ".join(parts).replace("+ -", "- ")
-        tail = "" if self.prec is None else f" + O(q^({self.prec}))"
+        tail = "" if self.cut is None else f" + O(q^({self.prec}))"
         return body + tail
 
     def _normalized(self) -> tuple:
-        g = gcd(self.den, *self.nums)
+        """The layout on the coarsest grid that holds every exponent and the
+        cutoff, so equal series on different grids compare equal."""
+        g = gcd(self.den, self.cut or 0, *self.nums)
         terms = sorted([(e // g, n) for e, n in self.nums.items()])
-        return self.den // g, self.prec, self.scale, tuple(terms)
+        cut = None if self.cut is None else self.cut // g
+        return self.den // g, cut, self.scale, tuple(terms)
 
     def __eq__(self, other):
         if not isinstance(other, QSeries):
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             other = QSeries.constant(other)
+        if self.den == other.den:
+            return (self.cut, self.scale, self.nums) == (other.cut, other.scale, other.nums)
         return self._normalized() == other._normalized()
 
     def __hash__(self):
-        if self.prec is None and self.nums.keys() <= {0}:
+        if self.cut is None and self.nums.keys() <= {0}:
             return hash(Fraction(self.nums.get(0, 0), self.scale))
         return hash(self._normalized())
 
@@ -265,13 +282,15 @@ class QSeries:
                 out[e] += n * mb
             else:
                 out[e] = n * mb
-        precs = [p for p in (self.prec, other.prec) if p is not None]
-        return _series(out, scale, den, min(precs, default=None))
+        cut_a = None if self.cut is None else self.cut * fa
+        cut_b = None if other.cut is None else other.cut * fb
+        cut = cut_b if cut_a is None else cut_a if cut_b is None else min(cut_a, cut_b)
+        return _series(out, scale, den, cut)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _series({e: -n for e, n in self.nums.items()}, self.scale, self.den, self.prec)
+        return _series({e: -n for e, n in self.nums.items()}, self.scale, self.den, self.cut)
 
     def __sub__(self, other):
         return self + (-other)
@@ -285,18 +304,16 @@ class QSeries:
                 return NotImplemented
             p = other.numerator
             nums = {e: n * p for e, n in self.nums.items()}
-            return _series(nums, self.scale * other.denominator, self.den, self.prec)
+            return _series(nums, self.scale * other.denominator, self.den, self.cut)
         den = lcm(self.den, other.den)
         fa, fb = den // self.den, den // other.den
         a = self.nums if fa == 1 else {e * fa: n for e, n in self.nums.items()}
         b = other.nums if fb == 1 else {e * fb: n for e, n in other.nums.items()}
-        # sound truncation, in integer steps of 1/den (each prec's denominator
-        # divides den): beyond-prec terms of one factor meet at least the
-        # lowest known exponent of the other, which is its prec if it has no
-        # terms, and None if it is exactly zero
-        pa, pb = self.prec, other.prec
-        cut_a = None if pa is None else pa.numerator * den // pa.denominator
-        cut_b = None if pb is None else pb.numerator * den // pb.denominator
+        # sound truncation, in integer steps of 1/den: beyond-cutoff terms of
+        # one factor meet at least the lowest known exponent of the other,
+        # which is its cutoff if it has no terms, and None if it is exactly zero
+        cut_a = None if self.cut is None else self.cut * fa
+        cut_b = None if other.cut is None else other.cut * fb
         low_a = min(a) if a else cut_a
         low_b = min(b) if b else cut_b
         if cut_a is None and cut_b is None:
@@ -307,7 +324,6 @@ class QSeries:
             cutoff = cut_b + (low_a or 0)
         else:
             cutoff = min(cut_a + low_b, cut_b + low_a)
-        prec = None if cutoff is None else Fraction(cutoff, den)
         # one packed product on the progression lo + s*k of the 1/den grid
         # (module docstring); only the size slots below the cutoff unpack
         out: dict[int, int] = {}
@@ -332,11 +348,13 @@ class QSeries:
                 values = map(int.from_bytes, chunks, repeat("little"))
                 bias = 1 << (8 * width - 1)
                 out = dict(zip(range(lo, lo + s * size, s), map(sub, values, repeat(bias))))
-        return _series(out, self.scale * other.scale, den, prec)
+        return _series(out, self.scale * other.scale, den, cutoff)
 
     __rmul__ = __mul__
 
     def __pow__(self, m: int) -> "QSeries":
+        if not isinstance(m, int):
+            raise TypeError(f"power must be an int, not {type(m).__name__}")
         if m < 0:
             raise ValueError("negative powers are not supported")
         out = QSeries.one(self.den, None)
@@ -353,34 +371,39 @@ class QSeries:
         r = as_fraction(r, "rescaling factor")
         if r <= 0:
             raise ValueError("rescaling factor must be positive")
-        prec = None if self.prec is None else self.prec * r
-        nums = {e * r.numerator: n for e, n in self.nums.items()}
-        return _series(nums, self.scale, self.den * r.denominator, prec)
+        a, b = r.as_integer_ratio()
+        # with r = a/b, q^(e/den) moves to q^(e*a/(den*b)), and so does the cutoff
+        cut = None if self.cut is None else self.cut * a
+        return _series({e * a: n for e, n in self.nums.items()}, self.scale, self.den * b, cut)
 
     def derivative(self, times: int = 1) -> "QSeries":
         """Apply D = q * d/dq ``times`` times: coefficient at q^n scales by n^times."""
+        if not isinstance(times, int):
+            raise TypeError(f"derivative order must be an int, not {type(times).__name__}")
         if times < 0:
             raise ValueError("derivative order must be nonnegative")
         if times == 0:
             return self
         nums = {e: n * e**times for e, n in self.nums.items()}
-        return _series(nums, self.scale * self.den**times, self.den, self.prec)
+        return _series(nums, self.scale * self.den**times, self.den, self.cut)
 
     def truncate(self, prec: Fraction | int) -> "QSeries":
         prec = as_fraction(prec, "prec")
-        if self.prec is not None and prec > self.prec:
+        n, d = prec.as_integer_ratio()
+        if self.cut is not None and n * self.den > self.cut * d:
             raise ValueError(f"cannot extend precision from {self.prec} to {prec}")
-        return _series(self.nums, self.scale, self.den, _grid_prec(prec, self.den))
+        return _series(self.nums, self.scale, self.den, _cutoff(prec, self.den))
 
     # -- serialization -----------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        if self.prec is None:
+        prec = self.prec
+        if prec is None:
             raise ValueError("cannot serialize a series of unbounded precision")
         return {
             "den": self.den,
-            "prec_num": str(self.prec.numerator),
-            "prec_den": str(self.prec.denominator),
+            "prec_num": str(prec.numerator),
+            "prec_den": str(prec.denominator),
             "terms": [
                 {"e": e, "num": str(c.numerator), "den": str(c.denominator)}
                 for e, c in sorted(self.coeffs.items())

@@ -50,7 +50,7 @@ def _scalar_bracket(f: QSeries, k1, g: QSeries, k2, n: int) -> QSeries:
     out = None
     for r in range(n + 1):
         c = (-1) ** r * comb(n + k1 - 1, n - r) * comb(n + k2 - 1, r)
-        term = f.derivative(r) * g.derivative(n - r) * Fraction(c)
+        term = f.derivative(r) * g.derivative(n - r) * c
         out = term if out is None else out + term
     return out
 
@@ -198,11 +198,12 @@ def assemble_theta(psi: VectorForm) -> HeegnerSeries:
     """Contract the vector form to the scalar degree series; every degree
     must come out an exact integer (half-integral values are a hard error)."""
     theta = psi.component(0) + (psi.component(1) + psi.component(2)) * Fraction(1, 2)
-    nums, scale, den, prec = theta.nums, theta.scale, theta.den, theta.prec
-    # N_d is the coefficient at q^(d/6), the key d * den / 6 if that is integral
+    nums, scale, den, cut = theta.nums, theta.scale, theta.den, theta.cut
+    # N_d is the coefficient at q^(d/6), the key d * den / 6 if that is
+    # integral; q^(d/6) is below the cutoff exactly when d < 6 * cut / den
     degrees = {
         d: nums.get(d * den // 6, 0) if d * den % 6 == 0 else 0
-        for d in range(2, -(-6 * prec.numerator // prec.denominator), 2)
+        for d in range(2, -(-6 * cut // den), 2)
         if d % 6 in (0, 2)
     }
     if scale != 1:  # a coefficient is fractional: name the first d that holds one
@@ -240,9 +241,9 @@ def fit_alpha_beta(
     re-verified on every further computed coefficient; at least ``min_extra``
     verification points are required.
     """
-    if f.prec is None:
+    if f.cut is None:
         raise ValueError("fit needs a truncated series")
-    steps = int(f.prec) + (f.prec.denominator != 1)
+    steps = -(-f.cut // f.den)  # the least integer >= prec
     basis = _monomials(weight, 3 * steps if rescaled else steps, rescaled)
     grid = sorted(
         {e for g in basis for e in g.exponents()}

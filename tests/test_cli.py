@@ -348,7 +348,7 @@ class TestVerify:
                 return got
             nums = dict(got.nums)
             del nums[max(nums)]
-            return _series(nums, got.scale, got.den, got.prec)
+            return _series(nums, got.scale, got.den, got.cut)
 
         monkeypatch.setattr(QSeries, "__mul__", drop_top)
         code, out = run(["verify", "--suite", "qseries"])

@@ -2,7 +2,8 @@ import copy
 import pickle
 import random
 from fractions import Fraction as F
-from math import gcd
+from functools import lru_cache
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -101,6 +102,37 @@ class TestBernoulli:
         x = F(1, 3)
         for k in (4, 5, 6):
             assert bernoulli_poly(k, 1 - x) == (-1) ** k * bernoulli_poly(k, x)
+
+    def test_numbers_match_the_recurrence(self):
+        for k in range(81):
+            assert bernoulli_number(k) == _recurrence_number(k)
+
+    @pytest.mark.parametrize("a", range(-4, 5))
+    def test_poly_at_thirds_matches_the_recurrence(self, a):
+        x = F(a, 3)
+        for k in range(31):
+            assert bernoulli_poly(k, x) == _recurrence_poly(k, x)
+
+    def test_negative_index_raises(self):
+        for call in (lambda: bernoulli_number(-1), lambda: bernoulli_poly(-1, F(1, 3))):
+            with pytest.raises(ValueError, match="Bernoulli index must be nonnegative"):
+                call()
+
+
+# -- the Fraction recurrence that computed the Bernoulli values before the
+# -- integer sums, kept as their oracle
+
+@lru_cache(maxsize=None)
+def _recurrence_number(k):
+    """B_k with B_1 = -1/2, via sum_{j<=k} C(k+1, j) B_j = 0."""
+    if k == 0:
+        return F(1)
+    return -sum(F(comb(k + 1, j)) * _recurrence_number(j) for j in range(k)) / (k + 1)
+
+
+def _recurrence_poly(k, x):
+    """B_k(x) = sum_j C(k, j) B_j x^(k-j)."""
+    return sum(F(comb(k, j)) * _recurrence_number(j) * x ** (k - j) for j in range(k + 1))
 
 
 class TestPValuation:

@@ -195,7 +195,7 @@ class TestSerialization:
 
 
 class TestReadOnly:
-    FIELDS = ("den", "prec", "nums", "scale")
+    FIELDS = ("den", "cut", "nums", "scale")
 
     @pytest.mark.parametrize("prec", [F(10, 3), None])
     def test_fields_are_read_only(self, prec):
@@ -209,6 +209,17 @@ class TestReadOnly:
             assert getattr(f, name) is value
         with pytest.raises(AttributeError):
             f.extra = 1
+
+    @pytest.mark.parametrize("prec", [F(10, 3), None])
+    def test_prec_is_derived_from_the_cutoff(self, prec):
+        f = series([(0, -2), (F(4, 3), F(3402, 7))], den=3, prec=prec)
+        assert f.prec == (None if f.cut is None else F(f.cut, f.den)) == prec
+        assert f.cut == (None if prec is None else 10)
+        with pytest.raises(AttributeError, match="QSeries is immutable"):
+            f.prec = F(1)
+        with pytest.raises(AttributeError, match="QSeries is immutable"):
+            del f.prec
+        assert f.prec == prec
 
     @pytest.mark.parametrize("prec", [F(10, 3), None])
     def test_copy_and_pickle_round_trip(self, prec):
@@ -312,15 +323,22 @@ class TestExactInputs:
             QSeries(coeffs)
 
 
+def _lowest_exponent(f):
+    """Smallest exponent known to carry a nonzero coefficient; if there is
+    none, everything below prec is known zero and prec itself is the
+    earliest place a term could hide."""
+    return F(min(f.nums), f.den) if f.nums else f.prec
+
+
 def _naive_mul(f, g):
     """The product by a plain Fraction double loop, with the same truncation
     rule: the product is known below min(prec_f + low_g, prec_g + low_f)."""
     den = lcm(f.den, g.den)
     precs = []
     if f.prec is not None:
-        precs.append(f.prec + (g.lowest_exponent() or 0))
+        precs.append(f.prec + (_lowest_exponent(g) or 0))
     if g.prec is not None:
-        precs.append(g.prec + (f.lowest_exponent() or 0))
+        precs.append(g.prec + (_lowest_exponent(f) or 0))
     prec = min(precs) if precs else None
     out = {}
     for ea, ca in f.coeffs.items():
@@ -333,7 +351,9 @@ def _naive_mul(f, g):
 
 @st.composite
 def _series(draw):
-    den = draw(st.sampled_from((1, 3)))
+    # every grid the package builds (1 and 3), and 2 and 6 so that two draws
+    # meet on a grid finer than either
+    den = draw(st.sampled_from((1, 2, 3, 6)))
     # small, coprime-large and mixed coefficient denominators
     cden = st.sampled_from((1, 2, 3, 6, 7, 10**9 + 7, 998244353, 2**61 - 1))
     terms = draw(
@@ -604,6 +624,9 @@ class _Oracle:
 
 
 def _assert_canonical(s):
+    assert type(s.den) is int and s.den >= 1
+    assert s.cut is None or type(s.cut) is int
+    assert s.prec == (None if s.cut is None else F(s.cut, s.den))
     assert type(s.scale) is int and s.scale > 0
     assert all(type(n) is int and n != 0 for n in s.nums.values())
     assert gcd(s.scale, *s.nums.values()) == 1
@@ -666,3 +689,69 @@ def test_integer_layout_matches_fraction_oracle(f, g, r, times, s, data):
     # a series exact to all orders with support in {0} is its constant
     c = QSeries.constant(r, f.den)
     assert c == r and hash(c) == hash(F(r)) and len({c, r}) == 1
+
+
+@settings(deadline=None, max_examples=150)
+@given(_series(), _series(), st.data())
+def test_equality_agrees_with_the_normalized_layout(f, g, data):
+    # same-grid == compares (cut, scale, nums); it must agree with the
+    # cross-grid comparison of _normalized, with the Fraction oracle and with
+    # hash, on equal values, on values that differ only in the cutoff and on
+    # unrelated ones
+    top = 24 * f.den if f.cut is None else f.cut
+    cut = F(data.draw(st.integers(-6 * f.den, top)), f.den)
+    same_grid = [
+        QSeries(f.coeffs, f.den, f.prec),
+        f.truncate(cut),
+        f * 1,
+        (f + f) * F(1, 2),
+        -f,
+        f.derivative(0),
+        QSeries(g.coeffs, f.den, f.prec) if g.den == f.den else f,
+        copy.copy(f),
+        copy.deepcopy(f),
+        pickle.loads(pickle.dumps(f)),
+    ]
+    for h in same_grid:
+        assert h.den == f.den
+        want = _Oracle.of(f).normalized() == _Oracle.of(h).normalized()
+        assert (f == h) == (f._normalized() == h._normalized()) == want
+        assert (h == f) == want
+        if want:
+            assert hash(f) == hash(h)
+    for h in same_grid[-3:]:
+        assert type(h) is QSeries
+        assert (h.den, h.cut, dict(h.nums), h.scale) == (f.den, f.cut, dict(f.nums), f.scale)
+    if f.cut is not None:
+        # the same terms on a grid three times finer, cut a third of a step
+        # later: a different series, though both cutoffs floor to one step
+        finer = {3 * e: c for e, c in f.coeffs.items()}
+        later = QSeries(finer, 3 * f.den, F(3 * f.cut + 1, 3 * f.den))
+        assert f != later and later != f
+        assert f._normalized() != later._normalized()
+
+
+@pytest.mark.parametrize(
+    "make, error, match",
+    [
+        (lambda: QSeries({0: 1, 1: 2}, den=1.5), TypeError, "den must be an int, not float"),
+        (lambda: QSeries({0: 1}, den=F(3)), TypeError, "den must be an int, not Fraction"),
+        (lambda: QSeries.from_terms([(0, 1)], 1.5), TypeError, "den must be an int"),
+        (lambda: QSeries.zero(2.0, 4), TypeError, "den must be an int"),
+        (lambda: QSeries({0: 1}, den=0), ValueError, "den must be a positive integer"),
+        (lambda: series([(0, 1)], prec=5).derivative(1.5), TypeError,
+         "derivative order must be an int, not float"),
+        (lambda: series([(0, 1)], prec=5).derivative(F(1)), TypeError,
+         "derivative order must be an int, not Fraction"),
+        (lambda: series([(0, 1)], prec=5) ** 1.5, TypeError, "power must be an int, not float"),
+        (lambda: series([(0, 1)], prec=5) ** F(2), TypeError, "power must be an int"),
+    ],
+    ids=[
+        "den-float", "den-fraction", "from-terms-den-float", "zero-den-float", "den-zero",
+        "derivative-float", "derivative-fraction", "pow-float", "pow-fraction",
+    ],
+)
+def test_bad_grid_or_order_raises(make, error, match):
+    # a non-int den would make the cutoff prec * den a non-integer
+    with pytest.raises(error, match=match):
+        make()
