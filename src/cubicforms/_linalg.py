@@ -7,7 +7,7 @@ fraction-free (Bareiss) on integer rows and builds ``Fraction``s only for
 the answer.  ``inertia`` keeps a symmetric congruence, since row operations
 alone do not preserve inertia; it too runs on integers.  The discriminant
 group of a lattice needs no elimination over Z: ``fqm.DiscriminantForm``
-closes the columns of G^-1 under addition mod 1.
+closes the columns of d * G^-1 under addition mod d, in integers.
 """
 
 from __future__ import annotations

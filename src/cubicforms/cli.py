@@ -20,7 +20,6 @@ from functools import partial
 from itertools import chain
 
 from . import schubert
-from ._linalg import inverse_and_det
 from .eisenstein import (
     _coset_theta_series,
     eisenstein_chi,
@@ -38,6 +37,7 @@ from .fqm import (
     WeilRep,
     _level,
     _mat_mul_cyc,
+    _scaled_inverse,
     discriminant_form,
     gauss_milgram_check,
     w_prime_form,
@@ -449,11 +449,10 @@ MAX_WEIGHT = 400
 
 # The largest discriminant group order |det G| accepted by --gram.  The
 # closure, the q-values and the Gauss sum all grow with the order:
-# diag(12,12,12,12), order 20736, runs the milgram suite in 5.6-7.9 s on a
-# 2-vCPU Xeon VM under Python 3.11.7, pinned to one processor (seven runs,
-# spread by the machine's load; 4.7-7.1 s alternating with them before the
-# fraction-free elimination, which leaves this suite's work unchanged), and
-# diag(12)^5 would list 248832 cosets.
+# diag(12,12,12,12), order 20736, runs the milgram suite in 0.26-0.43 s from
+# the shell on a 2-vCPU Xeon VM under Python 3.11.7, pinned to one processor
+# (seven runs alternating with the Fraction-built form, which took
+# 5.4-7.5 s), and diag(12)^5 would list 248832 cosets.
 MAX_GRAM_ORDER = 20736
 
 
@@ -506,13 +505,13 @@ def _gram_matrix(text: str) -> tuple[tuple[int, ...], ...]:
         EvenLattice(gram)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-    dual, det = inverse_and_det(gram)
-    order = abs(int(det))
+    scaled, d, det = _scaled_inverse(gram)
+    order = abs(det)
     if order > MAX_GRAM_ORDER:
         raise argparse.ArgumentTypeError(
             f"discriminant group of order {order} exceeds the bound {MAX_GRAM_ORDER}"
         )
-    level = _level(dual)
+    level = _level(scaled, d)
     if 24 % level:
         raise argparse.ArgumentTypeError(
             f"level {level} does not divide 24, so the Gauss sums leave Q(zeta_24)"

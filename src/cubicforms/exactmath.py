@@ -18,6 +18,7 @@ the field tuple; ``Cyclotomic`` keeps its own equality, hashing and ``repr``.
 from __future__ import annotations
 
 import cmath
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -440,9 +441,10 @@ def gauss_sum(a: int, qvalues: Iterable[Fraction]) -> Cyclotomic:
     """Quadratic Gauss sum sum_gamma e(a * q(gamma)) over the listed q-values.
 
     Negative a is the same sum with conjugated phases; a = 0 gives the number
-    of q-values.
+    of q-values.  Equal q-values are counted first, so each distinct value
+    adds count * e(a * q) once.
     """
     out = Cyclotomic.zero()
-    for qv in qvalues:
-        out = out + Cyclotomic.root_of_unity(a * Fraction(qv))
+    for qv, count in Counter(qvalues).items():
+        out = out + Cyclotomic.root_of_unity(a * Fraction(qv)) * count
     return out

@@ -4,7 +4,8 @@ the metaplectic group Mp2(Z) on their group rings.
 The discriminant group M_dual/M is the closure of {0} under adding the
 columns of the inverse Gram matrix mod 1; its elements carry the Q/Z-valued
 quadratic form q(gamma) = <gamma,gamma>/2 mod Z and bilinear form
-b(gamma,delta) = <gamma,delta> mod Z.
+b(gamma,delta) = <gamma,delta> mod Z.  Each class is kept in integers, as
+d times its representative, d the common denominator of the inverse.
 Representation matrices are exact matrices over a cyclotomic field.
 """
 
@@ -13,7 +14,8 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
+from operator import mul
 
 from . import _linalg
 from .exactmath import Cyclotomic, _Value, as_fraction, as_integer, gauss_sum, jacobi_symbol
@@ -102,83 +104,101 @@ class EvenLattice(_Value):
 # discriminant forms
 # ---------------------------------------------------------------------------
 
-def _frac_vec(v) -> tuple[Fraction, ...]:
-    return tuple(Fraction(x) % 1 for x in v)
+def _scaled_inverse(gram) -> tuple[list[list[int]], int, int]:
+    """G^-1 in integers: the matrix M = d * G^-1 for the least d > 0 that
+    makes it integral, d, and det G, from one elimination."""
+    dual, det = _linalg.inverse_and_det(gram)
+    flat, d = _linalg._integer_row([x for row in dual for x in row])
+    n = len(dual)
+    return [flat[i * n : i * n + n] for i in range(n)], d, as_integer(det, "lattice determinant")
 
 
-def _level(dual) -> int:
-    """Least N with N * G^-1 integral and with even diagonal, from the matrix
-    ``dual`` = G^-1: the least N with N * q(gamma) integral for every coset,
-    since q(G^-1 x) = x^T G^-1 x / 2."""
-    return lcm(
-        1,
-        *(
-            (x / 2 if i == j else x).denominator
-            for i, row in enumerate(dual)
-            for j, x in enumerate(row)
-        ),
-    )
+def _level(scaled, d) -> int:
+    """Least N with N * G^-1 integral and with even diagonal, from G^-1 =
+    scaled / d: the least N with N * q(gamma) integral for every coset, since
+    q(G^-1 x) = x^T G^-1 x / 2.  The entries over d have common denominator
+    d, and a diagonal entry over 2d refines its own."""
+    return lcm(d, *(2 * d // gcd(row[i], 2 * d) for i, row in enumerate(scaled)))
 
 
 class DiscriminantForm:
     """The finite quadratic module M_dual/M of an even lattice.
 
-    The columns of G^-1, reduced mod 1, generate M_dual/M; the cosets are the
-    closure of {0} under adding them, and their number must be |det G|; one
-    elimination gives both G^-1 and det G.  ``level`` is the least N with
-    N * q(gamma) integral for every coset.  Cosets are listed with the zero
-    class first and the remaining classes sorted by their canonical
-    representative (coordinates in [0,1) with respect to the lattice basis)
-    in lexicographic order.
+    With d the least common denominator of G^-1, each class is kept as the
+    integer vector y = d*v mod d of its canonical representative v
+    (coordinates in [0,1) with respect to the lattice basis).  The columns of
+    d*G^-1 generate the group; the cosets are the closure of {0} under adding
+    them mod d, and their number must be |det G|.  One elimination gives both
+    G^-1 and det G.  The closure extends the subgroup H found so far by one
+    generator g at a time, appending H + g, H + 2g, ... until a multiple of g
+    falls in H, so each coset is made by one addition.  Group operations are
+    integer vector arithmetic mod d and a lookup.  With y and z the vectors of
+    two classes, q = y^T G y / (2 d^2) mod 1 and b = y^T G z / d^2 mod 1 are
+    read off integer norms mod 2d^2 and d^2, with one ``Fraction`` per
+    distinct q-value.  ``level`` is the least N with N * q(gamma) integral for
+    every coset.  ``cosets`` lists the representatives v = y/d as ``Fraction``
+    tuples: the zero class first and the remaining classes in lexicographic
+    order.
     """
 
     def __init__(self, lattice: EvenLattice):
         self.lattice = lattice
-        dual, det = _linalg.inverse_and_det(lattice.gram)
-        self.level = _level(dual)
-        zero = tuple(Fraction(0) for _ in dual)
-        gens = {_frac_vec(col) for col in zip(*dual)} - {zero}
-        reps = {zero}
-        frontier = [zero]
-        while frontier:  # breadth first: each new class plus each generator
-            found = []
-            for rep in frontier:
-                for g in gens:
-                    s = _frac_vec(a + b for a, b in zip(rep, g))
-                    if s not in reps:
-                        reps.add(s)
-                        found.append(s)
-            frontier = found
-        self.order = len(reps)
-        size = abs(as_integer(det, "lattice determinant"))
+        gram = lattice.gram
+        scaled, d, det = _scaled_inverse(gram)
+        self.level = _level(scaled, d)
+        zero = (0,) * len(gram)
+        members, seen = [zero], {zero}
+        for g in {tuple(x % d for x in col) for col in zip(*scaled)} - {zero}:
+            subgroup = members[:]
+            shift = g
+            while shift not in seen:  # the coset H + shift is new
+                for h in subgroup:
+                    s = tuple([(a + b) % d for a, b in zip(h, shift)])
+                    members.append(s)
+                    seen.add(s)
+                shift = tuple([(a + b) % d for a, b in zip(shift, g)])
+        self.order = len(members)
+        size = abs(det)
         if self.order != size:
             raise ArithmeticError(
                 f"discriminant group order {self.order} differs from |det| = {size}"
             )
-        self.cosets: list[tuple[Fraction, ...]] = [zero] + sorted(reps - {zero})
-        self._index = {rep: i for i, rep in enumerate(self.cosets)}
+        self._d = d
+        self._ys = ys = [zero] + sorted(members[1:])
+        self._index = {y: i for i, y in enumerate(ys)}
+        unit = [Fraction(c, d) for c in range(d)]
+        self.cosets: list[tuple[Fraction, ...]] = [tuple(map(unit.__getitem__, y)) for y in ys]
 
-        self.qvalues: list[Fraction] = [
-            lattice.half_norm(rep) % 1 for rep in self.cosets
-        ]
-        # the class -q(gamma) mod Z of a component's exponents, as (num, den)
-        self._residues = [((-q) % 1).as_integer_ratio() for q in self.qvalues]
+        self._gys = [tuple(sum(map(mul, row, y)) for row in gram) for y in ys]
+        two_d2 = 2 * d * d
+        norms = [sum(map(mul, y, gy)) % two_d2 for y, gy in zip(ys, self._gys)]
+        # one q-value and one residue per distinct norm: the class -q(gamma)
+        # mod Z of a component's exponents, as (num, den) in lowest terms
+        values = {}
+        for r in set(norms):
+            s = -r % two_d2
+            g = gcd(s, two_d2)
+            values[r] = (Fraction(r, two_d2), (s // g, two_d2 // g))
+        self.qvalues: list[Fraction] = [values[r][0] for r in norms]
+        self._residues = [values[r][1] for r in norms]
         self._neg = [self.multiple(i, -1) for i in range(self.order)]
 
     # -- group structure ---------------------------------------------------
 
     def add(self, i: int, j: int) -> int:
-        pairs = zip(self.cosets[i], self.cosets[j])
-        return self._index[_frac_vec(a + b for a, b in pairs)]
+        d = self._d
+        return self._index[tuple([(a + b) % d for a, b in zip(self._ys[i], self._ys[j])])]
 
     def neg(self, i: int) -> int:
         return self._neg[i]
 
     def multiple(self, i: int, m: int) -> int:
-        return self._index[_frac_vec(m * x for x in self.cosets[i])]
+        d = self._d
+        return self._index[tuple([m * a % d for a in self._ys[i]])]
 
     def element_order(self, i: int) -> int:
-        return lcm(1, *(x.denominator for x in self.cosets[i]))
+        d = self._d
+        return d // gcd(d, *self._ys[i])
 
     # -- quadratic/bilinear values ------------------------------------------
 
@@ -186,7 +206,8 @@ class DiscriminantForm:
         return self.qvalues[i]
 
     def bvalue(self, i: int, j: int) -> Fraction:
-        return self.lattice.inner(self.cosets[i], self.cosets[j]) % 1
+        d2 = self._d * self._d
+        return Fraction(sum(map(mul, self._ys[i], self._gys[j])) % d2, d2)
 
     @property
     def signature(self) -> tuple[int, int]:

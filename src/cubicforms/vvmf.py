@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 from fractions import Fraction
+from itertools import repeat
 from math import comb
 
 from ._linalg import row_reduce
@@ -60,7 +61,7 @@ def rankin_cohen(F: VectorForm, g: QSeries, g_weight: int, n: int) -> VectorForm
     the result has weight k1 + k2 + 2n."""
     if n < 0:
         raise ValueError("bracket order must be nonnegative")
-    if any(e % g.den for e in g.nums):
+    if any(map(g.den.__rmod__, g.nums)):  # e % den for each exponent e
         raise ValueError("scalar factor must have integer exponents")
     k1 = as_integer(F.weight, "vector form weight")
     return VectorForm.per_orbit(
@@ -200,12 +201,11 @@ def assemble_theta(psi: VectorForm) -> HeegnerSeries:
     theta = psi.component(0) + (psi.component(1) + psi.component(2)) * Fraction(1, 2)
     nums, scale, den, cut = theta.nums, theta.scale, theta.den, theta.cut
     # N_d is the coefficient at q^(d/6), the key d * den / 6 if that is
-    # integral; q^(d/6) is below the cutoff exactly when d < 6 * cut / den
-    degrees = {
-        d: nums.get(d * den // 6, 0) if d * den % 6 == 0 else 0
-        for d in range(2, -(-6 * cut // den), 2)
-        if d % 6 in (0, 2)
-    }
+    # integral (None, never a key, if not); q^(d/6) is below the cutoff
+    # exactly when d < 6 * cut / den
+    ds = [d for d in range(2, -(-6 * cut // den), 2) if d % 6 in (0, 2)]
+    keys = [d * den // 6 if d * den % 6 == 0 else None for d in ds]
+    degrees = dict(zip(ds, map(nums.get, keys, repeat(0))))
     if scale != 1:  # a coefficient is fractional: name the first d that holds one
         for d, num in degrees.items():
             as_integer(Fraction(num, scale), f"degree at discriminant {d}")

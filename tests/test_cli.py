@@ -240,11 +240,16 @@ class TestVerify:
             assert reason in capsys.readouterr().err
 
     def test_gram_order_bound_admits_diag12_rank4(self):
-        # order 12^4 is the bound itself; building its form takes seconds,
-        # so only the argument check runs here
+        # order 12^4 is the bound itself: the argument is admitted and the
+        # whole milgram suite runs on it and passes
         assert 12**4 == MAX_GRAM_ORDER
         gram = _diag12(4)
         assert _gram_matrix(json.dumps(gram)) == tuple(map(tuple, gram))
+        code, out = run(["verify", "--suite", "milgram", "--gram", json.dumps(gram)])
+        lines = out.splitlines()
+        assert code == 0 and len(lines) == 5
+        assert all(line.startswith("pass ") for line in lines), out
+        assert lines[-1].endswith("gauss-milgram-user-lattice")
 
     @pytest.mark.parametrize("suite", ["weil", "qseries", "degrees"])
     def test_unused_gram_is_usage_error(self, suite, capsys):

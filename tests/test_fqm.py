@@ -5,15 +5,17 @@ from itertools import count, product
 from math import gcd, isqrt, lcm, prod
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from cubicforms import _linalg
 from cubicforms.exactmath import Cyclotomic
 from cubicforms.fqm import (
     E8_GRAM,
     U_GRAM,
     W_GRAM,
     W_PRIME_GRAM,
+    DiscriminantForm,
     EvenLattice,
     Mp2Element,
     WeilRep,
@@ -26,6 +28,7 @@ from cubicforms.fqm import (
     w_prime_form,
 )
 from lattices import lambda0_prime_gram
+from test_package import _fraction_news
 
 
 def heegner_index(d: int, form=None) -> tuple[F, int]:
@@ -204,6 +207,114 @@ def test_level_is_lcm_of_qvalue_denominators():
     for gram in ORACLE_GRAMS + [W_PRIME_GRAM, U_GRAM, E8_GRAM, lambda0_prime_gram()]:
         form = discriminant_form(gram)
         assert form.level == lcm(1, *(q.denominator for q in form.qvalues)), gram
+
+
+class _FractionForm:
+    """The construction the integer form replaced, kept as its oracle: the
+    closure of the columns of G^-1 under addition mod 1, breadth first, on
+    ``Fraction`` tuples, with every value read off those tuples."""
+
+    def __init__(self, gram):
+        lattice = EvenLattice(gram)
+        self.lattice = lattice
+        dual, det = _linalg.inverse_and_det(gram)
+        self.level = lcm(
+            1,
+            *((x / 2 if i == j else x).denominator
+              for i, row in enumerate(dual) for j, x in enumerate(row)),
+        )
+        zero = tuple(F(0) for _ in dual)
+        gens = {_frac(col) for col in zip(*dual)} - {zero}
+        reps, frontier = {zero}, [zero]
+        while frontier:
+            found = []
+            for rep in frontier:
+                for g in gens:
+                    s = _frac(a + b for a, b in zip(rep, g))
+                    if s not in reps:
+                        reps.add(s)
+                        found.append(s)
+            frontier = found
+        self.order = len(reps)
+        assert self.order == abs(det)
+        self.cosets = [zero] + sorted(reps - {zero})
+        self._index = {rep: i for i, rep in enumerate(self.cosets)}
+        self.qvalues = [lattice.half_norm(rep) % 1 for rep in self.cosets]
+        self._residues = [((-q) % 1).as_integer_ratio() for q in self.qvalues]
+        self._neg = [self.multiple(i, -1) for i in range(self.order)]
+
+    def add(self, i, j):
+        return self._index[_frac(a + b for a, b in zip(self.cosets[i], self.cosets[j]))]
+
+    def multiple(self, i, m):
+        return self._index[_frac(m * x for x in self.cosets[i])]
+
+    def element_order(self, i):
+        return lcm(1, *(x.denominator for x in self.cosets[i]))
+
+    def bvalue(self, i, j):
+        return self.lattice.inner(self.cosets[i], self.cosets[j]) % 1
+
+
+@st.composite
+def small_even_grams(draw):
+    """A nondegenerate even Gram matrix of rank 1 to 4 with |det| <= 48, with
+    a nonzero off-diagonal entry from rank 2 on; definite and indefinite."""
+    n = draw(st.integers(1, 4))
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        g[i][i] = 2 * draw(st.integers(-4, 4))
+        for j in range(i + 1, n):
+            g[i][j] = g[j][i] = draw(st.integers(-3, 3))
+    assume(n == 1 or any(g[i][j] for i in range(n) for j in range(n) if i != j))
+    assume(0 < abs(_int_det(g)) <= 48)
+    return tuple(map(tuple, g))
+
+
+class TestIntegerFormAgainstFractionOracle:
+    @settings(deadline=None, max_examples=60)
+    @given(small_even_grams())
+    @example(((0, 2), (2, 0)))  # U(2): the level comes from the off-diagonal
+    @example(U_GRAM)
+    def test_every_value_matches(self, gram):
+        form, oracle = DiscriminantForm(EvenLattice(gram)), _FractionForm(gram)
+        for name in ("order", "level", "cosets", "qvalues", "_residues", "_neg"):
+            assert getattr(form, name) == getattr(oracle, name), name
+        n = form.order
+        for i in range(n):
+            assert form.neg(i) == oracle._neg[i]
+            assert form.element_order(i) == oracle.element_order(i)
+            for m in range(-3, 5):
+                assert form.multiple(i, m) == oracle.multiple(i, m), m
+            for j in range(n):
+                assert form.add(i, j) == oracle.add(i, j), (i, j)
+                assert form.bvalue(i, j) == oracle.bvalue(i, j), (i, j)
+
+    def test_strategy_is_mixed(self):
+        grams = []
+
+        @settings(derandomize=True, database=None, max_examples=200)
+        @given(small_even_grams())
+        def draw(gram):
+            grams.append(gram)
+
+        draw()
+        ranks = {len(g) for g in grams}
+        signatures = {EvenLattice(g).signature for g in grams}
+        assert ranks == {1, 2, 3, 4}
+        assert any(0 in s for s in signatures) and not all(0 in s for s in signatures)
+
+    @settings(deadline=None, max_examples=30)
+    @given(small_even_grams())
+    def test_construction_builds_few_fractions_per_coset(self, gram):
+        # beyond the Fractions of its one elimination (pinned in
+        # test_linalg), building the form makes at most rank + 2 per coset:
+        # the coset entries and q-values share one Fraction per value
+        lattice = EvenLattice(gram)
+        forms = []
+        built = _fraction_news(lambda: forms.append(DiscriminantForm(lattice)))
+        elimination = _fraction_news(lambda: _linalg.inverse_and_det(gram))
+        assert built - elimination <= (len(gram) + 2) * forms[0].order, built
 
 
 class TestHeegnerIndex:
