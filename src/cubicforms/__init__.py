@@ -13,6 +13,17 @@ Two independent engines produce the numbers:
   which ``import cubicforms`` does not load.
 
 The first degrees are deg(C_6) = 192, deg(C_8) = 3402, deg(C_12) = 196272.
+
+Caches.  Every cache is unbounded, as each has few keys.
+``fqm._cached_form`` holds one form per Gram matrix the library names, which
+``VectorForm`` compares by identity; a ``verify --gram`` form is built
+outside it and dies with its check.  ``qseries.precision_memo`` keeps one
+result per key, at the highest precision asked, the weight bounded by
+``cli.MAX_WEIGHT``; ``l_value_ratio`` and ``bernoulli_number`` one
+``Fraction`` per weight; ``eisenstein._descent`` and ``_integer_polynomial``
+the local-density oracle's polynomials and counts per coset, n, prime and
+depth asked; ``schubert._lr_products`` at most 20 x 20 pairs of partitions
+in the 3 x 3 box.
 """
 
 from .exactmath import (

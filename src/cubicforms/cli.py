@@ -32,6 +32,7 @@ from .fqm import (
     U_GRAM,
     W_GRAM,
     W_PRIME_GRAM,
+    DiscriminantForm,
     EvenLattice,
     Mp2Element,
     WeilRep,
@@ -207,12 +208,16 @@ def _suite_milgram(gram=None):
         "E8": E8_GRAM,
         "W-negative": W_PRIME_GRAM,
     }
-    if gram is not None:
-        grams["user-lattice"] = gram
-    return [
+    checks = [
         (f"gauss-milgram-{name}", lambda g=g: gauss_milgram_check(discriminant_form(g)))
         for name, g in grams.items()
     ]
+    if gram is not None:  # built outside the form cache, so it dies with the check
+        checks.append((
+            "gauss-milgram-user-lattice",
+            lambda: gauss_milgram_check(DiscriminantForm(EvenLattice(gram))),
+        ))
+    return checks
 
 
 def _suite_weil(gram=None):

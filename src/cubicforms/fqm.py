@@ -106,11 +106,18 @@ class EvenLattice(_Value):
 
 def _scaled_inverse(gram) -> tuple[list[list[int]], int, int]:
     """G^-1 in integers: the matrix M = d * G^-1 for the least d > 0 that
-    makes it integral, d, and det G, from one elimination."""
-    dual, det = _linalg.inverse_and_det(gram)
-    flat, d = _linalg._integer_row([x for row in dual for x in row])
-    n = len(dual)
-    return [flat[i * n : i * n + n] for i in range(n)], d, as_integer(det, "lattice determinant")
+    makes it integral, d, and det G, from one elimination of [G | I].  Its
+    identity block is P * G^-1, P the last pivot; M and d are the block
+    and P over their gcd, signed as P."""
+    n = len(gram)
+    rows, pivots, last, product = _linalg.row_reduce(
+        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(gram)], n
+    )
+    if len(pivots) < n:
+        raise ValueError("singular matrix")
+    g = gcd(last, *(x for row in rows for x in row[n:])) * (1 if last > 0 else -1)
+    det = as_integer(product, "lattice determinant")
+    return [[x // g for x in row[n:]] for row in rows], last // g, det
 
 
 def _level(scaled, d) -> int:
@@ -487,20 +494,19 @@ def short_vectors(
     entries and bound must be ints or Fractions.
 
     A ``Fraction`` view of one integer walk, ``_scaled_short_vectors``:
-    exact completion of squares (Fincke-Pohst) over y = d*v, d the common
-    denominator of the offset.  The exact LDL^T form Q(v) = sum_i diag_i *
-    u_i^2, u_i = v_i + sum_{j>i} coef_ij * v_j, is scaled per level: t_i =
-    D_i * u_i is an integer for D_i = d * lcm(den coef_ij), and S * diag_i /
-    D_i^2 = W_i and S * (bound - partial sums) = R are integers for one common
-    S.  The window W_i * t_i^2 <= R is then exactly |t_i| <= isqrt(R // W_i).
-    The norm y^T G y = d^2 <v,v> is built from the Gram rows as the walk
-    descends, not from the LDL remainder, so it checks the window
-    independently: level i adds y_i * (G_ii * y_i + 2 * sum_{j>i} G_ij * y_j).
-    Both sums over the fixed coordinates j > i, the window's centre and this
-    one, come from one loop per node over a merged row of (j, K_ij, 2*G_ij),
-    kept where the LDL factor or the Gram entry is nonzero.  The
-    last level is a plain loop that keeps y when y^T G y * den(bound) <=
-    num(bound) * d^2, in integers.
+    completion of squares (Fincke-Pohst, Math. Comp. 44, 1985) over y = d*v,
+    d the common denominator of the offset.  Q(v) = sum_i diag_i * u_i^2,
+    u_i = v_i + sum_{j>i} coef_ij * v_j, is read off the pivot rows of
+    ``_linalg.symmetric_reduce``, which must all be positive and in order.
+    Per level, t_i = D_i * u_i is an integer for D_i = d * lcm(den coef_ij),
+    and S * diag_i / D_i^2 = W_i and S * (bound - partial sums) = R are
+    integers for one common S, so the window W_i * t_i^2 <= R is exactly
+    |t_i| <= isqrt(R // W_i).  The norm y^T G y = d^2 <v,v> is built from
+    the Gram rows, not the LDL remainder, so it checks the window: level i
+    adds y_i * (G_ii * y_i + 2 * sum_{j>i} G_ij * y_j).  Both sums over the
+    fixed j > i come from one loop per node over a merged row of (j, K_ij,
+    2*G_ij), kept where the LDL factor or the Gram entry is nonzero.  The
+    last level keeps y when y^T G y * den(bound) <= num(bound) * d^2.
     """
     d, leaves = _scaled_short_vectors(lattice, offset, bound)
     return [(tuple(Fraction(yk, d) for yk in y), Fraction(ygy, d * d)) for y, ygy in leaves]
@@ -515,27 +521,18 @@ def _scaled_short_vectors(
     gram = lattice.gram
     offset = [as_fraction(x, "offset entry") for x in offset]
     bound = as_fraction(bound, "bound")
-    # Q(x) = sum_i a_i (x_i + sum_{j>i} b_ij x_j)^2 via exact LDL^T
-    a = [[Fraction(gram[i][j]) for j in range(n)] for i in range(n)]
-    coef = [[Fraction(0)] * n for _ in range(n)]
-    diag = [Fraction(0)] * n
-    for i in range(n):
-        diag[i] = a[i][i]
-        if diag[i] <= 0:
-            raise ValueError("lattice is not positive definite")
-        for j in range(i + 1, n):
-            coef[i][j] = a[i][j] / diag[i]
-        for r in range(i + 1, n):
-            for s in range(i + 1, n):
-                a[r][s] -= diag[i] * coef[i][r] * coef[i][s]
-
+    # diag_i = row[i] / prev and coef_ij = row[j] / row[i]
+    steps = _linalg.symmetric_reduce(gram)
+    if any(k != i or row[k] <= 0 for i, (k, row, _) in enumerate(steps)):
+        raise ValueError("lattice is not positive definite")
+    coef = [[Fraction(x, row[i]) for x in row[i + 1 :]] for i, row, _ in steps]
     d = lcm(1, *(o.denominator for o in offset))
     out: list[tuple[tuple[int, ...], int]] = []
     if bound < 0:
         return d, out
     base = [as_integer(o * d, "scaled offset") for o in offset]  # y_i = base_i mod d
-    mults = [lcm(1, *(c.denominator for c in coef[i][i + 1 :])) for i in range(n)]
-    weights = [diag[i] / (d * mults[i]) ** 2 for i in range(n)]
+    mults = [lcm(1, *(c.denominator for c in cs)) for cs in coef]
+    weights = [Fraction(row[i], prev * (d * li) ** 2) for (i, row, prev), li in zip(steps, mults)]
     scale = lcm(bound.denominator, *(w.denominator for w in weights))
     # level i: t = D_i * u_i = D_i * x_i + L_i * base_i + sum_j K_ij * y_j,
     # and the norm so far acc_i = acc_{i+1} + y_i * (G_ii * y_i + h_i) with
@@ -548,9 +545,9 @@ def _scaled_short_vectors(
             li * base[i],
             gram[i][i],
             [
-                (j, as_integer(coef[i][j] * li, "LDL factor"), 2 * gram[i][j])
-                for j in range(i + 1, n)
-                if coef[i][j] or gram[i][j]
+                (j, as_integer(c * li, "LDL factor"), 2 * gram[i][j])
+                for j, c in enumerate(coef[i], i + 1)
+                if c or gram[i][j]
             ],
         )
         for i, li in enumerate(mults)

@@ -430,12 +430,12 @@ def solve_linear_combination(
         [f.coefficient(Fraction(e)) for f in basis] + [v]
         for e, v in targets
     ]
-    reduced, pivots, _ = row_reduce(rows, ncols)
+    reduced, pivots, last, _ = row_reduce(rows, ncols)
     if len(pivots) < ncols:
         raise SingularSystemError("constraint matrix is rank-deficient")
-    if any(row[ncols] != 0 for row in reduced[ncols:]):
+    if any(row[ncols] for row in reduced[ncols:]):
         raise InconsistentSystemError("constraints are mutually inconsistent")
-    return [row[ncols] for row in reduced[:ncols]]
+    return [Fraction(row[ncols], last) for row in reduced[:ncols]]
 
 
 # ---------------------------------------------------------------------------

@@ -253,7 +253,7 @@ def fit_alpha_beta(
     grid = [e for e in grid if e < limit]
     # the earliest exponents whose rows reach full column rank are the pivot
     # columns of the transposed system
-    _, pivots, _ = row_reduce([[g.coefficient(e) for e in grid] for g in basis])
+    _, pivots, _, _ = row_reduce([[g.coefficient(e) for e in grid] for g in basis])
     if len(pivots) < len(basis):
         raise ArithmeticError("monomial basis is rank-deficient on the grid")
     selected = [grid[j] for j in pivots]

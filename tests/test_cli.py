@@ -251,6 +251,17 @@ class TestVerify:
         assert all(line.startswith("pass ") for line in lines), out
         assert lines[-1].endswith("gauss-milgram-user-lattice")
 
+    def test_user_gram_form_stays_out_of_the_form_cache(self):
+        # the library's forms stay cached; the user lattice's form dies with
+        # its check, so the cache holds as many forms after the run as before
+        from cubicforms.fqm import _cached_form
+
+        assert run(["verify", "--suite", "milgram"])[0] == 0
+        before = _cached_form.cache_info().currsize
+        code, out = run(["verify", "--suite", "milgram", "--gram", "[[4,2],[2,4]]"])
+        assert code == 0 and "pass  milgram: gauss-milgram-user-lattice" in out
+        assert _cached_form.cache_info().currsize == before
+
     @pytest.mark.parametrize("suite", ["weil", "qseries", "degrees"])
     def test_unused_gram_is_usage_error(self, suite, capsys):
         code, out = run(["verify", "--suite", suite, "--gram", "[[2,1],[1,2]]"])

@@ -21,13 +21,15 @@ from cubicforms.fqm import (
     WeilRep,
     _mat_identity_cyc,
     _mat_mul_cyc,
+    _scaled_inverse,
     _scaled_short_vectors,
     discriminant_form,
     gauss_milgram_check,
     short_vectors,
     w_prime_form,
 )
-from lattices import lambda0_prime_gram
+from lattices import direct_sum, lambda0_prime_gram
+from test_linalg import fraction_inverse_and_det
 from test_package import _fraction_news
 
 
@@ -217,7 +219,7 @@ class _FractionForm:
     def __init__(self, gram):
         lattice = EvenLattice(gram)
         self.lattice = lattice
-        dual, det = _linalg.inverse_and_det(gram)
+        dual, det = fraction_inverse_and_det(gram)
         self.level = lcm(
             1,
             *((x / 2 if i == j else x).denominator
@@ -313,7 +315,7 @@ class TestIntegerFormAgainstFractionOracle:
         lattice = EvenLattice(gram)
         forms = []
         built = _fraction_news(lambda: forms.append(DiscriminantForm(lattice)))
-        elimination = _fraction_news(lambda: _linalg.inverse_and_det(gram))
+        elimination = _fraction_news(lambda: _scaled_inverse(gram))
         assert built - elimination <= (len(gram) + 2) * forms[0].order, built
 
 
@@ -571,6 +573,16 @@ class TestShortVectors:
             short_vectors(EvenLattice(U_GRAM), (0, 0), F(2))
 
     @pytest.mark.parametrize(
+        "gram",
+        [U_GRAM, W_PRIME_GRAM, ((0, 1), (1, 2)), direct_sum(W_GRAM, U_GRAM)],
+        ids=["U", "W'", "zero-leading-diagonal", "W+U"],
+    )
+    def test_rejects_every_pivot_that_is_not_positive_or_in_order(self, gram):
+        # ((0, 1), (1, 2)) pivots out of order on its second diagonal entry
+        with pytest.raises(ValueError, match="not positive definite"):
+            _scaled_short_vectors(EvenLattice(gram), (0,) * len(gram), 2)
+
+    @pytest.mark.parametrize(
         "offset, bound",
         [((0.5, 0), 2), ((0, 0), 2.0), ((F(1, 3), 0.0), F(2)), (("1/3", 0), 2)],
     )
@@ -625,11 +637,11 @@ def _brute_short_vectors(gram, offset, bound):
 
 
 @st.composite
-def _positive_lattices(draw):
-    """Even positive definite Gram matrices of rank 1-4: a diagonally
-    dominant even matrix, then congruence by elementary integer matrices,
-    which keeps it even and positive definite but skews the basis."""
-    n = draw(st.integers(1, 4))
+def _positive_grams(draw, ranks=st.integers(1, 4)):
+    """Even positive definite Gram matrices: a diagonally dominant even
+    matrix, then congruence by elementary integer matrices, which keeps it
+    even and positive definite but skews the basis."""
+    n = draw(ranks)
     g = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
@@ -643,10 +655,19 @@ def _positive_lattices(draw):
             g[r][j] += c * g[r][i]
         for r in range(n):
             g[j][r] += c * g[i][r]
+    return tuple(tuple(row) for row in g)
+
+
+@st.composite
+def _positive_lattices(draw):
+    """A Gram matrix of ``_positive_grams`` (rank 1-4), an offset and a
+    bound."""
+    g = draw(_positive_grams())
+    n = len(g)
     denom = st.sampled_from((1, 2, 3, 6))
     offset = tuple(F(draw(st.integers(-6, 6)), draw(denom)) for _ in range(n))
     bound = F(draw(st.integers(-2, 16)), draw(denom))
-    return tuple(tuple(row) for row in g), offset, bound
+    return g, offset, bound
 
 
 @settings(deadline=None, max_examples=120)
@@ -676,6 +697,51 @@ def test_scaled_walk_is_the_integer_view(case):
         assert ygy == d * d * norm
 
 
+def _fraction_ldl(gram):
+    """The exact LDL^T form Q(x) = sum_i diag_i (x_i + sum_{j>i} coef_ij
+    x_j)^2 by Fraction elimination, as the walk computed it before it read
+    the form off ``_linalg.symmetric_reduce``; coef is n x n, zero on and
+    below the diagonal."""
+    n = len(gram)
+    a = [[F(gram[i][j]) for j in range(n)] for i in range(n)]
+    coef = [[F(0)] * n for _ in range(n)]
+    diag = [F(0)] * n
+    for i in range(n):
+        diag[i] = a[i][i]
+        if diag[i] <= 0:
+            raise ValueError("lattice is not positive definite")
+        for j in range(i + 1, n):
+            coef[i][j] = a[i][j] / diag[i]
+        for r in range(i + 1, n):
+            for s in range(i + 1, n):
+                a[r][s] -= diag[i] * coef[i][r] * coef[i][s]
+    return diag, coef
+
+
+@settings(deadline=None, max_examples=100)
+@given(_positive_grams(st.integers(1, 8)))
+@example(E8_GRAM)
+@example(direct_sum(W_GRAM, E8_GRAM))
+def test_symmetric_reduce_gives_the_fraction_ldl(gram):
+    # diag_k = row[k] / prev and coef_kj = row[j] / row[k] on the pivot rows
+    n = len(gram)
+    steps = _linalg.symmetric_reduce(gram)
+    assert [k for k, _, _ in steps] == list(range(n))
+    diag = [F(row[k], prev) for k, row, prev in steps]
+    coef = [[F(row[j], row[k]) if j > k else F(0) for j in range(n)] for k, row, _ in steps]
+    assert (diag, coef) == _fraction_ldl(gram)
+
+
+def test_e8_walk_builds_few_fractions():
+    # the LDL^T form comes off integer pivot rows, and the walk itself runs
+    # in integers: at most 2n^2 Fractions in all, none per leaf
+    lattice = EvenLattice(E8_GRAM)
+    leaves = []
+    built = _fraction_news(lambda: leaves.append(_scaled_short_vectors(lattice, (0,) * 8, 8)))
+    assert len(leaves[0][1]) == 26641
+    assert built <= 2 * 8**2, built
+
+
 def _walk_oracle(lattice, offset, bound):
     """The walk as it was before the leaf norm was accumulated level by
     level: one recursive call per leaf, and y^T G y summed over the whole
@@ -684,16 +750,7 @@ def _walk_oracle(lattice, offset, bound):
     gram = lattice.gram
     offset = [F(x) for x in offset]
     bound = F(bound)
-    a = [[F(gram[i][j]) for j in range(n)] for i in range(n)]
-    coef = [[F(0)] * n for _ in range(n)]
-    diag = [F(0)] * n
-    for i in range(n):
-        diag[i] = a[i][i]
-        for j in range(i + 1, n):
-            coef[i][j] = a[i][j] / diag[i]
-        for r in range(i + 1, n):
-            for s in range(i + 1, n):
-                a[r][s] -= diag[i] * coef[i][r] * coef[i][s]
+    diag, coef = _fraction_ldl(gram)
     d = lcm(1, *(o.denominator for o in offset))
     out = []
     if bound < 0:
@@ -865,13 +922,19 @@ def test_form_takes_inverse_and_det_from_one_elimination(gram, monkeypatch):
     from cubicforms import _linalg
     from cubicforms.fqm import DiscriminantForm
 
-    det, inverse = _linalg.det(gram), _linalg.inverse_and_det(gram)[0]
+    det = _linalg.det(gram)
     lattice = EvenLattice(gram)
     calls = []
     row_reduce = _linalg.row_reduce
     monkeypatch.setattr(_linalg, "row_reduce", lambda *a: calls.append(a) or row_reduce(*a))
-    assert _linalg.inverse_and_det(gram) == (inverse, det)
+    assert _scaled_inverse(gram)[2] == det
     assert len(calls) == 1
     # the closure is checked against |det G| from the inverse's elimination
     assert DiscriminantForm(lattice).order == abs(det)
     assert len(calls) == 2
+
+
+def test_order3_form_builds_at_most_six_fractions():
+    # one pivot product, and one Fraction per coset entry value and q-value
+    lattice = EvenLattice(W_PRIME_GRAM)
+    assert _fraction_news(lambda: DiscriminantForm(lattice)) <= 6

@@ -1,19 +1,24 @@
 """Exact linear algebra over Q, checked against independent exact oracles:
 the Leibniz permutation sum for determinants and minors, Descartes' rule of
 signs on the characteristic polynomial for the inertia, and the Fraction
-eliminations that the fraction-free ones replaced."""
+eliminations that the fraction-free ones replaced.  ``row_reduce`` answers
+in integers, so its rows are compared with the Fraction Gauss-Jordan rows
+up to the scale it documents: a pivot row over the last pivot P, a
+non-pivot row up to a nonzero factor.  ``fqm._scaled_inverse``, which reads
+d * G^-1, d and det G off one ``row_reduce``, is checked here too."""
 
 from fractions import Fraction as F
 from itertools import combinations, permutations
-from math import prod
+from math import gcd, prod
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cubicforms._linalg import det, inertia, inverse_and_det, row_reduce
-from cubicforms.fqm import E8_GRAM, U_GRAM, W_GRAM
+from cubicforms._linalg import det, inertia, row_reduce
+from cubicforms.fqm import E8_GRAM, U_GRAM, W_GRAM, _scaled_inverse
 from lattices import direct_sum, lambda0_prime_gram
+from test_package import _fraction_news
 
 entries = st.builds(F, st.integers(-6, 6), st.sampled_from((1, 1, 1, 2, 3)))
 
@@ -124,20 +129,35 @@ def test_det_of_empty_matrix_is_one():
     assert det([]) == 1
 
 
+@st.composite
+def integer_matrices(draw, rows=st.integers(1, 5), singular=False):
+    """Square integer matrices, as ``_scaled_inverse`` takes a Gram matrix."""
+    n = draw(rows)
+    mat = [[draw(st.integers(-6, 6)) for _ in range(n)] for _ in range(n)]
+    if singular and n > 1:
+        cs = [draw(st.integers(-3, 3)) for _ in range(n - 1)]
+        mat[-1] = [sum(c * row[j] for c, row in zip(cs, mat)) for j in range(n)]
+    return mat
+
+
 @settings(deadline=None, max_examples=60)
-@given(matrices())
+@given(integer_matrices())
 def test_inverse_is_left_inverse(mat):
+    # (d * G^-1) * G = d * I for the least d, with det G the Leibniz sum
     assume(leibniz(mat) != 0)
     n = len(mat)
-    identity = [[F(int(i == j)) for j in range(n)] for i in range(n)]
-    assert mul(inverse_and_det(mat)[0], mat) == identity
+    scaled, d, det_g = _scaled_inverse(mat)
+    assert d > 0 and all(type(x) is int for row in scaled for x in row)
+    assert mul(scaled, mat) == [[d * int(i == j) for j in range(n)] for i in range(n)]
+    assert gcd(d, *(x for row in scaled for x in row)) == 1
+    assert type(det_g) is int and det_g == leibniz(mat)
 
 
 @settings(deadline=None, max_examples=40)
-@given(matrices(rows=st.integers(2, 5), singular=True))
+@given(integer_matrices(rows=st.integers(2, 5), singular=True))
 def test_inverse_rejects_singular(mat):
     with pytest.raises(ValueError, match="singular matrix"):
-        inverse_and_det(mat)
+        _scaled_inverse(mat)
 
 
 @settings(deadline=None, max_examples=60)
@@ -150,11 +170,11 @@ def test_row_reduce_pivots_are_earliest_independent_columns(mat):
     for j in range(len(mat[0])):
         if rank(mat, greedy + [j]) > len(greedy):
             greedy.append(j)
-    reduced, pivots, _ = row_reduce(mat)
+    rows, pivots, last, _ = row_reduce(mat)
     assert pivots == greedy
     for i, col in enumerate(pivots):
-        assert [row[col] for row in reduced] == [int(r == i) for r in range(len(mat))]
-    assert all(not any(row) for row in reduced[len(pivots):])
+        assert [row[col] for row in rows] == [last * (r == i) for r in range(len(mat))]
+    assert all(not any(row) for row in rows[len(pivots):])
 
 
 @settings(deadline=None, max_examples=60)
@@ -163,12 +183,12 @@ def test_row_reduce_keeps_trailing_columns_and_signs_the_pivot_product(data):
     mat = data.draw(matrices(rows=st.integers(1, 4)))
     extra = [[data.draw(entries)] for _ in mat]
     n = len(mat)
-    reduced, pivots, product = row_reduce([r + e for r, e in zip(mat, extra)], n)
+    rows, pivots, last, product = row_reduce([r + e for r, e in zip(mat, extra)], n)
     assert pivots == sorted(pivots) and all(p < n for p in pivots)
     if len(pivots) == n:
         assert product == leibniz(mat)
-        # the trailing column is now the solution of mat x = extra
-        x = [row[n] for row in reduced]
+        # the trailing column over the last pivot solves mat x = extra
+        x = [F(row[n], last) for row in rows]
         assert mul(mat, [[v] for v in x]) == extra
 
 
@@ -223,6 +243,17 @@ def fraction_row_reduce(rows, ncols=None):
                 a[i] = [x - f * y for x, y in zip(a[i], a[r])]
         pivots.append(col)
     return a, pivots, product
+
+
+def fraction_inverse_and_det(mat):
+    """G^-1 and det G from the Fraction Gauss-Jordan of [G | I], as the
+    package computed them before ``_scaled_inverse`` read them in integers."""
+    n = len(mat)
+    reduced, pivots, product = fraction_row_reduce(
+        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(mat)], n
+    )
+    assert len(pivots) == n
+    return [row[n:] for row in reduced], product
 
 
 def fraction_inertia(mat):
@@ -280,11 +311,30 @@ def eliminations(draw):
     return mat, ncols
 
 
+def assert_matches_fraction_oracle(mat, ncols):
+    """The integer answer of row_reduce against the Fraction rows: the same
+    pivots and product, each pivot row the reduced row times the last pivot
+    P, each non-pivot row a nonzero multiple of the reduced row."""
+    rows, pivots, last, product = row_reduce(mat, ncols)
+    reduced, want_pivots, want_product = fraction_row_reduce(mat, ncols)
+    assert (pivots, product) == (want_pivots, want_product)
+    assert all(type(x) is int for row in rows for x in row) and type(last) is int
+    rank = len(pivots)
+    for row, want in zip(rows[:rank], reduced[:rank]):
+        assert [F(x, last) for x in row] == want
+    for row, want in zip(rows[rank:], reduced[rank:]):
+        assert [bool(x) for x in row] == [bool(x) for x in want]
+        lead = next((j for j, x in enumerate(want) if x), None)
+        if lead is not None:
+            c = row[lead] / want[lead]
+            assert row == [c * x for x in want]
+    assert len(rows) == len(reduced)
+
+
 @settings(deadline=None, max_examples=200)
 @given(eliminations())
 def test_row_reduce_matches_fraction_oracle(case):
-    mat, ncols = case
-    assert row_reduce(mat, ncols) == fraction_row_reduce(mat, ncols)
+    assert_matches_fraction_oracle(*case)
 
 
 @pytest.mark.parametrize(
@@ -298,7 +348,7 @@ def test_row_reduce_matches_fraction_oracle(case):
     ],
 )
 def test_row_reduce_pinned_cases_match_fraction_oracle(mat, ncols):
-    assert row_reduce(mat, ncols) == fraction_row_reduce(mat, ncols)
+    assert_matches_fraction_oracle(mat, ncols)
 
 
 @settings(deadline=None, max_examples=80)
@@ -367,19 +417,14 @@ def test_inertia_raises_exactly_when_det_is_zero(a):
         assert inertia(a) == fraction_inertia(a) == descartes_inertia(a)
 
 
-def test_inverse_and_det_builds_fractions_only_for_its_answer(monkeypatch):
-    """Every Fraction made while inverting E8, counted at its constructor:
-    at most one per entry of the reduced [G | I] and one for the product."""
-    built = []
-    real_new = F.__new__
+def test_scaled_inverse_builds_no_fraction_beyond_the_pivot_product():
+    """Every Fraction made while inverting E8 and lambda0', counted at its
+    constructor: the elimination's pivot product and nothing else."""
+    for gram in (E8_GRAM, lambda0_prime_gram()):
+        answers = []
+        assert _fraction_news(lambda: answers.append(_scaled_inverse(gram))) == 1
+        scaled, d, det_g = answers[0]
+        n = len(gram)
+        assert mul(scaled, gram) == [[d * int(i == j) for j in range(n)] for i in range(n)]
+        assert det_g == det(gram)
 
-    def counting_new(cls, *args, **kwargs):
-        built.append(args)
-        return real_new(cls, *args, **kwargs)
-
-    monkeypatch.setattr(F, "__new__", staticmethod(counting_new))
-    inverse, d = inverse_and_det(E8_GRAM)
-    monkeypatch.undo()
-    assert d == 1
-    assert mul(inverse, E8_GRAM) == [[int(i == j) for j in range(8)] for i in range(8)]
-    assert 0 < len(built) <= 8 * 16 + 1
