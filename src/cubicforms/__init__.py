@@ -15,15 +15,16 @@ Two independent engines produce the numbers:
 The first degrees are deg(C_6) = 192, deg(C_8) = 3402, deg(C_12) = 196272.
 
 Caches.  Every cache is unbounded, as each has few keys.
-``fqm._cached_form`` holds one form per Gram matrix the library names, which
-``VectorForm`` compares by identity; a ``verify --gram`` form is built
-outside it and dies with its check.  ``qseries.precision_memo`` keeps one
-result per key, at the highest precision asked, the weight bounded by
-``cli.MAX_WEIGHT``; ``l_value_ratio`` and ``bernoulli_number`` one
-``Fraction`` per weight; ``eisenstein._descent`` and ``_integer_polynomial``
-the local-density oracle's polynomials and counts per coset, n, prime and
-depth asked; ``schubert._lr_products`` at most 20 x 20 pairs of partitions
-in the 3 x 3 box.
+``fqm._cached_form`` holds one form per Gram matrix the library names or
+``vv_eisenstein`` is asked for, which ``VectorForm`` compares by identity; a
+``verify --gram`` form is built outside it and dies with its check.
+``qseries.precision_memo`` keeps one result per key, at the highest
+precision asked, the weight bounded by ``cli.MAX_WEIGHT``, on a cached form
+only (a caller's own form gets a copy); ``l_value_ratio`` and
+``bernoulli_number`` one ``Fraction`` per weight; ``eisenstein._descent``
+the local-density oracle's counts per integer polynomial, prime and depth
+asked, never a form; ``schubert._lr_products`` at most 20 x 20 pairs of
+partitions in the 3 x 3 box.
 """
 
 from .exactmath import (

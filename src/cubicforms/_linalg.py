@@ -1,44 +1,38 @@
-"""Small exact linear algebra over Q (internal plumbing), the one place
-that eliminates.  Both routines run fraction-free (Bareiss, Math. Comp. 22,
-1968) on integer rows and answer in integers.  ``det``,
-``fqm._scaled_inverse``, ``qseries.solve_linear_combination`` and
-``vvmf.fit_alpha_beta`` read their answers off ``row_reduce``.  Row
-operations alone do not preserve inertia, so ``symmetric_reduce`` runs a
-congruence: ``inertia`` counts the signs of its pivots, and
-``fqm._scaled_short_vectors`` reads an LDL^T form off its pivot rows.
+"""Small exact linear algebra over Z (internal plumbing), the one place
+that eliminates.  Both routines take integer rows, run fraction-free
+(Bareiss, Math. Comp. 22, 1968) and answer in integers; a caller with
+rational data scales it to integers first.  ``det``,
+``fqm._scaled_inverse`` and ``qseries.solve_linear_combination`` read their
+answers off ``row_reduce``.  Row operations alone do not preserve inertia,
+so ``symmetric_reduce`` runs a congruence: ``inertia`` counts the signs of
+its pivots, and ``fqm._scaled_short_vectors`` reads its window off the
+pivot rows.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
-
 
 def row_reduce(rows, ncols=None):
-    """Gauss-Jordan elimination over Q of ``rows`` (ints or Fractions).
+    """Gauss-Jordan elimination of integer ``rows``, fraction-free.
 
     Only the first ``ncols`` columns (default: all) are eliminated; later
     columns, such as a right-hand side or an identity block, ride along.
     Each column pivots on its first nonzero entry among the rows not yet
-    used.  Returns the integer rows, the pivot columns (the earliest columns
-    independent of those before them), the last pivot P (1 if none) and the
-    product of the pivots, negated once per row swap.  A pivot row is its
-    reduced row times P, a non-pivot row its reduced row times P*s.
+    used.  Returns the rows, the pivot columns (the earliest columns
+    independent of those before them), the last pivot P (1 if none) and
+    +-P, negated once per row swap.  P is the product of the pivots of the
+    elimination over Q, so +-P is det of a square input of full rank, and
+    every row is its reduced row over Q times P.
 
-    Each row is scaled to integers by the lcm s > 0 of its denominators,
-    and a pivot p updates every other row as (p*x - f*y) // prev, prev the
-    pivot before it (1 at first).  Every entry stays a minor of the scaled
-    rows, so the division is exact, and each earlier pivot row's pivot
-    becomes p.  The pivot product, +-P over the product of the pivot rows'
-    s, is the one ``Fraction`` built here.
+    A pivot p updates every other row as (p*x - f*y) // prev, prev the pivot
+    before it (1 at first).  Every entry stays a minor of the input, so the
+    division is exact, and each earlier pivot row's pivot becomes p.
     """
-    ratios = [[x.as_integer_ratio() for x in row] for row in rows]
-    scales = [lcm(1, *[d for _, d in row]) for row in ratios]
-    a = [[n * (s // d) for n, d in row] for row, s in zip(ratios, scales)]
+    a = list(rows)
     if ncols is None:
         ncols = len(a[0]) if a else 0
     pivots: list[int] = []
-    sign = prev = used = 1  # used: product of the pivot rows' scales
+    sign = prev = 1
     for col in range(ncols):
         r = len(pivots)
         for piv in range(r, len(a)):
@@ -48,24 +42,22 @@ def row_reduce(rows, ncols=None):
             continue
         if piv != r:
             a[r], a[piv] = a[piv], a[r]
-            scales[r], scales[piv] = scales[piv], scales[r]
             sign = -sign
         top = a[r]
         p = top[col]
-        used *= scales[r]
         for i, row in enumerate(a):
             if i != r:
                 f = row[col]
                 a[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
         prev = p
         pivots.append(col)
-    return a, pivots, prev, Fraction(sign * prev, used)
+    return a, pivots, prev, sign * prev
 
 
 def symmetric_reduce(mat) -> list[tuple[int, list[int], int]]:
-    """Symmetric reduction of a nondegenerate symmetric matrix, scaled to
-    integers by one positive lcm: one (k, row, prev) per step, row[k] the
-    pivot and prev > 0 the divisor of the step before.
+    """Symmetric reduction of a nondegenerate symmetric integer matrix: one
+    (k, row, prev) per step, row[k] the pivot and prev > 0 the divisor of
+    the step before.
 
     Each step takes the first remaining k with a_kk != 0; if every remaining
     diagonal entry vanishes, e_i += e_j first makes a_ii = 2*a_ij != 0.
@@ -78,8 +70,7 @@ def symmetric_reduce(mat) -> list[tuple[int, list[int], int]]:
     matrix leaves a zero row in the remaining block: ValueError.
     """
     n = len(mat)
-    s = lcm(1, *(x.denominator for row in mat for x in row))
-    a = [[x.numerator * (s // x.denominator) for x in row] for row in mat]
+    a = [list(row) for row in mat]
     steps = []
     prev = 1
     remaining = list(range(n))
@@ -110,15 +101,16 @@ def symmetric_reduce(mat) -> list[tuple[int, list[int], int]]:
 
 
 def inertia(mat) -> tuple[int, int]:
-    """Signature (n_plus, n_minus) of a nondegenerate symmetric matrix: the
-    signs of the pivots of ``symmetric_reduce`` (Sylvester's law of
-    inertia).  A degenerate matrix raises ValueError."""
+    """Signature (n_plus, n_minus) of a nondegenerate symmetric integer
+    matrix: the signs of the pivots of ``symmetric_reduce`` (Sylvester's law
+    of inertia).  A degenerate matrix raises ValueError."""
     steps = symmetric_reduce(mat)
     pos = sum(row[k] > 0 for k, row, _ in steps)
     return pos, len(steps) - pos
 
 
-def det(mat) -> Fraction:
-    """Determinant by exact Gaussian elimination."""
+def det(mat) -> int:
+    """Determinant of a square integer matrix: the signed last pivot of
+    ``row_reduce``, or 0 if a column has no pivot."""
     _, pivots, _, product = row_reduce(mat)
-    return product if len(pivots) == len(mat) else Fraction(0)
+    return product if len(pivots) == len(mat) else 0

@@ -110,7 +110,6 @@ def beta_series(prec: int) -> QSeries:
 # representation counts for the local Euler factors
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
 def _integer_polynomial(form: DiscriminantForm, gamma: int, n: Fraction):
     """The congruence (1/2)(r-gamma)^2 + n as an integer polynomial in r.
 
@@ -287,18 +286,22 @@ def vv_eisenstein(form: DiscriminantForm, k: int, prec: Fraction | int) -> Vecto
     The descent of ``local_euler_factor`` is the tests' oracle of each
     factor.  Every coefficient must come out a nonnegative integer; anything
     else raises.  One component is computed per {gamma, -gamma} orbit and
-    serves both.
+    serves both.  The precision memo holds the series on the library's form
+    of the Gram matrix; a caller's own form of it gets the same components
+    on that form.
     """
     if form.order != 3 or form.lattice.rank != 2:
         raise ValueError(
             "vector-valued Eisenstein series is wired to the rank-2, order-3 form"
         )
     ratio = l_value_ratio(k)
-    return precision_memo(
+    home = discriminant_form(form.lattice)
+    held = precision_memo(
         ("vv_eisenstein", form.lattice.gram, k),
         as_fraction(prec, "prec"),
-        lambda prec: _vv_series(form, k, ratio, prec),
+        lambda prec: _vv_series(home, k, ratio, prec),
     )
+    return held if form is home else VectorForm(held.weight, form, held.components)
 
 
 def _vv_series(

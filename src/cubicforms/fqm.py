@@ -18,7 +18,7 @@ from math import gcd, isqrt, lcm
 from operator import mul
 
 from . import _linalg
-from .exactmath import Cyclotomic, _Value, as_fraction, as_integer, gauss_sum, jacobi_symbol
+from .exactmath import Cyclotomic, _Value, as_fraction, gauss_sum, jacobi_symbol
 
 __all__ = [
     "EvenLattice",
@@ -60,7 +60,8 @@ W_PRIME_GRAM: tuple[tuple[int, ...], ...] = tuple(
 
 
 class EvenLattice(_Value):
-    """Nondegenerate even integral lattice given by its Gram matrix."""
+    """Nondegenerate even integral lattice given by its Gram matrix, whose
+    entries must be ints (``TypeError`` otherwise, a bool included)."""
 
     __slots__ = ("gram",)
 
@@ -69,6 +70,9 @@ class EvenLattice(_Value):
         n = len(gram)
         if any(len(row) != n for row in gram):
             raise ValueError("Gram matrix must be square")
+        bad = [x for row in gram for x in row if type(x) is not int]
+        if bad:
+            raise TypeError(f"Gram entry {bad[0]!r} is not an int")
         if any(gram[i][j] != gram[j][i] for i in range(n) for j in range(n)):
             raise ValueError("Gram matrix must be symmetric")
         if any(gram[i][i] % 2 for i in range(n)):
@@ -81,7 +85,7 @@ class EvenLattice(_Value):
         return len(self.gram)
 
     def det(self) -> int:
-        return as_integer(_linalg.det(self.gram), "lattice determinant")
+        return _linalg.det(self.gram)
 
     @property
     def signature(self) -> tuple[int, int]:
@@ -116,8 +120,7 @@ def _scaled_inverse(gram) -> tuple[list[list[int]], int, int]:
     if len(pivots) < n:
         raise ValueError("singular matrix")
     g = gcd(last, *(x for row in rows for x in row[n:])) * (1 if last > 0 else -1)
-    det = as_integer(product, "lattice determinant")
-    return [[x // g for x in row[n:]] for row in rows], last // g, det
+    return [[x // g for x in row[n:]] for row in rows], last // g, product
 
 
 def _level(scaled, d) -> int:
@@ -495,18 +498,8 @@ def short_vectors(
 
     A ``Fraction`` view of one integer walk, ``_scaled_short_vectors``:
     completion of squares (Fincke-Pohst, Math. Comp. 44, 1985) over y = d*v,
-    d the common denominator of the offset.  Q(v) = sum_i diag_i * u_i^2,
-    u_i = v_i + sum_{j>i} coef_ij * v_j, is read off the pivot rows of
+    d the common denominator of the offset, read off the pivot rows of
     ``_linalg.symmetric_reduce``, which must all be positive and in order.
-    Per level, t_i = D_i * u_i is an integer for D_i = d * lcm(den coef_ij),
-    and S * diag_i / D_i^2 = W_i and S * (bound - partial sums) = R are
-    integers for one common S, so the window W_i * t_i^2 <= R is exactly
-    |t_i| <= isqrt(R // W_i).  The norm y^T G y = d^2 <v,v> is built from
-    the Gram rows, not the LDL remainder, so it checks the window: level i
-    adds y_i * (G_ii * y_i + 2 * sum_{j>i} G_ij * y_j).  Both sums over the
-    fixed j > i come from one loop per node over a merged row of (j, K_ij,
-    2*G_ij), kept where the LDL factor or the Gram entry is nonzero.  The
-    last level keeps y when y^T G y * den(bound) <= num(bound) * d^2.
     """
     d, leaves = _scaled_short_vectors(lattice, offset, bound)
     return [(tuple(Fraction(yk, d) for yk in y), Fraction(ygy, d * d)) for y, ygy in leaves]
@@ -516,44 +509,48 @@ def _scaled_short_vectors(
     lattice: EvenLattice, offset, bound: Fraction
 ) -> tuple[int, list[tuple[tuple[int, ...], int]]]:
     """The walk of ``short_vectors`` in integers: the common denominator d of
-    the offset and the leaves (y, y^T G y) with y = d*v, in the same order."""
+    the offset and the leaves (y, y^T G y) with y = d*v, in the same order.
+
+    Step i of ``symmetric_reduce`` gives the row r_i, the pivot p_i = r_i[i]
+    and the divisor prev_i, and Q(v) = sum_i (p_i / prev_i) * u_i^2 with
+    u_i = sum_{j>=i} r_i[j] * v_j / p_i.  So t_i = sum_{j>=i} r_i[j] * y_j =
+    d * p_i * u_i is an integer and Q(v) = sum_i t_i^2 / (d^2 prev_i p_i).
+    With M = lcm(prev_i * p_i), W_i = den(bound) * M / (prev_i * p_i) and
+    R = M * d^2 * num(bound), Q(v) <= bound is sum_i W_i * t_i^2 <= R, so
+    level i keeps |t_i| <= isqrt(rem // W_i), rem being R less the levels
+    above, where t_i = d * p_i * x_i + p_i * base_i + sum_{j>i} r_i[j] * y_j
+    for y_i = base_i + d * x_i.  The norm y^T G y = d^2 <v,v> is built from
+    the Gram rows, so it checks the window: level i adds y_i * (G_ii * y_i +
+    2 * sum_{j>i} G_ij * y_j), both sums over j > i in one loop per node over
+    a merged row of (j, r_i[j], 2*G_ij).  The last level keeps y when
+    y^T G y * den(bound) <= num(bound) * d^2.
+    """
     n = lattice.rank
     gram = lattice.gram
     offset = [as_fraction(x, "offset entry") for x in offset]
     bound = as_fraction(bound, "bound")
-    # diag_i = row[i] / prev and coef_ij = row[j] / row[i]
     steps = _linalg.symmetric_reduce(gram)
     if any(k != i or row[k] <= 0 for i, (k, row, _) in enumerate(steps)):
         raise ValueError("lattice is not positive definite")
-    coef = [[Fraction(x, row[i]) for x in row[i + 1 :]] for i, row, _ in steps]
     d = lcm(1, *(o.denominator for o in offset))
     out: list[tuple[tuple[int, ...], int]] = []
-    if bound < 0:
+    num_bound, den_bound = bound.numerator, bound.denominator
+    if num_bound < 0:
         return d, out
-    base = [as_integer(o * d, "scaled offset") for o in offset]  # y_i = base_i mod d
-    mults = [lcm(1, *(c.denominator for c in cs)) for cs in coef]
-    weights = [Fraction(row[i], prev * (d * li) ** 2) for (i, row, prev), li in zip(steps, mults)]
-    scale = lcm(bound.denominator, *(w.denominator for w in weights))
-    # level i: t = D_i * u_i = D_i * x_i + L_i * base_i + sum_j K_ij * y_j,
-    # and the norm so far acc_i = acc_{i+1} + y_i * (G_ii * y_i + h_i) with
-    # h_i = sum_{j>i} 2 * G_ij * y_j; one row of (j, K_ij, 2 * G_ij) over the
-    # fixed j > i carries both sums
+    base = [o.numerator * (d // o.denominator) for o in offset]  # y_i = base_i mod d
+    m = lcm(1, *(prev * row[i] for i, row, prev in steps))
     levels = [
         (
-            d * li,
-            as_integer(weights[i] * scale, "scaled diagonal"),
-            li * base[i],
+            d * row[i],
+            den_bound * m // (prev * row[i]),
+            row[i] * base[i],
             gram[i][i],
-            [
-                (j, as_integer(c * li, "LDL factor"), 2 * gram[i][j])
-                for j, c in enumerate(coef[i], i + 1)
-                if c or gram[i][j]
-            ],
+            [(j, row[j], 2 * gram[i][j]) for j in range(i + 1, n) if row[j] or gram[i][j]],
         )
-        for i, li in enumerate(mults)
+        for i, row, prev in steps
     ]
     y = [0] * n
-    den_bound, cap = bound.denominator, bound.numerator * d * d
+    cap = num_bound * d * d
 
     def walk(i: int, rem: int, acc: int):
         di, wi, c, gii, row = levels[i]
@@ -579,7 +576,7 @@ def _scaled_short_vectors(
                 out.append(((yi, *rest), ygy))
 
     if n:
-        walk(n - 1, as_integer(bound * scale, "scaled bound"), 0)
+        walk(n - 1, m * cap, 0)
     else:  # rank 0: the empty vector, whose norm 0 is within the bound
         out.append(((), 0))
     return d, out

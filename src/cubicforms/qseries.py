@@ -43,7 +43,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm
-from operator import sub
+from operator import mul, sub
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -208,15 +208,19 @@ class QSeries:
         return sorted([Fraction(e, self.den) for e in self.nums])
 
     def coefficient(self, n: Fraction | int) -> Fraction:
-        n = as_fraction(n, "exponent")
-        num, d = n.as_integer_ratio()
+        num, d = as_fraction(n, "exponent").as_integer_ratio()
+        return Fraction(self._numerator(num, d), self.scale)
+
+    def _numerator(self, num: int, d: int) -> int:
+        """The numerator over ``scale`` of the coefficient at q^(num/d), d > 0
+        and the ratio in lowest terms; beyond the cutoff it is unknown."""
         if self.cut is not None and num * self.den >= self.cut * d:
             raise ValueError(
-                f"coefficient at q^{n} is beyond the truncation order {self.prec}"
+                f"coefficient at q^{Fraction(num, d)} is beyond the truncation order {self.prec}"
             )
-        if self.den % d:  # q^n is off the 1/den grid
-            return Fraction(0)
-        return Fraction(self.nums.get(num * (self.den // d), 0), self.scale)
+        if self.den % d:  # q^(num/d) is off the 1/den grid
+            return 0
+        return self.nums.get(num * (self.den // d), 0)
 
     def is_zero(self) -> bool:
         return not self.nums
@@ -416,26 +420,37 @@ def solve_linear_combination(
     targets: Sequence[tuple[Fraction | int, Fraction | int]],
 ) -> list[Fraction]:
     """Exact coefficients c with sum_j c_j * basis_j matching every target
-    (exponent, value) constraint.
+    (exponent, value) constraint, each an int or a Fraction.
 
     Requires at least as many constraints as basis elements and full column
     rank; inconsistent constraints raise rather than being fit approximately.
+    In integers, with D the values' common denominator, constraint e reads
+    sum_j nums_j(e) * y_j = D * value_e for y_j = c_j * D / scale_j.  One
+    ``row_reduce`` gives P * y; then every constraint is checked, and the
+    error names the first one, in the order given, that y misses.
     """
     ncols = len(basis)
     if len(targets) < ncols:
         raise SingularSystemError(
             f"{len(targets)} constraints cannot determine {ncols} coefficients"
         )
+    exponents = [as_fraction(e, "exponent").as_integer_ratio() for e, _ in targets]
+    values = [as_fraction(v, "target value") for _, v in targets]
+    D = lcm(*[v.denominator for v in values])
     rows = [
-        [f.coefficient(Fraction(e)) for f in basis] + [v]
-        for e, v in targets
+        [f._numerator(num, d) for f in basis] + [v.numerator * (D // v.denominator)]
+        for (num, d), v in zip(exponents, values)
     ]
     reduced, pivots, last, _ = row_reduce(rows, ncols)
     if len(pivots) < ncols:
         raise SingularSystemError("constraint matrix is rank-deficient")
-    if any(row[ncols] for row in reduced[ncols:]):
-        raise InconsistentSystemError("constraints are mutually inconsistent")
-    return [Fraction(row[ncols], last) for row in reduced[:ncols]]
+    y = [row[ncols] for row in reduced[:ncols]]  # P * y
+    for (num, d), row in zip(exponents, rows):
+        if sum(map(mul, row, y)) != last * row[ncols]:
+            raise InconsistentSystemError(
+                f"constraint at q^{Fraction(num, d)} is inconsistent with the others"
+            )
+    return [Fraction(yj * f.scale, last * D) for yj, f in zip(y, basis)]
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from fractions import Fraction
 from itertools import repeat
 from math import comb
 
-from ._linalg import row_reduce
 from .eisenstein import alpha_series, beta_series, eisenstein_level1, vv_eisenstein
 from .exactmath import (
     Cyclotomic,
@@ -27,6 +26,7 @@ from .exactmath import (
 )
 from .fqm import DiscriminantForm, Mp2Element, WeilRep, w_prime_form
 from .qseries import _MEMO, QSeries, VectorForm, precision_memo, solve_linear_combination
+from .qseries import InconsistentSystemError, SingularSystemError
 
 __all__ = [
     "VectorForm",
@@ -237,9 +237,12 @@ def fit_alpha_beta(
     """Exact coefficients expressing f in the monomials a^(w-3b) * b^b of the
     two generators (substituted q -> q^(1/3) when ``rescaled``).
 
-    The system is solved on the first full-rank batch of coefficients and
-    re-verified on every further computed coefficient; at least ``min_extra``
-    verification points are required.
+    One ``solve_linear_combination`` runs on every exponent below the
+    common precision where f or a monomial has a term: as many exponents as
+    there are monomials fix the coefficients, and each of the others, at
+    least ``min_extra`` (else ``ValueError``, before the solve), verifies
+    them.  A rank-deficient basis or a failed verification, which names its
+    exponent, raises ``ArithmeticError``.
     """
     if f.cut is None:
         raise ValueError("fit needs a truncated series")
@@ -251,27 +254,14 @@ def fit_alpha_beta(
     )
     limit = min([f.prec] + [g.prec for g in basis])
     grid = [e for e in grid if e < limit]
-    # the earliest exponents whose rows reach full column rank are the pivot
-    # columns of the transposed system
-    _, pivots, _, _ = row_reduce([[g.coefficient(e) for e in grid] for g in basis])
-    if len(pivots) < len(basis):
-        raise ArithmeticError("monomial basis is rank-deficient on the grid")
-    selected = [grid[j] for j in pivots]
-    extra = [e for e in grid if e not in set(selected)]
-    if len(extra) < min_extra:
-        raise ValueError(
-            f"only {len(extra)} verification points available, need {min_extra}"
-        )
-    coeffs = solve_linear_combination(
-        basis, [(e, f.coefficient(e)) for e in selected]
-    )
-    for e in extra:
-        combo = sum((c * g.coefficient(e) for c, g in zip(coeffs, basis)), Fraction(0))
-        if combo != f.coefficient(e):
-            raise ArithmeticError(
-                f"fit fails verification at q^{e}: {combo} != {f.coefficient(e)}"
-            )
-    return coeffs
+    if len(grid) < len(basis) + min_extra:
+        raise ValueError(f"only {len(grid)} exponents on the grid, need {len(basis)} + {min_extra}")
+    try:
+        return solve_linear_combination(basis, [(e, f.coefficient(e)) for e in grid])
+    except SingularSystemError:
+        raise ArithmeticError("monomial basis is rank-deficient on the grid") from None
+    except InconsistentSystemError as exc:
+        raise ArithmeticError(f"fit fails verification: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from collections import Counter
 from fractions import Fraction as F
 from itertools import product
@@ -34,13 +36,14 @@ from cubicforms.fqm import (
     E8_GRAM,
     W_GRAM,
     W_PRIME_GRAM,
+    DiscriminantForm,
     EvenLattice,
     _scaled_short_vectors,
     discriminant_form,
     short_vectors,
     w_prime_form,
 )
-from cubicforms.qseries import QSeries
+from cubicforms.qseries import _MEMO, QSeries
 from cubicforms.vvmf import VectorForm, basis_weight11
 from lattices import direct_sum
 
@@ -238,6 +241,18 @@ def test_descent_depends_only_on_residues_mod_p_vmax(case, s0, s1, s2):
     got = _descent(gram, *shifted, p, depth)
     assert got == _descent(gram, *reduced, p, depth)
     assert got == _brute_counts(gram, lin, const, p, depth)
+
+
+def test_counts_keep_no_form_alive():
+    # the descent is memoized on integer tuples, never on the form
+    form = DiscriminantForm(EvenLattice(W_PRIME_GRAM))
+    ref = weakref.ref(form)
+    assert prime_power_counts(form, 1, F(1, 3), 2, 3) == prime_power_counts(
+        w_prime_form(), 1, F(1, 3), 2, 3
+    )
+    del form
+    gc.collect()
+    assert ref() is None
 
 
 def test_counts_handed_out_cannot_change_the_memo(w_prime):
@@ -529,6 +544,23 @@ class TestVectorEisenstein:
 
         with pytest.raises(ValueError):
             vv_eisenstein(discriminant_form(E8_GRAM), 5, 4)
+
+    def test_memo_serves_the_callers_form(self):
+        # the memo is keyed on the Gram matrix; a result once came back on the
+        # library's form, and adding it to a form on the caller's own raised
+        library = vv_eisenstein(w_prime_form(), 5, 4)
+        own = DiscriminantForm(EvenLattice(W_PRIME_GRAM))
+        mine = vv_eisenstein(own, 5, 3)
+        assert mine.form is own
+        assert mine.components == library.truncate(3).components
+        other = VectorForm(5, own, mine.components)
+        assert (mine + other).coefficient(1, 0) == 2 * 492
+        held = [v for v in _MEMO.values() if isinstance(v[1], VectorForm)]
+        assert held and all(v[1].form is not own for v in held)
+        ref = weakref.ref(own)
+        del own, mine, other
+        gc.collect()
+        assert ref() is None
 
     def test_memo_served_series_cannot_change_in_place(self):
         # a write into a component's numerators once reached every later

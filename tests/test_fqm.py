@@ -1,4 +1,5 @@
 import cmath
+import cProfile
 import random
 from fractions import Fraction as F
 from itertools import count, product
@@ -75,6 +76,17 @@ class TestLattices:
             EvenLattice(((1,),))
         with pytest.raises(ValueError):
             EvenLattice(((2, 2), (2, 2)))
+
+    @pytest.mark.parametrize(
+        "gram",
+        [((F(2), 1), (1, 2)), ((2, F(1, 2)), (F(1, 2), 2)), ((2, True), (True, 2))],
+        ids=["integral Fraction", "Fraction", "bool"],
+    )
+    def test_rejects_an_entry_that_is_not_an_int(self, gram):
+        # the elimination takes integer rows only; a Fraction or bool entry
+        # is a type error, as it is for --gram
+        with pytest.raises(TypeError, match="is not an int"):
+            EvenLattice(gram)
 
 
 class TestDiscriminantForm:
@@ -733,13 +745,18 @@ def test_symmetric_reduce_gives_the_fraction_ldl(gram):
 
 
 def test_e8_walk_builds_few_fractions():
-    # the LDL^T form comes off integer pivot rows, and the walk itself runs
-    # in integers: at most 2n^2 Fractions in all, none per leaf
+    # the window comes off integer pivot rows, and the walk itself runs in
+    # integers: the only Fractions are the int offset entries and bound read
+    # as Fractions, and none at all when they are Fractions already
     lattice = EvenLattice(E8_GRAM)
     leaves = []
     built = _fraction_news(lambda: leaves.append(_scaled_short_vectors(lattice, (0,) * 8, 8)))
     assert len(leaves[0][1]) == 26641
-    assert built <= 2 * 8**2, built
+    assert built == 8 + 1, built
+    offset, bound = (F(0),) * 8, F(8)
+    built = _fraction_news(lambda: leaves.append(_scaled_short_vectors(lattice, offset, bound)))
+    assert leaves[1] == leaves[0]
+    assert built == 0, built
 
 
 def _walk_oracle(lattice, offset, bound):
@@ -795,6 +812,61 @@ def test_scaled_walk_matches_per_leaf_oracle(case):
     gram, offset, bound = case
     lattice = EvenLattice(gram)
     assert _scaled_short_vectors(lattice, offset, bound) == _walk_oracle(lattice, offset, bound)
+
+
+def _exact_nodes(lattice, offset, bound):
+    """Calls of the walk's level function under the exact window, counted in
+    Fractions on the LDL^T form: one for the top level, and one for each x_i
+    of a level i >= 1 with diag_i * (x_i + c_i)^2 within what the levels
+    above leave of the bound, c_i = offset_i + sum_{j>i} coef_ij * v_j."""
+    diag, coef = _fraction_ldl(lattice.gram)
+    n = lattice.rank
+    offset = [F(x) for x in offset]
+    v = [F(0)] * n
+    nodes = 0
+
+    def level(i, rem):
+        nonlocal nodes
+        nodes += 1
+        if i == 0:
+            return
+        c = offset[i] + sum(coef[i][j] * v[j] for j in range(i + 1, n))
+        low = -c.numerator // c.denominator  # floor(-c): the window is an interval about -c
+        for x, step in ((low, -1), (low + 1, 1)):
+            while diag[i] * (x + c) ** 2 <= rem:
+                v[i] = offset[i] + x
+                level(i - 1, rem - diag[i] * (x + c) ** 2)
+                x += step
+
+    if n and bound >= 0:
+        level(n - 1, F(bound))
+    return nodes
+
+
+def _walk_calls(lattice, offset, bound) -> int:
+    """Calls of the walk's level function, counted with cProfile."""
+    profiler = cProfile.Profile()
+    profiler.enable()
+    _scaled_short_vectors(lattice, offset, bound)
+    profiler.disable()
+    return sum(
+        e.callcount
+        for e in profiler.getstats()
+        if getattr(e.code, "co_name", "") == "walk"
+        and getattr(e.code, "co_filename", "").endswith("fqm.py")
+    )
+
+
+@settings(deadline=None, max_examples=60)
+@given(_positive_lattices())
+@example((E8_GRAM, (0,) * 8, 4))
+@example((W_GRAM, (F(1, 3), F(2, 3)), F(20, 3)))
+def test_walk_visits_exactly_the_nodes_of_the_exact_window(case):
+    # a looser window keeps the leaves, which the leaf check filters, but
+    # visits more nodes; a tighter one loses leaves
+    gram, offset, bound = case
+    lattice = EvenLattice(gram)
+    assert _walk_calls(lattice, offset, bound) == _exact_nodes(lattice, offset, bound)
 
 
 D4_GRAM = ((2, -1, 0, 0), (-1, 2, -1, -1), (0, -1, 2, 0), (0, -1, 0, 2))

@@ -1,15 +1,18 @@
-"""Exact linear algebra over Q, checked against independent exact oracles:
+"""Exact linear algebra over Z, checked against independent exact oracles:
 the Leibniz permutation sum for determinants and minors, Descartes' rule of
 signs on the characteristic polynomial for the inertia, and the Fraction
-eliminations that the fraction-free ones replaced.  ``row_reduce`` answers
-in integers, so its rows are compared with the Fraction Gauss-Jordan rows
-up to the scale it documents: a pivot row over the last pivot P, a
-non-pivot row up to a nonzero factor.  ``fqm._scaled_inverse``, which reads
-d * G^-1, d and det G off one ``row_reduce``, is checked here too."""
+eliminations that the fraction-free ones replaced.  ``_linalg`` takes
+integer matrices only: rational draws are fed to it scaled to integers, row
+by row for ``row_reduce`` (the same reduced rows) and by one positive lcm
+for ``inertia`` (the same inertia), while the oracles see the rational
+matrix.  ``row_reduce`` answers in integers, so its rows are compared with
+the Fraction Gauss-Jordan rows at the scale it documents: every row over
+the last pivot P.  ``fqm._scaled_inverse``, which reads d * G^-1, d and
+det G off one ``row_reduce``, is checked here too."""
 
 from fractions import Fraction as F
 from itertools import combinations, permutations
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import assume, given, settings
@@ -20,7 +23,25 @@ from cubicforms.fqm import E8_GRAM, U_GRAM, W_GRAM, _scaled_inverse
 from lattices import direct_sum, lambda0_prime_gram
 from test_package import _fraction_news
 
-entries = st.builds(F, st.integers(-6, 6), st.sampled_from((1, 1, 1, 2, 3)))
+entries = st.integers(-6, 6)
+rationals = st.builds(F, st.integers(-6, 6), st.sampled_from((1, 1, 1, 2, 3)))
+
+
+def integral_rows(mat):
+    """Each row times the lcm of its denominators: integer rows with the
+    same reduced rows."""
+    out = []
+    for row in mat:
+        s = lcm(1, *(F(x).denominator for x in row))
+        out.append([int(x * s) for x in row])
+    return out
+
+
+def integral(mat):
+    """The matrix times the lcm of all its denominators, one positive
+    scalar: a symmetric matrix stays symmetric, with the same inertia."""
+    s = lcm(1, *(F(x).denominator for row in mat for x in row))
+    return [[int(x * s) for x in row] for row in mat]
 
 
 def _sign(perm) -> int:
@@ -58,7 +79,7 @@ def matrices(draw, rows=st.integers(1, 5), cols=None, singular=False):
     if singular and m > 1:
         # the last row becomes a combination of the others
         cs = [draw(entries) for _ in range(m - 1)]
-        mat[-1] = [sum((c * row[j] for c, row in zip(cs, mat)), F(0)) for j in range(n)]
+        mat[-1] = [sum(c * row[j] for c, row in zip(cs, mat)) for j in range(n)]
     return mat
 
 
@@ -290,16 +311,16 @@ def fraction_inertia(mat):
 
 @st.composite
 def eliminations(draw):
-    """(rows, ncols): rational rows, often rank-deficient, with ncols up to
-    the width, a zero leading column or a zero leading entry that forces a
-    row swap."""
+    """(rows, ncols): rational rows, often rank-deficient, each scaled to
+    integers by the lcm of its denominators, with ncols up to the width, a
+    zero leading column or a zero leading entry that forces a row swap."""
     m = draw(st.integers(1, 5))
     width = draw(st.integers(1, 6))
-    mat = [[draw(entries) for _ in range(width)] for _ in range(m)]
+    mat = [[draw(rationals) for _ in range(width)] for _ in range(m)]
     if m > 1 and draw(st.booleans()):
         # a later row becomes a combination of the rows before it
         r = draw(st.integers(1, m - 1))
-        cs = [draw(entries) for _ in range(r)]
+        cs = [draw(rationals) for _ in range(r)]
         mat[r] = [sum((c * row[j] for c, row in zip(cs, mat)), F(0)) for j in range(width)]
     shape = draw(st.sampled_from(("plain", "zero-column", "swap")))
     if shape == "zero-column":
@@ -308,27 +329,19 @@ def eliminations(draw):
     elif shape == "swap":
         mat[0][0] = F(0)
     ncols = draw(st.one_of(st.none(), st.integers(0, width)))
-    return mat, ncols
+    return integral_rows(mat), ncols
 
 
 def assert_matches_fraction_oracle(mat, ncols):
-    """The integer answer of row_reduce against the Fraction rows: the same
-    pivots and product, each pivot row the reduced row times the last pivot
-    P, each non-pivot row a nonzero multiple of the reduced row."""
+    """The integer answer of row_reduce against the Fraction rows of the
+    same integer matrix: the same pivots and product, and every row the
+    reduced row times the last pivot P."""
     rows, pivots, last, product = row_reduce(mat, ncols)
     reduced, want_pivots, want_product = fraction_row_reduce(mat, ncols)
     assert (pivots, product) == (want_pivots, want_product)
-    assert all(type(x) is int for row in rows for x in row) and type(last) is int
-    rank = len(pivots)
-    for row, want in zip(rows[:rank], reduced[:rank]):
-        assert [F(x, last) for x in row] == want
-    for row, want in zip(rows[rank:], reduced[rank:]):
-        assert [bool(x) for x in row] == [bool(x) for x in want]
-        lead = next((j for j, x in enumerate(want) if x), None)
-        if lead is not None:
-            c = row[lead] / want[lead]
-            assert row == [c * x for x in want]
-    assert len(rows) == len(reduced)
+    assert all(type(x) is int for row in rows for x in row)
+    assert type(last) is int and type(product) is int
+    assert rows == [[last * x for x in want] for want in reduced]
 
 
 @settings(deadline=None, max_examples=200)
@@ -343,7 +356,8 @@ def test_row_reduce_matches_fraction_oracle(case):
         ([[0, 1], [1, 0]], None),  # the first column pivots on row 1
         ([[0, 0, 1], [0, 2, 3]], None),  # a zero leading column, then a swap
         ([[1, 2, 5], [2, 4, 7]], 2),  # rank 1 in the eliminated columns
-        ([[F(1, 2), F(1, 3), 1], [F(1, 4), F(1, 6), F(2, 5)]], 2),
+        # [[1/2, 1/3, 1], [1/4, 1/6, 2/5]], each row times its lcm
+        ([[3, 2, 6], [15, 10, 24]], 2),
         ([[0, 0], [0, 0]], None),  # rank 0: no pivot, product 1
     ],
 )
@@ -354,7 +368,7 @@ def test_row_reduce_pinned_cases_match_fraction_oracle(mat, ncols):
 @settings(deadline=None, max_examples=80)
 @given(st.one_of(symmetric(), symmetric().map(lambda a: [[F(x, 6) for x in r] for r in a])))
 def test_inertia_matches_fraction_oracle(a):
-    assert inertia(a) == fraction_inertia(a)
+    assert inertia(integral(a)) == fraction_inertia(a)
 
 
 @pytest.mark.parametrize(
@@ -376,7 +390,7 @@ def test_inertia_of_indefinite_lattices_matches_fraction_oracle(gram, expected):
         [[0, 0], [0, 0]],
         [[1, 1], [1, 1]],
         [[0, 0, 0], [0, 0, 1], [0, 1, 0]],  # a zero row beside U: all diagonals vanish
-        [[F(1, 2), F(1, 3)], [F(1, 3), F(2, 9)]],
+        [[9, 6], [6, 4]],  # [[1/2, 1/3], [1/3, 2/9]] times 18
         direct_sum(U_GRAM, [[0]]),
         direct_sum(W_GRAM, [[2, 2], [2, 2]]),
     ],
@@ -412,17 +426,17 @@ def any_symmetric(draw):
 def test_inertia_raises_exactly_when_det_is_zero(a):
     if leibniz(a) == 0:
         with pytest.raises(ValueError, match="degenerate"):
-            inertia(a)
+            inertia(integral(a))
     else:
-        assert inertia(a) == fraction_inertia(a) == descartes_inertia(a)
+        assert inertia(integral(a)) == fraction_inertia(a) == descartes_inertia(a)
 
 
-def test_scaled_inverse_builds_no_fraction_beyond_the_pivot_product():
+def test_scaled_inverse_builds_no_fraction():
     """Every Fraction made while inverting E8 and lambda0', counted at its
-    constructor: the elimination's pivot product and nothing else."""
+    constructor: none, as the elimination runs and answers in integers."""
     for gram in (E8_GRAM, lambda0_prime_gram()):
         answers = []
-        assert _fraction_news(lambda: answers.append(_scaled_inverse(gram))) == 1
+        assert _fraction_news(lambda: answers.append(_scaled_inverse(gram))) == 0
         scaled, d, det_g = answers[0]
         n = len(gram)
         assert mul(scaled, gram) == [[d * int(i == j) for j in range(n)] for i in range(n)]

@@ -147,6 +147,27 @@ class TestLinearSolve:
         with pytest.raises(SingularSystemError):
             solve_linear_combination(basis, [(0, 1)])
 
+    def test_rejects_a_float_target(self):
+        # Fraction(0.1) is 3602879701896397/36028797018963968, which the solve
+        # once returned for the target 0.1
+        basis = [series([(0, 1)], prec=5)]
+        with pytest.raises(TypeError, match="target value must be an int or a Fraction"):
+            solve_linear_combination(basis, [(0, 0.1)])
+        assert solve_linear_combination(basis, [(0, F(1, 10))]) == [F(1, 10)]
+
+    def test_inconsistency_names_the_first_constraint_missed(self):
+        basis = [series([(0, 1), (1, 1), (2, 1)], prec=5)]
+        with pytest.raises(InconsistentSystemError, match=r"q\^2 "):
+            solve_linear_combination(basis, [(0, 1), (1, 1), (2, 3), (3, 1)])
+
+    def test_scaled_basis_and_fractional_targets(self):
+        # y_j = c_j * D / scale_j: basis scales 6 and 10, value denominators 4 and 9
+        f = series([(0, F(1, 2)), (1, F(1, 3))], prec=4)
+        g = series([(1, F(3, 10)), (2, F(1, 5))], prec=4)
+        c = [F(7, 3), F(-5, 4)]
+        targets = [(e, c[0] * f.coefficient(e) + c[1] * g.coefficient(e)) for e in range(4)]
+        assert solve_linear_combination([f, g], targets) == c
+
 
 class TestRingProperties:
     def test_ring_axioms(self):

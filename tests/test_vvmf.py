@@ -274,6 +274,38 @@ class TestFits:
         with pytest.raises(ArithmeticError):
             fit_alpha_beta(target, 11, False)
 
+    def test_fit_failure_names_its_exponent(self):
+        from cubicforms.eisenstein import alpha_series
+
+        target = alpha_series(30) ** 11 + QSeries.from_terms([(17, 1)], 1, 30)
+        with pytest.raises(ArithmeticError, match=r"fit fails verification: .*q\^17 "):
+            fit_alpha_beta(target, 11, False)
+
+    def test_fit_is_one_elimination(self, psi30, monkeypatch):
+        # the solve on every grid point both fixes and verifies the fit
+        from cubicforms import _linalg, qseries, vvmf
+
+        assert not hasattr(vvmf, "_linalg") and not hasattr(vvmf, "row_reduce")
+        calls = []
+        row_reduce = _linalg.row_reduce
+
+        def counted(*args):
+            calls.append(args)
+            return row_reduce(*args)
+
+        for module in (_linalg, qseries, vvmf):
+            monkeypatch.setattr(module, "row_reduce", counted, raising=False)
+        assert fit_alpha_beta(psi30.component(0), 11, False) == [-2, 324, 183708, 4408992]
+        assert len(calls) == 1
+
+    def test_too_few_exponents_raise_before_the_solve(self):
+        # weight 6 has three monomials; q^0 and q^1 cannot fix them, with or
+        # without verification points (a rank-deficient solve, and so an
+        # ArithmeticError, before min_extra was checked first)
+        for min_extra in (0, 25):
+            with pytest.raises(ValueError, match="exponents on the grid"):
+                fit_alpha_beta(eisenstein_level1(6, 2), 6, False, min_extra)
+
 
 class TestNumericModularity:
     def test_t_invariance_structural(self, basis30):
