@@ -32,6 +32,7 @@ __all__ = [
     "IntegralityError",
     "as_fraction",
     "as_integer",
+    "as_ratio",
     "bernoulli_number",
     "bernoulli_poly",
     "chi_minus3",
@@ -94,12 +95,21 @@ def as_fraction(x: Fraction | int, what: str = "value") -> Fraction:
     return x if type(x) is Fraction else Fraction(x)
 
 
+def as_ratio(x: Fraction | int, what: str = "value") -> tuple[int, int]:
+    """An int or Fraction input as its ratio (numerator, denominator > 0) in
+    lowest terms, read without building a Fraction; it type-checks as
+    ``as_fraction`` does."""
+    if not isinstance(x, (int, Fraction)):
+        raise TypeError(f"{what} must be an int or a Fraction, not {type(x).__name__}")
+    return x.as_integer_ratio()
+
+
 def as_integer(x: Fraction | int, what: str = "value") -> int:
     """Convert an exact rational known to be integral, else raise."""
-    x = as_fraction(x, what)
-    if x.denominator != 1:
+    n, d = as_ratio(x, what)
+    if d != 1:
         raise IntegralityError(f"{what} = {x} is not an integer")
-    return x.numerator
+    return n
 
 
 # ---------------------------------------------------------------------------
@@ -135,15 +145,14 @@ def chi_minus3(n: int) -> int:
 
 def p_valuation(n: int | Fraction, p: int) -> int:
     """Exponent of the prime p in n (negative for p in the denominator)."""
-    n = as_fraction(n, "n")
-    if n == 0:
+    num, den = as_ratio(n, "n")
+    if num == 0:
         raise ValueError("p-adic valuation of 0 is undefined")
     v = 0
-    num = abs(n.numerator)
+    num = abs(num)
     while num % p == 0:
         num //= p
         v += 1
-    den = n.denominator
     while den % p == 0:
         den //= p
         v -= 1
@@ -192,8 +201,7 @@ def bernoulli_poly(k: int, x: Fraction | int) -> Fraction:
     exactly: Gould's sum for B_k shifted by x (H. Hasse, Math. Z. 32 (1930)).
     At x = p/q it is one integer sum over the common denominator
     lcm(1, ..., k+1) * q^k, with one Fraction at the end."""
-    x = as_fraction(x, "x")
-    return _bernoulli(k, *x.as_integer_ratio())
+    return _bernoulli(k, *as_ratio(x, "x"))
 
 
 def _bernoulli(k: int, p: int, q: int) -> Fraction:
@@ -283,8 +291,8 @@ class Cyclotomic(_Value):
 
     @classmethod
     def from_rational(cls, x: Fraction | int) -> "Cyclotomic":
-        x = as_fraction(x, "rational")
-        return _canonical([x.numerator] + [0] * (_DEGREE - 1), x.denominator)
+        n, d = as_ratio(x, "rational")
+        return _canonical([n] + [0] * (_DEGREE - 1), d)
 
     @classmethod
     def zeta_power(cls, k: int) -> "Cyclotomic":
@@ -296,10 +304,10 @@ class Cyclotomic(_Value):
     @classmethod
     def root_of_unity(cls, x: Fraction | int) -> "Cyclotomic":
         """e(x) = exp(2*pi*i*x) for rational x with denominator dividing 24."""
-        x = as_fraction(x, "root of unity exponent")
-        if _ORDER % x.denominator != 0:
+        n, d = as_ratio(x, "root of unity exponent")
+        if _ORDER % d != 0:
             raise ValueError(f"e({x}) does not lie in the order-{_ORDER} field")
-        return cls.zeta_power(x.numerator * (_ORDER // x.denominator))
+        return cls.zeta_power(n * (_ORDER // d))
 
     @classmethod
     def sqrt_int(cls, n: int) -> "Cyclotomic":

@@ -60,16 +60,17 @@ W_PRIME_GRAM: tuple[tuple[int, ...], ...] = tuple(
 
 
 class EvenLattice(_Value):
-    """Nondegenerate even integral lattice given by its Gram matrix, whose
-    entries must be ints (``TypeError`` otherwise, a bool included)."""
+    """Nondegenerate even integral lattice given by its Gram matrix, kept as
+    tuples, whose entries must be ints (``TypeError`` otherwise, a bool
+    included)."""
 
     __slots__ = ("gram",)
 
     def __init__(self, gram: tuple[tuple[int, ...], ...]):
-        self._set(gram)
         n = len(gram)
         if any(len(row) != n for row in gram):
             raise ValueError("Gram matrix must be square")
+        self._set(tuple(map(tuple, gram)))
         bad = [x for row in gram for x in row if type(x) is not int]
         if bad:
             raise TypeError(f"Gram entry {bad[0]!r} is not an int")

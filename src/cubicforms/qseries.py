@@ -48,7 +48,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from ._linalg import row_reduce
-from .exactmath import _read_only, _Value, as_fraction
+from .exactmath import _read_only, _Value, as_fraction, as_ratio
 
 __all__ = [
     "QSeries",
@@ -72,14 +72,13 @@ class InconsistentSystemError(LinearSolveError):
     """Constraints admit no exact solution (and we never least-squares)."""
 
 
-def _cutoff(prec: Fraction | int, den: int) -> int:
-    """The cutoff prec * den of a precision on the 1/den grid: q^(e/den)
-    lies beyond prec exactly when e >= prec * den."""
-    if type(prec) is int:
-        return prec * den
-    n, d = as_fraction(prec, "prec").as_integer_ratio()
+def _cutoff(x: Fraction | int, den: int, what: str = "prec") -> int:
+    """The integer key x * den of q^x on the 1/den grid, or ValueError if x
+    is off it.  For a precision it is the cutoff: q^(e/den) lies beyond
+    prec exactly when e >= prec * den."""
+    n, d = as_ratio(x, what)
     if den % d:
-        raise ValueError(f"prec {prec} is not on the 1/{den} grid")
+        raise ValueError(f"{what} {x} is not on the 1/{den} grid")
     return n * (den // d)
 
 
@@ -131,15 +130,11 @@ class QSeries:
         terms: dict[int, tuple[int, int]] = {}
         for e, c in items:
             if type(e) is not int:
-                key = as_fraction(e, "exponent index")
-                if key.denominator != 1:
+                n, d = as_ratio(e, "exponent index")
+                if d != 1:
                     raise ValueError(f"exponent index {e} is not an integer")
-                e = key.numerator
-            if type(c) is int:
-                n, d = c, 1
-            else:
-                c = c if type(c) is Fraction else as_fraction(c, "coefficient")
-                n, d = c.as_integer_ratio()
+                e = n
+            n, d = (c, 1) if type(c) is int else as_ratio(c, "coefficient")
             if n:
                 terms[e] = (n, d)
         scale = lcm(*[d for _, d in terms.values()])
@@ -169,16 +164,10 @@ class QSeries:
         den: int = 1,
         prec: Fraction | int | None = None,
     ) -> "QSeries":
-        """Build from (exponent, coefficient) pairs with rational exponents."""
+        """Build from (exponent, coefficient) pairs with rational exponents,
+        each keyed on the 1/den grid by ``_cutoff``."""
         _check_den(den)
-        keyed = []
-        for e, c in terms:
-            e = as_fraction(e, "exponent")
-            key = e * den
-            if key.denominator != 1:
-                raise ValueError(f"exponent {e} is not on the 1/{den} grid")
-            keyed.append((key.numerator, c))
-        return cls(keyed, den, prec)
+        return cls([(_cutoff(e, den, "exponent"), c) for e, c in terms], den, prec)
 
     @classmethod
     def zero(cls, den: int = 1, prec: Fraction | int | None = None) -> "QSeries":
@@ -208,8 +197,7 @@ class QSeries:
         return sorted([Fraction(e, self.den) for e in self.nums])
 
     def coefficient(self, n: Fraction | int) -> Fraction:
-        num, d = as_fraction(n, "exponent").as_integer_ratio()
-        return Fraction(self._numerator(num, d), self.scale)
+        return Fraction(self._numerator(*as_ratio(n, "exponent")), self.scale)
 
     def _numerator(self, num: int, d: int) -> int:
         """The numerator over ``scale`` of the coefficient at q^(num/d), d > 0
@@ -372,10 +360,9 @@ class QSeries:
 
     def rescale_exponent(self, r: Fraction | int) -> "QSeries":
         """Substitute q -> q^r: the coefficient at q^n moves to q^(r*n)."""
-        r = as_fraction(r, "rescaling factor")
-        if r <= 0:
+        a, b = as_ratio(r, "rescaling factor")
+        if a <= 0:
             raise ValueError("rescaling factor must be positive")
-        a, b = r.as_integer_ratio()
         # with r = a/b, q^(e/den) moves to q^(e*a/(den*b)), and so does the cutoff
         cut = None if self.cut is None else self.cut * a
         return _series({e * a: n for e, n in self.nums.items()}, self.scale, self.den * b, cut)
@@ -392,8 +379,7 @@ class QSeries:
         return _series(nums, self.scale * self.den**times, self.den, self.cut)
 
     def truncate(self, prec: Fraction | int) -> "QSeries":
-        prec = as_fraction(prec, "prec")
-        n, d = prec.as_integer_ratio()
+        n, d = as_ratio(prec, "prec")
         if self.cut is not None and n * self.den > self.cut * d:
             raise ValueError(f"cannot extend precision from {self.prec} to {prec}")
         return _series(self.nums, self.scale, self.den, _cutoff(prec, self.den))
@@ -424,22 +410,23 @@ def solve_linear_combination(
 
     Requires at least as many constraints as basis elements and full column
     rank; inconsistent constraints raise rather than being fit approximately.
-    In integers, with D the values' common denominator, constraint e reads
-    sum_j nums_j(e) * y_j = D * value_e for y_j = c_j * D / scale_j.  One
-    ``row_reduce`` gives P * y; then every constraint is checked, and the
-    error names the first one, in the order given, that y misses.
+    Exponents and values are read by ``as_ratio``, so only the answers are
+    ``Fraction``s.  With D the values' common denominator, constraint e
+    reads sum_j nums_j(e) * y_j = D * value_e for y_j = c_j * D / scale_j.
+    One ``row_reduce`` gives P * y; then every constraint is checked, and
+    the error names the first one, in the order given, that y misses.
     """
     ncols = len(basis)
     if len(targets) < ncols:
         raise SingularSystemError(
             f"{len(targets)} constraints cannot determine {ncols} coefficients"
         )
-    exponents = [as_fraction(e, "exponent").as_integer_ratio() for e, _ in targets]
-    values = [as_fraction(v, "target value") for _, v in targets]
-    D = lcm(*[v.denominator for v in values])
+    exponents = [as_ratio(e, "exponent") for e, _ in targets]
+    values = [as_ratio(v, "target value") for _, v in targets]
+    D = lcm(*[dv for _, dv in values])
     rows = [
-        [f._numerator(num, d) for f in basis] + [v.numerator * (D // v.denominator)]
-        for (num, d), v in zip(exponents, values)
+        [f._numerator(num, d) for f in basis] + [v * (D // dv)]
+        for (num, d), (v, dv) in zip(exponents, values)
     ]
     reduced, pivots, last, _ = row_reduce(rows, ncols)
     if len(pivots) < ncols:

@@ -171,7 +171,7 @@ def _solve_psi(prec: Fraction) -> VectorForm:
             )
             for f in (f0, f1)
         ],
-        [(Fraction(0), Fraction(-2)), (third, Fraction(0))],
+        [(0, -2), (third, 0)],
     )
     return f0.scale(c0) + f1.scale(c1)
 
@@ -217,47 +217,39 @@ def assemble_theta(psi: VectorForm) -> HeegnerSeries:
 # polynomial identities in the weight-1 and weight-3 generators
 # ---------------------------------------------------------------------------
 
-def _monomials(weight: int, prec_steps: int, rescaled: bool) -> list[QSeries]:
-    alpha = alpha_series(prec_steps)
-    beta = beta_series(prec_steps)
-    if rescaled:
-        alpha = alpha.rescale_exponent(Fraction(1, 3))
-        beta = beta.rescale_exponent(Fraction(1, 3))
-    out = []
-    b = 0
-    while weight - 3 * b >= 0:
-        out.append(alpha ** (weight - 3 * b) * beta**b)
-        b += 1
-    return out
+def _monomials(weight: int, steps: int) -> list[QSeries]:
+    alpha, beta = alpha_series(steps), beta_series(steps)
+    return [alpha ** (weight - 3 * b) * beta**b for b in range(weight // 3 + 1)]
 
 
-def fit_alpha_beta(
-    f: QSeries, weight: int = 11, rescaled: bool = False, min_extra: int = 25
-) -> list[Fraction]:
+def fit_alpha_beta(f: QSeries, weight: int = 11, min_extra: int = 25) -> list[Fraction]:
     """Exact coefficients expressing f in the monomials a^(w-3b) * b^b of the
-    two generators (substituted q -> q^(1/3) when ``rescaled``).
+    two generators; a series in q^(1/3) is fitted as f.rescale_exponent(3).
 
-    One ``solve_linear_combination`` runs on every exponent below the
-    common precision where f or a monomial has a term: as many exponents as
-    there are monomials fix the coefficients, and each of the others, at
+    One ``solve_linear_combination`` runs on f's integer 1/den grid: every
+    key below f's cutoff where f or a monomial (known to at least f's
+    precision) has a term, with f's numerators as the values.  As many keys
+    as there are monomials fix the coefficients, and each of the others, at
     least ``min_extra`` (else ``ValueError``, before the solve), verifies
-    them.  A rank-deficient basis or a failed verification, which names its
-    exponent, raises ``ArithmeticError``.
+    them; each answer is then divided by f's scale once.  A rank-deficient
+    basis or a failed verification, which names its exponent, raises
+    ``ArithmeticError``.
     """
     if f.cut is None:
         raise ValueError("fit needs a truncated series")
-    steps = -(-f.cut // f.den)  # the least integer >= prec
-    basis = _monomials(weight, 3 * steps if rescaled else steps, rescaled)
-    grid = sorted(
-        {e for g in basis for e in g.exponents()}
-        | set(f.exponents()),
-    )
-    limit = min([f.prec] + [g.prec for g in basis])
-    grid = [e for e in grid if e < limit]
+    den, cut = f.den, f.cut
+    basis = _monomials(weight, -(-cut // den))  # the least integer >= prec
+    # the monomials lie on the integer grid, key e * den on f's
+    keys = {e * den for g in basis for e in g.nums} | f.nums.keys()
+    grid = sorted([key for key in keys if key < cut])
     if len(grid) < len(basis) + min_extra:
         raise ValueError(f"only {len(grid)} exponents on the grid, need {len(basis)} + {min_extra}")
+    targets = [
+        (key // den if key % den == 0 else Fraction(key, den), f.nums.get(key, 0))
+        for key in grid
+    ]
     try:
-        return solve_linear_combination(basis, [(e, f.coefficient(e)) for e in grid])
+        return [c / f.scale for c in solve_linear_combination(basis, targets)]
     except SingularSystemError:
         raise ArithmeticError("monomial basis is rank-deficient on the grid") from None
     except InconsistentSystemError as exc:

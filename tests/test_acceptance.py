@@ -71,10 +71,10 @@ def test_criterion_4_dimension_formula():
 
 
 def test_criterion_5_polynomial_identities(psi30):
-    fit0 = fit_alpha_beta(psi30.component(0), 11, False, min_extra=25)
+    fit0 = fit_alpha_beta(psi30.component(0), 11, min_extra=25)
     assert fit0 == [-2, 324, 183708, 4408992]
     theta_prime = psi30.component(0) + psi30.component(1) + psi30.component(2)
-    fitp = fit_alpha_beta(theta_prime, 11, True, min_extra=25)
+    fitp = fit_alpha_beta(theta_prime.rescale_exponent(3), 11, min_extra=25)
     assert fitp == [-2, 132, -2772, 18144]
     report(5, "generator-polynomial fits verified on 25+ extra coefficients")
 

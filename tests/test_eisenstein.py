@@ -562,6 +562,20 @@ class TestVectorEisenstein:
         gc.collect()
         assert ref() is None
 
+    def test_memo_serves_a_list_gram(self):
+        # a list-of-lists Gram was once kept as given: the lattice was unequal
+        # to the same lattice from tuples, unhashable, and the memo's key
+        # raised TypeError: unhashable type: 'list'
+        rows = [[-2, -1], [-1, -2]]
+        lattice = EvenLattice(rows)
+        rows[0][0] = 4
+        assert lattice == EvenLattice(W_PRIME_GRAM)
+        assert hash(lattice) == hash(EvenLattice(W_PRIME_GRAM))
+        own = DiscriminantForm(lattice)
+        mine = vv_eisenstein(own, 5, 3)
+        assert mine.form is own
+        assert mine.components == vv_eisenstein(w_prime_form(), 5, 3).components
+
     def test_memo_served_series_cannot_change_in_place(self):
         # a write into a component's numerators once reached every later
         # result served from the precision memo: degree(6) read -778

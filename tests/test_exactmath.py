@@ -14,6 +14,7 @@ from cubicforms.exactmath import (
     IntegralityError,
     as_fraction,
     as_integer,
+    as_ratio,
     bernoulli_number,
     bernoulli_poly,
     chi_minus3,
@@ -426,6 +427,19 @@ def test_as_fraction_returns_a_fraction_as_it_is():
         assert type(out) is F and out == value
     with pytest.raises(TypeError, match="int or a Fraction"):
         as_fraction(0.5)
+
+
+def test_as_ratio_reads_lowest_terms_without_a_fraction():
+    from test_package import _fraction_news
+
+    values = [3, -4, True, F(6, -4), F(0)]
+    ratios = []
+    assert _fraction_news(lambda: ratios.extend(as_ratio(v) for v in values)) == 0
+    assert ratios == [(3, 1), (-4, 1), (1, 1), (-3, 2), (0, 1)]
+    assert {type(x) for ratio in ratios for x in ratio} == {int}
+    for bad in (0.5, "1/2", None):
+        with pytest.raises(TypeError, match="^exponent must be an int or a Fraction, not "):
+            as_ratio(bad, "exponent")
 
 
 def test_as_integer_rejects_floats():

@@ -113,6 +113,41 @@ def test_theta_path_builds_no_fraction_per_coefficient():
         _MEMO.update(saved)
 
 
+def _calls_of(name: str, node) -> bool:
+    return (
+        isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == name
+    )
+
+
+def test_rational_inputs_have_one_ratio_reader():
+    # exactmath.as_ratio reads an int or Fraction input as (num, den) with no
+    # Fraction built: nothing converts with as_fraction only to read the
+    # ratio off, and _cutoff takes ints and Fractions down the same path
+    pairs, forks, cutoffs = [], [], []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if (
+                _calls_of("as_integer_ratio", node)
+                and isinstance(node.func, ast.Attribute)
+                and _calls_of("as_fraction", node.func.value)
+            ):
+                pairs.append((path.name, node.lineno))
+            if isinstance(node, ast.FunctionDef) and node.name == "_cutoff":
+                cutoffs.append(path.name)
+                forks += [
+                    (path.name, test.lineno)
+                    for test in ast.walk(node)
+                    if isinstance(test, ast.Compare)
+                    and any(isinstance(op, (ast.Is, ast.IsNot)) for op in test.ops)
+                    and any(getattr(c, "id", None) == "int" for c in test.comparators)
+                    and _calls_of("type", test.left)
+                ]
+    assert pairs == []
+    assert cutoffs == ["qseries.py"] and forks == []
+
+
 def _class_level_names(cls: ast.ClassDef) -> set[str]:
     names = set()
     for stmt in cls.body:

@@ -16,6 +16,7 @@ from cubicforms.qseries import (
     SingularSystemError,
     solve_linear_combination,
 )
+from test_package import _fraction_news
 
 
 def from_json_dict(data):
@@ -146,6 +147,14 @@ class TestLinearSolve:
         basis = [series([(0, 1)], prec=5), series([(1, 1)], prec=5)]
         with pytest.raises(SingularSystemError):
             solve_linear_combination(basis, [(0, 1)])
+
+    def test_integer_targets_build_fractions_only_for_the_answers(self):
+        basis = [series([(0, 1), (1, 1)], prec=5), series([(1, 1)], prec=5)]
+        targets = [(0, 1), (1, 0), (2, 0)]
+        answers = []
+        built = _fraction_news(lambda: answers.append(solve_linear_combination(basis, targets)))
+        assert answers == [[1, -1]]
+        assert built == 2, built
 
     def test_rejects_a_float_target(self):
         # Fraction(0.1) is 3602879701896397/36028797018963968, which the solve
@@ -535,6 +544,13 @@ def test_packed_mul_makes_no_call_per_slot():
         return lambda: f * g
 
     assert _profiled_calls(product(30)) == _profiled_calls(product(3000))
+
+
+def test_coefficient_builds_one_fraction():
+    f = QSeries({0: 3, 1: F(1, 2)}, 1, 5)
+    got = []
+    assert _fraction_news(lambda: got.append(f.coefficient(0))) == 1
+    assert got == [3]
 
 
 def test_integer_coefficients_make_no_call_per_term():

@@ -242,7 +242,7 @@ class TestAssemble:
 
 class TestFits:
     def test_psi0_fit(self, psi30):
-        assert fit_alpha_beta(psi30.component(0), 11, False) == [
+        assert fit_alpha_beta(psi30.component(0), 11) == [
             -2,
             324,
             183708,
@@ -253,18 +253,31 @@ class TestFits:
         theta_prime = (
             psi30.component(0) + psi30.component(1) + psi30.component(2)
         )
-        assert fit_alpha_beta(theta_prime, 11, True) == [-2, 132, -2772, 18144]
+        assert fit_alpha_beta(theta_prime.rescale_exponent(3), 11) == [-2, 132, -2772, 18144]
 
     def test_weight3_ring_fit(self):
         # beta is itself a monomial: the weight-3 fit must return (0, 1)
         from cubicforms.eisenstein import beta_series
 
-        assert fit_alpha_beta(beta_series(30), 3, False) == [0, 1]
+        assert fit_alpha_beta(beta_series(30), 3) == [0, 1]
+
+    def test_fit_reads_a_scaled_series_on_a_finer_grid(self):
+        from cubicforms.eisenstein import alpha_series, beta_series
+
+        f = alpha_series(30) ** 3 * F(2, 5) - beta_series(30) * F(1, 7)
+        assert f.scale == 35
+        assert fit_alpha_beta(f, 3) == [F(2, 5), F(-1, 7)]
+        g = f.rescale_exponent(F(1, 3)).rescale_exponent(3)  # f on the 1/3 grid
+        assert (g.den, g.scale) == (3, 35)
+        assert fit_alpha_beta(g, 3) == [F(2, 5), F(-1, 7)]
+        off = g + QSeries.from_terms([(F(4, 3), 1)], 3, 30)
+        with pytest.raises(ArithmeticError, match=r"q\^4/3 "):
+            fit_alpha_beta(off, 3)
 
     def test_weight6_level1_in_character_ring(self):
         # E6 lies in the weight-6 part of the character ring; the fit solves
         # on 3 coefficients and re-verifies on 25+ more
-        fit = fit_alpha_beta(eisenstein_level1(6, 30), 6, False)
+        fit = fit_alpha_beta(eisenstein_level1(6, 30), 6)
         assert len(fit) == 3
 
     def test_fit_failure_raises(self):
@@ -272,14 +285,24 @@ class TestFits:
 
         target = alpha_series(30) ** 11 + QSeries.from_terms([(17, 1)], 1, 30)
         with pytest.raises(ArithmeticError):
-            fit_alpha_beta(target, 11, False)
+            fit_alpha_beta(target, 11)
 
     def test_fit_failure_names_its_exponent(self):
         from cubicforms.eisenstein import alpha_series
 
         target = alpha_series(30) ** 11 + QSeries.from_terms([(17, 1)], 1, 30)
         with pytest.raises(ArithmeticError, match=r"fit fails verification: .*q\^17 "):
-            fit_alpha_beta(target, 11, False)
+            fit_alpha_beta(target, 11)
+
+    def test_fit_builds_at_most_two_fractions_per_answer(self, psi30):
+        # the grid, targets and solve run in integers: one Fraction for each
+        # answer of the solve, and one for its division by f's scale
+        from test_package import _fraction_news
+
+        f, fits = psi30.component(0), []
+        built = _fraction_news(lambda: fits.append(fit_alpha_beta(f)))
+        assert fits == [[-2, 324, 183708, 4408992]]
+        assert built <= 2 * len(fits[0]), built
 
     def test_fit_is_one_elimination(self, psi30, monkeypatch):
         # the solve on every grid point both fixes and verifies the fit
@@ -295,7 +318,7 @@ class TestFits:
 
         for module in (_linalg, qseries, vvmf):
             monkeypatch.setattr(module, "row_reduce", counted, raising=False)
-        assert fit_alpha_beta(psi30.component(0), 11, False) == [-2, 324, 183708, 4408992]
+        assert fit_alpha_beta(psi30.component(0), 11) == [-2, 324, 183708, 4408992]
         assert len(calls) == 1
 
     def test_too_few_exponents_raise_before_the_solve(self):
@@ -304,7 +327,7 @@ class TestFits:
         # ArithmeticError, before min_extra was checked first)
         for min_extra in (0, 25):
             with pytest.raises(ValueError, match="exponents on the grid"):
-                fit_alpha_beta(eisenstein_level1(6, 2), 6, False, min_extra)
+                fit_alpha_beta(eisenstein_level1(6, 2), 6, min_extra)
 
 
 class TestNumericModularity:
