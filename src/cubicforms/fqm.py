@@ -18,7 +18,7 @@ from math import gcd, isqrt, lcm
 from operator import mul
 
 from . import _linalg
-from .exactmath import Cyclotomic, _Value, as_fraction, gauss_sum, jacobi_symbol
+from .exactmath import Cyclotomic, _Value, as_ratio, gauss_sum, jacobi_symbol
 
 __all__ = [
     "EvenLattice",
@@ -528,17 +528,16 @@ def _scaled_short_vectors(
     """
     n = lattice.rank
     gram = lattice.gram
-    offset = [as_fraction(x, "offset entry") for x in offset]
-    bound = as_fraction(bound, "bound")
+    offset = [as_ratio(x, "offset entry") for x in offset]
+    num_bound, den_bound = as_ratio(bound, "bound")
     steps = _linalg.symmetric_reduce(gram)
     if any(k != i or row[k] <= 0 for i, (k, row, _) in enumerate(steps)):
         raise ValueError("lattice is not positive definite")
-    d = lcm(1, *(o.denominator for o in offset))
+    d = lcm(1, *(den for _, den in offset))
     out: list[tuple[tuple[int, ...], int]] = []
-    num_bound, den_bound = bound.numerator, bound.denominator
     if num_bound < 0:
         return d, out
-    base = [o.numerator * (d // o.denominator) for o in offset]  # y_i = base_i mod d
+    base = [num * (d // den) for num, den in offset]  # y_i = base_i mod d
     m = lcm(1, *(prev * row[i] for i, row, prev in steps))
     levels = [
         (

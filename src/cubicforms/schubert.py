@@ -3,14 +3,16 @@ two bundle computations giving deg(C_6) = 192 and deg(C_8) = 3402, and the
 Segre-class shortcut that recomputes both degrees independently.
 
 Everything is integer arithmetic: graded pieces are truncated at the base
-dimension, Littlewood-Richardson coefficients come from direct tableau
-enumeration in the 3x3 box, and Chern inversion needs no division at all.
+dimension, and Chern inversion needs no division at all.  H*(Gr(3,6)) is
+Lambda_3 / (h_4, h_5, h_6): sigma_lam is the Schur polynomial s_lam in the
+Chern roots x1, x2, x3 of S*, and s_nu vanishes when nu_1 > 3.  Products of
+Schubert classes and the Chern series of Sym^3 S* are read in the Schur
+basis off one product with an alternant.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
 from math import comb
 
 from .exactmath import _Value
@@ -35,12 +37,20 @@ __all__ = [
 Partition = tuple[int, int, int]
 
 
+def _check_power(m) -> None:
+    if not isinstance(m, int):
+        raise TypeError(f"power must be an int, not {type(m).__name__}")
+    if m < 0:
+        raise ValueError("negative powers are not supported")
+
+
 # ---------------------------------------------------------------------------
 # the ring Z[H]/(H^6)
 # ---------------------------------------------------------------------------
 
 class RingClassP5(_Value):
-    """Integer class a_0 + a_1 H + ... + a_5 H^5 on P^5."""
+    """Integer class a_0 + a_1 H + ... + a_5 H^5 on P^5, its coefficients
+    ints (``TypeError`` otherwise, a bool included)."""
 
     __slots__ = ("coeffs",)
 
@@ -49,6 +59,8 @@ class RingClassP5(_Value):
     def __init__(self, coeffs: tuple[int, int, int, int, int, int] = (0, 0, 0, 0, 0, 0)):
         if len(coeffs) != self.DIM + 1:
             raise ValueError(f"need {self.DIM + 1} coefficients, got {len(coeffs)}")
+        if set(map(type, coeffs)) - {int}:
+            raise TypeError(f"coefficients must be ints, not {coeffs!r}")
         self._set(coeffs)
 
     @classmethod
@@ -90,6 +102,7 @@ class RingClassP5(_Value):
     __rmul__ = __mul__
 
     def __pow__(self, m: int):
+        _check_power(m)
         out = RingClassP5.one()
         for _ in range(m):
             out = out * self
@@ -121,70 +134,80 @@ def box_partitions() -> list[Partition]:
     ]
 
 
+Monomial = tuple[int, int, int]
+
+def _poly_mul(p: dict[Monomial, int], q: dict[Monomial, int]) -> dict[Monomial, int]:
+    out: dict[Monomial, int] = {}
+    q_terms = q.items()
+    for (a1, a2, a3), a in p.items():
+        for (b1, b2, b3), b in q_terms:
+            m = (a1 + b1, a2 + b2, a3 + b3)
+            if m in out:
+                out[m] += a * b
+            else:
+                out[m] = a * b
+    return {m: c for m, c in out.items() if c}
+
+
+def _schur(lam: Partition) -> dict[Monomial, int]:
+    """The Schur polynomial s_lam(x1, x2, x3), one monomial per
+    Gelfand-Tsetlin pattern: mu = (m1, m2) interlaces lam, n interlaces mu,
+    and the pattern weighs x1^n x2^(|mu| - n) x3^(|lam| - |mu|), the
+    tableau-free form of s_lam as a sum over semistandard tableaux
+    (Fulton, Young Tableaux, 1997)."""
+    l1, l2, l3 = lam
+    size = l1 + l2 + l3
+    out: dict[Monomial, int] = {}
+    for m1 in range(l2, l1 + 1):
+        for m2 in range(l3, l2 + 1):
+            for n in range(m2, m1 + 1):
+                m = (n, m1 + m2 - n, size - m1 - m2)
+                if m in out:
+                    out[m] += 1
+                else:
+                    out[m] = 1
+    return out
+
+
+def _schur_expansion(f: dict[Monomial, int], mu: Partition = (0, 0, 0)) -> dict[Partition, int]:
+    """The coefficients c_nu of f * s_mu = sum_nu c_nu s_nu, for a symmetric
+    polynomial f in x1, x2, x3.  Jacobi's bialternant formula s_nu * a_delta =
+    a_(nu + delta), delta = (2, 1, 0), a_alpha the alternant sum over S_3 of
+    sign(w) x^w(alpha) (Macdonald, Symmetric Functions and Hall Polynomials,
+    Ch. I), gives f * a_(mu + delta) = sum_nu c_nu a_(nu + delta); its only
+    monomial with strictly decreasing exponents nu + delta has coefficient
+    c_nu."""
+    a1, a2, a3 = mu[0] + 2, mu[1] + 1, mu[2]
+    alternant = {
+        (a1, a2, a3): 1, (a2, a3, a1): 1, (a3, a1, a2): 1,
+        (a2, a1, a3): -1, (a1, a3, a2): -1, (a3, a2, a1): -1,
+    }
+    return {
+        (e1 - 2, e2 - 1, e3): c
+        for (e1, e2, e3), c in _poly_mul(f, alternant).items()
+        if e1 > e2 > e3
+    }
+
+
 def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
-    """Littlewood-Richardson coefficient c^nu_{lam,mu}: the number of
-    semistandard skew tableaux of shape nu/lam and content mu whose reverse
-    reading word is a lattice word, counted by direct backtracking."""
-    if sum(nu) != sum(lam) + sum(mu):
-        return 0
-    if any(n < l for n, l in zip(nu, lam)):
-        return 0
-    # cells of nu/lam in reverse reading order: rows top to bottom, each row
-    # right to left, so the lattice condition can be checked prefix by prefix
-    order: list[tuple[int, int]] = []
-    for r in range(3):
-        for c in range(nu[r] - 1, lam[r] - 1, -1):
-            order.append((r, c))
-    filling: dict[tuple[int, int], int] = {}
-    remaining = list(mu)
-    counts = [0, 0, 0]
-    total = 0
-
-    def place(pos: int):
-        nonlocal total
-        if pos == len(order):
-            total += 1
-            return
-        r, c = order[pos]
-        for v in range(3):
-            if remaining[v] == 0:
-                continue
-            if v > 0 and counts[v - 1] <= counts[v]:
-                continue  # lattice word fails
-            right = filling.get((r, c + 1))
-            if right is not None and v > right:
-                continue  # rows weakly increase left to right
-            above = filling.get((r - 1, c))
-            if above is not None and v <= above:
-                continue  # columns strictly increase
-            filling[(r, c)] = v
-            counts[v] += 1
-            remaining[v] -= 1
-            place(pos + 1)
-            del filling[(r, c)]
-            counts[v] -= 1
-            remaining[v] += 1
-
-    place(0)
-    return total
+    """Littlewood-Richardson coefficient c^nu_{lam,mu} of partitions with at
+    most 3 parts (tuples or lists of 3 entries): the coefficient of s_nu in
+    s_lam * s_mu, read off one product with an alternant."""
+    return _schur_expansion(_schur(lam), mu).get(tuple(nu), 0)
 
 
 @lru_cache(maxsize=None)
 def _lr_products(lam: Partition, mu: Partition) -> tuple[tuple[Partition, int], ...]:
-    size = sum(lam) + sum(mu)
-    out = []
-    for nu in box_partitions():
-        if sum(nu) == size:
-            c = lr_coefficient(lam, mu, nu)
-            if c:
-                out.append((nu, c))
-    return tuple(out)
+    return tuple(sorted(
+        (nu, c) for nu, c in _schur_expansion(_schur(lam), mu).items() if nu[0] <= 3
+    ))
 
 
 class RingClassGr36(_Value):
     """Integer combination of Schubert classes sigma_lambda on Gr(3,6), kept
     as sorted (partition, coefficient) pairs with no zero coefficient; a
-    repeated partition keeps its last coefficient."""
+    repeated partition keeps its last coefficient, and every coefficient must
+    be an int (``TypeError`` otherwise, a bool included)."""
 
     __slots__ = ("coeffs",)
 
@@ -192,8 +215,10 @@ class RingClassGr36(_Value):
     TOP = (3, 3, 3)  # the point class
 
     def __init__(self, coeffs: tuple[tuple[Partition, int], ...] = ()):
-        cleaned = tuple(sorted((lam, c) for lam, c in dict(coeffs).items() if c))
-        self._set(cleaned)
+        terms = dict(coeffs)
+        if set(map(type, terms.values())) - {int}:
+            raise TypeError(f"coefficients must be ints, not {tuple(terms.values())!r}")
+        self._set(tuple(sorted((lam, c) for lam, c in terms.items() if c)))
 
     @classmethod
     def sigma(cls, *lam: int, coeff: int = 1) -> "RingClassGr36":
@@ -240,6 +265,7 @@ class RingClassGr36(_Value):
     __rmul__ = __mul__
 
     def __pow__(self, m: int):
+        _check_power(m)
         out = RingClassGr36.one()
         for _ in range(m):
             out = out * self
@@ -295,6 +321,8 @@ class ChernSeries(_Value):
         return out
 
     def chern(self, k: int):
+        """The class c_k, zero for k < 0 and above the base dimension; the
+        way callers read one Chern class, as the kernel displays do."""
         p = self.padded()
         return p[k] if 0 <= k < len(p) else self.ring.zero()
 
@@ -328,96 +356,24 @@ def chern_jet() -> ChernSeries:
 # Sym^3 of the dual tautological bundle on Gr(3,6)
 # ---------------------------------------------------------------------------
 
-Monomial = tuple[int, int, int]
-
-
-def _poly_mul(p: dict[Monomial, int], q: dict[Monomial, int]) -> dict[Monomial, int]:
-    out: dict[Monomial, int] = {}
-    for ma, a in p.items():
-        for mb, b in q.items():
-            m = (ma[0] + mb[0], ma[1] + mb[1], ma[2] + mb[2])
-            out[m] = out.get(m, 0) + a * b
-    return {m: c for m, c in out.items() if c}
-
-
-def _elementary(i: int) -> dict[Monomial, int]:
-    out: dict[Monomial, int] = {}
-    for picks in product((0, 1), repeat=3):
-        if sum(picks) == i:
-            out[picks] = 1
-    return out
-
-
-def _to_elementary(poly: dict[Monomial, int]) -> dict[Monomial, int]:
-    """Rewrite a symmetric polynomial in x1,x2,x3 as a polynomial in the
-    elementary symmetric functions; key (i,j,k) means e1^i e2^j e3^k."""
-    work = dict(poly)
-    out: dict[Monomial, int] = {}
-    while work:
-        lead = max(work)  # lex-leading monomial has sorted exponents
-        a1, a2, a3 = lead
-        if not a1 >= a2 >= a3:
-            raise AssertionError("polynomial is not symmetric")
-        c = work[lead]
-        key = (a1 - a2, a2 - a3, a3)
-        out[key] = out.get(key, 0) + c
-        sub: dict[Monomial, int] = {(0, 0, 0): c}
-        for e_index, e_power in ((1, a1 - a2), (2, a2 - a3), (3, a3)):
-            basis = _elementary(e_index)
-            for _ in range(e_power):
-                sub = _poly_mul(sub, basis)
-        for m, v in sub.items():
-            work[m] = work.get(m, 0) - v
-            if work[m] == 0:
-                del work[m]
-    return out
-
-
-@lru_cache(maxsize=None)
-def _sym3_elementary_expansion() -> tuple[tuple[Monomial, tuple[Monomial, int]], ...]:
-    """Graded expansion of prod(1 + root) over the 10 roots of Sym^3 of a
-    rank-3 bundle with Chern roots x1,x2,x3, reduced to the elementary
-    symmetric basis once and for all."""
-    def unit(i: int) -> Monomial:
-        m = [0, 0, 0]
-        m[i] = 1
-        return tuple(m)
-
-    roots: list[dict[Monomial, int]] = []
-    for i in range(3):
-        roots.append({unit(i): 3})  # 3*x_i
-    for i in range(3):
-        for j in range(3):
-            if i != j:
-                roots.append({unit(i): 2, unit(j): 1})  # 2*x_i + x_j
-    roots.append({unit(0): 1, unit(1): 1, unit(2): 1})  # x_1 + x_2 + x_3
-    if len(roots) != 10:
-        raise ArithmeticError(
-            f"Sym^3 of a rank-3 bundle has 10 Chern roots, not {len(roots)}"
-        )
-    total: dict[Monomial, int] = {(0, 0, 0): 1}
-    for r in roots:
-        factor = dict(r)
-        factor[(0, 0, 0)] = factor.get((0, 0, 0), 0) + 1  # (1 + root)
-        total = _poly_mul(total, factor)
-    return tuple(sorted(_to_elementary(total).items()))
-
-
 def chern_sym3_dual_tautological() -> ChernSeries:
-    """Chern series of Sym^3 of the dual tautological subbundle on Gr(3,6),
-    with c(S*) = 1 + sigma_1 + sigma_(1,1) + sigma_(1,1,1), via the splitting
-    principle and a one-time symmetric-function reduction."""
-    e1 = RingClassGr36.sigma(1)
-    e2 = RingClassGr36.sigma(1, 1)
-    e3 = RingClassGr36.sigma(1, 1, 1)
-    graded = [RingClassGr36.zero() for _ in range(RingClassGr36.DIM + 1)]
-    for (i, j, k), c in _sym3_elementary_expansion():
-        degree = i + 2 * j + 3 * k
-        if degree > RingClassGr36.DIM:
-            continue
-        val = c * (e1 ** i) * (e2 ** j) * (e3 ** k)
-        graded[degree] = graded[degree] + val
-    return ChernSeries(tuple(graded))
+    """Chern series of Sym^3 of the dual tautological subbundle on Gr(3,6).
+    By the splitting principle, with x1, x2, x3 the Chern roots of S*, so
+    that c(S*) = 1 + sigma_1 + sigma_(1,1) + sigma_(1,1,1), the roots of
+    Sym^3 S* are a*x1 + b*x2 + c*x3 over the 10 compositions a + b + c = 3.
+    The series is prod(1 + root), read in the Schur basis by one
+    ``_schur_expansion``, where s_nu is sigma_nu in the 3 x 3 box and 0
+    outside it."""
+    total: dict[Monomial, int] = {(0, 0, 0): 1}
+    for a in range(4):
+        for b in range(4 - a):
+            factor = {(0, 0, 0): 1, (1, 0, 0): a, (0, 1, 0): b, (0, 0, 1): 3 - a - b}
+            total = _poly_mul(total, factor)
+    graded: list[dict[Partition, int]] = [{} for _ in range(RingClassGr36.DIM + 1)]
+    for nu, c in _schur_expansion(total).items():
+        if nu[0] <= 3:
+            graded[sum(nu)][nu] = c
+    return ChernSeries(tuple(RingClassGr36(tuple(piece.items())) for piece in graded))
 
 
 # ---------------------------------------------------------------------------

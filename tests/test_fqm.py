@@ -745,14 +745,14 @@ def test_symmetric_reduce_gives_the_fraction_ldl(gram):
 
 
 def test_e8_walk_builds_few_fractions():
-    # the window comes off integer pivot rows, and the walk itself runs in
-    # integers: the only Fractions are the int offset entries and bound read
-    # as Fractions, and none at all when they are Fractions already
+    # the window comes off integer pivot rows, the offset entries and the
+    # bound are read as integer ratios, and the walk itself runs in integers,
+    # so it builds no Fraction from int inputs or from Fraction inputs
     lattice = EvenLattice(E8_GRAM)
     leaves = []
     built = _fraction_news(lambda: leaves.append(_scaled_short_vectors(lattice, (0,) * 8, 8)))
     assert len(leaves[0][1]) == 26641
-    assert built == 8 + 1, built
+    assert built == 0, built
     offset, bound = (F(0),) * 8, F(8)
     built = _fraction_news(lambda: leaves.append(_scaled_short_vectors(lattice, offset, bound)))
     assert leaves[1] == leaves[0]

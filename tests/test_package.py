@@ -1,7 +1,7 @@
 """Package-wide rules: the source imports only the standard library and
 itself, holds no assert statement, defines the value-class protocol once,
-every exported name exists, and a cold start loads only what the modular
-path needs."""
+names every cache in the package docstring's cache policy, every exported
+name exists, and a cold start loads only what the modular path needs."""
 
 import ast
 import cProfile
@@ -9,6 +9,7 @@ import graphlib
 import importlib
 import io
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -146,6 +147,35 @@ def test_rational_inputs_have_one_ratio_reader():
                 ]
     assert pairs == []
     assert cutoffs == ["qseries.py"] and forks == []
+
+
+def _is_cached(fn) -> bool:
+    """Whether a function definition carries functools' lru_cache or cache."""
+    for dec in fn.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if getattr(target, "id", getattr(target, "attr", None)) in {"lru_cache", "cache"}:
+            return True
+    return False
+
+
+def test_every_cache_is_in_the_cache_policy():
+    # the package docstring's "Caches." paragraph states what each cache
+    # keeps alive; a cache it does not name has no stated policy
+    doc = cubicforms.__doc__
+    policy = doc[doc.index("Caches."):].split("\n\n")[0]
+    named = set(re.findall(r"``([\w.]+)``", policy))
+    unnamed = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        unnamed += [
+            f"{path.stem}.{fn.name}"
+            for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef)
+            and _is_cached(fn)
+            and not {fn.name, f"{path.stem}.{fn.name}"} & named
+        ]
+    assert unnamed == []
+    assert "schubert._lr_products" in named
 
 
 def _class_level_names(cls: ast.ClassDef) -> set[str]:

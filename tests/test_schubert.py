@@ -1,7 +1,9 @@
 import random
+from fractions import Fraction as F
 
 import pytest
 
+from cubicforms import schubert
 from cubicforms.schubert import (
     ChernSeries,
     RingClassGr36,
@@ -20,6 +22,70 @@ from cubicforms.schubert import (
 )
 
 sigma = RingClassGr36.sigma
+
+
+def _tableau_lr(lam, mu, nu) -> int:
+    """Oracle for lr_coefficient: the number of semistandard skew tableaux of
+    shape nu/lam and content mu whose reverse reading word is a lattice word,
+    counted by direct backtracking."""
+    if sum(nu) != sum(lam) + sum(mu):
+        return 0
+    if any(n < l for n, l in zip(nu, lam)):
+        return 0
+    # cells of nu/lam in reverse reading order: rows top to bottom, each row
+    # right to left, so the lattice condition can be checked prefix by prefix
+    order = [(r, c) for r in range(3) for c in range(nu[r] - 1, lam[r] - 1, -1)]
+    filling = {}
+    remaining = list(mu)
+    counts = [0, 0, 0]
+    total = 0
+
+    def place(pos: int):
+        nonlocal total
+        if pos == len(order):
+            total += 1
+            return
+        r, c = order[pos]
+        for v in range(3):
+            if remaining[v] == 0:
+                continue
+            if v > 0 and counts[v - 1] <= counts[v]:
+                continue  # lattice word fails
+            right = filling.get((r, c + 1))
+            if right is not None and v > right:
+                continue  # rows weakly increase left to right
+            above = filling.get((r - 1, c))
+            if above is not None and v <= above:
+                continue  # columns strictly increase
+            filling[(r, c)] = v
+            counts[v] += 1
+            remaining[v] -= 1
+            place(pos + 1)
+            del filling[(r, c)]
+            counts[v] -= 1
+            remaining[v] += 1
+
+    place(0)
+    return total
+
+
+def partitions(largest: int) -> list[tuple[int, int, int]]:
+    """The partitions with at most 3 parts, each at most ``largest``."""
+    return [
+        (a, b, c)
+        for a in range(largest + 1)
+        for b in range(a + 1)
+        for c in range(b + 1)
+    ]
+
+
+def alternant(alpha) -> dict:
+    """a_alpha(x1, x2, x3): the six-term sum over S_3 of sign(w) x^w(alpha)."""
+    a1, a2, a3 = alpha
+    return {
+        (a1, a2, a3): 1, (a2, a3, a1): 1, (a3, a1, a2): 1,
+        (a2, a1, a3): -1, (a1, a3, a2): -1, (a3, a2, a1): -1,
+    }
 
 
 def e_classes():
@@ -128,6 +194,58 @@ class TestGrassmannianRing:
     def test_lr_coefficient_bad_containment(self):
         assert lr_coefficient((2, 0, 0), (1, 0, 0), (1, 1, 1)) == 0
 
+    def test_lr_coefficient_matches_tableau_oracle(self):
+        parts = partitions(5)
+        triples = [
+            (lam, mu, nu)
+            for lam in parts
+            for mu in parts
+            for nu in parts
+            if sum(nu) == sum(lam) + sum(mu)
+        ]
+        assert len(triples) == 5402
+        for lam, mu, nu in triples:
+            assert lr_coefficient(lam, mu, nu) == _tableau_lr(lam, mu, nu), (lam, mu, nu)
+        assert max(lr_coefficient(*t) for t in triples) > 1
+
+    def test_lr_coefficient_takes_lists(self):
+        assert lr_coefficient([2, 1, 0], [1, 0, 0], [2, 1, 1]) == 1
+        assert lr_coefficient([2, 1, 0], [2, 1, 0], [3, 2, 1]) == 2
+        assert lr_coefficient([1, 0, 0], (1, 0, 0), [2, 0, 0]) == 1
+
+    def test_schur_times_vandermonde_is_alternant(self):
+        vandermonde = alternant((2, 1, 0))
+        for lam in partitions(6):
+            bialternant = alternant((lam[0] + 2, lam[1] + 1, lam[2]))
+            assert schubert._poly_mul(schubert._schur(lam), vandermonde) == bialternant, lam
+
+
+class TestRingInputs:
+    @pytest.mark.parametrize("x", [RingClassP5.hyperplane_power(1), sigma(1)], ids=["P5", "Gr36"])
+    def test_negative_power_rejected(self, x):
+        with pytest.raises(ValueError, match="negative powers"):
+            x ** -1
+
+    @pytest.mark.parametrize("x", [RingClassP5.hyperplane_power(1), sigma(1)], ids=["P5", "Gr36"])
+    def test_non_int_power_rejected(self, x):
+        with pytest.raises(TypeError, match="power must be an int"):
+            x ** 2.0
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: RingClassP5((1, 2, 3, 4, 5, 6.5)),
+            lambda: RingClassP5.hyperplane_power(1, 2.5),
+            lambda: RingClassP5((True, 0, 0, 0, 0, 0)),
+            lambda: sigma(1, coeff=2.5),
+            lambda: RingClassGr36((((1, 0, 0), 1), ((2, 0, 0), F(1, 2)))),
+        ],
+        ids=["P5-float", "P5-hyperplane-float", "P5-bool", "Gr36-float", "Gr36-fraction"],
+    )
+    def test_non_int_coefficient_rejected(self, build):
+        with pytest.raises(TypeError, match="coefficients must be ints"):
+            build()
+
 
 class TestProjectiveSpaceRing:
     def test_truncation(self):
@@ -154,6 +272,23 @@ class TestProjectiveSpaceRing:
 
 
 class TestSym3Bundle:
+    def test_makes_no_ring_product(self, monkeypatch):
+        # the series is read in the Schur basis off one polynomial product;
+        # it multiplies no two Schubert classes
+        products = []
+        original = RingClassGr36.__mul__
+
+        def counted(self, other):
+            products.append(other)
+            return original(self, other)
+
+        monkeypatch.setattr(RingClassGr36, "__mul__", counted)
+        monkeypatch.setattr(RingClassGr36, "__rmul__", counted)
+        cs = chern_sym3_dual_tautological()
+        assert products == []
+        assert cs.chern(1) == 10 * sigma(1)
+        assert len(products) == 1  # the check's own 10 * sigma(1) counts
+
     def test_first_chern_class(self):
         cs = chern_sym3_dual_tautological()
         assert cs.chern(1) == 10 * sigma(1)
