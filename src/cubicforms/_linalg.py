@@ -5,7 +5,7 @@ rational data scales it to integers first.  ``det``,
 ``fqm._scaled_inverse`` and ``qseries.solve_linear_combination`` read their
 answers off ``row_reduce``.  Row operations alone do not preserve inertia,
 so ``symmetric_reduce`` runs a congruence: ``inertia`` counts the signs of
-its pivots, and ``fqm._scaled_short_vectors`` reads its window off the
+its pivots, and ``fqm._short_vector_walk`` reads its window off the
 pivot rows.
 """
 

@@ -12,7 +12,6 @@ tests' oracle of that closed form; nothing on the series path calls them.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import cycle, product
@@ -32,7 +31,7 @@ from .fqm import (
     W_GRAM,
     DiscriminantForm,
     EvenLattice,
-    _scaled_short_vectors,
+    _scaled_norm_counts,
     discriminant_form,
     w_prime_form,
 )
@@ -341,30 +340,41 @@ def theta_series_rank10(prec: Fraction | int) -> VectorForm:
     by lattice point enumeration: coefficient of q^(v^2/2) v_gamma counts
     dual vectors v in coset gamma.
 
-    The two orthogonal summands are enumerated separately and their counting
-    series convolved; the tests pin this against a walk of the rank-10
-    lattice in one pass.  Indexed against the canonical order-3 form; the
-    two nonzero slots carry equal series, so the coset matching is forced.
-    Serves as the independent oracle for the Euler-product assembly.
+    The two orthogonal summands are walked separately, each walk counting
+    its vectors per norm without keeping them, and their counting series
+    convolved, one W walk and one product per {gamma, -gamma} orbit; the
+    tests pin this against a walk of the rank-10 lattice in one pass.
+    Indexed against the canonical order-3 form; the two nonzero slots carry
+    equal series, so the coset matching is forced.  Serves as the
+    independent oracle for the Euler-product assembly.
     """
     return precision_memo(("theta_series_rank10",), as_fraction(prec, "prec"), _theta_rank10)
 
 
 def _coset_theta_series(lattice: EvenLattice, offset, prec: Fraction) -> QSeries:
     """Theta series sum q^(<v,v>/2) over the coset offset + lattice of a
-    positive definite lattice, in steps of q^(1/3), to prec: the leaves of one
-    walk counted per integer norm y^T G y = d^2 <v,v>, one Fraction each."""
+    positive definite lattice, in steps of q^(1/3), to prec: one walk's
+    counts per integer norm y^T G y = d^2 <v,v>, keyed on the integer
+    exponent 3 y^T G y / (2 d^2), with no vector kept and no Fraction per
+    norm.  A norm off the 1/3 grid raises ``ValueError``."""
     bound = 2 * prec - Fraction(2, 3)  # largest half-norm strictly below prec
-    d, leaves = _scaled_short_vectors(lattice, offset, bound)
-    counts = Counter([ygy for _y, ygy in leaves])
-    return QSeries.from_terms(
-        ((Fraction(ygy, 2 * d * d), c) for ygy, c in counts.items()), 3, prec
-    )
+    d, counts = _scaled_norm_counts(lattice, offset, bound)
+    two_d2 = 2 * d * d
+    nums = {}
+    for ygy, c in counts.items():
+        e, r = divmod(3 * ygy, two_d2)
+        if r:
+            raise ValueError(f"exponent {Fraction(ygy, two_d2)} is not on the 1/3 grid")
+        nums[e] = c
+    return _series(nums, 1, 3, _cutoff(prec, 3))
 
 
 def _theta_rank10(prec: Fraction) -> VectorForm:
     w_lat = EvenLattice(W_GRAM)
     w_form = discriminant_form(W_GRAM)
     e8 = _coset_theta_series(EvenLattice(E8_GRAM), (0,) * 8, prec)
-    comps = tuple(_coset_theta_series(w_lat, w_form.cosets[i], prec) * e8 for i in range(3))
-    return VectorForm(Fraction(5), w_prime_form(), comps)
+    return VectorForm.per_orbit(
+        Fraction(5),
+        w_prime_form(),
+        lambda i: _coset_theta_series(w_lat, w_form.cosets[i], prec) * e8,
+    )

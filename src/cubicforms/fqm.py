@@ -501,6 +501,8 @@ def short_vectors(
     completion of squares (Fincke-Pohst, Math. Comp. 44, 1985) over y = d*v,
     d the common denominator of the offset, read off the pivot rows of
     ``_linalg.symmetric_reduce``, which must all be positive and in order.
+    A caller that needs only the norms, such as a theta series, takes
+    ``_scaled_norm_counts`` from the same walk and keeps no vector.
     """
     d, leaves = _scaled_short_vectors(lattice, offset, bound)
     return [(tuple(Fraction(yk, d) for yk in y), Fraction(ygy, d * d)) for y, ygy in leaves]
@@ -510,7 +512,23 @@ def _scaled_short_vectors(
     lattice: EvenLattice, offset, bound: Fraction
 ) -> tuple[int, list[tuple[tuple[int, ...], int]]]:
     """The walk of ``short_vectors`` in integers: the common denominator d of
-    the offset and the leaves (y, y^T G y) with y = d*v, in the same order.
+    the offset and the leaves (y, y^T G y) with y = d*v, in the same order."""
+    return _short_vector_walk(lattice, offset, bound, [])
+
+
+def _scaled_norm_counts(
+    lattice: EvenLattice, offset, bound: Fraction
+) -> tuple[int, dict[int, int]]:
+    """The same walk with its leaves counted, not kept: d and the dict
+    {y^T G y: number of leaves}, in memory O(distinct norms), not O(vectors).
+    Rank 0 gives {0: 1}, a negative bound {}."""
+    return _short_vector_walk(lattice, offset, bound, {})
+
+
+def _short_vector_walk(lattice: EvenLattice, offset, bound: Fraction, out: list | dict):
+    """The one walk behind ``_scaled_short_vectors`` and
+    ``_scaled_norm_counts``: d and ``out``, to which the last level appends
+    each leaf (y, y^T G y) if it is a list and adds y^T G y if it is a dict.
 
     Step i of ``symmetric_reduce`` gives the row r_i, the pivot p_i = r_i[i]
     and the divisor prev_i, and Q(v) = sum_i (p_i / prev_i) * u_i^2 with
@@ -534,9 +552,9 @@ def _scaled_short_vectors(
     if any(k != i or row[k] <= 0 for i, (k, row, _) in enumerate(steps)):
         raise ValueError("lattice is not positive definite")
     d = lcm(1, *(den for _, den in offset))
-    out: list[tuple[tuple[int, ...], int]] = []
     if num_bound < 0:
         return d, out
+    binned = type(out) is dict
     base = [num * (d // den) for num, den in offset]  # y_i = base_i mod d
     m = lcm(1, *(prev * row[i] for i, row, prev in steps))
     levels = [
@@ -568,6 +586,13 @@ def _scaled_short_vectors(
                 y[i] = yi = bi + d * xi
                 walk(i - 1, rem - wi * t * t, acc + yi * (gii * yi + h))
             return
+        if binned:
+            for xi in xs:
+                yi = bi + d * xi
+                ygy = acc + yi * (gii * yi + h)
+                if ygy * den_bound <= cap:
+                    out[ygy] = out[ygy] + 1 if ygy in out else 1
+            return
         rest = tuple(y[1:])
         for xi in xs:
             yi = bi + d * xi
@@ -577,6 +602,8 @@ def _scaled_short_vectors(
 
     if n:
         walk(n - 1, m * cap, 0)
-    else:  # rank 0: the empty vector, whose norm 0 is within the bound
+    elif binned:  # rank 0: the empty vector, whose norm 0 is within the bound
+        out[0] = 1
+    else:
         out.append(((), 0))
     return d, out

@@ -50,7 +50,10 @@ def _check_power(m) -> None:
 
 class RingClassP5(_Value):
     """Integer class a_0 + a_1 H + ... + a_5 H^5 on P^5, its coefficients
-    ints (``TypeError`` otherwise, a bool included)."""
+    ints (``TypeError`` otherwise, a bool included) kept as a tuple.  It
+    adds and subtracts classes of its own ring and multiplies by them or by
+    an int; any other operand gives ``NotImplemented``, so Python raises
+    ``TypeError``."""
 
     __slots__ = ("coeffs",)
 
@@ -61,7 +64,7 @@ class RingClassP5(_Value):
             raise ValueError(f"need {self.DIM + 1} coefficients, got {len(coeffs)}")
         if set(map(type, coeffs)) - {int}:
             raise TypeError(f"coefficients must be ints, not {coeffs!r}")
-        self._set(coeffs)
+        self._set(tuple(coeffs))
 
     @classmethod
     def one(cls) -> "RingClassP5":
@@ -80,17 +83,23 @@ class RingClassP5(_Value):
         return cls(tuple(v))
 
     def __add__(self, other):
+        if not isinstance(other, RingClassP5):
+            return NotImplemented
         return RingClassP5(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __neg__(self):
         return RingClassP5(tuple(-a for a in self.coeffs))
 
     def __sub__(self, other):
+        if not isinstance(other, RingClassP5):
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, int):
             return RingClassP5(tuple(a * other for a in self.coeffs))
+        if not isinstance(other, RingClassP5):
+            return NotImplemented
         out = [0] * (self.DIM + 1)
         for i, a in enumerate(self.coeffs):
             if a:
@@ -207,7 +216,8 @@ class RingClassGr36(_Value):
     """Integer combination of Schubert classes sigma_lambda on Gr(3,6), kept
     as sorted (partition, coefficient) pairs with no zero coefficient; a
     repeated partition keeps its last coefficient, and every coefficient must
-    be an int (``TypeError`` otherwise, a bool included)."""
+    be an int (``TypeError`` otherwise, a bool included).  Its operands are
+    as for ``RingClassP5``: classes of its own ring, or an int factor."""
 
     __slots__ = ("coeffs",)
 
@@ -239,6 +249,8 @@ class RingClassGr36(_Value):
         return dict(self.coeffs)
 
     def __add__(self, other):
+        if not isinstance(other, RingClassGr36):
+            return NotImplemented
         d = self.as_dict()
         for lam, c in other.coeffs:
             d[lam] = d.get(lam, 0) + c
@@ -248,11 +260,15 @@ class RingClassGr36(_Value):
         return RingClassGr36(tuple((lam, -c) for lam, c in self.coeffs))
 
     def __sub__(self, other):
+        if not isinstance(other, RingClassGr36):
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, int):
             return RingClassGr36(tuple((lam, c * other) for lam, c in self.coeffs))
+        if not isinstance(other, RingClassGr36):
+            return NotImplemented
         acc: dict[Partition, int] = {}
         for lam, a in self.coeffs:
             for mu, b in other.coeffs:

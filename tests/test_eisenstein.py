@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 from collections import Counter
 from fractions import Fraction as F
@@ -38,6 +39,7 @@ from cubicforms.fqm import (
     W_PRIME_GRAM,
     DiscriminantForm,
     EvenLattice,
+    _scaled_norm_counts,
     _scaled_short_vectors,
     discriminant_form,
     short_vectors,
@@ -845,6 +847,36 @@ class TestThetaOracle:
         assert d == 1
         shells = Counter(ygy for _y, ygy in leaves)
         assert shells == {0: 1, 2: 240, 4: 2160, 6: 6720, 8: 17520}
+
+    def test_e8_theta_from_counts_is_e4_through_norm_16(self):
+        # theta_E8 = E_4 = 1 + 240 sum sigma_3(n) q^n: the binned walk has
+        # 240 sigma_3(n) vectors at norm 2n, and none of odd norm, to n = 8
+        d, counts = _scaled_norm_counts(EvenLattice(E8_GRAM), (0,) * 8, 16)
+        e4 = eisenstein_level1(4, 9)
+        assert d == 1 and counts == {2 * n: c for n, c in e4.coeffs.items()}
+        assert sum(counts.values()) == 340321
+        theta = eisenstein._coset_theta_series(EvenLattice(E8_GRAM), (0,) * 8, 9)
+        assert theta == _e4(9)
+
+    def test_coset_theta_series_rejects_norm_off_the_third_grid(self):
+        # the coset 1/2 + Z of the lattice <2> has half-norms (n + 1/2)^2,
+        # in 1/4 + Z, and the series' 1/3 grid has no key for q^(1/4)
+        with pytest.raises(ValueError, match="exponent 1/4 is not on the 1/3 grid"):
+            eisenstein._coset_theta_series(EvenLattice(((2,),)), (F(1, 2),), 2)
+
+    def test_fresh_oracle_keeps_no_vectors(self):
+        # the E8 walk at prec 4 passes 9,121 vectors; counted per norm at the
+        # leaf level, none is kept, and the traced peak stays far below the
+        # 1.5 MB that the list of leaves took
+        discriminant_form(W_GRAM), w_prime_form()
+        tracemalloc.start()
+        try:
+            th = eisenstein._theta_rank10(F(4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert th == theta_series_rank10(4)
+        assert peak < 250_000, peak
 
     def test_product_equals_direct_enumeration(self):
         # oracle: one walk of the rank-10 lattice W + E8, binned by coset

@@ -1,6 +1,7 @@
 import cmath
 import cProfile
 import random
+from collections import Counter
 from fractions import Fraction as F
 from itertools import count, product
 from math import gcd, isqrt, lcm, prod
@@ -23,6 +24,7 @@ from cubicforms.fqm import (
     _mat_identity_cyc,
     _mat_mul_cyc,
     _scaled_inverse,
+    _scaled_norm_counts,
     _scaled_short_vectors,
     discriminant_form,
     gauss_milgram_check,
@@ -808,10 +810,23 @@ def _walk_oracle(lattice, offset, bound):
 
 @settings(deadline=None, max_examples=120)
 @given(_positive_lattices())
+@example(((), (), F(2)))
+@example(((), (), F(-1, 3)))
+@example((W_GRAM, (F(1, 3), F(2, 3)), F(-2, 3)))
 def test_scaled_walk_matches_per_leaf_oracle(case):
+    # the leaves in order, and the binned walk's counts are the oracle
+    # leaves' norms counted: {0: 1} at rank 0 and {} under a negative bound
     gram, offset, bound = case
     lattice = EvenLattice(gram)
-    assert _scaled_short_vectors(lattice, offset, bound) == _walk_oracle(lattice, offset, bound)
+    d, leaves = _walk_oracle(lattice, offset, bound)
+    assert _scaled_short_vectors(lattice, offset, bound) == (d, leaves)
+    counts = _scaled_norm_counts(lattice, offset, bound)
+    assert counts == (d, Counter(ygy for _y, ygy in leaves))
+    assert type(counts[1]) is dict
+    if not gram:
+        assert counts[1] == ({0: 1} if bound >= 0 else {})
+    if bound < 0:
+        assert counts[1] == {}
 
 
 def _exact_nodes(lattice, offset, bound):

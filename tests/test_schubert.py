@@ -246,6 +246,44 @@ class TestRingInputs:
         with pytest.raises(TypeError, match="coefficients must be ints"):
             build()
 
+    def test_list_built_class_is_the_tuple_built_one(self):
+        # the coefficients are kept as a tuple, as EvenLattice keeps its Gram
+        built = RingClassP5([1, 0, 0, 0, 0, 0])
+        assert built == RingClassP5.one() and hash(built) == hash(RingClassP5.one())
+        assert type(built.coeffs) is tuple
+
+    @pytest.mark.parametrize(
+        "apply",
+        [
+            lambda x: x * 2.5,
+            lambda x: 2.5 * x,
+            lambda x: x + 1,
+            lambda x: 1 + x,
+            lambda x: x - 1,
+            lambda x: x * F(1, 2),
+        ],
+        ids=["mul-float", "rmul-float", "add-int", "radd-int", "sub-int", "mul-fraction"],
+    )
+    @pytest.mark.parametrize("x", [RingClassP5.hyperplane_power(1), sigma(1)], ids=["P5", "Gr36"])
+    def test_foreign_operand_is_not_implemented(self, x, apply):
+        # Python's own TypeError, naming the class, once both sides decline
+        with pytest.raises(TypeError, match=f"unsupported operand.*'{type(x).__name__}'"):
+            apply(x)
+
+    @pytest.mark.parametrize(
+        "apply",
+        [
+            lambda: RingClassP5.one() * RingClassGr36.one(),
+            lambda: RingClassGr36.one() * RingClassP5.one(),
+            lambda: RingClassP5.one() + RingClassGr36.one(),
+            lambda: RingClassGr36.one() - RingClassP5.one(),
+        ],
+        ids=["P5-mul-Gr36", "Gr36-mul-P5", "P5-add-Gr36", "Gr36-sub-P5"],
+    )
+    def test_classes_of_the_two_rings_do_not_mix(self, apply):
+        with pytest.raises(TypeError, match="'RingClass(P5|Gr36)' and 'RingClass(Gr36|P5)'"):
+            apply()
+
 
 class TestProjectiveSpaceRing:
     def test_truncation(self):
