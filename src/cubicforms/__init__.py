@@ -23,8 +23,8 @@ precision asked, the weight bounded by ``cli.MAX_WEIGHT``, on a cached form
 only (a caller's own form gets a copy); ``l_value_ratio`` and
 ``bernoulli_number`` one ``Fraction`` per weight; ``eisenstein._descent``
 the local-density oracle's counts per integer polynomial, prime and depth
-asked, never a form; ``schubert._lr_products`` at most 20 x 20 pairs of
-partitions in the 3 x 3 box.
+asked, never a form; ``schubert._lr_products`` one entry per unordered pair
+of box partitions and box width: at most 210 for Gr(3,6) and 21 for P^5.
 """
 
 from .exactmath import (

@@ -1,19 +1,21 @@
-"""Exact intersection rings of P^5 and Gr(3,6), Chern class machinery for the
-two bundle computations giving deg(C_6) = 192 and deg(C_8) = 3402, and the
-Segre-class shortcut that recomputes both degrees independently.
+"""Exact intersection rings of P^5 = Gr(1,6) and Gr(3,6), Chern class
+machinery for the two bundle computations giving deg(C_6) = 192 and
+deg(C_8) = 3402, and the Segre-class shortcut that recomputes both degrees.
 
-Everything is integer arithmetic: graded pieces are truncated at the base
-dimension, and Chern inversion needs no division at all.  H*(Gr(3,6)) is
-Lambda_3 / (h_4, h_5, h_6): sigma_lam is the Schur polynomial s_lam in the
-Chern roots x1, x2, x3 of S*, and s_nu vanishes when nu_1 > 3.  Products of
-Schubert classes and the Chern series of Sym^3 S* are read in the Schur
-basis off one product with an alternant.
+Everything is integer arithmetic, truncated at the base dimension; Chern
+inversion needs no division.  Both rings are one ring H*(Gr(r,n)) =
+Lambda_r / (h_(n-r+1), ..., h_n): sigma_lam is the Schur polynomial s_lam
+in the Chern roots x_1, ..., x_r of S*, and s_nu vanishes when nu_1 > n - r.
+Products of Schubert classes and the Chern series of Sym^k S* are read by
+Jacobi's bialternant formula, one lookup per partition of the box and w in S_r.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain, combinations_with_replacement, product, repeat
 from math import comb
+from operator import add, itemgetter, sub
 
 from .exactmath import _Value
 
@@ -34,30 +36,228 @@ __all__ = [
     "degree_c8_segre",
 ]
 
-Partition = tuple[int, int, int]
+Partition = Monomial = tuple[int, ...]
 
 
-def _check_power(m) -> None:
-    if not isinstance(m, int):
-        raise TypeError(f"power must be an int, not {type(m).__name__}")
-    if m < 0:
-        raise ValueError("negative powers are not supported")
+def _box(r: int, width: int) -> list[Partition]:
+    """The partitions with at most r parts, each at most ``width``, as
+    r-tuples in increasing lexicographic order."""
+    return list(combinations_with_replacement(range(width, -1, -1), r))[::-1]
+
+
+def box_partitions() -> list[Partition]:
+    """The 20 partitions with at most 3 parts, each at most 3."""
+    return _box(3, 3)
+
+
+def _poly_mul(p: dict[Monomial, int], q: dict[Monomial, int]) -> dict[Monomial, int]:
+    out: dict[Monomial, int] = {}
+    q_terms = q.items()
+    for a, x in p.items():
+        for b, y in q_terms:
+            m = tuple(map(add, a, b))
+            out[m] = out[m] + x * y if m in out else x * y
+    return {m: c for m, c in out.items() if c}
+
+
+def _schur(lam: Partition) -> dict[Monomial, int]:
+    """The Schur polynomial s_lam(x_1, ..., x_r), r = len(lam), one monomial
+    per Gelfand-Tsetlin pattern: rows g_r = lam, g_(r-1), ..., g_1, g_(k-1)
+    interlacing g_k (g_k,i >= g_(k-1),i >= g_k,(i+1)), weighing
+    x_k^(|g_k| - |g_(k-1)|) with |g_0| = 0; the tableau-free form of s_lam
+    as a sum over semistandard tableaux (Fulton, Young Tableaux, 1997)."""
+    # a pattern so far: its lowest row g_k, |g_k| and the exponents of x_(k+1),
+    # ..., x_r; product and map give the rows below and their sizes
+    patterns = [(lam, sum(lam), ())]
+    for _ in lam[1:]:
+        patterns = [
+            (mu, mu_size, (size - mu_size,) + exps)
+            for row, size, exps in patterns
+            for mus in [list(product(*map(range, row[1:], map(add, row, repeat(1)))))]
+            for mu, mu_size in zip(mus, map(sum, mus))
+        ]
+    out: dict[Monomial, int] = {}
+    for _, size, exps in patterns:
+        m = (size,) + exps
+        out[m] = out[m] + 1 if m in out else 1
+    return out
+
+
+def _schur_expansion(f: dict[Monomial, int], mu: Partition, nus) -> dict[Partition, int]:
+    """The nonzero c_nu, nu in ``nus`` and in its order, of f * s_mu = sum_nu
+    c_nu s_nu, f symmetric in x_1, ..., x_r, r = len(mu).  Jacobi's
+    bialternant formula s_nu a_delta = a_(nu + delta), delta = (r - 1, ...,
+    0), a_alpha = sum over w in S_r of sign(w) x^w(alpha) (Macdonald,
+    Symmetric Functions and Hall Polynomials, Ch. I), makes c_nu the
+    coefficient of x^(nu + delta) in f a_(mu + delta): the sum over w of
+    sign(w) [x^(nu + delta - w(mu + delta))] f."""
+    delta = range(len(mu) - 1, -1, -1)
+    # the terms (sign(w), w(mu + delta)): the k-th entry put at place i of an
+    # arrangement of the first k entries adds k - i inversions
+    alternant = [(1, ())]
+    for k, a in enumerate(map(add, mu, delta)):
+        alternant = [
+            (-sign if (k - i) % 2 else sign, term[:i] + (a,) + term[i:])
+            for sign, term in alternant
+            for i in range(k + 1)
+        ]
+    out: dict[Partition, int] = {}
+    for nu in nus:
+        top = tuple(map(add, nu, delta))
+        c = 0
+        for sign, term in alternant:
+            e = tuple(map(sub, top, term))
+            if e in f:
+                c += sign * f[e]
+        if c:
+            out[nu] = c
+    return out
+
+
+def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
+    """Littlewood-Richardson coefficient c^nu_{lam,mu} of partitions with at
+    most r parts (r-tuples or lists of r entries): the coefficient of s_nu in
+    s_lam * s_mu, one bialternant read; 0 when nu is not a partition."""
+    nu = tuple(nu)
+    if any(a < b for a, b in zip(nu, nu[1:] + (0,))):
+        return 0
+    return _schur_expansion(_schur(tuple(lam)), tuple(mu), (nu,)).get(nu, 0)
+
+
+@lru_cache(maxsize=None)
+def _lr_products(lam: Partition, mu: Partition, width: int) -> tuple[tuple[Partition, int], ...]:
+    """sigma_lam * sigma_mu on Gr(r, r + width), r = len(lam), as sorted
+    (nu, c^nu_{lam,mu}) pairs over the r x width box."""
+    r, size = len(lam), sum(lam + mu)
+    if size > r * width:
+        return ()
+    # s_lam * s_mu is homogeneous: only the box partitions of its size count
+    box = _box(r, width)
+    nus = [nu for nu, nu_size in zip(box, map(sum, box)) if nu_size == size]
+    return tuple(_schur_expansion(_schur(lam), mu, nus).items())
 
 
 # ---------------------------------------------------------------------------
-# the ring Z[H]/(H^6)
+# the ring H*(Gr(r,n)) in the Schubert basis
 # ---------------------------------------------------------------------------
 
-class RingClassP5(_Value):
-    """Integer class a_0 + a_1 H + ... + a_5 H^5 on P^5, its coefficients
-    ints (``TypeError`` otherwise, a bool included) kept as a tuple.  It
-    adds and subtracts classes of its own ring and multiplies by them or by
-    an int; any other operand gives ``NotImplemented``, so Python raises
-    ``TypeError``."""
+class _GrassmannianClass(_Value):
+    """Integer class of H*(Gr(R, N)) in the Schubert basis sigma_lam, lam in
+    the R x (N - R) box.  A subclass sets R and N, which fix DIM, TOP (the
+    point class) and the box, and names its field ``coeffs`` in ``__slots__``:
+    sorted (partition, int) pairs with no zero, a repeated key keeping its
+    last, unless it overrides ``__init__``, ``_terms`` and ``_of_terms``.  A
+    coefficient or part that is not an int (a bool included) raises
+    ``TypeError``, a key that is not a partition in the box ``ValueError``.
+    An operand other than a class of the same ring, or an int factor, gives
+    ``NotImplemented``, so Python raises ``TypeError``."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        width = cls.N - cls.R
+        cls.DIM, cls.TOP, cls._BOX = cls.R * width, (width,) * cls.R, frozenset(_box(cls.R, width))
+
+    def __init__(self, coeffs: tuple[tuple[Partition, int], ...] = ()):
+        terms = dict(coeffs)
+        if set(map(type, terms.values())) - {int}:
+            raise TypeError(f"coefficients must be ints, not {tuple(terms.values())!r}")
+        # a key of floats or bools equal to a partition is in the box too
+        if not terms.keys() <= self._BOX or set(map(type, chain(*terms))) - {int}:
+            for lam in terms:
+                self._check_partition(lam)
+        self._set(tuple(sorted(filter(itemgetter(1), terms.items()))))
+
+    @classmethod
+    def _check_partition(cls, lam) -> None:
+        if type(lam) is tuple and set(map(type, lam)) - {int}:
+            raise TypeError(f"partition parts must be ints, not {lam!r}")
+        if type(lam) is not tuple or lam not in cls._BOX:
+            raise ValueError(f"{lam!r} is not a partition in the {cls.R}x{cls.N - cls.R} box")
+
+    def _terms(self) -> dict[Partition, int]:
+        """The nonzero coefficients by partition, in a new dict."""
+        return dict(self.coeffs)
+
+    @classmethod
+    def _of_terms(cls, terms: dict[Partition, int]):
+        return cls(terms)
+
+    @classmethod
+    def sigma(cls, *lam: int, coeff: int = 1):
+        padded = tuple(sorted(lam, reverse=True)) + (0,) * (cls.R - len(lam))
+        cls._check_partition(padded)
+        return cls._of_terms({padded: coeff})
+
+    @classmethod
+    def one(cls):
+        return cls.sigma()
+
+    @classmethod
+    def zero(cls):
+        return cls._of_terms({})
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        acc = self._terms()
+        for lam, c in other._terms().items():
+            acc[lam] = acc[lam] + c if lam in acc else c
+        return self._of_terms(acc)
+
+    def __neg__(self):
+        return self * -1
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self + (-other)
+
+    def __mul__(self, other):
+        if type(other) is not type(self):
+            if not isinstance(other, int):
+                return NotImplemented
+            return self._of_terms({lam: c * other for lam, c in self._terms().items()})
+        width = self.N - self.R
+        acc: dict[Partition, int] = {}
+        theirs = other._terms().items()
+        for lam, a in self._terms().items():
+            for mu, b in theirs:
+                # sigma_lam sigma_mu = sigma_mu sigma_lam: one table per unordered pair
+                for nu, c in _lr_products(*((lam, mu) if lam <= mu else (mu, lam)), width):
+                    acc[nu] = acc[nu] + a * b * c if nu in acc else a * b * c
+        return self._of_terms(acc)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, m: int):
+        if not isinstance(m, int):
+            raise TypeError(f"power must be an int, not {type(m).__name__}")
+        if m < 0:
+            raise ValueError("negative powers are not supported")
+        out = self.one()
+        for _ in range(m):
+            out = out * self
+        return out
+
+    def is_zero(self) -> bool:
+        return not self._terms()
+
+    def degree(self) -> int:
+        """Coefficient of the point class sigma_TOP."""
+        return self._terms().get(self.TOP, 0)
+
+    def is_pure(self, k: int) -> bool:
+        """Whether every nonzero term has degree k (the zero class has all)."""
+        return all(sum(lam) == k for lam in self._terms())
+
+
+class RingClassP5(_GrassmannianClass):
+    """Integer class a_0 + a_1 H + ... + a_5 H^5 on P^5 = Gr(1,6), H^k the
+    Schubert class sigma_k, kept as the tuple of its coefficients."""
 
     __slots__ = ("coeffs",)
-
-    DIM = 5
+    R, N = 1, 6
 
     def __init__(self, coeffs: tuple[int, int, int, int, int, int] = (0, 0, 0, 0, 0, 0)):
         if len(coeffs) != self.DIM + 1:
@@ -67,236 +267,24 @@ class RingClassP5(_Value):
         self._set(tuple(coeffs))
 
     @classmethod
-    def one(cls) -> "RingClassP5":
-        return cls((1, 0, 0, 0, 0, 0))
-
-    @classmethod
-    def zero(cls) -> "RingClassP5":
-        return cls()
-
-    @classmethod
     def hyperplane_power(cls, k: int, c: int = 1) -> "RingClassP5":
-        if not 0 <= k <= cls.DIM:
-            raise ValueError(f"H^{k} is out of range")
-        v = [0] * (cls.DIM + 1)
-        v[k] = c
-        return cls(tuple(v))
+        return cls.sigma(k, coeff=c)
 
-    def __add__(self, other):
-        if not isinstance(other, RingClassP5):
-            return NotImplemented
-        return RingClassP5(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+    # zip(range(n)) yields the one-part partitions (k,)
+    def _terms(self) -> dict[Partition, int]:
+        return dict(filter(itemgetter(1), zip(zip(range(self.DIM + 1)), self.coeffs)))
 
-    def __neg__(self):
-        return RingClassP5(tuple(-a for a in self.coeffs))
-
-    def __sub__(self, other):
-        if not isinstance(other, RingClassP5):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return RingClassP5(tuple(a * other for a in self.coeffs))
-        if not isinstance(other, RingClassP5):
-            return NotImplemented
-        out = [0] * (self.DIM + 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b and i + j <= self.DIM:
-                        out[i + j] += a * b
-        return RingClassP5(tuple(out))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, m: int):
-        _check_power(m)
-        out = RingClassP5.one()
-        for _ in range(m):
-            out = out * self
-        return out
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def degree(self) -> int:
-        """Coefficient of the point class H^5."""
-        return self.coeffs[self.DIM]
-
-    def is_pure(self, k: int) -> bool:
-        """Whether every nonzero term has degree k (the zero class has all)."""
-        return not any(a for i, a in enumerate(self.coeffs) if i != k)
+    @classmethod
+    def _of_terms(cls, terms: dict[Partition, int]) -> "RingClassP5":
+        return cls(tuple(map(terms.get, zip(range(cls.DIM + 1)), repeat(0))))
 
 
-# ---------------------------------------------------------------------------
-# the ring H*(Gr(3,6)) in the Schubert basis
-# ---------------------------------------------------------------------------
-
-def box_partitions() -> list[Partition]:
-    """The 20 partitions with at most 3 parts, each at most 3."""
-    return [
-        (a, b, c)
-        for a in range(4)
-        for b in range(a + 1)
-        for c in range(b + 1)
-    ]
-
-
-Monomial = tuple[int, int, int]
-
-def _poly_mul(p: dict[Monomial, int], q: dict[Monomial, int]) -> dict[Monomial, int]:
-    out: dict[Monomial, int] = {}
-    q_terms = q.items()
-    for (a1, a2, a3), a in p.items():
-        for (b1, b2, b3), b in q_terms:
-            m = (a1 + b1, a2 + b2, a3 + b3)
-            if m in out:
-                out[m] += a * b
-            else:
-                out[m] = a * b
-    return {m: c for m, c in out.items() if c}
-
-
-def _schur(lam: Partition) -> dict[Monomial, int]:
-    """The Schur polynomial s_lam(x1, x2, x3), one monomial per
-    Gelfand-Tsetlin pattern: mu = (m1, m2) interlaces lam, n interlaces mu,
-    and the pattern weighs x1^n x2^(|mu| - n) x3^(|lam| - |mu|), the
-    tableau-free form of s_lam as a sum over semistandard tableaux
-    (Fulton, Young Tableaux, 1997)."""
-    l1, l2, l3 = lam
-    size = l1 + l2 + l3
-    out: dict[Monomial, int] = {}
-    for m1 in range(l2, l1 + 1):
-        for m2 in range(l3, l2 + 1):
-            for n in range(m2, m1 + 1):
-                m = (n, m1 + m2 - n, size - m1 - m2)
-                if m in out:
-                    out[m] += 1
-                else:
-                    out[m] = 1
-    return out
-
-
-def _schur_expansion(f: dict[Monomial, int], mu: Partition = (0, 0, 0)) -> dict[Partition, int]:
-    """The coefficients c_nu of f * s_mu = sum_nu c_nu s_nu, for a symmetric
-    polynomial f in x1, x2, x3.  Jacobi's bialternant formula s_nu * a_delta =
-    a_(nu + delta), delta = (2, 1, 0), a_alpha the alternant sum over S_3 of
-    sign(w) x^w(alpha) (Macdonald, Symmetric Functions and Hall Polynomials,
-    Ch. I), gives f * a_(mu + delta) = sum_nu c_nu a_(nu + delta); its only
-    monomial with strictly decreasing exponents nu + delta has coefficient
-    c_nu."""
-    a1, a2, a3 = mu[0] + 2, mu[1] + 1, mu[2]
-    alternant = {
-        (a1, a2, a3): 1, (a2, a3, a1): 1, (a3, a1, a2): 1,
-        (a2, a1, a3): -1, (a1, a3, a2): -1, (a3, a2, a1): -1,
-    }
-    return {
-        (e1 - 2, e2 - 1, e3): c
-        for (e1, e2, e3), c in _poly_mul(f, alternant).items()
-        if e1 > e2 > e3
-    }
-
-
-def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
-    """Littlewood-Richardson coefficient c^nu_{lam,mu} of partitions with at
-    most 3 parts (tuples or lists of 3 entries): the coefficient of s_nu in
-    s_lam * s_mu, read off one product with an alternant."""
-    return _schur_expansion(_schur(lam), mu).get(tuple(nu), 0)
-
-
-@lru_cache(maxsize=None)
-def _lr_products(lam: Partition, mu: Partition) -> tuple[tuple[Partition, int], ...]:
-    return tuple(sorted(
-        (nu, c) for nu, c in _schur_expansion(_schur(lam), mu).items() if nu[0] <= 3
-    ))
-
-
-class RingClassGr36(_Value):
-    """Integer combination of Schubert classes sigma_lambda on Gr(3,6), kept
-    as sorted (partition, coefficient) pairs with no zero coefficient; a
-    repeated partition keeps its last coefficient, and every coefficient must
-    be an int (``TypeError`` otherwise, a bool included).  Its operands are
-    as for ``RingClassP5``: classes of its own ring, or an int factor."""
+class RingClassGr36(_GrassmannianClass):
+    """Integer combination of Schubert classes sigma_lambda on Gr(3,6)."""
 
     __slots__ = ("coeffs",)
-
-    DIM = 9
-    TOP = (3, 3, 3)  # the point class
-
-    def __init__(self, coeffs: tuple[tuple[Partition, int], ...] = ()):
-        terms = dict(coeffs)
-        if set(map(type, terms.values())) - {int}:
-            raise TypeError(f"coefficients must be ints, not {tuple(terms.values())!r}")
-        self._set(tuple(sorted((lam, c) for lam, c in terms.items() if c)))
-
-    @classmethod
-    def sigma(cls, *lam: int, coeff: int = 1) -> "RingClassGr36":
-        padded = tuple(sorted(lam, reverse=True)) + (0,) * (3 - len(lam))
-        if len(padded) != 3 or padded[0] > 3 or any(x < 0 for x in padded):
-            raise ValueError(f"{lam} is not a partition in the 3x3 box")
-        return cls(((padded, coeff),))
-
-    @classmethod
-    def one(cls) -> "RingClassGr36":
-        return cls.sigma()
-
-    @classmethod
-    def zero(cls) -> "RingClassGr36":
-        return cls()
-
-    def as_dict(self) -> dict[Partition, int]:
-        return dict(self.coeffs)
-
-    def __add__(self, other):
-        if not isinstance(other, RingClassGr36):
-            return NotImplemented
-        d = self.as_dict()
-        for lam, c in other.coeffs:
-            d[lam] = d.get(lam, 0) + c
-        return RingClassGr36(tuple(d.items()))
-
-    def __neg__(self):
-        return RingClassGr36(tuple((lam, -c) for lam, c in self.coeffs))
-
-    def __sub__(self, other):
-        if not isinstance(other, RingClassGr36):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return RingClassGr36(tuple((lam, c * other) for lam, c in self.coeffs))
-        if not isinstance(other, RingClassGr36):
-            return NotImplemented
-        acc: dict[Partition, int] = {}
-        for lam, a in self.coeffs:
-            for mu, b in other.coeffs:
-                if sum(lam) + sum(mu) > self.DIM:
-                    continue
-                for nu, c in _lr_products(lam, mu):
-                    acc[nu] = acc.get(nu, 0) + a * b * c
-        return RingClassGr36(tuple(acc.items()))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, m: int):
-        _check_power(m)
-        out = RingClassGr36.one()
-        for _ in range(m):
-            out = out * self
-        return out
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def degree(self) -> int:
-        """Coefficient of the point class sigma_(3,3,3)."""
-        return self.as_dict().get(self.TOP, 0)
-
-    def is_pure(self, k: int) -> bool:
-        """Whether every nonzero term has degree k (the zero class has all)."""
-        return all(sum(lam) == k for lam, _ in self.coeffs)
+    R, N = 3, 6
+    as_dict = _GrassmannianClass._terms
 
 
 # ---------------------------------------------------------------------------
@@ -369,27 +357,33 @@ def chern_jet() -> ChernSeries:
 
 
 # ---------------------------------------------------------------------------
-# Sym^3 of the dual tautological bundle on Gr(3,6)
+# Sym^k of the dual tautological bundle
 # ---------------------------------------------------------------------------
 
+def _chern_sym_dual(ring, k: int) -> ChernSeries:
+    """Chern series of Sym^k S*, S the tautological subbundle of the
+    Grassmannian of ``ring``.  With x_1, ..., x_r the Chern roots of S*, the
+    roots of Sym^k S* are the sums of the k-element multisets of them, and
+    prod(1 + root) is read in the Schur basis by one ``_schur_expansion``
+    over the box, where s_nu is sigma_nu."""
+    r = ring.R
+    units = [(0,) * i + (1,) + (0,) * (r - 1 - i) for i in range(r)]
+    total: dict[Monomial, int] = {(0,) * r: 1}
+    for roots in combinations_with_replacement(units, k):
+        factor = {(0,) * r: 1}
+        for e in roots:
+            factor[e] = factor[e] + 1 if e in factor else 1
+        total = _poly_mul(total, factor)
+    graded: list[dict[Partition, int]] = [{} for _ in range(ring.DIM + 1)]
+    for nu, c in _schur_expansion(total, (0,) * r, _box(r, ring.N - r)).items():
+        graded[sum(nu)][nu] = c
+    return ChernSeries(tuple(map(ring._of_terms, graded)))
+
+
 def chern_sym3_dual_tautological() -> ChernSeries:
-    """Chern series of Sym^3 of the dual tautological subbundle on Gr(3,6).
-    By the splitting principle, with x1, x2, x3 the Chern roots of S*, so
-    that c(S*) = 1 + sigma_1 + sigma_(1,1) + sigma_(1,1,1), the roots of
-    Sym^3 S* are a*x1 + b*x2 + c*x3 over the 10 compositions a + b + c = 3.
-    The series is prod(1 + root), read in the Schur basis by one
-    ``_schur_expansion``, where s_nu is sigma_nu in the 3 x 3 box and 0
-    outside it."""
-    total: dict[Monomial, int] = {(0, 0, 0): 1}
-    for a in range(4):
-        for b in range(4 - a):
-            factor = {(0, 0, 0): 1, (1, 0, 0): a, (0, 1, 0): b, (0, 0, 1): 3 - a - b}
-            total = _poly_mul(total, factor)
-    graded: list[dict[Partition, int]] = [{} for _ in range(RingClassGr36.DIM + 1)]
-    for nu, c in _schur_expansion(total).items():
-        if nu[0] <= 3:
-            graded[sum(nu)][nu] = c
-    return ChernSeries(tuple(RingClassGr36(tuple(piece.items())) for piece in graded))
+    """Chern series of Sym^3 of the dual tautological subbundle on Gr(3,6);
+    its roots a*x1 + b*x2 + c*x3 run over the 10 compositions a + b + c = 3."""
+    return _chern_sym_dual(RingClassGr36, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -832,6 +832,26 @@ class TestThetaOracle:
             assert e5.component(i) == _theta_w(i, prec) * e4 * 2, i
         assert e5.component(1) == e5.component(2)
 
+    @pytest.mark.parametrize("k", [3, 7])
+    def test_eisenstein_on_w_is_twice_theta_e6(self, k):
+        # the side of the weight-parity sign that is right today: E6 = A2^3
+        # glued by [111] has the discriminant form of W, so E_3 = 2 theta_E6
+        # and E_7 = 2 theta_(E6 + E8) = 2 theta_E6 E_4, with theta_i the
+        # coset series of W = A2 and theta_E6 = (theta_0^3 + 2 theta_1^3,
+        # 3 theta_0 theta_1^2, 3 theta_0 theta_2^2)
+        prec = 12
+        form = discriminant_form(W_GRAM)
+        t0, t1, t2 = (
+            eisenstein._coset_theta_series(EvenLattice(W_GRAM), form.cosets[i], prec)
+            for i in range(3)
+        )
+        theta_e6 = (t0**3 + t1**3 * 2, t0 * t1**2 * 3, t0 * t2**2 * 3)
+        factor = _e4(prec) * 2 if k == 7 else QSeries.constant(2)
+        e = vv_eisenstein(form, k, prec)
+        for i in range(3):
+            # QSeries equality compares cutoffs, so both sides are cut alike
+            assert e.component(i).truncate(prec) == (theta_e6[i] * factor).truncate(prec), i
+
     def test_rank10_equals_theta_w_times_e4(self):
         # independent of the E8 walk: theta_E8 = E_4, so each component of
         # theta_{W+E8} is the rank-2 theta series of its coset times E_4

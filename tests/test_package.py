@@ -245,6 +245,27 @@ def test_value_protocol_has_one_definition():
         assert issubclass(cls, _Value), cls
 
 
+def test_grassmannian_arithmetic_has_one_definition():
+    # the rings of P^5 = Gr(1,6) and Gr(3,6) share one copy of the ring
+    # arithmetic; each class keeps only its constructor and stored layout
+    from cubicforms.exactmath import _Value
+    from cubicforms.schubert import RingClassGr36, RingClassP5
+
+    arithmetic = {
+        "__add__", "__neg__", "__sub__", "__mul__", "__rmul__", "__pow__",
+        "degree", "is_pure", "is_zero",
+    }
+    path = next(p for p in MODULES if p.name == "schubert.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
+    for name in ("RingClassP5", "RingClassGr36"):
+        assert _class_level_names(classes[name]) & arithmetic == set(), name
+    base = RingClassP5.__base__
+    assert RingClassGr36.__base__ is base and base is not _Value
+    assert issubclass(base, _Value)
+    assert arithmetic <= _class_level_names(classes[base.__name__])
+
+
 def test_vector_form_is_a_value():
     # VectorForm takes equality, hashing and immutability from _Value, and
     # vvmf hands out the objects that qseries defines

@@ -27,17 +27,18 @@ sigma = RingClassGr36.sigma
 def _tableau_lr(lam, mu, nu) -> int:
     """Oracle for lr_coefficient: the number of semistandard skew tableaux of
     shape nu/lam and content mu whose reverse reading word is a lattice word,
-    counted by direct backtracking."""
+    counted by direct backtracking; the partitions have r parts each."""
+    r = len(nu)
     if sum(nu) != sum(lam) + sum(mu):
         return 0
     if any(n < l for n, l in zip(nu, lam)):
         return 0
     # cells of nu/lam in reverse reading order: rows top to bottom, each row
     # right to left, so the lattice condition can be checked prefix by prefix
-    order = [(r, c) for r in range(3) for c in range(nu[r] - 1, lam[r] - 1, -1)]
+    order = [(i, c) for i in range(r) for c in range(nu[i] - 1, lam[i] - 1, -1)]
     filling = {}
     remaining = list(mu)
-    counts = [0, 0, 0]
+    counts = [0] * r
     total = 0
 
     def place(pos: int):
@@ -45,23 +46,23 @@ def _tableau_lr(lam, mu, nu) -> int:
         if pos == len(order):
             total += 1
             return
-        r, c = order[pos]
-        for v in range(3):
+        row, c = order[pos]
+        for v in range(r):
             if remaining[v] == 0:
                 continue
             if v > 0 and counts[v - 1] <= counts[v]:
                 continue  # lattice word fails
-            right = filling.get((r, c + 1))
+            right = filling.get((row, c + 1))
             if right is not None and v > right:
                 continue  # rows weakly increase left to right
-            above = filling.get((r - 1, c))
+            above = filling.get((row - 1, c))
             if above is not None and v <= above:
                 continue  # columns strictly increase
-            filling[(r, c)] = v
+            filling[(row, c)] = v
             counts[v] += 1
             remaining[v] -= 1
             place(pos + 1)
-            del filling[(r, c)]
+            del filling[(row, c)]
             counts[v] -= 1
             remaining[v] += 1
 
@@ -246,6 +247,27 @@ class TestRingInputs:
         with pytest.raises(TypeError, match="coefficients must be ints"):
             build()
 
+    @pytest.mark.parametrize(
+        "build, error",
+        [
+            (lambda: RingClassGr36((((0, 1, 0), 1),)), ValueError),
+            (lambda: RingClassGr36((((4, 0, 0), 1),)), ValueError),
+            (lambda: RingClassGr36((((1, 0), 1),)), ValueError),
+            (lambda: RingClassGr36((((1.0, 0, 0), 1),)), TypeError),
+            (lambda: sigma(1.5), TypeError),
+            (lambda: sigma(True), TypeError),
+            (lambda: RingClassP5.hyperplane_power(True), TypeError),
+        ],
+        ids=[
+            "Gr36-not-a-partition", "Gr36-outside-the-box", "Gr36-two-parts",
+            "Gr36-float-part-in-the-box", "Gr36-sigma-float", "Gr36-sigma-bool", "P5-bool-power",
+        ],
+    )
+    def test_key_that_is_not_a_class_of_the_ring_rejected(self, build, error):
+        # none is a class of its ring; kept, (0, 1, 0) would multiply by sigma_1 to 0
+        with pytest.raises(error, match="partition"):
+            build()
+
     def test_list_built_class_is_the_tuple_built_one(self):
         # the coefficients are kept as a tuple, as EvenLattice keeps its Gram
         built = RingClassP5([1, 0, 0, 0, 0, 0])
@@ -283,6 +305,64 @@ class TestRingInputs:
     def test_classes_of_the_two_rings_do_not_mix(self, apply):
         with pytest.raises(TypeError, match="'RingClass(P5|Gr36)' and 'RingClass(Gr36|P5)'"):
             apply()
+
+
+class Gr24(schubert._GrassmannianClass):
+    """H*(Gr(2,4)), the lines of P^3."""
+
+    __slots__ = ("coeffs",)
+    R, N = 2, 4
+
+
+class Gr25(schubert._GrassmannianClass):
+    """H*(Gr(2,5)), the lines of P^4."""
+
+    __slots__ = ("coeffs",)
+    R, N = 2, 5
+
+
+class Gr26(schubert._GrassmannianClass):
+    """H*(Gr(2,6)), the lines of P^5."""
+
+    __slots__ = ("coeffs",)
+    R, N = 2, 6
+
+
+class TestGenericRing:
+    """The ring of Gr36 on other Grassmannians, checked on classical numbers
+    it was not built for."""
+
+    @pytest.mark.parametrize(
+        "ring, degree",
+        [(Gr24, 2), (Gr25, 5), (Gr26, 14), (RingClassGr36, 42), (RingClassP5, 1)],
+        ids=["Gr24", "Gr25", "Gr26", "Gr36", "P5"],
+    )
+    def test_degree_of_the_grassmannian(self, ring, degree):
+        # sigma_1^dim counts the standard tableaux of the box
+        assert (ring.sigma(1) ** ring.DIM).degree() == degree
+
+    def test_lines_on_a_cubic_surface(self):
+        # c_4(Sym^3 S*) on Gr(2,4) = 27 (Eisenbud-Harris, 3264 and All That, ch. 6)
+        assert schubert._chern_sym_dual(Gr24, 3).chern(4).degree() == 27
+
+    def test_lines_on_a_quintic_threefold(self):
+        # c_6(Sym^5 S*) on Gr(2,5) = 2875 (same source)
+        assert schubert._chern_sym_dual(Gr25, 5).chern(6).degree() == 2875
+
+    def test_fano_variety_of_lines_of_a_cubic_fourfold(self):
+        # F = Z(Sym^3 S*) in Gr(2,6) has Pluecker degree sigma_1^4 c_4 = 108
+        # (Beauville-Donagi, C. R. Acad. Sci. 301, 1985)
+        c4 = schubert._chern_sym_dual(Gr26, 3).chern(4)
+        assert (Gr26.sigma(1) ** 4 * c4).degree() == 108
+
+    def test_gr25_lr_table_matches_tableau_oracle(self):
+        box = schubert._box(2, 3)
+        assert len(box) == 10
+        for lam in box:
+            for mu in box:
+                expected = {nu: _tableau_lr(lam, mu, nu) for nu in box}
+                got = dict(schubert._lr_products(lam, mu, 3))
+                assert got == {nu: c for nu, c in expected.items() if c}, (lam, mu)
 
 
 class TestProjectiveSpaceRing:
