@@ -16,8 +16,10 @@ The first degrees are deg(C_6) = 192, deg(C_8) = 3402, deg(C_12) = 196272.
 
 Caches.  Every cache is unbounded, as each has few keys.
 ``fqm._cached_form`` holds one form per Gram matrix the library names or
-``vv_eisenstein`` is asked for, which ``VectorForm`` compares by identity; a
-``verify --gram`` form is built outside it and dies with its check.
+``vv_eisenstein`` is asked for, which ``VectorForm`` compares by identity,
+and the negated form whose Weil representation ``numeric_modularity_check``
+reads as the dual (W for -W); a ``verify --gram`` form is built outside it
+and dies with its check.
 ``qseries.precision_memo`` keeps one result per key, at the highest
 precision asked, the weight bounded by ``cli.MAX_WEIGHT``, on a cached form
 only (a caller's own form gets a copy); ``l_value_ratio`` and

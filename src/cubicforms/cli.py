@@ -223,8 +223,7 @@ def _suite_milgram(gram=None):
 def _suite_weil(gram=None):
     import random
 
-    form = w_prime_form()
-    rep = WeilRep(form, dual=True)
+    rep = WeilRep(discriminant_form(W_GRAM))  # rho*_{-W} = rho_W
     rng = random.Random(20240817)
     # the tokens S, T, T^-1 in the order the words draw them
     generators = (Mp2Element.S(), Mp2Element.T(1), Mp2Element.T(-1))
@@ -447,9 +446,9 @@ def cmd_verify(args):
 MAX_TERMS = 2000
 
 # The largest eisenstein --k.  The Bernoulli recurrence grows roughly as
-# k^3: eisenstein --k 400 --terms 2000 takes 0.84-1.29 s on a 2-vCPU Xeon VM
-# under Python 3.11.7, and --k 800 --terms 2 takes 6.7 s.  dim --k is a
-# closed form and has no bound.
+# k^3: eisenstein --k 400 --terms 2000 takes 0.32-0.34 s on a 2-vCPU Xeon VM
+# under Python 3.11.7, and the series at k = 801 to two terms 0.29 s.
+# dim --k is a closed form and has no bound.
 MAX_WEIGHT = 400
 
 # The largest discriminant group order |det G| accepted by --gram.  The

@@ -253,12 +253,13 @@ def l_value_ratio(k: int) -> Fraction:
 
     Expanding L(k, chi) = (2^(k-1) pi^k / (k! sqrt(3))) * sum_m chi(m) B_k(1-m/3)
     cancels pi^k and sqrt(3), leaving 4k(-1)^((k-1)/2) / sum_m chi(m) B_k(1-m/3).
+    At odd k, B_k(1-x) = -B_k(x) and chi(3) = 0, so the sum is -2 B_k(1/3) and
+    the ratio is -2k(-1)^((k-1)/2) / B_k(1/3), from one Bernoulli value.
     Cached per k; only an int k gets past the body, so only ints are cached.
     """
     if k < 3 or k % 2 == 0:
         raise ValueError(f"L-value ratio needs odd k >= 3, got {k}")
-    s = sum(chi_minus3(m) * bernoulli_poly(k, 1 - Fraction(m, 3)) for m in range(1, 4))
-    return Fraction(4 * k * (-1) ** ((k - 1) // 2)) / s
+    return Fraction(-2 * k * (-1) ** ((k - 1) // 2)) / bernoulli_poly(k, Fraction(1, 3))
 
 
 # ---------------------------------------------------------------------------

@@ -367,40 +367,21 @@ def conjugate_transpose(m):
 
 
 class WeilRep:
-    """Weil representation (or its dual) of Mp2(Z) on the group ring of a
-    discriminant form, with exact cyclotomic matrices.
+    """Weil representation rho_F of Mp2(Z) on the group ring of a
+    discriminant form F, with exact cyclotomic matrices.  Its dual rho*_F is
+    rho_{-F}: build it on the form of the negated Gram matrix, whose cosets
+    come in the same order.
 
     Matrices act on column vectors indexed by the cosets; rho(g) is computed
     by decomposing g into a word in the generators S and T.  rho(T^n) is
     diagonal, so a T step scales the columns of the running product by
-    e(n*q(gamma)) (e(-n*q(gamma)) for the dual); an S step is a matrix
-    product.
+    e(n*q(gamma)); an S step is a product with rho(S), built once.
     """
 
-    def __init__(self, form: DiscriminantForm, dual: bool = False):
+    def __init__(self, form: DiscriminantForm):
         self.form = form
-        self.dual = dual
         self._cache: dict[tuple[int, int, int, int, int], tuple[tuple[Cyclotomic, ...], ...]] = {}
-        self._gen: dict[str, list[list[Cyclotomic]]] = {}
-
-    # -- generator matrices --------------------------------------------------
-
-    def _conj_if_dual(self, m):
-        if not self.dual:
-            return m
-        return [[x.conjugate() for x in row] for row in m]
-
-    def _t_diagonal(self, n: int) -> list[Cyclotomic]:
-        """The diagonal of rho(T^n): e(n*q(gamma)), conjugated for the dual."""
-        if self.dual:
-            n = -n
-        return [Cyclotomic.root_of_unity(n * q) for q in self.form.qvalues]
-
-    def t_matrix(self, n: int = 1):
-        """rho(T^n): diagonal with entries e(n*q(gamma))."""
-        zero = Cyclotomic.zero()
-        diag = self._t_diagonal(n)
-        return [[x if i == j else zero for j in range(len(diag))] for i, x in enumerate(diag)]
+        self._s = self.s_matrix()
 
     def s_matrix(self):
         """rho(S): (sqrt(i)^(b- - b+)/sqrt(order)) * (e(-<gamma,delta>))."""
@@ -408,14 +389,13 @@ class WeilRep:
         bplus, bminus = form.signature
         front = Cyclotomic.zeta_power(3 * ((bminus - bplus) % 8))  # sqrt(i)^k
         front = front * Cyclotomic.sqrt_int(form.order) * Fraction(1, form.order)
-        out = [
+        return [
             [
                 front * Cyclotomic.root_of_unity(-form.bvalue(i, j))
                 for j in range(form.order)
             ]
             for i in range(form.order)
         ]
-        return self._conj_if_dual(out)
 
     # -- arbitrary elements ---------------------------------------------------
 
@@ -424,23 +404,21 @@ class WeilRep:
         key = (*g.matrix, g.eps)
         if key in self._cache:
             return list(map(list, self._cache[key]))
-        if "S" not in self._gen:
-            self._gen["S"] = self.s_matrix()
         out = _mat_identity_cyc(self.form.order)
         for kind, n in g.word_in_generators():
             if kind == "T":  # out * rho(T^n) scales column gamma by e(n*q(gamma))
-                diag = self._t_diagonal(n)
+                diag = [Cyclotomic.root_of_unity(n * q) for q in self.form.qvalues]
                 out = [[x * t for x, t in zip(row, diag)] for row in out]
             else:
-                out = _mat_mul_cyc(out, self._gen["S"])
+                out = _mat_mul_cyc(out, self._s)
         self._cache[key] = tuple(map(tuple, out))
         return out
 
     def rho_gamma0_formula(self, g: Mp2Element):
         """Closed form for elements of Gamma0(N), N the level of the form:
 
-            rho_dual(g) v_gamma =
-                (a/order) * e((a-1)*oddity/8) * e(-b*d*q(gamma)) * v_{d*gamma}
+            rho(g) v_gamma =
+                (a/order) * e((1-a)*oddity/8) * e(b*d*q(gamma)) * v_{d*gamma}
 
         Only odd-order forms are supported; their 2-adic part is trivial, so
         the oddity is 0 and the middle factor is 1.
@@ -454,11 +432,9 @@ class WeilRep:
         zero = Cyclotomic.zero()
         out = [[zero] * form.order for _ in range(form.order)]
         for i in range(form.order):
-            phase = Cyclotomic.root_of_unity(-g.b * g.d * form.qvalue(i))
+            phase = Cyclotomic.root_of_unity(g.b * g.d * form.qvalue(i))
             target = form.multiple(i, g.d % form.order)
             out[target][i] = out[target][i] + phase * jacobi_symbol(g.a, form.order)
-        if not self.dual:
-            out = [[x.conjugate() for x in row] for row in out]
         if g.eps == -1:
             # peel off the central (identity, -1) = S^4; for forms whose
             # representation factors through SL2 this is the identity matrix

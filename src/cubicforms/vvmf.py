@@ -24,7 +24,7 @@ from .exactmath import (
     as_integer,
     gauss_sum,
 )
-from .fqm import DiscriminantForm, Mp2Element, WeilRep, w_prime_form
+from .fqm import DiscriminantForm, Mp2Element, WeilRep, discriminant_form, w_prime_form
 from .qseries import _MEMO, QSeries, VectorForm, precision_memo, solve_linear_combination
 from .qseries import InconsistentSystemError, SingularSystemError
 
@@ -299,8 +299,10 @@ def _truncation_bound(F: VectorForm, tau: complex) -> float:
 def numeric_modularity_check(
     F: VectorForm, g: Mp2Element, tau0: complex, tol: float = 1e-6
 ) -> float:
-    """Max-norm residual of F(g tau0) - phi(tau0)^(2k) rho_dual(g) F(tau0),
+    """Max-norm residual of F(g tau0) - phi(tau0)^(2k) rho*(g) F(tau0),
     evaluated in floating complex arithmetic from the truncated expansions.
+    rho* is the dual Weil representation of F.form, built as ``WeilRep`` of
+    the negated Gram matrix (W for ``w_prime_form()``).
 
     Refuses tau0 whose estimated truncation error exceeds tol/10.
     """
@@ -313,7 +315,7 @@ def numeric_modularity_check(
             f"truncation error estimate {bound} exceeds {tol / 10}; "
             "raise the precision or move tau0 higher"
         )
-    rep = WeilRep(F.form, dual=True)
+    rep = WeilRep(discriminant_form([[-x for x in row] for row in F.form.lattice.gram]))
     rho = rep.rho(g)
     order = F.form.order
     values = [_eval_qseries(f, tau0) for f in F.components]

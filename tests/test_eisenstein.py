@@ -317,6 +317,12 @@ class TestLocalFactors:
         assert s == F(-2, 27)
         assert l_value_ratio(3) == -12 / s == 162
 
+    def test_l_value_ratio_equals_three_term_bernoulli_sum(self):
+        # the ratio reads -2 B_k(1/3); the sum over m = 1, 2, 3 is its oracle
+        for k in range(3, 102, 2):
+            s = sum(chi_minus3(m) * bernoulli_poly(k, 1 - F(m, 3)) for m in range(1, 4))
+            assert l_value_ratio(k) == 4 * k * (-1) ** ((k - 1) // 2) / s, k
+
     def test_rejects_even(self):
         with pytest.raises(ValueError):
             l_value_ratio(4)
@@ -656,26 +662,31 @@ class TestWeightParity:
     in M_k(Gamma0(3), chi_{-3}), spanned by alpha^(k-3j) beta^j, and
     fit_alpha_beta must find f there with 25 or more points to spare.  The
     sign of the gamma = 0 correction is + at k = 1 mod 4 and - at k = 3 mod 4,
-    but vv_eisenstein takes + at every weight."""
+    but vv_eisenstein takes + at every weight on -W.  On W the sign is the
+    opposite one, so the W series at k = 3 and 7 fit today."""
 
     @pytest.mark.parametrize(
-        "k",
+        "name, k",
         [
             pytest.param(
+                "w_prime",
                 3,
                 marks=pytest.mark.xfail(
                     raises=ArithmeticError,
                     strict=True,
                     reason="k = 3 mod 4 takes sign +, so E_3 leaves the span",
                 ),
+                id="3",
             ),
-            5,
+            pytest.param("w_prime", 5, id="5"),
             *(
                 pytest.param(
+                    "w_prime",
                     k,
                     marks=pytest.mark.xfail(
                         raises=IntegralityError, strict=True, reason=reason
                     ),
+                    id=str(k),
                 )
                 for k, reason in (
                     (7, "k = 3 mod 4 takes sign +, and the true E_7 is not integral"),
@@ -684,12 +695,14 @@ class TestWeightParity:
                     (11, "k = 3 mod 4 takes sign +, and the true E_11 is not integral"),
                 )
             ),
+            pytest.param("w", 3, id="w-3"),
+            pytest.param("w", 7, id="w-7"),
         ],
     )
-    def test_fits_the_gamma0_generators(self, k):
+    def test_fits_the_gamma0_generators(self, name, k):
         from cubicforms.vvmf import fit_alpha_beta
 
-        e = vv_eisenstein(w_prime_form(), k, 120)
+        e = vv_eisenstein(discriminant_form(_DET3_FORMS[name]), k, 120)
         f = sum(e.components[1:], e.component(0)).rescale_exponent(3)
         assert f.prec == 360
         assert fit_alpha_beta(f, k, min_extra=25)[0] == 2  # the constant term

@@ -48,6 +48,19 @@ def heegner_index(d: int, form=None) -> tuple[F, int]:
     return F(-d, 6), form.multiple(gamma1, (d // 2) % form.order)
 
 
+def negated(form):
+    """The form of the negated Gram matrix: WeilRep(negated(F)) is the dual
+    representation of F."""
+    return discriminant_form([[-x for x in row] for row in form.lattice.gram])
+
+
+def t_matrix(rep, n=1):
+    """rho(T^n): diagonal with entries e(n*q(gamma))."""
+    zero = Cyclotomic.zero()
+    diag = [Cyclotomic.root_of_unity(n * q) for q in rep.form.qvalues]
+    return [[x if i == j else zero for j in range(len(diag))] for i, x in enumerate(diag)]
+
+
 def random_word_element(rng, max_len=10):
     g = Mp2Element.identity()
     for _ in range(rng.randint(1, max_len)):
@@ -470,8 +483,7 @@ class TestMp2Cocycle:
 
 class TestWeilRep:
     def test_t_matrix_values(self, w_prime):
-        rep = WeilRep(w_prime)
-        T = rep.t_matrix()
+        T = t_matrix(WeilRep(w_prime))
         assert T[0][0] == 1
         assert T[1][1] == Cyclotomic.root_of_unity(F(-1, 3))
         assert T[2][2] == Cyclotomic.root_of_unity(F(-1, 3))
@@ -505,8 +517,8 @@ class TestWeilRep:
 
     def test_unitary_and_homomorphic_50_words(self, w_prime):
         rng = random.Random(20240817)
-        for dual in (False, True):
-            rep = WeilRep(w_prime, dual=dual)
+        for form in (w_prime, negated(w_prime)):
+            rep = WeilRep(form)
             for _ in range(25):
                 g1 = random_word_element(rng, 6)
                 g2 = random_word_element(rng, 6)
@@ -520,11 +532,30 @@ class TestWeilRep:
         minus = rep.rho(Mp2Element(2, 1, 1, 1, -1))
         assert plus == minus
 
+    @pytest.mark.parametrize(
+        "gram", [W_PRIME_GRAM, W_GRAM, ((2, 1, 0), (1, 2, 0), (0, 0, 4))],
+        ids=["w_prime", "W", "order12"],
+    )
+    def test_negated_form_gives_the_conjugate_representation(self, gram):
+        # rho*_F = rho_{-F}, entry by entry in one coset order; the rank-3
+        # form has odd signature, so the metaplectic sign enters
+        form = discriminant_form(gram)
+        rep, dual = WeilRep(form), WeilRep(negated(form))
+        assert dual.form.cosets == form.cosets
+        rng = random.Random(37)
+        for _ in range(100):
+            g = random_word_element(rng, 8)
+            assert dual.rho(g) == [[z.conjugate() for z in row] for row in rep.rho(g)]
 
-    @pytest.mark.parametrize("dual", [False, True])
-    def test_editing_a_returned_matrix_leaves_the_cache(self, w_prime, dual):
+    def test_takes_no_dual_flag(self, w_prime):
+        with pytest.raises(TypeError):
+            WeilRep(w_prime, dual=True)
+
+    @pytest.mark.parametrize("negate", [False, True])
+    def test_editing_a_returned_matrix_leaves_the_cache(self, w_prime, negate):
         # rho once handed out the list it cached: an edit reached every later rho(S)
-        rep = WeilRep(w_prime, dual=dual)
+        form = negated(w_prime) if negate else w_prime
+        rep = WeilRep(form)
         elements = (Mp2Element.S(), Mp2Element(2, 1, 1, 1, 1), Mp2Element.T(1))
         for g in elements:
             for _ in range(2):  # the miss that fills the cache, then a hit
@@ -533,23 +564,23 @@ class TestWeilRep:
                 m[1] = []
                 m.append([])
         for g in elements:
-            assert rep.rho(g) == WeilRep(w_prime, dual=dual).rho(g)
+            assert rep.rho(g) == WeilRep(form).rho(g)
         assert rep.rho(Mp2Element.S()) == rep.s_matrix()
 
 
 class TestGamma0ClosedForm:
     def test_t_case(self, w_prime):
-        rep = WeilRep(w_prime, dual=True)
-        assert rep.rho_gamma0_formula(Mp2Element.T(1)) == rep.t_matrix()
+        rep = WeilRep(negated(w_prime))
+        assert rep.rho_gamma0_formula(Mp2Element.T(1)) == t_matrix(rep)
 
     def test_lower_unipotent_is_identity(self, w_prime):
-        rep = WeilRep(w_prime, dual=True)
+        rep = WeilRep(negated(w_prime))
         assert rep.rho_gamma0_formula(Mp2Element(1, 0, 3, 1)) == _mat_identity_cyc(3)
 
     def test_against_word_decomposition(self, w_prime):
         rng = random.Random(11)
-        for dual in (False, True):
-            rep = WeilRep(w_prime, dual=dual)
+        for form in (w_prime, negated(w_prime)):
+            rep = WeilRep(form)
             found = 0
             while found < 20:
                 g = random_word_element(rng)
@@ -558,7 +589,7 @@ class TestGamma0ClosedForm:
                     assert rep.rho(g) == rep.rho_gamma0_formula(g)
 
     def test_rejects_outside_gamma0(self, w_prime):
-        rep = WeilRep(w_prime, dual=True)
+        rep = WeilRep(negated(w_prime))
         with pytest.raises(ValueError):
             rep.rho_gamma0_formula(Mp2Element.S())
 
@@ -939,7 +970,7 @@ def test_rank_zero_walk():
 
 def _rho_oracle(rep, g):
     """rho(g) as a product of full generator matrices, one per letter of the
-    word, with rho(T^n) built from e(n*q(gamma)) and conjugated for the dual."""
+    word, with rho(T^n) built from e(n*q(gamma))."""
     order = rep.form.order
     zero = Cyclotomic.zero()
     out = _mat_identity_cyc(order)
@@ -949,16 +980,15 @@ def _rho_oracle(rep, g):
         else:
             m = [[zero] * order for _ in range(order)]
             for i in range(order):
-                z = Cyclotomic.root_of_unity(n * rep.form.qvalue(i))
-                m[i][i] = z.conjugate() if rep.dual else z
+                m[i][i] = Cyclotomic.root_of_unity(n * rep.form.qvalue(i))
         out = _mat_mul_cyc(out, m)
     return out
 
 
-@pytest.mark.parametrize("dual", [False, True])
-def test_rho_matches_full_generator_product(dual):
+@pytest.mark.parametrize("negate", [False, True])
+def test_rho_matches_full_generator_product(negate):
     rng = random.Random(1207)
-    rep = WeilRep(w_prime_form(), dual=dual)
+    rep = WeilRep(negated(w_prime_form()) if negate else w_prime_form())
     for _ in range(120):
         g = random_word_element(rng, 12)
         if rng.random() < 0.3:  # long T steps too
@@ -991,8 +1021,8 @@ def _word_element(word):
 
 @settings(deadline=None, max_examples=100)
 @given(_WORD, _WORD, st.booleans())
-def test_mat_mul_matches_sum_of_products(w1, w2, dual):
-    rep = WeilRep(w_prime_form(), dual=dual)
+def test_mat_mul_matches_sum_of_products(w1, w2, negate):
+    rep = WeilRep(negated(w_prime_form()) if negate else w_prime_form())
     a, b = rep.rho(_word_element(w1)), rep.rho(_word_element(w2))
     got = _mat_mul_cyc(a, b)
     want = _mat_mul_sum_of_products(a, b)

@@ -568,3 +568,62 @@ class TestReadOnlyForms:
         assert made == [0, 1]
         assert form.components[1] is form.components[2]
         assert form.weight == 5 and type(form.weight) is F
+
+
+class TestDepthOracles:
+    """Checks of the whole degree table at depth against routes that share
+    no Eisenstein code with the sieve.  The memo is restored after the class,
+    so no later test is served from these precisions."""
+
+    @pytest.fixture(scope="class", autouse=True)
+    def memo(self):
+        from cubicforms import vvmf
+
+        saved = dict(vvmf._MEMO)
+        yield
+        vvmf._MEMO.clear()
+        vvmf._MEMO.update(saved)
+
+    def test_pairing_with_theta_e6_is_level_one(self):
+        # E6 = A2^3 glued by [111] has the discriminant form of -W, so
+        # theta_E6 lies in M_3(rho_{-W}), and Psi in M_11(rho*_{-W}) = M_11(rho_W):
+        # the pairing lies in M_14(SL2(Z)) = C E4^2 E6 (Borcherds' criterion)
+        from cubicforms.eisenstein import _coset_theta_series
+        from cubicforms.fqm import EvenLattice
+        from cubicforms.vvmf import solve_psi
+
+        prec = 2000
+        form = discriminant_form(W_GRAM)
+        t0, t1, t2 = (
+            _coset_theta_series(EvenLattice(W_GRAM), form.cosets[i], prec) for i in range(3)
+        )
+        theta_e6 = (t0**3 + t1**3 * 2, t0 * t1**2 * 3, t0 * t2**2 * 3)
+        psi = solve_psi(prec).components
+        pairing = sum((t * p for t, p in zip(theta_e6, psi)), QSeries.zero())
+        e4, e6 = eisenstein_level1(4, prec), eisenstein_level1(6, prec)
+        # QSeries equality compares cutoffs, so both sides are cut alike
+        assert (pairing * 2).truncate(prec) == (e4 * e4 * e6 * -4).truncate(prec)
+
+    def test_every_degree_from_6_is_positive(self):
+        from cubicforms import theta_degrees
+
+        table = theta_degrees(2000).degrees
+        assert len(table) == 3999 and table[2] == 0
+        assert all(deg > 0 for d, deg in table.items() if d >= 6)
+
+    def test_full_table_equals_stdlib_oracle(self):
+        # perfbench/oracle.py imports nothing from cubicforms: E5 = 2 theta_W E4,
+        # brackets on integer lists, and its own solve for Psi
+        import importlib.util
+        from pathlib import Path
+
+        from cubicforms import theta_degrees
+
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py"
+        spec = importlib.util.spec_from_file_location("perfbench_oracle", path)
+        oracle = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(oracle)
+        constant, degrees = oracle.degree_series(400)
+        heegner = theta_degrees(400)
+        assert constant == heegner.theta.coefficient(0) == -2
+        assert len(degrees) == 799 and heegner.degrees == degrees
