@@ -16,17 +16,17 @@ The first degrees are deg(C_6) = 192, deg(C_8) = 3402, deg(C_12) = 196272.
 
 Caches.  Every cache is unbounded, as each has few keys.
 ``fqm._cached_form`` holds one form per Gram matrix the library names or
-``vv_eisenstein`` is asked for, which ``VectorForm`` compares by identity,
-and the negated form whose Weil representation ``numeric_modularity_check``
-reads as the dual (W for -W); a ``verify --gram`` form is built outside it
-and dies with its check.
-``qseries.precision_memo`` keeps one result per key, at the highest
-precision asked, the weight bounded by ``cli.MAX_WEIGHT``, on a cached form
-only (a caller's own form gets a copy); ``l_value_ratio`` and
-``bernoulli_number`` one ``Fraction`` per weight; ``eisenstein._descent``
-the local-density oracle's counts per integer polynomial, prime and depth
-asked, never a form; ``schubert._lr_products`` one entry per unordered pair
-of box partitions and box width: at most 210 for Gr(3,6) and 21 for P^5.
+``discriminant_form`` is asked for, which ``VectorForm`` compares by
+identity, and the negated form whose Weil representation
+``numeric_modularity_check`` reads as the dual (W for -W); a caller's own
+form, such as a ``verify --gram`` form, is built outside it and dies with
+its last use.  ``vvmf._MEMO`` holds one Psi, at the highest precision
+``solve_psi`` was asked for; no other series is kept.  ``l_value_ratio``
+and ``bernoulli_number`` keep one ``Fraction`` per weight;
+``eisenstein._descent`` the local-density oracle's counts per integer
+polynomial, prime and depth asked, never a form; ``schubert._lr_products``
+one entry per unordered pair of box partitions and box width: at most 210
+for Gr(3,6) and 21 for P^5.
 """
 
 from .exactmath import (
@@ -81,6 +81,6 @@ __version__ = "0.1.0"
 def theta_degrees(prec: int = 30) -> HeegnerSeries:
     """The full modular pipeline at the given precision (integer q-steps).
 
-    Psi comes from the precision memo, so a repeat or lower precision in
+    Psi comes from ``solve_psi``'s memo, so a repeat or lower precision in
     one process truncates Psi and only re-contracts it."""
     return assemble_theta(solve_psi(prec))

@@ -35,7 +35,7 @@ from .fqm import (
     discriminant_form,
     w_prime_form,
 )
-from .qseries import QSeries, VectorForm, _cutoff, _series, precision_memo
+from .qseries import QSeries, VectorForm, _cutoff, _series
 
 __all__ = [
     "eisenstein_level1",
@@ -286,28 +286,15 @@ def vv_eisenstein(form: DiscriminantForm, k: int, prec: Fraction | int) -> Vecto
     The descent of ``local_euler_factor`` is the tests' oracle of each
     factor.  Every coefficient must come out a nonnegative integer; anything
     else raises.  One component is computed per {gamma, -gamma} orbit and
-    serves both.  The precision memo holds the series on the library's form
-    of the Gram matrix; a caller's own form of it gets the same components
-    on that form.
+    serves both.  The series is computed afresh on the form given, and
+    nothing keeps it.
     """
     if form.order != 3 or form.lattice.rank != 2:
         raise ValueError(
             "vector-valued Eisenstein series is wired to the rank-2, order-3 form"
         )
     ratio = l_value_ratio(k)
-    home = discriminant_form(form.lattice)
-    held = precision_memo(
-        ("vv_eisenstein", form.lattice.gram, k),
-        as_fraction(prec, "prec"),
-        lambda prec: _vv_series(home, k, ratio, prec),
-    )
-    return held if form is home else VectorForm(held.weight, form, held.components)
-
-
-def _vv_series(
-    form: DiscriminantForm, k: int, ratio: Fraction, prec: Fraction
-) -> VectorForm:
-    stop = _cutoff(prec, 3)  # q^(e/3) is below prec iff e < stop
+    stop = _cutoff(as_fraction(prec, "prec"), 3)  # q^(e/3) is below prec iff e < stop
     sums = _divisor_sums(k, stop, (1, -1, 0))
     r_num, r_den = ratio.numerator, ratio.denominator * 3 ** (k - 1)
     starts = [as_integer(-3 * q, "3 q(gamma)") % 3 for q in form.qvalues]
@@ -349,7 +336,15 @@ def theta_series_rank10(prec: Fraction | int) -> VectorForm:
     equal series, so the coset matching is forced.  Serves as the
     independent oracle for the Euler-product assembly.
     """
-    return precision_memo(("theta_series_rank10",), as_fraction(prec, "prec"), _theta_rank10)
+    prec = as_fraction(prec, "prec")
+    w_lat = EvenLattice(W_GRAM)
+    w_form = discriminant_form(W_GRAM)
+    e8 = _coset_theta_series(EvenLattice(E8_GRAM), (0,) * 8, prec)
+    return VectorForm.per_orbit(
+        Fraction(5),
+        w_prime_form(),
+        lambda i: _coset_theta_series(w_lat, w_form.cosets[i], prec) * e8,
+    )
 
 
 def _coset_theta_series(lattice: EvenLattice, offset, prec: Fraction) -> QSeries:
@@ -369,13 +364,3 @@ def _coset_theta_series(lattice: EvenLattice, offset, prec: Fraction) -> QSeries
         nums[e] = c
     return _series(nums, 1, 3, _cutoff(prec, 3))
 
-
-def _theta_rank10(prec: Fraction) -> VectorForm:
-    w_lat = EvenLattice(W_GRAM)
-    w_form = discriminant_form(W_GRAM)
-    e8 = _coset_theta_series(EvenLattice(E8_GRAM), (0,) * 8, prec)
-    return VectorForm.per_orbit(
-        Fraction(5),
-        w_prime_form(),
-        lambda i: _coset_theta_series(w_lat, w_form.cosets[i], prec) * e8,
-    )

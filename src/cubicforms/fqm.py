@@ -255,11 +255,16 @@ def _upper(re: int, im: int) -> bool:
 
 class Mp2Element(_Value):
     """Element (A, phi) of Mp2(Z): A in SL2(Z) and phi(tau) = eps*sqrt(c*tau+d)
-    with the principal square root and eps in {+1, -1}."""
+    with the principal square root and eps in {+1, -1}.  Every entry and the
+    branch must be an int (``TypeError`` otherwise, a bool included)."""
 
     __slots__ = ("a", "b", "c", "d", "eps")
 
     def __init__(self, a: int, b: int, c: int, d: int, eps: int = 1):
+        if {type(a), type(b), type(c), type(d), type(eps)} != {int}:
+            fields = zip(self.__slots__, (a, b, c, d, eps))
+            name, bad = next(f for f in fields if type(f[1]) is not int)
+            raise TypeError(f"Mp2Element {name} = {bad!r} is not an int")
         if a * d - b * c != 1:
             raise ValueError("matrix is not in SL2(Z)")
         if eps not in (1, -1):

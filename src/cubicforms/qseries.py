@@ -1,6 +1,5 @@
 """Truncated formal q-expansions with exponents in (1/den)*Z and exact
-rational coefficients, the vector-valued forms built from them, and the
-precision memo that holds such forms.
+rational coefficients, and the vector-valued forms built from them.
 
 A ``QSeries`` is sum_e (nums[e]/scale) q^(e/den) + O(q^(cut/den)): it
 stores four fields, the grid ``den`` (an int >= 1), the integer cutoff
@@ -29,13 +28,8 @@ slots fall to the filter that every result passes through.
 A ``VectorForm`` is an immutable ``_Value``: a weight, a discriminant form
 and one ``QSeries`` per coset, with the gamma and -gamma components one
 shared object wherever ``VectorForm.per_orbit`` built it, as every derived
-form is.  ``precision_memo`` keeps, per key, the result at the highest
-precision asked for so far and serves a lower one by truncating.  It holds
-the vector-valued Eisenstein series per (Gram matrix, weight), the rank-10
-theta series, the weight-11 bracket basis and the degree-generating vector
-Psi.  Psi truncates exactly because the solve that fixes it reads only
-q^0 and q^(1/3), below every precision it accepts.  Both live here, below
-``eisenstein`` and ``vvmf``, so the package imports in one direction.
+form is.  It lives here, below ``eisenstein`` and ``vvmf``, so the package
+imports in one direction.
 """
 
 from __future__ import annotations
@@ -504,28 +498,3 @@ class VectorForm(_Value):
         c = as_fraction(c, "scale factor")
         return VectorForm.per_orbit(self.weight, self.form, lambda i: self.components[i] * c)
 
-
-_MEMO: dict[tuple, tuple[Fraction, object]] = {}
-
-
-def precision_memo(key: tuple, prec: Fraction, compute):
-    """compute(prec), served by truncating the result at the highest
-    precision asked for so far under ``key``; only that result is kept.
-
-    The keys are ("vv_eisenstein", gram, k), ("theta_series_rank10",),
-    ("basis_weight11",) and ("solve_psi",).  Exact because no coefficient
-    depends on the precision it was computed at: for Psi, the solve reads
-    only q^0 on v_0 and q^(1/3) on v_1, which every accepted precision
-    (at least 2) covers, so Psi(top).truncate(prec) is Psi(prec).  Callers
-    check their arguments before they get here, so a served result never
-    skips a check.  A tuple result is truncated entrywise.
-    """
-    held = _MEMO.get(key)
-    if held is None or held[0] < prec:
-        held = _MEMO[key] = (prec, compute(prec))
-    top, value = held
-    if top == prec:
-        return value
-    if isinstance(value, tuple):
-        return tuple(v.truncate(prec) for v in value)
-    return value.truncate(prec)

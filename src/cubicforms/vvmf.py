@@ -3,9 +3,10 @@ order-3 discriminant form: Rankin-Cohen brackets, the dimension formula, the
 weight-11 basis, the constrained solve for the degree-generating vector, and
 the assembly of the scalar degree series.
 
-``VectorForm`` and the precision memo (``precision_memo``, ``_MEMO``) are
-defined in ``qseries`` and imported here as the same objects; this module
-builds on ``eisenstein``, which never imports it.
+``VectorForm`` is defined in ``qseries`` and imported here as the same
+object; this module builds on ``eisenstein``, which never imports it.  Psi,
+the one result a session asks for twice, is held in ``_MEMO`` at the
+highest precision asked for; every other form is computed afresh.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .exactmath import (
     gauss_sum,
 )
 from .fqm import DiscriminantForm, Mp2Element, WeilRep, discriminant_form, w_prime_form
-from .qseries import _MEMO, QSeries, VectorForm, precision_memo, solve_linear_combination
+from .qseries import QSeries, VectorForm, solve_linear_combination
 from .qseries import InconsistentSystemError, SingularSystemError
 
 __all__ = [
@@ -132,10 +133,7 @@ def basis_weight11(prec: Fraction | int) -> tuple[VectorForm, VectorForm]:
     """The two brackets [E5, E6]_0 and [E5, E4]_1 spanning the weight-11
     space; linear independence is certified by a nonsingular 2x2 minor of
     leading coefficients."""
-    return precision_memo(("basis_weight11",), _weight11_prec(prec), _brackets_weight11)
-
-
-def _brackets_weight11(prec: Fraction) -> tuple[VectorForm, VectorForm]:
+    prec = _weight11_prec(prec)
     e5 = vv_eisenstein(w_prime_form(), 5, prec)
     iprec = int(prec) + (prec.denominator != 1)
     f0 = rankin_cohen(e5, eisenstein_level1(6, iprec), 6, 0)
@@ -148,32 +146,38 @@ def _brackets_weight11(prec: Fraction) -> tuple[VectorForm, VectorForm]:
     return f0, f1
 
 
+_MEMO: dict[Fraction, VectorForm] = {}
+
+
 def solve_psi(prec: Fraction | int) -> VectorForm:
     """Solve c0*F0 + c1*F1 against the two normalizations pinning the degree
     series: constant coefficient -2 on the trivial coset (the Hodge bundle
     degree of a pencil) and vanishing q^(1/3) coefficient on the first
     nonzero coset (no discriminant-2 members in a general pencil).
 
-    Psi is held in the precision memo: the solve reads only those two
-    coefficients, so a repeat or lower precision is Psi at the highest
-    precision so far, truncated, and runs neither the basis nor the solve.
+    ``_MEMO`` holds one pair (precision, Psi), at the highest precision
+    asked for so far.  The solve reads only those two coefficients, below
+    every precision accepted here, so Psi at a repeat or lower precision is
+    the held Psi truncated, and runs neither the basis nor the solve.
     """
-    return precision_memo(("solve_psi",), _weight11_prec(prec), _solve_psi)
-
-
-def _solve_psi(prec: Fraction) -> VectorForm:
-    f0, f1 = basis_weight11(prec)
-    third = Fraction(1, 3)
-    c0, c1 = solve_linear_combination(
-        [
-            QSeries.from_terms(
-                [(0, f.coefficient(0, 0)), (third, f.coefficient(third, 1))], 3, 1
-            )
-            for f in (f0, f1)
-        ],
-        [(0, -2), (third, 0)],
-    )
-    return f0.scale(c0) + f1.scale(c1)
+    prec = _weight11_prec(prec)
+    top, psi = next(iter(_MEMO.items()), (0, None))
+    if top < prec:
+        f0, f1 = basis_weight11(prec)
+        third = Fraction(1, 3)
+        c0, c1 = solve_linear_combination(
+            [
+                QSeries.from_terms(
+                    [(0, f.coefficient(0, 0)), (third, f.coefficient(third, 1))], 3, 1
+                )
+                for f in (f0, f1)
+            ],
+            [(0, -2), (third, 0)],
+        )
+        _MEMO.clear()
+        top = prec
+        psi = _MEMO[top] = f0.scale(c0) + f1.scale(c1)
+    return psi if top == prec else psi.truncate(prec)
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +196,14 @@ class HeegnerSeries(_Value):
         self._set(theta, degrees)
 
     def degree(self, d: int) -> int:
+        """N_d; a d that is not an int is a ``TypeError``, and a d with no
+        entry a ``ValueError`` that says why."""
+        if type(d) is not int:
+            raise TypeError(f"discriminant must be an int, not {type(d).__name__}")
+        if d < 2 or d % 6 not in (0, 2):
+            raise ValueError(f"no degree at discriminant {d}: need d >= 2 and d = 0, 2 mod 6")
+        if d not in self.degrees:
+            raise ValueError(f"discriminant {d} is past the table's last, {max(self.degrees)}")
         return self.degrees[d]
 
 

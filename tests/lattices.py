@@ -1,6 +1,7 @@
-"""Gram matrices built only for the tests."""
+"""Gram matrices and lattice theta series built only for the tests."""
 
-from cubicforms.fqm import E8_GRAM, U_GRAM, W_GRAM
+from cubicforms.eisenstein import _coset_theta_series
+from cubicforms.fqm import E8_GRAM, U_GRAM, W_GRAM, EvenLattice, discriminant_form
 
 
 def direct_sum(*blocks):
@@ -21,3 +22,15 @@ def lambda0_prime_gram():
     lattice with the discriminant form of -W."""
     lambda0 = direct_sum(W_GRAM, U_GRAM, U_GRAM, E8_GRAM, E8_GRAM)
     return tuple(tuple(-x for x in row) for row in lambda0)
+
+
+def theta_e6(prec):
+    """theta_E6 on the cosets of W = A2, from the glue code E6 = A2^3[111]
+    (Conway-Sloane, SPLAG ch. 4): (theta_0^3 + 2 theta_1^3, 3 theta_0
+    theta_1^2, 3 theta_0 theta_2^2), with theta_i the coset series of W.
+    E6 has the discriminant form of -W, so this lies in M_3(rho_{-W})."""
+    form = discriminant_form(W_GRAM)
+    t0, t1, t2 = (
+        _coset_theta_series(EvenLattice(W_GRAM), form.cosets[i], prec) for i in range(3)
+    )
+    return (t0**3 + t1**3 * 2, t0 * t1**2 * 3, t0 * t2**2 * 3)

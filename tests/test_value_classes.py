@@ -176,6 +176,29 @@ def test_mp2_matrix_check_comes_before_branch_check():
         Mp2Element(2, 0, 0, 2, 5)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        # WeilRep.rho of this one once raised that its word multiplies out
+        # to (-1, 0, 0, -1)
+        (lambda: Mp2Element(2.0, 0, 0, 0.5), "Mp2Element a = 2.0 is not an int"),
+        (
+            lambda: Mp2Element(F(2), 0, 0, F(1, 2)),
+            "Mp2Element a = Fraction(2, 1) is not an int",
+        ),
+        (lambda: Mp2Element.T(0.5), "Mp2Element b = 0.5 is not an int"),
+        (lambda: Mp2Element(1, 0, 0, 1, True), "Mp2Element eps = True is not an int"),
+        (lambda: Mp2Element(1, 0, 0, 1, eps=-1.0), "Mp2Element eps = -1.0 is not an int"),
+        (lambda: Mp2Element(True, 0, 0, True), "Mp2Element a = True is not an int"),
+    ],
+    ids=["float", "fraction", "float-power-of-t", "bool-branch", "float-branch", "bool"],
+)
+def test_mp2_entries_and_branch_must_be_ints(build, message):
+    with pytest.raises(TypeError) as info:
+        build()
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("coeffs", [(), (1, 2), (1, 0, 0, 0, 0, 0, 0)])
 def test_p5_class_needs_six_coefficients(coeffs):
     with pytest.raises(ValueError) as info:

@@ -15,7 +15,7 @@ from cubicforms.vvmf import (
     numeric_modularity_check,
     rankin_cohen,
 )
-from lattices import lambda0_prime_gram
+from lattices import lambda0_prime_gram, theta_e6
 
 
 def is_cuspidal(F: VectorForm) -> bool:
@@ -218,6 +218,27 @@ class TestAssemble:
             assert isinstance(deg, int)
             assert d % 6 in (0, 2)
 
+    @pytest.mark.parametrize("d", [6.0, F(6), True, "6"])
+    def test_degree_needs_an_int(self, heegner30, d):
+        # degree(6.0) once read the table's entry at 6 and returned 192
+        with pytest.raises(TypeError, match="discriminant must be an int"):
+            heegner30.degree(d)
+
+    @pytest.mark.parametrize("d", [4, 10, 178, 0, -6])
+    def test_degree_off_the_residues_names_them(self, heegner30, d):
+        with pytest.raises(ValueError) as err:
+            heegner30.degree(d)
+        assert str(err.value) == (
+            f"no degree at discriminant {d}: need d >= 2 and d = 0, 2 mod 6"
+        )
+
+    @pytest.mark.parametrize("d", [180, 182, 186])
+    def test_degree_past_the_table_names_its_end(self, heegner30, d):
+        assert max(heegner30.degrees) == 176 and heegner30.degree(176) > 0
+        with pytest.raises(ValueError) as err:
+            heegner30.degree(d)
+        assert str(err.value) == f"discriminant {d} is past the table's last, 176"
+
     def test_half_integral_degree_is_hard_error(self, w_prime):
         from cubicforms.exactmath import IntegralityError
 
@@ -376,8 +397,9 @@ class TestNumericModularity:
 
 
 class TestPrecisionMemo:
-    """One memo entry per key, at the highest precision asked for; lower
-    precisions are served by truncation and must equal a fresh computation."""
+    """The memo holds one Psi, at the highest precision asked for; a lower
+    precision is served by truncation and must equal a fresh solve.  Every
+    other series is computed afresh and is the truncation of a deeper one."""
 
     @pytest.fixture
     def memo(self):
@@ -409,29 +431,25 @@ class TestPrecisionMemo:
             "solve_psi": solve_psi,
             "assemble_theta": lambda p: assemble_theta(solve_psi(p)),
         }
-
-        def run_all(prec):
-            # in an emptied memo each stage computes afresh at prec
-            return {name: compute(prec) for name, compute in pipeline.items()}
-
-        run_all(40)
+        deep = {name: compute(40) for name, compute in pipeline.items()}
         for prec in (F(10, 3), 16, 39):
-            served = run_all(prec)
-            fresh = self.fresh(memo, run_all, prec)
+            served = {name: compute(prec) for name, compute in pipeline.items()}
+            fresh = self.fresh(memo, lambda p: {n: c(p) for n, c in pipeline.items()}, prec)
             for name in pipeline:
                 assert served[name] == fresh[name], (name, prec)
-        assert {key[0]: held[0] for key, held in memo.items()} == {
-            "vv_eisenstein": 40,
-            "basis_weight11": 40,
-            "solve_psi": 40,
-        }
+            assert served["vv_eisenstein"] == deep["vv_eisenstein"].truncate(prec)
+            assert served["basis_weight11"] == tuple(
+                f.truncate(prec) for f in deep["basis_weight11"]
+            )
+        assert list(memo) == [40]
 
     def test_theta_rank10_truncation_equals_fresh(self, memo):
         from cubicforms.eisenstein import theta_series_rank10
 
-        theta_series_rank10(3)
+        deep = theta_series_rank10(3)
         for prec in (2, F(7, 3)):
-            assert theta_series_rank10(prec) == self.fresh(memo, theta_series_rank10, prec)
+            assert theta_series_rank10(prec) == deep.truncate(prec)
+        assert memo == {}
 
     def test_domain_checks_fire_on_a_hit(self, memo, w_prime):
         from cubicforms.eisenstein import vv_eisenstein
@@ -449,21 +467,26 @@ class TestPrecisionMemo:
         ):
             with pytest.raises(ValueError):
                 call()
+        with pytest.raises(TypeError, match="prec must be an int or a Fraction"):
+            solve_psi(20.0)
+        assert list(memo) == [30]
 
-    def test_one_entry_per_key(self, memo):
-        from cubicforms.eisenstein import theta_series_rank10
-        from cubicforms.vvmf import solve_psi
+    def test_one_entry_per_key(self, memo, w_prime):
+        # one entry, Psi at the highest precision asked for; nothing else
+        # enters the memo
+        from cubicforms.eisenstein import theta_series_rank10, vv_eisenstein
+        from cubicforms.vvmf import basis_weight11, solve_psi
 
-        for prec in (10, 16, 20, 20, 16, 10):
-            solve_psi(prec)
+        for prec, top in zip((10, 16, 20, 20, 16, 10), (10, 16, 20, 20, 20, 20)):
+            psi = solve_psi(prec)
+            assert list(memo) == [top] and type(next(iter(memo))) is F
+            assert psi.components[0].prec == prec
+        held = memo[20]
         for prec in (2, F(7, 3), F(7, 3), 2):
             theta_series_rank10(prec)
-        assert sorted((key[0], held[0]) for key, held in memo.items()) == [
-            ("basis_weight11", 20),
-            ("solve_psi", 20),
-            ("theta_series_rank10", F(7, 3)),
-            ("vv_eisenstein", 20),
-        ]
+            vv_eisenstein(w_prime, 5, prec)
+            basis_weight11(prec)
+        assert list(memo.items()) == [(20, held)] and memo[20] is held
 
     def test_served_theta_runs_neither_basis_nor_solve(self, memo, monkeypatch):
         # a repeat or lower precision truncates the memo's Psi: no bracket,
@@ -483,15 +506,41 @@ class TestPrecisionMemo:
 
             monkeypatch.setattr(module, name, wrapper)
 
-        spy(vvmf, "_brackets_weight11")
+        spy(vvmf, "basis_weight11")
         spy(vvmf, "solve_linear_combination")
-        spy(eisenstein, "_vv_series")
+        spy(vvmf, "vv_eisenstein")
         spy(eisenstein, "l_value_ratio")
         served = {p: theta_degrees(p) for p in precs}
         monkeypatch.undo()
         assert entered == set()
         for p in precs:
             assert served[p] == self.fresh(memo, theta_degrees, p), p
+
+    def test_no_other_series_outlives_its_caller(self, memo, monkeypatch, w_prime):
+        # VectorForm has no __weakref__ slot; a subclass without __slots__
+        # has one, and eisenstein and vvmf build through it once their name
+        # VectorForm is bound to it.  A memo that kept any of these series
+        # would keep it alive past the caller's last reference.
+        import gc
+        import weakref
+
+        from cubicforms import eisenstein, vvmf
+
+        class Tracked(VectorForm):
+            pass
+
+        monkeypatch.setattr(eisenstein, "VectorForm", Tracked)
+        monkeypatch.setattr(vvmf, "VectorForm", Tracked)
+        made = [
+            eisenstein.vv_eisenstein(w_prime, 5, 7),
+            eisenstein.theta_series_rank10(3),
+            *vvmf.basis_weight11(7),
+        ]
+        assert {type(f) for f in made} == {Tracked}
+        refs = [weakref.ref(f) for f in made]
+        del made
+        gc.collect()
+        assert [ref() for ref in refs] == [None] * 4
 
 
 class TestReadOnlyForms:
@@ -588,18 +637,11 @@ class TestDepthOracles:
         # E6 = A2^3 glued by [111] has the discriminant form of -W, so
         # theta_E6 lies in M_3(rho_{-W}), and Psi in M_11(rho*_{-W}) = M_11(rho_W):
         # the pairing lies in M_14(SL2(Z)) = C E4^2 E6 (Borcherds' criterion)
-        from cubicforms.eisenstein import _coset_theta_series
-        from cubicforms.fqm import EvenLattice
         from cubicforms.vvmf import solve_psi
 
         prec = 2000
-        form = discriminant_form(W_GRAM)
-        t0, t1, t2 = (
-            _coset_theta_series(EvenLattice(W_GRAM), form.cosets[i], prec) for i in range(3)
-        )
-        theta_e6 = (t0**3 + t1**3 * 2, t0 * t1**2 * 3, t0 * t2**2 * 3)
         psi = solve_psi(prec).components
-        pairing = sum((t * p for t, p in zip(theta_e6, psi)), QSeries.zero())
+        pairing = sum((t * p for t, p in zip(theta_e6(prec), psi)), QSeries.zero())
         e4, e6 = eisenstein_level1(4, prec), eisenstein_level1(6, prec)
         # QSeries equality compares cutoffs, so both sides are cut alike
         assert (pairing * 2).truncate(prec) == (e4 * e4 * e6 * -4).truncate(prec)
