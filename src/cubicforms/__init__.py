@@ -21,7 +21,9 @@ identity, and the negated form whose Weil representation
 ``numeric_modularity_check`` reads as the dual (W for -W); a caller's own
 form, such as a ``verify --gram`` form, is built outside it and dies with
 its last use.  ``vvmf._MEMO`` holds one Psi, at the highest precision
-``solve_psi`` was asked for; no other series is kept.  ``l_value_ratio``
+``solve_psi`` was asked for; the only other series kept is the weight-11
+basis at precision 30 in ``cli.basis30``, which the modularity suite's two
+checks share and which dies with them.  ``l_value_ratio``
 and ``bernoulli_number`` keep one ``Fraction`` per weight;
 ``eisenstein._descent`` the local-density oracle's counts per integer
 polynomial, prime and depth asked, never a form; ``schubert._lr_products``

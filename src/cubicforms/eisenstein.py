@@ -68,18 +68,19 @@ def _divisor_sums(k: int, prec: int, chi: tuple[int, ...]) -> list[int]:
     return sums
 
 
-def eisenstein_level1(k: int, prec: int) -> QSeries:
+def eisenstein_level1(k: int, prec: Fraction | int) -> QSeries:
     """E_k = 1 - (2k/B_k) sum_{n>=1} sigma_{k-1}(n) q^n, weight k even >= 4."""
     if k < 4 or k % 2:
         raise ValueError(f"level-1 Eisenstein series needs even k >= 4, got {k}")
+    stop = _cutoff(prec, 1, nonnegative=True)
     factor = Fraction(-2 * k) / bernoulli_number(k)
     a, b = factor.numerator, factor.denominator
-    nums = {n: a * s for n, s in enumerate(_divisor_sums(k, prec, (1,)))}
+    nums = {n: a * s for n, s in enumerate(_divisor_sums(k, stop, (1,)))}
     nums[0] = b
-    return _series(nums, b, 1, _cutoff(prec, 1))
+    return _series(nums, b, 1, stop)
 
 
-def eisenstein_chi(k: int, prec: int) -> QSeries:
+def eisenstein_chi(k: int, prec: Fraction | int) -> QSeries:
     """Weight-k level-3 Eisenstein series with the quadratic character mod 3.
 
     k = 1 carries the 1 + 6*sum normalization; k >= 3 starts at q.  The q^n
@@ -87,12 +88,13 @@ def eisenstein_chi(k: int, prec: int) -> QSeries:
     """
     if k < 1 or k % 2 == 0:
         raise ValueError(f"character Eisenstein series needs odd k >= 1, got {k}")
+    stop = _cutoff(prec, 1, nonnegative=True)
     scale = 6 if k == 1 else 1
-    sums = _divisor_sums(k, prec, tuple(scale * chi_minus3(m) for m in (1, 2, 3)))
+    sums = _divisor_sums(k, stop, tuple(scale * chi_minus3(m) for m in (1, 2, 3)))
     nums = dict(enumerate(sums))
     if k == 1:
         nums[0] = 1
-    return _series(nums, 1, 1, _cutoff(prec, 1))
+    return _series(nums, 1, 1, stop)
 
 
 def alpha_series(prec: int) -> QSeries:
@@ -293,8 +295,8 @@ def vv_eisenstein(form: DiscriminantForm, k: int, prec: Fraction | int) -> Vecto
         raise ValueError(
             "vector-valued Eisenstein series is wired to the rank-2, order-3 form"
         )
+    stop = _cutoff(prec, 3, nonnegative=True)  # q^(e/3) is below prec iff e < stop
     ratio = l_value_ratio(k)
-    stop = _cutoff(as_fraction(prec, "prec"), 3)  # q^(e/3) is below prec iff e < stop
     sums = _divisor_sums(k, stop, (1, -1, 0))
     r_num, r_den = ratio.numerator, ratio.denominator * 3 ** (k - 1)
     starts = [as_integer(-3 * q, "3 q(gamma)") % 3 for q in form.qvalues]
@@ -336,7 +338,7 @@ def theta_series_rank10(prec: Fraction | int) -> VectorForm:
     equal series, so the coset matching is forced.  Serves as the
     independent oracle for the Euler-product assembly.
     """
-    prec = as_fraction(prec, "prec")
+    _cutoff(prec, 3, nonnegative=True)  # the precision's domain, before any walk
     w_lat = EvenLattice(W_GRAM)
     w_form = discriminant_form(W_GRAM)
     e8 = _coset_theta_series(EvenLattice(E8_GRAM), (0,) * 8, prec)

@@ -426,7 +426,9 @@ class WeilRep:
                 (a/order) * e((1-a)*oddity/8) * e(b*d*q(gamma)) * v_{d*gamma}
 
         Only odd-order forms are supported; their 2-adic part is trivial, so
-        the oddity is 0 and the middle factor is 1.
+        the oddity is 0 and the middle factor is 1.  The branch eps of g
+        changes nothing: an even lattice with odd |det| has even rank, so
+        the central element (I, -1) acts as (-1)^(b+ - b-) I = I.
         """
         form = self.form
         N = form.level
@@ -440,10 +442,6 @@ class WeilRep:
             phase = Cyclotomic.root_of_unity(g.b * g.d * form.qvalue(i))
             target = form.multiple(i, g.d % form.order)
             out[target][i] = out[target][i] + phase * jacobi_symbol(g.a, form.order)
-        if g.eps == -1:
-            # peel off the central (identity, -1) = S^4; for forms whose
-            # representation factors through SL2 this is the identity matrix
-            out = _mat_mul_cyc(out, self.rho(Mp2Element(1, 0, 0, 1, -1)))
         return out
 
     def is_unitary(self, m) -> bool:

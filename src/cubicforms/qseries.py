@@ -66,13 +66,16 @@ class InconsistentSystemError(LinearSolveError):
     """Constraints admit no exact solution (and we never least-squares)."""
 
 
-def _cutoff(x: Fraction | int, den: int, what: str = "prec") -> int:
+def _cutoff(x: Fraction | int, den: int, what: str = "prec", *, nonnegative: bool = False) -> int:
     """The integer key x * den of q^x on the 1/den grid, or ValueError if x
-    is off it.  For a precision it is the cutoff: q^(e/den) lies beyond
-    prec exactly when e >= prec * den."""
+    is off it, or if it is negative and ``nonnegative`` is set, as the
+    series builders ask.  For a precision it is the cutoff: q^(e/den) lies
+    beyond prec exactly when e >= prec * den."""
     n, d = as_ratio(x, what)
     if den % d:
         raise ValueError(f"{what} {x} is not on the 1/{den} grid")
+    if nonnegative and n < 0:
+        raise ValueError(f"{what} {x} is negative")
     return n * (den // d)
 
 

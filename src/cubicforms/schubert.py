@@ -52,9 +52,9 @@ def box_partitions() -> list[Partition]:
 
 def _poly_mul(p: dict[Monomial, int], q: dict[Monomial, int]) -> dict[Monomial, int]:
     out: dict[Monomial, int] = {}
-    q_terms = q.items()
+    q_items = q.items()
     for a, x in p.items():
-        for b, y in q_terms:
+        for b, y in q_items:
             m = tuple(map(add, a, b))
             out[m] = out[m] + x * y if m in out else x * y
     return {m: c for m, c in out.items() if c}
@@ -145,12 +145,12 @@ class _GrassmannianClass(_Value):
     """Integer class of H*(Gr(R, N)) in the Schubert basis sigma_lam, lam in
     the R x (N - R) box.  A subclass sets R and N, which fix DIM, TOP (the
     point class) and the box, and names its field ``coeffs`` in ``__slots__``:
-    sorted (partition, int) pairs with no zero, a repeated key keeping its
-    last, unless it overrides ``__init__``, ``_terms`` and ``_of_terms``.  A
-    coefficient or part that is not an int (a bool included) raises
-    ``TypeError``, a key that is not a partition in the box ``ValueError``.
-    An operand other than a class of the same ring, or an int factor, gives
-    ``NotImplemented``, so Python raises ``TypeError``."""
+    sorted (partition, int) pairs with no zero, built from such pairs or a
+    dict, a repeated key keeping its last.  A coefficient or part that is not
+    an int (a bool included) raises ``TypeError``, a key that is not a
+    partition in the box ``ValueError``.  An operand other than a class of
+    the same ring, or an int factor, gives ``NotImplemented``, so Python
+    raises ``TypeError``."""
 
     __slots__ = ()
 
@@ -175,19 +175,15 @@ class _GrassmannianClass(_Value):
         if type(lam) is not tuple or lam not in cls._BOX:
             raise ValueError(f"{lam!r} is not a partition in the {cls.R}x{cls.N - cls.R} box")
 
-    def _terms(self) -> dict[Partition, int]:
+    def as_dict(self) -> dict[Partition, int]:
         """The nonzero coefficients by partition, in a new dict."""
         return dict(self.coeffs)
-
-    @classmethod
-    def _of_terms(cls, terms: dict[Partition, int]):
-        return cls(terms)
 
     @classmethod
     def sigma(cls, *lam: int, coeff: int = 1):
         padded = tuple(sorted(lam, reverse=True)) + (0,) * (cls.R - len(lam))
         cls._check_partition(padded)
-        return cls._of_terms({padded: coeff})
+        return cls({padded: coeff})
 
     @classmethod
     def one(cls):
@@ -195,15 +191,15 @@ class _GrassmannianClass(_Value):
 
     @classmethod
     def zero(cls):
-        return cls._of_terms({})
+        return cls()
 
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        acc = self._terms()
-        for lam, c in other._terms().items():
+        acc = self.as_dict()
+        for lam, c in other.coeffs:
             acc[lam] = acc[lam] + c if lam in acc else c
-        return self._of_terms(acc)
+        return type(self)(acc)
 
     def __neg__(self):
         return self * -1
@@ -217,16 +213,15 @@ class _GrassmannianClass(_Value):
         if type(other) is not type(self):
             if not isinstance(other, int):
                 return NotImplemented
-            return self._of_terms({lam: c * other for lam, c in self._terms().items()})
+            return type(self)({lam: c * other for lam, c in self.coeffs})
         width = self.N - self.R
         acc: dict[Partition, int] = {}
-        theirs = other._terms().items()
-        for lam, a in self._terms().items():
-            for mu, b in theirs:
+        for lam, a in self.coeffs:
+            for mu, b in other.coeffs:
                 # sigma_lam sigma_mu = sigma_mu sigma_lam: one table per unordered pair
                 for nu, c in _lr_products(*((lam, mu) if lam <= mu else (mu, lam)), width):
                     acc[nu] = acc[nu] + a * b * c if nu in acc else a * b * c
-        return self._of_terms(acc)
+        return type(self)(acc)
 
     __rmul__ = __mul__
 
@@ -241,42 +236,27 @@ class _GrassmannianClass(_Value):
         return out
 
     def is_zero(self) -> bool:
-        return not self._terms()
+        return not self.coeffs
 
     def degree(self) -> int:
         """Coefficient of the point class sigma_TOP."""
-        return self._terms().get(self.TOP, 0)
+        return self.as_dict().get(self.TOP, 0)
 
     def is_pure(self, k: int) -> bool:
         """Whether every nonzero term has degree k (the zero class has all)."""
-        return all(sum(lam) == k for lam in self._terms())
+        return all(sum(lam) == k for lam, _ in self.coeffs)
 
 
 class RingClassP5(_GrassmannianClass):
     """Integer class a_0 + a_1 H + ... + a_5 H^5 on P^5 = Gr(1,6), H^k the
-    Schubert class sigma_k, kept as the tuple of its coefficients."""
+    Schubert class sigma_k: the pairs ((k,), a_k) with a_k nonzero."""
 
     __slots__ = ("coeffs",)
     R, N = 1, 6
 
-    def __init__(self, coeffs: tuple[int, int, int, int, int, int] = (0, 0, 0, 0, 0, 0)):
-        if len(coeffs) != self.DIM + 1:
-            raise ValueError(f"need {self.DIM + 1} coefficients, got {len(coeffs)}")
-        if set(map(type, coeffs)) - {int}:
-            raise TypeError(f"coefficients must be ints, not {coeffs!r}")
-        self._set(tuple(coeffs))
-
     @classmethod
     def hyperplane_power(cls, k: int, c: int = 1) -> "RingClassP5":
         return cls.sigma(k, coeff=c)
-
-    # zip(range(n)) yields the one-part partitions (k,)
-    def _terms(self) -> dict[Partition, int]:
-        return dict(filter(itemgetter(1), zip(zip(range(self.DIM + 1)), self.coeffs)))
-
-    @classmethod
-    def _of_terms(cls, terms: dict[Partition, int]) -> "RingClassP5":
-        return cls(tuple(map(terms.get, zip(range(cls.DIM + 1)), repeat(0))))
 
 
 class RingClassGr36(_GrassmannianClass):
@@ -284,7 +264,6 @@ class RingClassGr36(_GrassmannianClass):
 
     __slots__ = ("coeffs",)
     R, N = 3, 6
-    as_dict = _GrassmannianClass._terms
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +356,7 @@ def _chern_sym_dual(ring, k: int) -> ChernSeries:
     graded: list[dict[Partition, int]] = [{} for _ in range(ring.DIM + 1)]
     for nu, c in _schur_expansion(total, (0,) * r, _box(r, ring.N - r)).items():
         graded[sum(nu)][nu] = c
-    return ChernSeries(tuple(map(ring._of_terms, graded)))
+    return ChernSeries(tuple(map(ring, graded)))
 
 
 def chern_sym3_dual_tautological() -> ChernSeries:

@@ -25,7 +25,7 @@ from .exactmath import (
     as_integer,
     gauss_sum,
 )
-from .fqm import DiscriminantForm, Mp2Element, WeilRep, discriminant_form, w_prime_form
+from .fqm import Mp2Element, WeilRep, discriminant_form, w_prime_form
 from .qseries import QSeries, VectorForm, solve_linear_combination
 from .qseries import InconsistentSystemError, SingularSystemError
 
@@ -76,7 +76,7 @@ def rankin_cohen(F: VectorForm, g: QSeries, g_weight: int, n: int) -> VectorForm
 # dimension formula
 # ---------------------------------------------------------------------------
 
-def dim_formula(k: int, form: DiscriminantForm | None = None) -> int:
+def dim_formula(k: int) -> int:
     """Dimension of the weight-k space for the dual representation of the
     order-3 form, evaluated exactly in cyclotomic arithmetic:
 
@@ -84,14 +84,13 @@ def dim_formula(k: int, form: DiscriminantForm | None = None) -> int:
         - (1/(4 sqrt 3)) Re[e((k-1)/4) G(2)]
         - (1/9) Re[e((k+2)/6) (G(1) + G(-3))] - 1/3
 
-    with G(a) the quadratic Gauss sum over the form's q-values.  The result
-    must be a nonnegative integer.
+    with G(a) the quadratic Gauss sum over the q-values of -W
+    (``w_prime_form``), whose constants these are.  The result must be a
+    nonnegative integer.
     """
     if k < 3 or k % 2 == 0:
         raise ValueError(f"dimension formula needs odd k >= 3, got {k}")
-    if form is None:
-        form = w_prime_form()
-    qvals = form.qvalues
+    qvals = w_prime_form().qvalues
     g1 = gauss_sum(1, qvals)
     g2 = gauss_sum(2, qvals)
     gm3 = gauss_sum(-3, qvals)
@@ -146,37 +145,41 @@ def basis_weight11(prec: Fraction | int) -> tuple[VectorForm, VectorForm]:
     return f0, f1
 
 
+def _psi_of_basis(f0: VectorForm, f1: VectorForm) -> VectorForm:
+    """Solve c0*F0 + c1*F1 against the two normalizations pinning the degree
+    series: constant coefficient -2 on the trivial coset (the Hodge bundle
+    degree of a pencil) and vanishing q^(1/3) coefficient on the first
+    nonzero coset (no discriminant-2 members in a general pencil)."""
+    third = Fraction(1, 3)
+    c0, c1 = solve_linear_combination(
+        [
+            QSeries.from_terms(
+                [(0, f.coefficient(0, 0)), (third, f.coefficient(third, 1))], 3, 1
+            )
+            for f in (f0, f1)
+        ],
+        [(0, -2), (third, 0)],
+    )
+    return f0.scale(c0) + f1.scale(c1)
+
+
 _MEMO: dict[Fraction, VectorForm] = {}
 
 
 def solve_psi(prec: Fraction | int) -> VectorForm:
-    """Solve c0*F0 + c1*F1 against the two normalizations pinning the degree
-    series: constant coefficient -2 on the trivial coset (the Hodge bundle
-    degree of a pencil) and vanishing q^(1/3) coefficient on the first
-    nonzero coset (no discriminant-2 members in a general pencil).
+    """Psi at ``prec``: ``_psi_of_basis`` on ``basis_weight11(prec)``.
 
     ``_MEMO`` holds one pair (precision, Psi), at the highest precision
-    asked for so far.  The solve reads only those two coefficients, below
-    every precision accepted here, so Psi at a repeat or lower precision is
-    the held Psi truncated, and runs neither the basis nor the solve.
+    asked for so far.  The solve reads only two coefficients, below every
+    precision accepted here, so Psi at a repeat or lower precision is the
+    held Psi truncated, and runs neither the basis nor the solve.
     """
     prec = _weight11_prec(prec)
     top, psi = next(iter(_MEMO.items()), (0, None))
     if top < prec:
-        f0, f1 = basis_weight11(prec)
-        third = Fraction(1, 3)
-        c0, c1 = solve_linear_combination(
-            [
-                QSeries.from_terms(
-                    [(0, f.coefficient(0, 0)), (third, f.coefficient(third, 1))], 3, 1
-                )
-                for f in (f0, f1)
-            ],
-            [(0, -2), (third, 0)],
-        )
+        top, psi = prec, _psi_of_basis(*basis_weight11(prec))
         _MEMO.clear()
-        top = prec
-        psi = _MEMO[top] = f0.scale(c0) + f1.scale(c1)
+        _MEMO[top] = psi
     return psi if top == prec else psi.truncate(prec)
 
 

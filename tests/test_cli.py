@@ -278,6 +278,30 @@ class TestVerify:
         record = json.loads(out)
         assert all(row["status"] == "pass" for row in record["result"])
 
+    def test_modularity_suite_builds_the_basis_once(self, monkeypatch):
+        # both checks read one bracket basis at prec 30: one E5, with no Psi
+        # held to serve the second
+        from cubicforms import vvmf
+
+        saved = dict(vvmf._MEMO)
+        vvmf._MEMO.clear()
+        builds = []
+        real = vvmf.vv_eisenstein
+
+        def spy(*args):
+            builds.append(args[1:])
+            return real(*args)
+
+        monkeypatch.setattr(vvmf, "vv_eisenstein", spy)
+        try:
+            code, out = run(["verify", "--suite", "modularity"])
+        finally:
+            monkeypatch.undo()
+            vvmf._MEMO.clear()
+            vvmf._MEMO.update(saved)
+        assert code == 0 and out.count("pass") == 2
+        assert builds == [(5, 30)]
+
     def test_unknown_suite_exits_2(self):
         with pytest.raises(SystemExit) as err:
             main(["verify", "--suite", "nonsense"])
@@ -471,6 +495,7 @@ GOLDEN_RUNS = {
     ],
     "dim_k99.json.txt": ["dim", "--k", "99", "--format", "json"],
     "verify_eisenstein.json.txt": ["verify", "--suite", "eisenstein", "--format", "json"],
+    "verify_modularity.json.txt": ["verify", "--suite", "modularity", "--format", "json"],
     **{
         f"verify_all.{fmt}.txt": ["verify", "--suite", "all", "--format", fmt]
         for fmt in ("plain", "json", "csv")

@@ -504,6 +504,50 @@ class TestGoodPrimes:
         assert entered == set()
 
 
+_BUILDERS = {
+    "level1": lambda prec: eisenstein_level1(4, prec),
+    "chi": lambda prec: eisenstein_chi(3, prec),
+    "vv": lambda prec: vv_eisenstein(w_prime_form(), 5, prec),
+    "theta": theta_series_rank10,
+}
+
+
+class TestPrecisionDomain:
+    """The four series builders read ``prec`` one way: an int or a Fraction
+    on their grid, and not negative."""
+
+    @pytest.mark.parametrize("name", ["level1", "chi"])
+    def test_integral_fraction_is_the_int(self, name):
+        build = _BUILDERS[name]
+        assert build(F(5)) == build(5)
+
+    @pytest.mark.parametrize("name", ["level1", "chi"])
+    def test_float_raises_type_error(self, name):
+        with pytest.raises(TypeError, match="prec must be an int or a Fraction, not float"):
+            _BUILDERS[name](5.0)
+
+    @pytest.mark.parametrize("name", ["level1", "chi"])
+    def test_fraction_off_the_grid_raises_value_error(self, name):
+        with pytest.raises(ValueError, match="prec 9/2 is not on the 1/1 grid"):
+            _BUILDERS[name](F(9, 2))
+
+    @pytest.mark.parametrize(
+        "name, prec",
+        [(name, prec) for name in sorted(_BUILDERS) for prec in (-5, -1)]
+        + [("theta", F(-1, 3)), ("vv", F(-1, 3))],
+    )
+    def test_negative_raises_value_error(self, name, prec):
+        with pytest.raises(ValueError) as info:
+            _BUILDERS[name](prec)
+        assert str(info.value) == f"prec {prec} is negative"
+
+    @pytest.mark.parametrize("name", sorted(_BUILDERS))
+    def test_zero_is_an_empty_series(self, name):
+        result = _BUILDERS[name](0)
+        for f in getattr(result, "components", [result]):
+            assert f.prec == 0 and not f.nums
+
+
 class TestVectorEisenstein:
     @pytest.mark.parametrize(
         "make",

@@ -593,6 +593,16 @@ class TestGamma0ClosedForm:
         with pytest.raises(ValueError):
             rep.rho_gamma0_formula(Mp2Element.S())
 
+    @pytest.mark.parametrize(
+        "g", [Mp2Element(1, 0, 3, 1, -1), Mp2Element(4, 1, 3, 1, -1)], ids=["lower", "general"]
+    )
+    def test_branch_minus_one(self, w_prime, g):
+        # the closed form ignores eps: on an odd-order form (I, -1) acts as I
+        for form in (w_prime, negated(w_prime)):
+            rep = WeilRep(form)
+            assert rep.rho_gamma0_formula(g) == rep.rho(g)
+            assert rep.rho(g) == rep.rho(Mp2Element(*g.matrix))
+
 
 class TestShortVectors:
     def test_a2_root_system(self):

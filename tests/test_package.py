@@ -212,7 +212,11 @@ def _class_level_names(cls: ast.ClassDef) -> set[str]:
         if isinstance(stmt, ast.FunctionDef):
             names.add(stmt.name)
         elif isinstance(stmt, ast.Assign):
-            names.update(t.id for t in stmt.targets if isinstance(t, ast.Name))
+            for t in stmt.targets:
+                names.update(
+                    n.id for n in (t.elts if isinstance(t, ast.Tuple) else [t])
+                    if isinstance(n, ast.Name)
+                )
     return names
 
 
@@ -275,7 +279,8 @@ def test_value_protocol_has_one_definition():
 
 def test_grassmannian_arithmetic_has_one_definition():
     # the rings of P^5 = Gr(1,6) and Gr(3,6) share one copy of the ring
-    # arithmetic; each class keeps only its constructor and stored layout
+    # arithmetic, constructor and stored layout; each class sets only its
+    # Grassmannian, and P^5 names its hyperplane powers
     from cubicforms.exactmath import _Value
     from cubicforms.schubert import RingClassGr36, RingClassP5
 
@@ -286,12 +291,16 @@ def test_grassmannian_arithmetic_has_one_definition():
     path = next(p for p in MODULES if p.name == "schubert.py")
     tree = ast.parse(path.read_text(), filename=str(path))
     classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
-    for name in ("RingClassP5", "RingClassGr36"):
-        assert _class_level_names(classes[name]) & arithmetic == set(), name
+    assert _class_level_names(classes["RingClassP5"]) == {
+        "__slots__", "R", "N", "hyperplane_power"
+    }
+    assert _class_level_names(classes["RingClassGr36"]) == {"__slots__", "R", "N"}
     base = RingClassP5.__base__
     assert RingClassGr36.__base__ is base and base is not _Value
     assert issubclass(base, _Value)
-    assert arithmetic <= _class_level_names(classes[base.__name__])
+    own = _class_level_names(classes[base.__name__])
+    assert arithmetic | {"__init__", "as_dict"} <= own
+    assert own & {"_terms", "_of_terms"} == set()
 
 
 def test_vector_form_is_a_value():

@@ -235,9 +235,9 @@ class TestRingInputs:
     @pytest.mark.parametrize(
         "build",
         [
-            lambda: RingClassP5((1, 2, 3, 4, 5, 6.5)),
+            lambda: RingClassP5({(0,): 1, (5,): 6.5}),
             lambda: RingClassP5.hyperplane_power(1, 2.5),
-            lambda: RingClassP5((True, 0, 0, 0, 0, 0)),
+            lambda: RingClassP5({(0,): True}),
             lambda: sigma(1, coeff=2.5),
             lambda: RingClassGr36((((1, 0, 0), 1), ((2, 0, 0), F(1, 2)))),
         ],
@@ -257,10 +257,14 @@ class TestRingInputs:
             (lambda: sigma(1.5), TypeError),
             (lambda: sigma(True), TypeError),
             (lambda: RingClassP5.hyperplane_power(True), TypeError),
+            (lambda: RingClassP5({(6,): 1}), ValueError),
+            (lambda: RingClassP5({(1, 0): 1}), ValueError),
+            (lambda: RingClassP5({3: 1}), ValueError),
         ],
         ids=[
             "Gr36-not-a-partition", "Gr36-outside-the-box", "Gr36-two-parts",
             "Gr36-float-part-in-the-box", "Gr36-sigma-float", "Gr36-sigma-bool", "P5-bool-power",
+            "P5-outside-the-box", "P5-two-parts", "P5-bare-exponent",
         ],
     )
     def test_key_that_is_not_a_class_of_the_ring_rejected(self, build, error):
@@ -269,8 +273,8 @@ class TestRingInputs:
             build()
 
     def test_list_built_class_is_the_tuple_built_one(self):
-        # the coefficients are kept as a tuple, as EvenLattice keeps its Gram
-        built = RingClassP5([1, 0, 0, 0, 0, 0])
+        # the pairs are kept as a tuple, as EvenLattice keeps its Gram
+        built = RingClassP5([((0,), 1), ((2,), 0)])
         assert built == RingClassP5.one() and hash(built) == hash(RingClassP5.one())
         assert type(built.coeffs) is tuple
 

@@ -155,12 +155,6 @@ class TestDimensionFormula:
         with pytest.raises(ValueError):
             dim_formula(4)
 
-    def test_matches_rank22_form(self):
-        from cubicforms.fqm import discriminant_form
-
-        big = discriminant_form(lambda0_prime_gram())
-        assert dim_formula(11, big) == 2
-
 
 class TestBasisAndPsi:
     def test_leading_minor_nonsingular(self, basis30):
