@@ -13,6 +13,9 @@ classes (``Cyclotomic`` here; ``EvenLattice``, ``Mp2Element``,
 ``ChernSeries`` in the other modules): read-only ``__slots__`` fields set
 once by ``__init__``, and equality, hashing, ``repr``, copy and pickle from
 the field tuple; ``Cyclotomic`` keeps its own equality, hashing and ``repr``.
+``_Ring`` is the one definition of the derived ring operations (negation by
+default, subtraction and powers) for ``Cyclotomic``, ``qseries.QSeries`` and
+the Grassmannian classes of ``schubert``.
 """
 
 from __future__ import annotations
@@ -80,6 +83,37 @@ class _Value:
 
     def __reduce__(self):
         return type(self), self._fields()
+
+
+class _Ring:
+    """Subtraction, powers and a default negation of the exact rings, from a
+    subclass's ``__add__``, ``__mul__`` and ``one()``; an operand the ring
+    cannot take gives ``NotImplemented``, so Python raises its own TypeError."""
+
+    __slots__ = ()
+
+    def __neg__(self):
+        return self * -1
+
+    def __sub__(self, other):
+        try:
+            other = -other
+        except TypeError:
+            return NotImplemented
+        return self.__add__(other)
+
+    def __rsub__(self, other):
+        return (-self).__add__(other)
+
+    def __pow__(self, m: int):
+        if not isinstance(m, int):
+            raise TypeError(f"power must be an int, not {type(m).__name__}")
+        if m < 0:
+            raise ValueError("negative powers are not supported")
+        out = self.one()
+        for _ in range(m):
+            out = out * self
+        return out
 
 
 class IntegralityError(ArithmeticError):
@@ -258,7 +292,7 @@ def _canonical(coeffs: list[int], den: int) -> "Cyclotomic":
     return out
 
 
-class Cyclotomic(_Value):
+class Cyclotomic(_Ring, _Value):
     """Exact element of Q(zeta_24) in the power basis 1, zeta, ..., zeta^7,
     held read-only as integer numerators ``nums`` over one ``den`` > 0 with
     gcd(den, *nums) = 1, so equal elements have equal layouts.  ``coeffs`` is
@@ -288,6 +322,10 @@ class Cyclotomic(_Value):
     @classmethod
     def zero(cls) -> "Cyclotomic":
         return _canonical([0] * _DEGREE, 1)
+
+    @classmethod
+    def one(cls) -> "Cyclotomic":
+        return _canonical([1] + [0] * (_DEGREE - 1), 1)
 
     @classmethod
     def from_rational(cls, x: Fraction | int) -> "Cyclotomic":
@@ -347,12 +385,6 @@ class Cyclotomic(_Value):
     def __neg__(self):
         return _canonical([-a for a in self.nums], self.den)
 
-    def __sub__(self, other):
-        return self.__add__(-other)
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
-
     def __mul__(self, other):
         if not isinstance(other, Cyclotomic):
             if not isinstance(other, (int, Fraction)):
@@ -380,18 +412,6 @@ class Cyclotomic(_Value):
         if isinstance(other, (int, Fraction)):
             return self * (1 / Fraction(other))
         raise TypeError("division only by exact rationals")
-
-    def __pow__(self, m: int):
-        if m < 0:
-            raise ValueError("negative cyclotomic powers are not supported")
-        out = Cyclotomic.from_rational(1)
-        base = self
-        while m:
-            if m & 1:
-                out = out * base
-            base = base * base
-            m >>= 1
-        return out
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -361,7 +361,7 @@ def _mat_mul_cyc(x, y):
 
 
 def _mat_identity_cyc(n):
-    one = Cyclotomic.from_rational(1)
+    one = Cyclotomic.one()
     zero = Cyclotomic.zero()
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 

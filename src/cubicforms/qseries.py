@@ -42,7 +42,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from ._linalg import row_reduce
-from .exactmath import _read_only, _Value, as_fraction, as_ratio
+from .exactmath import _read_only, _Ring, _Value, as_fraction, as_ratio
 
 __all__ = [
     "QSeries",
@@ -107,7 +107,7 @@ def _pack(nums: dict[int, int], low: int, s: int, size: int, blank: bytes) -> in
     return int.from_bytes(packed, "little") - int.from_bytes(blank * size, "little")
 
 
-class QSeries:
+class QSeries(_Ring):
     """Read-only integer numerators ``nums`` over one ``scale`` on the
     1/``den`` grid (see the module docstring); a series exact to all orders
     with support in {0} hashes as its constant ``Fraction``."""
@@ -281,12 +281,6 @@ class QSeries:
     def __neg__(self):
         return _series({e: -n for e, n in self.nums.items()}, self.scale, self.den, self.cut)
 
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if not isinstance(other, QSeries):
             if not isinstance(other, (int, Fraction)):
@@ -340,20 +334,6 @@ class QSeries:
         return _series(out, self.scale * other.scale, den, cutoff)
 
     __rmul__ = __mul__
-
-    def __pow__(self, m: int) -> "QSeries":
-        if not isinstance(m, int):
-            raise TypeError(f"power must be an int, not {type(m).__name__}")
-        if m < 0:
-            raise ValueError("negative powers are not supported")
-        out = QSeries.one(self.den, None)
-        base = self
-        while m:
-            if m & 1:
-                out = out * base
-            base = base * base if m > 1 else base
-            m >>= 1
-        return out
 
     def rescale_exponent(self, r: Fraction | int) -> "QSeries":
         """Substitute q -> q^r: the coefficient at q^n moves to q^(r*n)."""
@@ -438,7 +418,7 @@ def solve_linear_combination(
 
 
 # ---------------------------------------------------------------------------
-# vector-valued forms and the precision memo
+# vector-valued forms
 # ---------------------------------------------------------------------------
 
 class VectorForm(_Value):

@@ -17,7 +17,7 @@ from itertools import chain, combinations_with_replacement, product, repeat
 from math import comb
 from operator import add, itemgetter, sub
 
-from .exactmath import _Value
+from .exactmath import _Ring, _Value
 
 __all__ = [
     "RingClassP5",
@@ -141,7 +141,7 @@ def _lr_products(lam: Partition, mu: Partition, width: int) -> tuple[tuple[Parti
 # the ring H*(Gr(r,n)) in the Schubert basis
 # ---------------------------------------------------------------------------
 
-class _GrassmannianClass(_Value):
+class _GrassmannianClass(_Ring, _Value):
     """Integer class of H*(Gr(R, N)) in the Schubert basis sigma_lam, lam in
     the R x (N - R) box.  A subclass sets R and N, which fix DIM, TOP (the
     point class) and the box, and names its field ``coeffs`` in ``__slots__``:
@@ -201,14 +201,6 @@ class _GrassmannianClass(_Value):
             acc[lam] = acc[lam] + c if lam in acc else c
         return type(self)(acc)
 
-    def __neg__(self):
-        return self * -1
-
-    def __sub__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other):
         if type(other) is not type(self):
             if not isinstance(other, int):
@@ -224,16 +216,6 @@ class _GrassmannianClass(_Value):
         return type(self)(acc)
 
     __rmul__ = __mul__
-
-    def __pow__(self, m: int):
-        if not isinstance(m, int):
-            raise TypeError(f"power must be an int, not {type(m).__name__}")
-        if m < 0:
-            raise ValueError("negative powers are not supported")
-        out = self.one()
-        for _ in range(m):
-            out = out * self
-        return out
 
     def is_zero(self) -> bool:
         return not self.coeffs

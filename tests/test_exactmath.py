@@ -162,6 +162,15 @@ class TestCyclotomic:
         assert z**24 == 1
         assert z**12 == -1
 
+    def test_pow_matches_mul(self):
+        x = Cyclotomic([F(1, 2), -3, 0, F(2, 7), 0, 0, 1, F(-5, 3)])
+        assert x**0 == Cyclotomic.one() == 1
+        product = Cyclotomic.one()
+        for m in range(6):
+            power = x**m
+            assert power == product and (power.nums, power.den) == (product.nums, product.den)
+            product = product * x
+
     def test_embedding_matches_products(self):
         rng = random.Random(1)
         for _ in range(1000):
@@ -260,6 +269,28 @@ class TestCyclotomic:
     def test_foreign_operands_raise_type_error(self, op):
         with pytest.raises(TypeError):
             op(Cyclotomic.zeta_power(1))
+
+    @pytest.mark.parametrize(
+        "op", [lambda z: z - "a", lambda z: z - 1.5, lambda z: 1.5 - z],
+        ids=["sub-str", "sub-float", "rsub-float"],
+    )
+    def test_foreign_operand_in_subtraction_is_not_implemented(self, op):
+        # Python's own TypeError, naming the operator, once both sides decline
+        with pytest.raises(TypeError, match=r"unsupported operand type\(s\) for -"):
+            op(Cyclotomic.zeta_power(1))
+
+    @pytest.mark.parametrize(
+        "m, error, match",
+        [
+            (1.5, TypeError, "power must be an int, not float"),
+            (F(2), TypeError, "power must be an int, not Fraction"),
+            (-1, ValueError, "negative powers are not supported"),
+        ],
+        ids=["pow-float", "pow-fraction", "pow-negative"],
+    )
+    def test_bad_power_raises(self, m, error, match):
+        with pytest.raises(error, match=match):
+            Cyclotomic.zeta_power(1) ** m
 
     @pytest.mark.parametrize(
         "make",

@@ -281,13 +281,10 @@ def test_grassmannian_arithmetic_has_one_definition():
     # the rings of P^5 = Gr(1,6) and Gr(3,6) share one copy of the ring
     # arithmetic, constructor and stored layout; each class sets only its
     # Grassmannian, and P^5 names its hyperplane powers
-    from cubicforms.exactmath import _Value
+    from cubicforms.exactmath import _Ring, _Value
     from cubicforms.schubert import RingClassGr36, RingClassP5
 
-    arithmetic = {
-        "__add__", "__neg__", "__sub__", "__mul__", "__rmul__", "__pow__",
-        "degree", "is_pure", "is_zero",
-    }
+    arithmetic = {"__add__", "__mul__", "__rmul__", "degree", "is_pure", "is_zero"}
     path = next(p for p in MODULES if p.name == "schubert.py")
     tree = ast.parse(path.read_text(), filename=str(path))
     classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
@@ -301,6 +298,36 @@ def test_grassmannian_arithmetic_has_one_definition():
     own = _class_level_names(classes[base.__name__])
     assert arithmetic | {"__init__", "as_dict"} <= own
     assert own & {"_terms", "_of_terms"} == set()
+    # negation, subtraction and powers come from the ring protocol
+    assert issubclass(base, _Ring)
+    for name in ("__neg__", "__sub__", "__pow__"):
+        assert getattr(base, name) is getattr(_Ring, name), name
+
+
+def test_ring_protocol_has_one_definition():
+    # subtraction and powers of the exact rings live in exactmath._Ring
+    # alone; a second copy would drift from it in its checks and messages
+    from cubicforms.exactmath import Cyclotomic, _Ring
+    from cubicforms.qseries import QSeries
+    from cubicforms.schubert import RingClassP5
+
+    derived = {"__sub__", "__rsub__", "__pow__"}
+    defined = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        defined += [
+            (path.name, node.name, name)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)
+            for name in sorted(_class_level_names(node) & derived)
+        ]
+    assert defined == [
+        ("exactmath.py", "_Ring", "__pow__"),
+        ("exactmath.py", "_Ring", "__rsub__"),
+        ("exactmath.py", "_Ring", "__sub__"),
+    ]
+    for cls in (QSeries, Cyclotomic, RingClassP5.__base__):
+        assert issubclass(cls, _Ring), cls
 
 
 def test_vector_form_is_a_value():

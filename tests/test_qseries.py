@@ -69,6 +69,22 @@ class TestArithmetic:
         f = random_series(rng, 1, 8)
         assert f**2 == f * f
         assert f**3 == f * f * f
+        # on the 1/3 grid from a positive lowest exponent, each factor moves
+        # the cutoff up by that exponent: the power keeps the product's grid
+        # and cutoff as well as its value
+        from cubicforms.eisenstein import beta_series
+
+        for g in (
+            beta_series(4).rescale_exponent(F(1, 3)),
+            QSeries({1: F(2, 3), 2: F(-1, 5), 4: 7}, 3, F(8, 3)),
+        ):
+            assert g**0 == QSeries.one()
+            product = g
+            for m in range(1, 6):
+                power = g**m
+                assert power == product
+                assert (power.den, power.cut) == (product.den, product.cut)
+                product = product * g
 
     def test_alpha_power_11_leading(self):
         from cubicforms.eisenstein import alpha_series
@@ -792,3 +808,14 @@ def test_bad_grid_or_order_raises(make, error, match):
     # a non-int den would make the cutoff prec * den a non-integer
     with pytest.raises(error, match=match):
         make()
+
+
+@pytest.mark.parametrize(
+    "apply",
+    [lambda f: f - "a", lambda f: f - 1.5, lambda f: 1.5 - f],
+    ids=["sub-str", "sub-float", "rsub-float"],
+)
+def test_foreign_operand_in_subtraction_is_not_implemented(apply):
+    # Python's own TypeError, naming the operator, once both sides decline
+    with pytest.raises(TypeError, match=r"unsupported operand type\(s\) for -"):
+        apply(series([(0, 1), (1, 2)], prec=5))

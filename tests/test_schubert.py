@@ -286,9 +286,10 @@ class TestRingInputs:
             lambda x: x + 1,
             lambda x: 1 + x,
             lambda x: x - 1,
+            lambda x: x - "a",
             lambda x: x * F(1, 2),
         ],
-        ids=["mul-float", "rmul-float", "add-int", "radd-int", "sub-int", "mul-fraction"],
+        ids=["mul-float", "rmul-float", "add-int", "radd-int", "sub-int", "sub-str", "mul-fraction"],
     )
     @pytest.mark.parametrize("x", [RingClassP5.hyperplane_power(1), sigma(1)], ids=["P5", "Gr36"])
     def test_foreign_operand_is_not_implemented(self, x, apply):
