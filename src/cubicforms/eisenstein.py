@@ -286,10 +286,11 @@ def vv_eisenstein(form: DiscriminantForm, k: int, prec: Fraction | int) -> Vecto
         r * s(e) for gamma != 0,    r * (s(e) + eps chi(u) s(u)) for gamma = 0.
 
     The descent of ``local_euler_factor`` is the tests' oracle of each
-    factor.  Every coefficient must come out a nonnegative integer; anything
-    else raises.  One component is computed per {gamma, -gamma} orbit and
-    serves both.  The series is computed afresh on the form given, and
-    nothing keeps it.
+    factor.  A component is its numerators over one scale, den(ratio) *
+    3^(k-1), reduced once; it must be a nonnegative integer series, else
+    its first bad exponent raises.  One component is computed per {gamma,
+    -gamma} orbit and serves both.  The series is computed afresh on the
+    form given, and nothing keeps it.
     """
     if form.order != 3 or form.lattice.rank != 2:
         raise ValueError(
@@ -303,7 +304,7 @@ def vv_eisenstein(form: DiscriminantForm, k: int, prec: Fraction | int) -> Vecto
     eps = chi_minus3(starts[1])  # the class mod 3 of the exponents at gamma != 0
 
     def component(gamma: int) -> QSeries:
-        nums = {0: 2} if gamma == 0 else {}
+        nums = {0: 2 * r_den} if gamma == 0 else {}
         for e in range(starts[gamma] or 3, stop, 3):
             total = sums[e]
             if gamma == 0:
@@ -311,16 +312,15 @@ def vv_eisenstein(form: DiscriminantForm, k: int, prec: Fraction | int) -> Vecto
                 while u % 3 == 0:
                     u //= 3
                 total += eps * chi_minus3(u) * sums[u]
-            c, rem = divmod(r_num * total, r_den)
-            if rem:
-                what = f"Eisenstein coefficient at q^{Fraction(e, 3)} v_{gamma}"
-                as_integer(Fraction(r_num * total, r_den), what)
-            if c < 0:
-                raise IntegralityError(
-                    f"negative Eisenstein coefficient {c} at q^{Fraction(e, 3)} v_{gamma}"
-                )
-            nums[e] = c
-        return _series(nums, 1, 3, stop)
+            nums[e] = r_num * total
+        series = _series(nums, r_den, 3, stop)
+        if series.scale != 1 or min(series.nums.values(), default=0) < 0:
+            for e, c in sorted(series.coeffs.items()):
+                at = f"q^{Fraction(e, 3)} v_{gamma}"
+                as_integer(c, f"Eisenstein coefficient at {at}")
+                if c < 0:
+                    raise IntegralityError(f"negative Eisenstein coefficient {c} at {at}")
+        return series
 
     return VectorForm.per_orbit(Fraction(k), form, component)
 
