@@ -251,17 +251,18 @@ def local_euler_factor(
 
 @lru_cache(maxsize=None)
 def l_value_ratio(k: int) -> Fraction:
-    """Exact rational value of 2^(k+1) pi^k (-1)^((k-1)/2) / (sqrt(3) Gamma(k) L(k,chi)).
+    """Exact rational value of (-1)^((k-1)/2) 2^(k+1) pi^k / (sqrt(3) Gamma(k) L(k,chi)).
 
-    Expanding L(k, chi) = (2^(k-1) pi^k / (k! sqrt(3))) * sum_m chi(m) B_k(1-m/3)
-    cancels pi^k and sqrt(3), leaving 4k(-1)^((k-1)/2) / sum_m chi(m) B_k(1-m/3).
-    At odd k, B_k(1-x) = -B_k(x) and chi(3) = 0, so the sum is -2 B_k(1/3) and
-    the ratio is -2k(-1)^((k-1)/2) / B_k(1/3), from one Bernoulli value.
+    At odd k, L(k, chi) = (-1)^((k-1)/2) (2^(k-1) pi^k / (k! sqrt(3))) *
+    sum_m chi(m) B_k(1-m/3) > 0; this cancels pi^k, sqrt(3) and the sign,
+    leaving 4k / sum_m chi(m) B_k(1-m/3), of sign (-1)^((k-1)/2).  At odd k,
+    B_k(1-x) = -B_k(x) and chi(3) = 0, so the sum is -2 B_k(1/3) and the
+    ratio is -2k / B_k(1/3), from one Bernoulli value.
     Cached per k; only an int k gets past the body, so only ints are cached.
     """
     if k < 3 or k % 2 == 0:
         raise ValueError(f"L-value ratio needs odd k >= 3, got {k}")
-    return Fraction(-2 * k * (-1) ** ((k - 1) // 2)) / bernoulli_poly(k, Fraction(1, 3))
+    return Fraction(-2 * k) / bernoulli_poly(k, Fraction(1, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +273,7 @@ def vv_eisenstein(form: DiscriminantForm, k: int, prec: Fraction | int) -> Vecto
     """Vector-valued Eisenstein series for the order-3 form: constant term
     2*v_0, and coefficient of q^n v_gamma equal to
 
-        ratio * n^(k-1) * prod_{p | 18n} L_{gamma,n}(k,p) / (1 - chi(p) p^(-k)).
+        eps * ratio * n^(k-1) * prod_{p | 18n} L_{gamma,n}(k,p) / (1 - chi(p) p^(-k)).
 
     Each factor has a closed form (Bruinier-Kuss, "Eisenstein series attached
     to lattices and modular forms on orthogonal groups", Manuscripta Math. 106
@@ -281,27 +282,34 @@ def vv_eisenstein(form: DiscriminantForm, k: int, prec: Fraction | int) -> Vecto
     and 1 + eps chi(u) 3^((1-k)t) for gamma = 0, where e = 3^t u, 3 not
     dividing u, and eps = chi(-3 q(gamma)) at any gamma != 0 is +1 on -W and
     -1 on W.  So with s(m) = sum_{d | m} chi(m/d) d^(k-1), from one sieve, and
-    r = ratio / 3^(k-1), the coefficient at q^(e/3) is
+    r = eps * ratio / 3^(k-1), the coefficient at q^(e/3) is
 
         r * s(e) for gamma != 0,    r * (s(e) + eps chi(u) s(u)) for gamma = 0.
 
-    The descent of ``local_euler_factor`` is the tests' oracle of each
-    factor.  A component is its numerators over one scale, den(ratio) *
-    3^(k-1), reduced once; it must be a nonnegative integer series, else
-    its first bad exponent raises.  One component is computed per {gamma,
-    -gamma} orbit and serves both.  The series is computed afresh on the
-    form given, and nothing keeps it.
+    Bruinier-Kuss's sign (-1)^(b+/2), at signature (2, 2k - 2), is
+    (-1)^((2k + sig)/4): it depends on k and sig mod 8 alone, and Milgram's
+    formula gives sig = -2 eps mod 8.  So every non-constant coefficient has
+    the sign (-1)^((k - eps)/2) of eps * ratio; they are integers only at
+    k = 3, 5 on -W and k = 3, 5, 7 on W, and are checked for it only there.
+    A component is its numerators over one scale, den(ratio) * 3^(k-1),
+    reduced once; a failed check raises at its first bad exponent.  The
+    descent of ``local_euler_factor`` is the tests' oracle of each factor.
+    One component serves each {gamma, -gamma} orbit, and nothing keeps the
+    series.
     """
     if form.order != 3 or form.lattice.rank != 2:
         raise ValueError(
             "vector-valued Eisenstein series is wired to the rank-2, order-3 form"
         )
     stop = _cutoff(prec, 3, nonnegative=True)  # q^(e/3) is below prec iff e < stop
-    ratio = l_value_ratio(k)
     sums = _divisor_sums(k, stop, (1, -1, 0))
-    r_num, r_den = ratio.numerator, ratio.denominator * 3 ** (k - 1)
     starts = [as_integer(-3 * q, "3 q(gamma)") % 3 for q in form.qvalues]
     eps = chi_minus3(starts[1])  # the class mod 3 of the exponents at gamma != 0
+    ratio = eps * l_value_ratio(k)
+    r_num, r_den = ratio.numerator, ratio.denominator * 3 ** (k - 1)
+    sign = eps * (-1) ** ((k - 1) // 2)
+    wrong = "negative" if sign > 0 else "positive"
+    integral = k <= (5 if eps > 0 else 7)
 
     def component(gamma: int) -> QSeries:
         nums = {0: 2 * r_den} if gamma == 0 else {}
@@ -314,12 +322,14 @@ def vv_eisenstein(form: DiscriminantForm, k: int, prec: Fraction | int) -> Vecto
                 total += eps * chi_minus3(u) * sums[u]
             nums[e] = r_num * total
         series = _series(nums, r_den, 3, stop)
-        if series.scale != 1 or min(series.nums.values(), default=0) < 0:
+        signed = [sign * n for e, n in series.nums.items() if e]
+        if min(signed, default=0) < 0 or (integral and series.scale != 1):
             for e, c in sorted(series.coeffs.items()):
                 at = f"q^{Fraction(e, 3)} v_{gamma}"
-                as_integer(c, f"Eisenstein coefficient at {at}")
-                if c < 0:
-                    raise IntegralityError(f"negative Eisenstein coefficient {c} at {at}")
+                if integral:
+                    as_integer(c, f"Eisenstein coefficient at {at}")
+                if e and sign * c < 0:
+                    raise IntegralityError(f"{wrong} Eisenstein coefficient {c} at {at}")
         return series
 
     return VectorForm.per_orbit(Fraction(k), form, component)

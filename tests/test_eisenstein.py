@@ -1,4 +1,8 @@
+import cProfile
 import gc
+import io
+import pstats
+import re
 import tracemalloc
 import weakref
 from collections import Counter
@@ -45,7 +49,8 @@ from cubicforms.fqm import (
     short_vectors,
     w_prime_form,
 )
-from cubicforms.qseries import QSeries
+from cubicforms.cli import main
+from cubicforms.qseries import QSeries, solve_linear_combination
 from cubicforms.vvmf import VectorForm, basis_weight11
 from lattices import direct_sum, theta_e6
 
@@ -312,16 +317,17 @@ class TestLocalFactors:
         assert s == F(10, 243)
 
     def test_l_value_ratio_at_3_bernoulli_oracle(self):
-        # k = 3 carries sign (-1)^((3-1)/2) = -1 on the 4k prefactor
+        # the ratio 4k / sum has the sign (-1)^((k-1)/2), - at k = 3
         s = sum(chi_minus3(m) * bernoulli_poly(3, 1 - F(m, 3)) for m in range(1, 4))
         assert s == F(-2, 27)
-        assert l_value_ratio(3) == -12 / s == 162
+        assert l_value_ratio(3) == 12 / s == -162
 
     def test_l_value_ratio_equals_three_term_bernoulli_sum(self):
         # the ratio reads -2 B_k(1/3); the sum over m = 1, 2, 3 is its oracle
         for k in range(3, 102, 2):
             s = sum(chi_minus3(m) * bernoulli_poly(k, 1 - F(m, 3)) for m in range(1, 4))
-            assert l_value_ratio(k) == 4 * k * (-1) ** ((k - 1) // 2) / s, k
+            assert l_value_ratio(k) == 4 * k / s, k
+            assert (l_value_ratio(k) > 0) == (k % 4 == 1), k
 
     def test_rejects_even(self):
         with pytest.raises(ValueError):
@@ -649,9 +655,17 @@ def _oracle_factor(k, form, gamma, n, p):
     return (1 - F(p) ** (1 - k)) * head + counts[w] * F(p) ** (-k * w)
 
 
+def _twist_sign(form):
+    """eps, read off q(gamma) at gamma != 0 on its own: q(gamma) is 2/3 mod 1
+    on -W (eps = +1) and 1/3 on W (eps = -1)."""
+    return 1 if form.qvalue(1) % 1 == F(2, 3) else -1
+
+
 def _oracle_coefficient(k, form, gamma, n, factor):
-    """ratio * n^(k-1) * prod_{p | 18n} factor(p) / (1 - chi(p) p^(-k)), in Fractions."""
-    val = l_value_ratio(k) * n ** (k - 1)
+    """eps * ratio * n^(k-1) * prod_{p | 18n} factor(p) / (1 - chi(p) p^(-k)),
+    in Fractions.  The ratio is looked up on the module, so a defect planted
+    there reaches the oracle too."""
+    val = _twist_sign(form) * eisenstein.l_value_ratio(k) * n ** (k - 1)
     for p in prime_factors(as_integer(18 * n, "18n")):
         val *= factor(p) / (1 - chi_minus3(p) * F(p) ** (-k))
     return val
@@ -659,8 +673,13 @@ def _oracle_coefficient(k, form, gamma, n, factor):
 
 def _vv_oracle(form, k, prec):
     """The Euler-product series assembled in Fractions, every coset computed
-    in full, with the integrality and sign checks of vv_eisenstein."""
+    in full, with the sign and integrality checks of vv_eisenstein: every
+    non-constant coefficient has the sign eps (-1)^((k-1)/2), and it is an
+    integer at k = 3, 5 on -W and k = 3, 5, 7 on W."""
     prec = F(prec)
+    eps = _twist_sign(form)
+    sign = eps * (-1) ** ((k - 1) // 2)
+    integral = k in ((3, 5) if eps == 1 else (3, 5, 7))
     components = []
     for gamma in range(form.order):
         offset = (-form.qvalue(gamma)) % 1
@@ -670,12 +689,12 @@ def _vv_oracle(form, k, prec):
             val = _oracle_coefficient(
                 k, form, gamma, n, lambda p: _oracle_factor(k, form, gamma, n, p)
             )
-            c = as_integer(val, f"Eisenstein coefficient at q^{n} v_{gamma}")
-            if c < 0:
-                raise IntegralityError(
-                    f"negative Eisenstein coefficient {c} at q^{n} v_{gamma}"
-                )
-            coeffs[n] = F(c)
+            if integral:
+                as_integer(val, f"Eisenstein coefficient at q^{n} v_{gamma}")
+            if sign * val < 0:
+                wrong = "negative" if sign > 0 else "positive"
+                raise IntegralityError(f"{wrong} Eisenstein coefficient {val} at q^{n} v_{gamma}")
+            coeffs[n] = val
             n += 1
         if gamma == 0:
             coeffs[F(0)] = F(2)
@@ -702,45 +721,10 @@ def _form_weights(name_weights):
 class TestWeightParity:
     """E_k against the Gamma0(3) generators: f = sum_gamma F_gamma(3 tau) lies
     in M_k(Gamma0(3), chi_{-3}), spanned by alpha^(k-3j) beta^j, and
-    fit_alpha_beta must find f there with 25 or more points to spare.  The
-    sign of the gamma = 0 correction is + at k = 1 mod 4 and - at k = 3 mod 4,
-    but vv_eisenstein takes + at every weight on -W.  On W the sign is the
-    opposite one, so the W series at k = 3 and 7 fit today."""
+    fit_alpha_beta must find f there with 25 or more points to spare.  A
+    wrong sign of the normalizing ratio at a weight leaves the span."""
 
-    @pytest.mark.parametrize(
-        "name, k",
-        [
-            pytest.param(
-                "w_prime",
-                3,
-                marks=pytest.mark.xfail(
-                    raises=ArithmeticError,
-                    strict=True,
-                    reason="k = 3 mod 4 takes sign +, so E_3 leaves the span",
-                ),
-                id="3",
-            ),
-            pytest.param("w_prime", 5, id="5"),
-            *(
-                pytest.param(
-                    "w_prime",
-                    k,
-                    marks=pytest.mark.xfail(
-                        raises=IntegralityError, strict=True, reason=reason
-                    ),
-                    id=str(k),
-                )
-                for k, reason in (
-                    (7, "k = 3 mod 4 takes sign +, and the true E_7 is not integral"),
-                    (9, "the sign is right, but vv_eisenstein rejects the true "
-                        "coefficients, which are not integers"),
-                    (11, "k = 3 mod 4 takes sign +, and the true E_11 is not integral"),
-                )
-            ),
-            pytest.param("w", 3, id="w-3"),
-            pytest.param("w", 7, id="w-7"),
-        ],
-    )
+    @_form_weights([(name, k) for name in _DET3_FORMS for k in range(3, 12, 2)])
     def test_fits_the_gamma0_generators(self, name, k):
         from cubicforms.vvmf import fit_alpha_beta
 
@@ -749,32 +733,25 @@ class TestWeightParity:
         assert f.prec == 360
         assert fit_alpha_beta(f, k, min_extra=25)[0] == 2  # the constant term
 
-    @pytest.mark.parametrize(
-        "k",
-        [
-            pytest.param(
-                3,
-                marks=pytest.mark.xfail(
-                    strict=True,
-                    reason="k = 3 mod 4 takes sign +: the pairing is 4 + 2592q + ..., "
-                    "not 4 E6",
-                ),
-            ),
-            5,
-        ],
-    )
+    @pytest.mark.parametrize("k", range(3, 14, 2))
     def test_pairing_with_theta_e6_is_level_one(self, k):
         # theta_E6 lies in M_3(rho_{-W}) and E_k(-W) in M_k(rho*_{-W}), so
-        # sum_gamma 2 theta_E6,gamma E_k,gamma lies in M_(k+3)(SL2(Z)): C E6
-        # at k = 3 and C E4^2 at k = 5, with constant term 2 * 1 * 2.  The
-        # left factor is a lattice theta series, with no Eisenstein code
+        # sum_gamma theta_E6,gamma E_k,gamma lies in M_(k+3)(SL2(Z)), spanned
+        # by the E4^a E6^b with 4a + 6b = k + 3: one exact fit on all 40
+        # coefficients, its constant term 1 * 2.  The left factor is a
+        # lattice theta series, with no Eisenstein code
         prec = 40
         e = vv_eisenstein(w_prime_form(), k, prec).components
         pairing = sum((t * c for t, c in zip(theta_e6(prec), e)), QSeries.zero())
+        # QSeries equality compares cutoffs, so the pairing is cut to prec
+        pairing = pairing.truncate(prec)
+        assert all(x.denominator == 1 for x in pairing.exponents())
         e4, e6 = eisenstein_level1(4, prec), eisenstein_level1(6, prec)
-        want = e6 * 4 if k == 3 else e4 * e4 * 4
-        # QSeries equality compares cutoffs, so both sides are cut alike
-        assert (pairing * 2).truncate(prec) == want.truncate(prec)
+        w = k + 3
+        basis = [e4 ** ((w - 6 * b) // 4) * e6**b for b in range(w // 6 + 1) if (w - 6 * b) % 4 == 0]
+        coeffs = solve_linear_combination(basis, [(n, pairing.coefficient(n)) for n in range(prec)])
+        assert sum(c * g for c, g in zip(coeffs, basis)) == pairing
+        assert pairing.coefficient(0) == 2
 
 
 class TestIntegerAssembly:
@@ -784,7 +761,7 @@ class TestIntegerAssembly:
 
     PREC = 120
 
-    @_form_weights([("w_prime", 3), ("w_prime", 5), ("w", 3), ("w", 5), ("w", 7)])
+    @_form_weights([(name, k) for name in _DET3_FORMS for k in range(3, 12, 2)])
     def test_series_matches_fraction_oracle(self, name, k):
         form = discriminant_form(_DET3_FORMS[name])
         got = vv_eisenstein(form, k, self.PREC)
@@ -795,14 +772,51 @@ class TestIntegerAssembly:
             assert (mine.scale, mine.prec) == (theirs.scale, theirs.prec)
 
     @_form_weights([("w_prime", 7), ("w_prime", 9), ("w_prime", 11), ("w", 9), ("w", 11)])
-    def test_failing_weight_raises_as_oracle(self, name, k):
+    def test_failing_weight_raises_as_oracle(self, name, k, monkeypatch):
+        # the weights whose coefficients are not integers keep the sign check:
+        # a sign error planted in the ratio fails at the first non-constant
+        # coefficient, q^1 on coset 0, with the oracle's message
+        ratio = eisenstein.l_value_ratio
+        monkeypatch.setattr(eisenstein, "l_value_ratio", lambda k: -ratio(k))
         form = discriminant_form(_DET3_FORMS[name])
         with pytest.raises(IntegralityError) as want:
             _vv_oracle(form, k, self.PREC)
         with pytest.raises(IntegralityError) as got:
             vv_eisenstein(form, k, self.PREC)
         assert str(got.value) == str(want.value)
-        assert "is not an integer" in str(got.value)
+        assert str(got.value).endswith(" at q^1 v_0")
+        assert "/" in str(got.value)
+
+    @pytest.mark.parametrize(
+        "plant, message",
+        [
+            (lambda r: -r, r"negative Eisenstein coefficient -492 at q\^1 v_0"),
+            (lambda r: r / 7, r"Eisenstein coefficient at q\^1 v_0 = 492/7 is not an integer"),
+        ],
+        ids=["sign", "integrality"],
+    )
+    def test_planted_defect_fires_at_the_first_coefficient(
+        self, w_prime, monkeypatch, capsys, plant, message
+    ):
+        # each check that remains at k = 5 catches its own planted defect, at
+        # q^1 on coset 0, in the library and on the command line (exit 1)
+        ratio = eisenstein.l_value_ratio
+        monkeypatch.setattr(eisenstein, "l_value_ratio", lambda k: plant(ratio(k)))
+        with pytest.raises(IntegralityError, match=f"^{message}$"):
+            vv_eisenstein(w_prime, 5, self.PREC)
+        with pytest.raises(IntegralityError, match=f"^{message}$"):
+            _vv_oracle(w_prime, 5, self.PREC)
+        assert main(["eisenstein", "--k", "5"], out=io.StringIO()) == 1
+        assert re.fullmatch(f"error: {message}\n", capsys.readouterr().err)
+
+    def test_assembly_makes_no_divmod_call(self, w_prime):
+        # the numerators sit over one scale and are reduced once, with no
+        # division per coefficient
+        profile = cProfile.Profile()
+        profile.runcall(vv_eisenstein, w_prime, 5, 120)
+        names = [name for _file, _line, name in pstats.Stats(profile).stats]
+        assert "_divisor_sums" in names
+        assert not [name for name in names if "divmod" in name]
 
     def test_local_factor_matches_fraction_oracle(self, w_prime):
         checked = 0
@@ -916,7 +930,7 @@ class TestThetaOracle:
 
     @pytest.mark.parametrize("k", [3, 7])
     def test_eisenstein_on_w_is_twice_theta_e6(self, k):
-        # the side of the weight-parity sign that is right today: E6 = A2^3
+        # Siegel-Weil on W, which fixes its sign at k = 3 and 7: E6 = A2^3
         # glued by [111] has the discriminant form of W, so E_3 = 2 theta_E6
         # and E_7 = 2 theta_(E6 + E8) = 2 theta_E6 E_4, with theta_i the
         # coset series of W = A2 and theta_E6 = (theta_0^3 + 2 theta_1^3,
