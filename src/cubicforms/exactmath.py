@@ -411,7 +411,7 @@ class Cyclotomic(_Ring, _Value):
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
             return self * (1 / Fraction(other))
-        raise TypeError("division only by exact rationals")
+        return NotImplemented
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -280,6 +280,20 @@ class TestCyclotomic:
             op(Cyclotomic.zeta_power(1))
 
     @pytest.mark.parametrize(
+        "op",
+        [lambda z: z / 1.5, lambda z: z / z, lambda z: z / "a", lambda z: 1 / z],
+        ids=["div-float", "div-cyclotomic", "div-str", "rdiv-int"],
+    )
+    def test_foreign_operand_in_division_is_not_implemented(self, op):
+        # only an exact rational divides; anything else gets Python's own error
+        with pytest.raises(TypeError, match=r"unsupported operand type\(s\) for /"):
+            op(Cyclotomic.zeta_power(1))
+
+    def test_division_by_an_exact_rational(self):
+        z = Cyclotomic.zeta_power(1)
+        assert z / 2 == z * F(1, 2) and z / F(2, 3) == z * F(3, 2)
+
+    @pytest.mark.parametrize(
         "m, error, match",
         [
             (1.5, TypeError, "power must be an int, not float"),
