@@ -254,7 +254,8 @@ class RingClassGr36(_GrassmannianClass):
 
 class ChernSeries(_Value):
     """Total Chern class c_0 + c_1 + ... + c_dim with c_0 = 1, each c_k a
-    pure-degree-k integer class of the base ring."""
+    pure-degree-k integer class of the base ring, stored padded with zero
+    classes up to c_dim, so one series has one layout."""
 
     __slots__ = ("classes",)
 
@@ -269,7 +270,7 @@ class ChernSeries(_Value):
         for k, c in enumerate(classes):
             if type(c) is not ring or not c.is_pure(k):
                 raise ValueError(f"c_{k} is not a pure degree-{k} class of {ring.__name__}")
-        self._set(classes)
+        self._set(tuple(classes) + (ring.zero(),) * (ring.DIM + 1 - len(classes)))
 
     @property
     def ring(self):
@@ -279,23 +280,16 @@ class ChernSeries(_Value):
     def dim(self) -> int:
         return self.ring.DIM
 
-    def padded(self) -> list:
-        out = list(self.classes)
-        while len(out) < self.dim + 1:
-            out.append(self.ring.zero())
-        return out
-
     def chern(self, k: int):
         """The class c_k, zero for k < 0 and above the base dimension; the
         way callers read one Chern class, as the kernel displays do."""
-        p = self.padded()
-        return p[k] if 0 <= k < len(p) else self.ring.zero()
+        return self.classes[k] if 0 <= k <= self.dim else self.ring.zero()
 
 
 def chern_invert(c: ChernSeries) -> ChernSeries:
     """Multiplicative inverse truncated at the base dimension; from c_0 = 1
     the recursion s_k = -(c_1 s_{k-1} + ... + c_k s_0) is division-free."""
-    cs = c.padded()
+    cs = c.classes
     ring = c.ring
     s = [ring.one()]
     for k in range(1, c.dim + 1):
@@ -364,7 +358,7 @@ def proj_bundle_power(c_kernel: ChernSeries, rank: int, power: int) -> int:
         raise ValueError(f"xi^{power} needs power >= rank-1 = {rank - 1}")
     ring = c_kernel.ring
     dim = c_kernel.dim
-    cs = c_kernel.padded() + [ring.zero()]  # c_{dim+1} = 0
+    cs = c_kernel.classes + (ring.zero(),)  # c_{dim+1} = 0
     B = [ring.one()] + [ring.zero()] * dim
     for _ in range(power - rank + 1):
         head = B[0]
@@ -379,7 +373,7 @@ def segre_degree(c_complement: ChernSeries) -> int:
     """Independent path: the total Segre class of the kernel bundle equals
     the Chern series of its complement in the defining exact sequence, so the
     top pushforward is just that series' top graded piece."""
-    return c_complement.padded()[c_complement.dim].degree()
+    return c_complement.classes[-1].degree()
 
 
 def degree_c6_recurrence() -> int:

@@ -391,7 +391,7 @@ class TestProjectiveSpaceRing:
         cj = chern_jet()
         assert chern_invert(chern_invert(cj)).classes == cj.classes
         one = ChernSeries((RingClassP5.one(),))
-        assert chern_invert(one).padded() == one.padded()
+        assert chern_invert(one) == one
 
 
 class TestSym3Bundle:

@@ -97,8 +97,9 @@ def test_repr():
     assert repr(Mp2Element.S()) == "Mp2Element(a=0, b=-1, c=1, d=0, eps=1)"
     assert repr(RingClassP5.one()) == "RingClassP5(coeffs=(((0,), 1),))"
     assert repr(RingClassGr36.sigma(1)) == "RingClassGr36(coeffs=(((1, 0, 0), 1),))"
+    zero = "RingClassP5(coeffs=())"
     assert repr(ChernSeries((RingClassP5.one(),))) == (
-        "ChernSeries(classes=(RingClassP5(coeffs=(((0,), 1),)),))"
+        f"ChernSeries(classes=(RingClassP5(coeffs=(((0,), 1),)), {', '.join([zero] * 5)}))"
     )
     h = HeegnerSeries(QSeries({0: -2}, 1, 1), {})
     assert repr(h) == "HeegnerSeries(theta=QSeries(-2 + O(q^(1))), degrees={})"
@@ -227,6 +228,15 @@ def test_chern_series_takes_zero_and_mixed_partition_classes():
     gr = (_GR_ONE, RingClassGr36.zero(), RingClassGr36.sigma(2) + RingClassGr36.sigma(1, 1))
     assert ChernSeries(gr).chern(2) == RingClassGr36.sigma(2) + RingClassGr36.sigma(1, 1)
     assert ChernSeries((_P5_ONE, RingClassP5.zero())).chern(1).is_zero()
+
+
+@pytest.mark.parametrize("ring", [RingClassP5, RingClassGr36])
+def test_chern_series_has_one_layout(ring):
+    # c = 1 given alone and padded with zero classes up to c_dim is one value
+    short = ChernSeries((ring.one(),))
+    padded = ChernSeries((ring.one(),) + (ring.zero(),) * ring.DIM)
+    assert short == padded and hash(short) == hash(padded)
+    assert short.classes == padded.classes and len(short.classes) == ring.DIM + 1
 
 
 def test_heegner_series_compares_theta_and_degrees():
