@@ -254,11 +254,10 @@ def l_value_ratio(k: int) -> Fraction:
     """Exact rational value of (-1)^((k-1)/2) 2^(k+1) pi^k / (sqrt(3) Gamma(k) L(k,chi)).
 
     At odd k, L(k, chi) = (-1)^((k-1)/2) (2^(k-1) pi^k / (k! sqrt(3))) *
-    sum_m chi(m) B_k(1-m/3) > 0; this cancels pi^k, sqrt(3) and the sign,
-    leaving 4k / sum_m chi(m) B_k(1-m/3), of sign (-1)^((k-1)/2).  At odd k,
-    B_k(1-x) = -B_k(x) and chi(3) = 0, so the sum is -2 B_k(1/3) and the
-    ratio is -2k / B_k(1/3), from one Bernoulli value.
-    Cached per k; only an int k gets past the body, so only ints are cached.
+    sum_m chi(m) B_k(1-m/3) > 0, so the ratio is 4k / sum_m chi(m) B_k(1-m/3).
+    B_k(1-x) = -B_k(x) at odd k and chi(3) = 0, so the sum is -2 B_k(1/3)
+    and the ratio -2k / B_k(1/3), from one Bernoulli value.  Cached per k;
+    only an int k gets past the body, so only ints are cached.
     """
     if k < 3 or k % 2 == 0:
         raise ValueError(f"L-value ratio needs odd k >= 3, got {k}")
@@ -286,16 +285,16 @@ def vv_eisenstein(form: DiscriminantForm, k: int, prec: Fraction | int) -> Vecto
 
         r * s(e) for gamma != 0,    r * (s(e) + eps chi(u) s(u)) for gamma = 0.
 
-    Bruinier-Kuss's sign (-1)^(b+/2), at signature (2, 2k - 2), is
-    (-1)^((2k + sig)/4): it depends on k and sig mod 8 alone, and Milgram's
-    formula gives sig = -2 eps mod 8.  So every non-constant coefficient has
-    the sign (-1)^((k - eps)/2) of eps * ratio; they are integers only at
-    k = 3, 5 on -W and k = 3, 5, 7 on W, and are checked for it only there.
-    A component is its numerators over one scale, den(ratio) * 3^(k-1),
-    reduced once; a failed check raises at its first bad exponent.  The
-    descent of ``local_euler_factor`` is the tests' oracle of each factor.
-    One component serves each {gamma, -gamma} orbit, and nothing keeps the
-    series.
+    Bruinier-Kuss's sign (-1)^(b+/2) at signature (2, 2k - 2) is
+    (-1)^((2k + sig)/4), which depends on k and sig = -2 eps mod 8
+    (Milgram) alone: every non-constant coefficient has the sign
+    (-1)^((k - eps)/2) of eps * ratio.  They are integers, and are checked
+    to be, only at k = 3, 5 on -W and k = 3, 5, 7 on W.  Each component is
+    its numerators over one scale, den(ratio) * 3^(k-1), reduced once, and
+    a failed check raises at its first bad exponent.  ``local_euler_factor``
+    is the tests' oracle of each factor.  One component serves each {gamma,
+    -gamma} orbit; the series is computed afresh on the form given, and
+    nothing keeps it.
     """
     if form.order != 3 or form.lattice.rank != 2:
         raise ValueError(

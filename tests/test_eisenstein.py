@@ -747,8 +747,7 @@ class TestWeightParity:
         pairing = pairing.truncate(prec)
         assert all(x.denominator == 1 for x in pairing.exponents())
         e4, e6 = eisenstein_level1(4, prec), eisenstein_level1(6, prec)
-        w = k + 3
-        basis = [e4 ** ((w - 6 * b) // 4) * e6**b for b in range(w // 6 + 1) if (w - 6 * b) % 4 == 0]
+        basis = [e4**a * e6**b for a in range(5) for b in range(3) if 4 * a + 6 * b == k + 3]
         coeffs = solve_linear_combination(basis, [(n, pairing.coefficient(n)) for n in range(prec)])
         assert sum(c * g for c, g in zip(coeffs, basis)) == pairing
         assert pairing.coefficient(0) == 2
