@@ -304,8 +304,8 @@ def vv_eisenstein(form: DiscriminantForm, k: int, prec: Fraction | int) -> Vecto
     sums = _divisor_sums(k, stop, (1, -1, 0))
     starts = [as_integer(-3 * q, "3 q(gamma)") % 3 for q in form.qvalues]
     eps = chi_minus3(starts[1])  # the class mod 3 of the exponents at gamma != 0
-    ratio = eps * l_value_ratio(k)
-    r_num, r_den = ratio.numerator, ratio.denominator * 3 ** (k - 1)
+    ratio = l_value_ratio(k)
+    r_num, r_den = eps * ratio.numerator, ratio.denominator * 3 ** (k - 1)
     sign = eps * (-1) ** ((k - 1) // 2)
     wrong = "negative" if sign > 0 else "positive"
     integral = k <= (5 if eps > 0 else 7)

@@ -270,7 +270,8 @@ class ChernSeries(_Value):
         for k, c in enumerate(classes):
             if type(c) is not ring or not c.is_pure(k):
                 raise ValueError(f"c_{k} is not a pure degree-{k} class of {ring.__name__}")
-        self._set(tuple(classes) + (ring.zero(),) * (ring.DIM + 1 - len(classes)))
+        pad = ring.DIM + 1 - len(classes)
+        self._set(tuple(classes) + (ring.zero(),) * pad if pad else tuple(classes))
 
     @property
     def ring(self):
