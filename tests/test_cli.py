@@ -1,8 +1,8 @@
 import ast
 import io
 import json
-import re
 import random
+import re
 from fractions import Fraction as F
 from pathlib import Path
 

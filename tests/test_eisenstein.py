@@ -304,8 +304,12 @@ def test_solutions_mod_p_equals_fresh_enumeration(p):
 
 # every rank-2 even lattice with |det G| = 3 has det G = 3: -W and W itself
 _DET3_FORMS = {"w_prime": W_PRIME_GRAM, "w": W_GRAM}
-# the sign of the twist at p = 3 on each of them
-_EPS = {"w_prime": 1, "w": -1}
+
+
+def _twist_sign(form):
+    """eps, read off q(gamma) at gamma != 0 on its own: q(gamma) is 2/3 mod 1
+    on -W (eps = +1) and 1/3 on W (eps = -1)."""
+    return 1 if form.qvalue(1) % 1 == F(2, 3) else -1
 
 
 class TestLocalFactors:
@@ -471,7 +475,7 @@ class TestGoodPrimes:
                         descent = local_euler_factor(k, form, gamma, n, p)
                         want = descent / (1 - chi_minus3(p) * F(p) ** -k)
                         if p == 3:
-                            got = _factor_at_3(k, _EPS[name], gamma, e)
+                            got = _factor_at_3(k, _twist_sign(form), gamma, e)
                         else:
                             got = F(*_good_factor(k, p, e))
                         assert got == want, (k, gamma, n, p)
@@ -653,12 +657,6 @@ def _oracle_factor(k, form, gamma, n, p):
     counts = prime_power_counts(form, gamma, n, p, w)
     head = sum(counts[v] * F(p) ** (-k * v) for v in range(w))
     return (1 - F(p) ** (1 - k)) * head + counts[w] * F(p) ** (-k * w)
-
-
-def _twist_sign(form):
-    """eps, read off q(gamma) at gamma != 0 on its own: q(gamma) is 2/3 mod 1
-    on -W (eps = +1) and 1/3 on W (eps = -1)."""
-    return 1 if form.qvalue(1) % 1 == F(2, 3) else -1
 
 
 def _oracle_coefficient(k, form, gamma, n, factor):
