@@ -13,9 +13,9 @@ classes (``Cyclotomic`` here; ``EvenLattice``, ``Mp2Element``,
 ``ChernSeries`` in the other modules): read-only ``__slots__`` fields set
 once by ``__init__``, and equality, hashing, ``repr``, copy and pickle from
 the field tuple; ``Cyclotomic`` keeps its own equality, hashing and ``repr``.
-``_Ring`` is the one definition of the derived ring operations (negation by
-default, subtraction and powers) for ``Cyclotomic``, ``qseries.QSeries`` and
-the Grassmannian classes of ``schubert``.
+``_Ring`` is the one definition of the derived ring operations (negation,
+subtraction and powers) for ``Cyclotomic``, ``qseries.QSeries`` and the
+Grassmannian classes of ``schubert``.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ class _Value:
 
 
 class _Ring:
-    """Subtraction, powers and a default negation of the exact rings, from a
+    """Negation, subtraction and powers of the exact rings, from a
     subclass's ``__add__``, ``__mul__`` and ``one()``; an operand the ring
     cannot take gives ``NotImplemented``, so Python raises its own TypeError."""
 
@@ -381,9 +381,6 @@ class Cyclotomic(_Ring, _Value):
         return _canonical([a * db + b * da for a, b in zip(self.nums, other.nums)], da * db)
 
     __radd__ = __add__
-
-    def __neg__(self):
-        return _canonical([-a for a in self.nums], self.den)
 
     def __mul__(self, other):
         if not isinstance(other, Cyclotomic):

@@ -278,9 +278,6 @@ class QSeries(_Ring):
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return _series({e: -n for e, n in self.nums.items()}, self.scale, self.den, self.cut)
-
     def __mul__(self, other):
         if not isinstance(other, QSeries):
             if not isinstance(other, (int, Fraction)):

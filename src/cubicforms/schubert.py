@@ -23,7 +23,6 @@ __all__ = [
     "RingClassP5",
     "RingClassGr36",
     "ChernSeries",
-    "lr_coefficient",
     "box_partitions",
     "chern_jet",
     "chern_invert",
@@ -112,16 +111,6 @@ def _schur_expansion(f: dict[Monomial, int], mu: Partition, nus) -> dict[Partiti
         if c:
             out[nu] = c
     return out
-
-
-def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
-    """Littlewood-Richardson coefficient c^nu_{lam,mu} of partitions with at
-    most r parts (r-tuples or lists of r entries): the coefficient of s_nu in
-    s_lam * s_mu, one bialternant read; 0 when nu is not a partition."""
-    nu = tuple(nu)
-    if any(a < b for a, b in zip(nu, nu[1:] + (0,))):
-        return 0
-    return _schur_expansion(_schur(tuple(lam)), tuple(mu), (nu,)).get(nu, 0)
 
 
 @lru_cache(maxsize=None)

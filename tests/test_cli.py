@@ -8,14 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from test_fqm import random_word_element
-
 from cubicforms import cli
 from cubicforms.cli import (
     MAX_GRAM_ORDER,
     MAX_TERMS,
     MAX_WEIGHT,
-    _below,
     _gram_matrix,
     _suite_qseries,
     _suite_weil,
@@ -24,6 +21,7 @@ from cubicforms.cli import (
     main,
 )
 from cubicforms.exactmath import Cyclotomic
+from cubicforms.fqm import Mp2Element
 from cubicforms.qseries import QSeries, _series
 
 
@@ -318,26 +316,11 @@ class TestVerify:
             main(["verify", "--suite", "nonsense"])
         assert err.value.code == 2
 
-    @pytest.mark.parametrize(
-        "seed, low, high",
-        [(20240817, 1, 10), (20240817, 1, 6), (99, -9, 9), (99, 1, 4), (99, 0, 3)],
-    )
-    def test_suite_draws_are_those_of_randint(self, seed, low, high):
-        # the weil (seed 20240817) and qseries (seed 99) suites draw with
-        # randrange(low, high + 1), which must draw what randint(low, high)
-        # drew, so every random word and series stays the same
-        import random
-
-        a, b = random.Random(seed), random.Random(seed)
-        assert [a.randint(low, high) for _ in range(10000)] == [
-            b.randrange(low, high + 1) for _ in range(10000)
-        ]
-
     def test_qseries_suite_draws_the_fraction_oracle_series(self):
-        # every series the three checks draw is the one that the oracle, the
-        # suite's former Fraction-built random_series, makes from the same
-        # position of the same random.Random(99) stream, and both consume
-        # the same draws
+        # every series the three checks draw is the one that the oracle, a
+        # series built from one Fraction n/d per coefficient, makes from the
+        # same position of the same random.Random(99) stream, and both
+        # consume the same draws
         checks = _suite_qseries()
         ring = checks[0][1]
         cells = dict(zip(ring.__code__.co_freevars, ring.__closure__))
@@ -364,9 +347,10 @@ class TestVerify:
             )
 
     def test_weil_suite_draws_the_random_word_elements(self):
-        # every element the two checks draw is the one that the oracle,
-        # test_fqm's randint/choice word, makes from the same position of the
-        # same random.Random(20240817) stream, and both consume the same draws
+        # every element the two checks draw is the one that the oracle, a
+        # product of freshly built generators, makes from the same position
+        # of the same random.Random(20240817) stream, and both consume the
+        # same draws
         checks = _suite_weil()
         unitary = checks[0][1]
         cells = dict(zip(unitary.__code__.co_freevars, unitary.__closure__))
@@ -381,7 +365,7 @@ class TestVerify:
             got = suite_element(max_len)
             oracle_rng = random.Random()
             oracle_rng.setstate(state)
-            want = random_word_element(oracle_rng, max_len)
+            want = word_element(oracle_rng, max_len)
             drawn.append((got == want, oracle_rng.getstate() == rng.getstate()))
             return got
 
@@ -418,6 +402,16 @@ class TestVerify:
         code, out = run(["verify", "--suite", "weil"])
         assert code == 1 and "FAIL  weil:" in out
 
+    def test_seeded_suites_pass_at_every_seed(self, monkeypatch):
+        # no verdict may hang on the suites' seeds 99 and 20240817: with
+        # random.Random pinned to each of the seeds 0-19, every check passes
+        real, failed = random.Random, []
+        for seed in range(20):
+            monkeypatch.setattr(random, "Random", lambda _, seed=seed: real(seed))
+            for name in ("qseries", "weil"):
+                failed += [(seed, prop) for prop, check in cli.SUITES[name]() if not check()]
+        assert failed == []
+
     def test_qseries_suite_passes(self):
         code, out = run(["verify", "--suite", "qseries"])
         assert code == 0
@@ -428,45 +422,23 @@ class TestVerify:
         )
 
 
-class TestSuiteDraws:
-    @pytest.mark.parametrize("seed", [20240817, 99])
-    @pytest.mark.parametrize("n", [2, 3, 4, 6, 10, 19])
-    def test_below_draws_the_randrange_stream(self, n, seed):
-        a, b = random.Random(seed), random.Random(seed)
-        assert [_below(a, n) for _ in range(10000)] == [b.randrange(n) for _ in range(10000)]
-        assert a.getstate() == b.getstate()
-
-    @pytest.mark.parametrize("seed", [20240817, 99])
-    @pytest.mark.parametrize("seq", [(1, 3), ("S", "T", "T-")])
-    def test_below_draws_the_choice_stream(self, seq, seed):
-        a, b = random.Random(seed), random.Random(seed)
-        assert [seq[_below(a, len(seq))] for _ in range(10000)] == [
-            b.choice(seq) for _ in range(10000)
-        ]
-        assert a.getstate() == b.getstate()
-
-    def test_every_suite_draw_goes_through_below(self):
-        # no call in cli.py is to the stdlib's randrange, randint or choice,
-        # and getrandbits is called only inside _below
-        tree = ast.parse(Path(cli.__file__).read_text())
-        draws = []
-        for top in tree.body:
-            name = getattr(top, "name", "<module>")
-            for node in ast.walk(top):
-                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-                    if node.func.attr in ("randrange", "randint", "choice", "getrandbits"):
-                        draws.append((name, node.func.attr))
-        assert draws and set(draws) == {("_below", "getrandbits")}
-
-
 def fraction_random_series(rng, den, prec):
-    """The qseries suite's random series as it was built from one Fraction
-    per coefficient, kept as the oracle of its integer draws."""
-    terms = {
-        e: F(rng.randrange(-9, 10), rng.randrange(1, 5))
-        for e in range(rng.randrange(0, 4), prec * den)
-    }
-    return QSeries(terms, den, prec)
+    """The qseries suite's random series built from one Fraction n/d per
+    coefficient, the oracle of its integer draws: a start in 0..3, then the
+    numerators n in -9..9, then the denominators d in 1..4."""
+    start, stop = rng.randrange(4), prec * den
+    ns = rng.choices(range(-9, 10), k=stop - start)
+    ds = rng.choices(range(1, 5), k=stop - start)
+    return QSeries({e: F(n, d) for e, n, d in zip(range(start, stop), ns, ds)}, den, prec)
+
+
+def word_element(rng, max_len):
+    """The weil suite's random element, the oracle of its draws: a length
+    in 1..max_len, then that many letters S, T, T^-1, multiplied out."""
+    g = Mp2Element.identity()
+    for tok in rng.choices(["S", "T", "T-"], k=rng.randint(1, max_len)):
+        g = g * (Mp2Element.S() if tok == "S" else Mp2Element.T(1 if tok == "T" else -1))
+    return g
 
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -305,13 +305,14 @@ def test_grassmannian_arithmetic_has_one_definition():
 
 
 def test_ring_protocol_has_one_definition():
-    # subtraction and powers of the exact rings live in exactmath._Ring
-    # alone; a second copy would drift from it in its checks and messages
+    # negation, subtraction and powers of the exact rings live in
+    # exactmath._Ring alone; a second copy would drift from it in its checks
+    # and messages
     from cubicforms.exactmath import Cyclotomic, _Ring
     from cubicforms.qseries import QSeries
     from cubicforms.schubert import RingClassP5
 
-    derived = {"__sub__", "__rsub__", "__pow__"}
+    derived = {"__neg__", "__sub__", "__rsub__", "__pow__"}
     defined = []
     for path in MODULES:
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -322,6 +323,7 @@ def test_ring_protocol_has_one_definition():
             for name in sorted(_class_level_names(node) & derived)
         ]
     assert defined == [
+        ("exactmath.py", "_Ring", "__neg__"),
         ("exactmath.py", "_Ring", "__pow__"),
         ("exactmath.py", "_Ring", "__rsub__"),
         ("exactmath.py", "_Ring", "__sub__"),

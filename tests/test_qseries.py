@@ -37,6 +37,13 @@ def random_series(rng, den, prec):
     return QSeries(terms, den, prec)
 
 
+def assert_distributes(f, g, h):
+    """f * (g + h) = fg + fh wherever both are known: when g + h cancels its
+    leading term the left side knows more terms, never fewer."""
+    left, right = f * (g + h), f * g + f * h
+    assert left.truncate(right.prec) == right
+
+
 class TestArithmetic:
     def test_mul_by_zero(self):
         f = series([(0, 1), (1, 6)], prec=10)
@@ -196,12 +203,18 @@ class TestLinearSolve:
 
 class TestRingProperties:
     def test_ring_axioms(self):
+        # g + h = 2q + O(q^10) cancels its leading term, so f * (g + h) knows
+        # q^10 and fg + fh does not: strict equality would fail here
+        f = series([(1, 1)], prec=10)
+        g, h = series([(0, 1), (1, 1)], prec=10), series([(0, -1), (1, 1)], prec=10)
+        assert (f * (g + h)).prec == 11 and (f * g + f * h).prec == 10
+        assert_distributes(f, g, h)
         rng = random.Random(11)
         for _ in range(200):
             den = rng.choice((1, 3))
             f, g, h = (random_series(rng, den, 10) for _ in range(3))
             assert (f * g) * h == f * (g * h)
-            assert f * (g + h) == f * g + f * h
+            assert_distributes(f, g, h)
             assert f + g == g + f
 
     def test_leibniz_rule(self):
