@@ -21,7 +21,7 @@ from itertools import chain
 
 from . import schubert
 from .eisenstein import (
-    _coset_theta_series,
+    _coset_thetas,
     eisenstein_chi,
     eisenstein_level1,
     theta_series_rank10,
@@ -256,11 +256,8 @@ def _suite_eisenstein(gram=None):
         # theta_E8 = E_4, so E_5 = 2 theta_W E_4 with only the rank-2 W walked
         e5 = vv_eisenstein(w_prime_form(), 5, 30)
         e4 = eisenstein_level1(4, 30)
-        w_lat, w_form = EvenLattice(W_GRAM), discriminant_form(W_GRAM)
-        return all(
-            e5.component(i) == _coset_theta_series(w_lat, w_form.cosets[i], 30) * e4 * 2
-            for i in range(3)
-        )
+        theta_w = _coset_thetas(discriminant_form(W_GRAM), 30)
+        return all(e5.component(i) == theta_w[i] * e4 * 2 for i in range(3))
 
     return [
         ("eisenstein-equals-twice-theta", oracle_equivalence),
@@ -287,15 +284,14 @@ def _suite_qseries(gram=None):
     import random
 
     rng = random.Random(99)
+    # coefficients n/d with n in -9..9 and d in 1..4, as integer numerators
+    # n * (12 // d) over the scale 12, one entry per pair (n, d)
+    numerators = [n * (12 // d) for n in range(-9, 10) for d in range(1, 5)]
 
     def random_series(den, prec):
-        # coefficients n/d with n in -9..9 and d in 1..4, as integer
-        # numerators n * (12 // d) over the scale 12; _series reduces them once
         start, stop = rng.randrange(4), prec * den
-        ns = rng.choices(range(-9, 10), k=stop - start)
-        scales = rng.choices((12, 6, 4, 3), k=stop - start)
-        nums = {e: n * s for e, n, s in zip(range(start, stop), ns, scales)}
-        return _series(nums, 12, den, stop)
+        nums = dict(zip(range(start, stop), rng.choices(numerators, k=stop - start)))
+        return _series(nums, 12, den, stop)  # _series reduces them once
 
     def ring_axioms():
         for _ in range(200):
@@ -307,7 +303,7 @@ def _suite_qseries(gram=None):
             # when g + h cancels its leading term, f * (g + h) knows more
             # terms than fg + f * h, whose cutoff is therefore never higher
             left, right = f * (g + h), fg + f * h
-            if left.truncate(right.prec) != right:
+            if right.cut > left.cut or not (left - right).is_zero():
                 return False
         return True
 
@@ -430,9 +426,7 @@ def cmd_verify(args):
 
 # The largest --terms accepted by theta and eisenstein.  theta --terms 2000
 # takes 0.32-0.38 s and 20 MB on a 2-vCPU Xeon VM under Python 3.11.7,
-# pinned to one processor (1000 takes 0.24-0.25 s); side by side it took
-# 0.45-0.48 s before vv_eisenstein became one divisor sieve, and 4.6-6.4 s
-# before the packed series product.
+# pinned to one processor (1000 takes 0.24-0.25 s).
 MAX_TERMS = 2000
 
 # The largest eisenstein --k.  The Bernoulli recurrence grows roughly as
@@ -446,9 +440,8 @@ MAX_WEIGHT = 400
 # The largest discriminant group order |det G| accepted by --gram.  The
 # closure, the q-values and the Gauss sum all grow with the order:
 # diag(12,12,12,12), order 20736, runs the milgram suite in 0.26-0.43 s from
-# the shell on a 2-vCPU Xeon VM under Python 3.11.7, pinned to one processor
-# (seven runs alternating with the Fraction-built form, which took
-# 5.4-7.5 s), and diag(12)^5 would list 248832 cosets.
+# the shell on a 2-vCPU Xeon VM under Python 3.11.7, pinned to one processor,
+# and diag(12)^5 would list 248832 cosets.
 MAX_GRAM_ORDER = 20736
 
 

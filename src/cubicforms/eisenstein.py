@@ -30,8 +30,7 @@ from .fqm import (
     E8_GRAM,
     W_GRAM,
     DiscriminantForm,
-    EvenLattice,
-    _scaled_norm_counts,
+    _short_vector_walk,
     discriminant_form,
     w_prime_form,
 )
@@ -339,39 +338,41 @@ def theta_series_rank10(prec: Fraction | int) -> VectorForm:
     by lattice point enumeration: coefficient of q^(v^2/2) v_gamma counts
     dual vectors v in coset gamma.
 
-    The two orthogonal summands are walked separately, each walk counting
-    its vectors per norm without keeping them, and their counting series
-    convolved, one W walk and one product per {gamma, -gamma} orbit; the
-    tests pin this against a walk of the rank-10 lattice in one pass.
-    Indexed against the canonical order-3 form; the two nonzero slots carry
-    equal series, so the coset matching is forced.  Serves as the
-    independent oracle for the Euler-product assembly.
+    The product theta_W * theta_E8 of the two summands' ``_coset_thetas``,
+    one product per {gamma, -gamma} orbit; the tests pin this against a
+    walk of the rank-10 lattice in one pass.  Indexed against the canonical
+    order-3 form; the two nonzero slots carry equal series, so the coset
+    matching is forced.  Serves as the independent oracle for the
+    Euler-product assembly.
     """
-    _cutoff(prec, 3, nonnegative=True)  # the precision's domain, before any walk
-    w_lat = EvenLattice(W_GRAM)
-    w_form = discriminant_form(W_GRAM)
-    e8 = _coset_theta_series(EvenLattice(E8_GRAM), (0,) * 8, prec)
-    return VectorForm.per_orbit(
-        Fraction(5),
-        w_prime_form(),
-        lambda i: _coset_theta_series(w_lat, w_form.cosets[i], prec) * e8,
-    )
+    (e8,) = _coset_thetas(discriminant_form(E8_GRAM), prec)
+    w = _coset_thetas(discriminant_form(W_GRAM), prec)
+    return VectorForm.per_orbit(Fraction(5), w_prime_form(), lambda i: w[i] * e8)
 
 
-def _coset_theta_series(lattice: EvenLattice, offset, prec: Fraction) -> QSeries:
-    """Theta series sum q^(<v,v>/2) over the coset offset + lattice of a
-    positive definite lattice, in steps of q^(1/3), to prec: one walk's
-    counts per integer norm y^T G y = d^2 <v,v>, keyed on the integer
-    exponent 3 y^T G y / (2 d^2), with no vector kept and no Fraction per
-    norm.  A norm off the 1/3 grid raises ``ValueError``."""
-    bound = 2 * prec - Fraction(2, 3)  # largest half-norm strictly below prec
-    d, counts = _scaled_norm_counts(lattice, offset, bound)
-    two_d2 = 2 * d * d
-    nums = {}
-    for ygy, c in counts.items():
-        e, r = divmod(3 * ygy, two_d2)
-        if r:
-            raise ValueError(f"exponent {Fraction(ygy, two_d2)} is not on the 1/3 grid")
-        nums[e] = c
-    return _series(nums, 1, 3, _cutoff(prec, 3))
-
+def _coset_thetas(form: DiscriminantForm, prec: Fraction | int) -> list[QSeries]:
+    """The theta series sum q^(<v,v>/2) over each coset v + M of the positive
+    definite lattice M of ``form``, in steps of q^(1/3), to prec, indexed as
+    the cosets: one ``fqm._short_vector_walk`` in dict mode per {gamma,
+    -gamma} orbit, whose two indices share the series.  Each integer norm
+    y^T G y = d^2 <v,v> is keyed on the integer exponent 3 y^T G y / (2 d^2),
+    with no vector kept and no Fraction per norm; a norm off the 1/3 grid
+    raises ``ValueError``.  The precision's domain is checked before any
+    walk."""
+    stop = _cutoff(prec, 3, nonnegative=True)
+    bound = Fraction(2 * stop - 2, 3)  # <v,v>/2 < prec on the 1/3 grid
+    out: list[QSeries] = []
+    for gamma, j in enumerate(form._neg):
+        if j < gamma:
+            out.append(out[j])
+            continue
+        d, counts = _short_vector_walk(form.lattice, form.cosets[gamma], bound, {})
+        two_d2 = 2 * d * d
+        nums = {}
+        for ygy, c in counts.items():
+            e, r = divmod(3 * ygy, two_d2)
+            if r:
+                raise ValueError(f"exponent {Fraction(ygy, two_d2)} is not on the 1/3 grid")
+            nums[e] = c
+        out.append(_series(nums, 1, 3, stop))
+    return out

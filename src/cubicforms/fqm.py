@@ -476,38 +476,24 @@ def short_vectors(
     last coordinate varying slowest and each coordinate ascending.  Offset
     entries and bound must be ints or Fractions.
 
-    A ``Fraction`` view of one integer walk, ``_scaled_short_vectors``:
-    completion of squares (Fincke-Pohst, Math. Comp. 44, 1985) over y = d*v,
-    d the common denominator of the offset, read off the pivot rows of
-    ``_linalg.symmetric_reduce``, which must all be positive and in order.
-    A caller that needs only the norms, such as a theta series, takes
-    ``_scaled_norm_counts`` from the same walk and keeps no vector.
+    A ``Fraction`` view of the one integer walk, ``_short_vector_walk``,
+    in list mode: completion of squares (Fincke-Pohst, Math. Comp. 44, 1985)
+    over y = d*v, d the common denominator of the offset, read off the pivot
+    rows of ``_linalg.symmetric_reduce``, which must all be positive and in
+    order.  ``eisenstein._coset_thetas`` runs the same walk in dict mode,
+    counting norms and keeping no vector.
     """
-    d, leaves = _scaled_short_vectors(lattice, offset, bound)
+    d, leaves = _short_vector_walk(lattice, offset, bound, [])
     return [(tuple(Fraction(yk, d) for yk in y), Fraction(ygy, d * d)) for y, ygy in leaves]
 
 
-def _scaled_short_vectors(
-    lattice: EvenLattice, offset, bound: Fraction
-) -> tuple[int, list[tuple[tuple[int, ...], int]]]:
-    """The walk of ``short_vectors`` in integers: the common denominator d of
-    the offset and the leaves (y, y^T G y) with y = d*v, in the same order."""
-    return _short_vector_walk(lattice, offset, bound, [])
-
-
-def _scaled_norm_counts(
-    lattice: EvenLattice, offset, bound: Fraction
-) -> tuple[int, dict[int, int]]:
-    """The same walk with its leaves counted, not kept: d and the dict
-    {y^T G y: number of leaves}, in memory O(distinct norms), not O(vectors).
-    Rank 0 gives {0: 1}, a negative bound {}."""
-    return _short_vector_walk(lattice, offset, bound, {})
-
-
 def _short_vector_walk(lattice: EvenLattice, offset, bound: Fraction, out: list | dict):
-    """The one walk behind ``_scaled_short_vectors`` and
-    ``_scaled_norm_counts``: d and ``out``, to which the last level appends
-    each leaf (y, y^T G y) if it is a list and adds y^T G y if it is a dict.
+    """The one walk over the vectors y = d*v of ``short_vectors``: the common
+    denominator d of the offset and ``out``, to which the last level appends
+    each leaf (y, y^T G y) if it is a list, the last coordinate varying
+    slowest and each coordinate ascending, and adds y^T G y if it is a dict,
+    {y^T G y: number of leaves}, in memory O(distinct norms), not
+    O(vectors).  Rank 0 gives the one empty vector, a negative bound none.
 
     Step i of ``symmetric_reduce`` gives the row r_i, the pivot p_i = r_i[i]
     and the divisor prev_i, and Q(v) = sum_i (p_i / prev_i) * u_i^2 with

@@ -1,7 +1,19 @@
 """Gram matrices and lattice theta series built only for the tests."""
 
-from cubicforms.eisenstein import _coset_theta_series
-from cubicforms.fqm import E8_GRAM, U_GRAM, W_GRAM, EvenLattice, discriminant_form
+from cubicforms.eisenstein import _coset_thetas
+from cubicforms.fqm import E8_GRAM, U_GRAM, W_GRAM, discriminant_form
+
+
+# the Cartan matrix of the E6 root lattice, nodes 1-3-4-5-6 in a chain and 2
+# on 4 (Bourbaki): det 3, and the discriminant form of -W
+E6_GRAM = (
+    (2, 0, -1, 0, 0, 0),
+    (0, 2, 0, -1, 0, 0),
+    (-1, 0, 2, -1, 0, 0),
+    (0, -1, -1, 2, -1, 0),
+    (0, 0, 0, -1, 2, -1),
+    (0, 0, 0, 0, -1, 2),
+)
 
 
 def direct_sum(*blocks):
@@ -29,8 +41,5 @@ def theta_e6(prec):
     (Conway-Sloane, SPLAG ch. 4): (theta_0^3 + 2 theta_1^3, 3 theta_0
     theta_1^2, 3 theta_0 theta_2^2), with theta_i the coset series of W.
     E6 has the discriminant form of -W, so this lies in M_3(rho_{-W})."""
-    form = discriminant_form(W_GRAM)
-    t0, t1, t2 = (
-        _coset_theta_series(EvenLattice(W_GRAM), form.cosets[i], prec) for i in range(3)
-    )
+    t0, t1, t2 = _coset_thetas(discriminant_form(W_GRAM), prec)
     return (t0**3 + t1**3 * 2, t0 * t1**2 * 3, t0 * t2**2 * 3)

@@ -424,12 +424,11 @@ class TestVerify:
 
 def fraction_random_series(rng, den, prec):
     """The qseries suite's random series built from one Fraction n/d per
-    coefficient, the oracle of its integer draws: a start in 0..3, then the
-    numerators n in -9..9, then the denominators d in 1..4."""
+    coefficient, the oracle of its integer draws: a start in 0..3, then one
+    pair (n, d) per coefficient, n in -9..9 and d in 1..4, from one draw."""
     start, stop = rng.randrange(4), prec * den
-    ns = rng.choices(range(-9, 10), k=stop - start)
-    ds = rng.choices(range(1, 5), k=stop - start)
-    return QSeries({e: F(n, d) for e, n, d in zip(range(start, stop), ns, ds)}, den, prec)
+    pairs = rng.choices([(n, d) for n in range(-9, 10) for d in range(1, 5)], k=stop - start)
+    return QSeries({e: F(n, d) for e, (n, d) in zip(range(start, stop), pairs)}, den, prec)
 
 
 def word_element(rng, max_len):

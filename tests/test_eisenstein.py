@@ -43,8 +43,7 @@ from cubicforms.fqm import (
     W_PRIME_GRAM,
     DiscriminantForm,
     EvenLattice,
-    _scaled_norm_counts,
-    _scaled_short_vectors,
+    _short_vector_walk,
     discriminant_form,
     short_vectors,
     w_prime_form,
@@ -52,7 +51,7 @@ from cubicforms.fqm import (
 from cubicforms.cli import main
 from cubicforms.qseries import QSeries, solve_linear_combination
 from cubicforms.vvmf import VectorForm, basis_weight11
-from lattices import direct_sum, theta_e6
+from lattices import E6_GRAM, direct_sum, theta_e6
 
 
 def rep_count(form, gamma, n, a):
@@ -940,6 +939,24 @@ class TestThetaOracle:
             # QSeries equality compares cutoffs, so both sides are cut alike
             assert e.component(i).truncate(prec) == (theta[i] * factor).truncate(prec), i
 
+    def test_coset_thetas_on_e6_equal_the_glue_code(self):
+        # E6 is no orthogonal sum: its own walk, one per orbit, against the
+        # A2^3[111] glue of theta_e6, an oracle over W; the glue products
+        # carry higher cutoffs, so both sides are cut to 12 first
+        form = discriminant_form(E6_GRAM)
+        assert (form.lattice.det(), form.qvalues) == (3, [0, F(2, 3), F(2, 3)])
+        got = eisenstein._coset_thetas(form, 12)
+        assert [t.truncate(12) for t in got] == [t.truncate(12) for t in theta_e6(12)]
+
+    @pytest.mark.parametrize("prec", [-1, F(1, 2), 2.0])
+    def test_coset_thetas_read_the_precision_before_any_walk(self, monkeypatch, prec):
+        def walk(*args):
+            raise AssertionError("walked")
+
+        monkeypatch.setattr(eisenstein, "_short_vector_walk", walk)
+        with pytest.raises((TypeError, ValueError), match="prec"):
+            eisenstein._coset_thetas(discriminant_form(W_GRAM), prec)
+
     def test_rank10_equals_theta_w_times_e4(self):
         # independent of the E8 walk: theta_E8 = E_4, so each component of
         # theta_{W+E8} is the rank-2 theta series of its coset times E_4
@@ -951,7 +968,7 @@ class TestThetaOracle:
 
     def test_e8_shell_counts(self):
         # 240 * sigma_3(m) vectors of norm 2m in E8
-        d, leaves = _scaled_short_vectors(EvenLattice(E8_GRAM), (0,) * 8, 8)
+        d, leaves = _short_vector_walk(EvenLattice(E8_GRAM), (0,) * 8, 8, [])
         assert d == 1
         shells = Counter(ygy for _y, ygy in leaves)
         assert shells == {0: 1, 2: 240, 4: 2160, 6: 6720, 8: 17520}
@@ -959,18 +976,17 @@ class TestThetaOracle:
     def test_e8_theta_from_counts_is_e4_through_norm_16(self):
         # theta_E8 = E_4 = 1 + 240 sum sigma_3(n) q^n: the binned walk has
         # 240 sigma_3(n) vectors at norm 2n, and none of odd norm, to n = 8
-        d, counts = _scaled_norm_counts(EvenLattice(E8_GRAM), (0,) * 8, 16)
+        d, counts = _short_vector_walk(EvenLattice(E8_GRAM), (0,) * 8, 16, {})
         e4 = eisenstein_level1(4, 9)
         assert d == 1 and counts == {2 * n: c for n, c in e4.coeffs.items()}
         assert sum(counts.values()) == 340321
-        theta = eisenstein._coset_theta_series(EvenLattice(E8_GRAM), (0,) * 8, 9)
-        assert theta == _e4(9)
+        assert eisenstein._coset_thetas(discriminant_form(E8_GRAM), 9) == [_e4(9)]
 
     def test_coset_theta_series_rejects_norm_off_the_third_grid(self):
         # the coset 1/2 + Z of the lattice <2> has half-norms (n + 1/2)^2,
         # in 1/4 + Z, and the series' 1/3 grid has no key for q^(1/4)
         with pytest.raises(ValueError, match="exponent 1/4 is not on the 1/3 grid"):
-            eisenstein._coset_theta_series(EvenLattice(((2,),)), (F(1, 2),), 2)
+            eisenstein._coset_thetas(discriminant_form(((2,),)), 2)
 
     def test_fresh_oracle_keeps_no_vectors(self):
         # the E8 walk at prec 4 passes 9,121 vectors; counted per norm at the

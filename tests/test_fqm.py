@@ -24,8 +24,7 @@ from cubicforms.fqm import (
     _mat_identity_cyc,
     _mat_mul_cyc,
     _scaled_inverse,
-    _scaled_norm_counts,
-    _scaled_short_vectors,
+    _short_vector_walk,
     discriminant_form,
     gauss_milgram_check,
     short_vectors,
@@ -635,7 +634,7 @@ class TestShortVectors:
     def test_rejects_every_pivot_that_is_not_positive_or_in_order(self, gram):
         # ((0, 1), (1, 2)) pivots out of order on its second diagonal entry
         with pytest.raises(ValueError, match="not positive definite"):
-            _scaled_short_vectors(EvenLattice(gram), (0,) * len(gram), 2)
+            _short_vector_walk(EvenLattice(gram), (0,) * len(gram), 2, [])
 
     @pytest.mark.parametrize(
         "offset, bound",
@@ -742,7 +741,7 @@ def test_scaled_walk_is_the_integer_view(case):
     # leaf by leaf: y = d*v in ints, y^T G y = d^2 <v,v>, d the offset's denominator
     gram, offset, bound = case
     lattice = EvenLattice(gram)
-    d, leaves = _scaled_short_vectors(lattice, offset, bound)
+    d, leaves = _short_vector_walk(lattice, offset, bound, [])
     assert d == lcm(1, *(o.denominator for o in offset))
     got = short_vectors(lattice, offset, bound)
     assert len(leaves) == len(got)
@@ -793,11 +792,11 @@ def test_e8_walk_builds_few_fractions():
     # so it builds no Fraction from int inputs or from Fraction inputs
     lattice = EvenLattice(E8_GRAM)
     leaves = []
-    built = _fraction_news(lambda: leaves.append(_scaled_short_vectors(lattice, (0,) * 8, 8)))
+    built = _fraction_news(lambda: leaves.append(_short_vector_walk(lattice, (0,) * 8, 8, [])))
     assert len(leaves[0][1]) == 26641
     assert built == 0, built
     offset, bound = (F(0),) * 8, F(8)
-    built = _fraction_news(lambda: leaves.append(_scaled_short_vectors(lattice, offset, bound)))
+    built = _fraction_news(lambda: leaves.append(_short_vector_walk(lattice, offset, bound, [])))
     assert leaves[1] == leaves[0]
     assert built == 0, built
 
@@ -860,8 +859,8 @@ def test_scaled_walk_matches_per_leaf_oracle(case):
     gram, offset, bound = case
     lattice = EvenLattice(gram)
     d, leaves = _walk_oracle(lattice, offset, bound)
-    assert _scaled_short_vectors(lattice, offset, bound) == (d, leaves)
-    counts = _scaled_norm_counts(lattice, offset, bound)
+    assert _short_vector_walk(lattice, offset, bound, []) == (d, leaves)
+    counts = _short_vector_walk(lattice, offset, bound, {})
     assert counts == (d, Counter(ygy for _y, ygy in leaves))
     assert type(counts[1]) is dict
     if not gram:
@@ -903,7 +902,7 @@ def _walk_calls(lattice, offset, bound) -> int:
     """Calls of the walk's level function, counted with cProfile."""
     profiler = cProfile.Profile()
     profiler.enable()
-    _scaled_short_vectors(lattice, offset, bound)
+    _short_vector_walk(lattice, offset, bound, [])
     profiler.disable()
     return sum(
         e.callcount
@@ -958,12 +957,12 @@ def test_merged_row_keeps_factor_and_gram_entries(gram, fill, offset_num, den, b
     assert (gram[i][j] == 0) != (_ldl_factor(gram, i, j) == 0)
     lattice = EvenLattice(gram)
     offset = tuple(F(offset_num * (k + 1), den) for k in range(len(gram)))
-    got = _scaled_short_vectors(lattice, offset, bound)
+    got = _short_vector_walk(lattice, offset, bound, [])
     assert got[1] and got == _walk_oracle(lattice, offset, bound)
 
 
 def test_e8_walk_norms_and_order_at_bound_8():
-    d, leaves = _scaled_short_vectors(EvenLattice(E8_GRAM), (0,) * 8, 8)
+    d, leaves = _short_vector_walk(EvenLattice(E8_GRAM), (0,) * 8, 8, [])
     assert d == 1 and len(leaves) == 26641
     for y, ygy in leaves:
         assert ygy == sum(y[i] * E8_GRAM[i][j] * y[j] for i in range(8) for j in range(8))
@@ -975,7 +974,7 @@ def test_rank_zero_walk():
     assert short_vectors(EvenLattice(()), (), 2) == [((), 0)]
     assert short_vectors(EvenLattice(()), (), 0) == [((), 0)]
     assert short_vectors(EvenLattice(()), (), -1) == []
-    assert _scaled_short_vectors(EvenLattice(()), (), F(-1, 3)) == (1, [])
+    assert _short_vector_walk(EvenLattice(()), (), F(-1, 3), []) == (1, [])
 
 
 def _rho_oracle(rep, g):

@@ -121,6 +121,26 @@ def _calls_of(name: str, node) -> bool:
     )
 
 
+def test_short_vector_walk_has_one_caller_per_mode():
+    # fqm.short_vectors keeps the leaves (list mode) and
+    # eisenstein._coset_thetas counts their norms (dict mode); nothing else
+    # in the source reaches the walk
+    callers = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for top in tree.body:
+            name = getattr(top, "name", "<module>")
+            callers += [
+                (path.stem, name, *(type(a).__name__ for a in node.args[3:]))
+                for node in ast.walk(top)
+                if _calls_of("_short_vector_walk", node)
+            ]
+    assert sorted(callers) == [
+        ("eisenstein", "_coset_thetas", "Dict"),
+        ("fqm", "short_vectors", "List"),
+    ]
+
+
 def test_rational_inputs_have_one_ratio_reader():
     # exactmath.as_ratio reads an int or Fraction input as (num, den) with no
     # Fraction built: nothing converts with as_fraction only to read the
