@@ -15,6 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import cycle, product
+from operator import mul
 
 from .exactmath import (
     IntegralityError,
@@ -72,7 +73,7 @@ def eisenstein_level1(k: int, prec: Fraction | int) -> QSeries:
     if k < 4 or k % 2:
         raise ValueError(f"level-1 Eisenstein series needs even k >= 4, got {k}")
     stop = _cutoff(prec, 1, nonnegative=True)
-    factor = Fraction(-2 * k) / bernoulli_number(k)
+    factor = -2 * k / bernoulli_number(k)
     a, b = factor.numerator, factor.denominator
     nums = {n: a * s for n, s in enumerate(_divisor_sums(k, stop, (1,)))}
     nums[0] = b
@@ -114,17 +115,14 @@ def _integer_polynomial(form: DiscriminantForm, gamma: int, n: Fraction):
     """The congruence (1/2)(r-gamma)^2 + n as an integer polynomial in r.
 
     Evenness gives (1/2)<r,r> in Z[r]; duality gives <r,gamma> in Z[r]; and
-    q(gamma) + n in Z makes the constant term integral.  Returns (quad, lin,
-    const) with quad the Gram matrix and lin = -Gram * gamma.
+    q(gamma) + n in Z makes the constant term integral.  Returns (G, lin, const)
+    with lin = -G v and const = v^T G v / 2 + n off one product G v, v = cosets[gamma].
     """
-    lat = form.lattice
-    rep = form.cosets[gamma]
-    lin = tuple(
-        -as_integer(sum(Fraction(g) * r for g, r in zip(row, rep)), "dual pairing coefficient")
-        for row in lat.gram
-    )
-    const = as_integer(lat.half_norm(rep) + n, f"q(gamma) + n for coset {gamma}, n = {n}")
-    return lat.gram, lin, const
+    gram, rep = form.lattice.gram, form.cosets[gamma]
+    g_rep = [sum(map(mul, row, rep)) for row in gram]
+    lin = tuple(-as_integer(x, "dual pairing coefficient") for x in g_rep)
+    half = sum(map(mul, rep, g_rep), 2 * n) / 2  # v^T G v / 2 + n
+    return gram, lin, as_integer(half, f"q(gamma) + n for coset {gamma}, n = {n}")
 
 
 def prime_power_counts(
@@ -260,7 +258,7 @@ def l_value_ratio(k: int) -> Fraction:
     """
     if k < 3 or k % 2 == 0:
         raise ValueError(f"L-value ratio needs odd k >= 3, got {k}")
-    return Fraction(-2 * k) / bernoulli_poly(k, Fraction(1, 3))
+    return -2 * k / bernoulli_poly(k, Fraction(1, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +328,7 @@ def vv_eisenstein(form: DiscriminantForm, k: int, prec: Fraction | int) -> Vecto
                     raise IntegralityError(f"{wrong} Eisenstein coefficient {c} at {at}")
         return series
 
-    return VectorForm.per_orbit(Fraction(k), form, component)
+    return VectorForm.per_orbit(k, form, component)
 
 
 def theta_series_rank10(prec: Fraction | int) -> VectorForm:

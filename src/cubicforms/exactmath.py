@@ -152,6 +152,8 @@ def as_integer(x: Fraction | int, what: str = "value") -> int:
 
 def jacobi_symbol(a: int, n: int) -> int:
     """Jacobi symbol (a/n) for odd positive n, extended to all integers a."""
+    if not isinstance(a, int) or not isinstance(n, int):
+        raise TypeError(f"Jacobi symbol needs ints, not ({type(a).__name__}, {type(n).__name__})")
     if n <= 0 or n % 2 == 0:
         raise ValueError(f"Jacobi symbol needs odd positive n, got {n}")
     result = 1
@@ -195,6 +197,8 @@ def p_valuation(n: int | Fraction, p: int) -> int:
 
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization of a positive integer by trial division."""
+    if not isinstance(n, int):
+        raise TypeError(f"cannot factorize a {type(n).__name__}")
     if n <= 0:
         raise ValueError(f"cannot factorize {n}")
     out: dict[int, int] = {}
@@ -407,7 +411,7 @@ class Cyclotomic(_Ring, _Value):
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self * (1 / Fraction(other))
+            return self * (Fraction(1) / other)
         return NotImplemented
 
     def __eq__(self, other):
@@ -467,9 +471,9 @@ def gauss_sum(a: int, qvalues: Iterable[Fraction]) -> Cyclotomic:
 
     Negative a is the same sum with conjugated phases; a = 0 gives the number
     of q-values.  Equal q-values are counted first, so each distinct value
-    adds count * e(a * q) once.
+    adds count * e(a * q) once, a * q read by ``as_ratio`` (TypeError on a float).
     """
     out = Cyclotomic.zero()
     for qv, count in Counter(qvalues).items():
-        out = out + Cyclotomic.root_of_unity(a * Fraction(qv)) * count
+        out = out + Cyclotomic.root_of_unity(a * qv) * count
     return out

@@ -92,18 +92,6 @@ class EvenLattice(_Value):
     def signature(self) -> tuple[int, int]:
         return _linalg.inertia(self.gram)
 
-    def inner(self, x, y) -> Fraction:
-        g = self.gram
-        return sum(
-            Fraction(xi) * g[i][j] * Fraction(yj)
-            for i, xi in enumerate(x)
-            for j, yj in enumerate(y)
-            if xi and g[i][j] and yj
-        ) + Fraction(0)
-
-    def half_norm(self, x) -> Fraction:
-        return self.inner(x, x) / 2
-
 
 # ---------------------------------------------------------------------------
 # discriminant forms
@@ -219,10 +207,6 @@ class DiscriminantForm:
     def bvalue(self, i: int, j: int) -> Fraction:
         d2 = self._d * self._d
         return Fraction(sum(map(mul, self._ys[i], self._gys[j])) % d2, d2)
-
-    @property
-    def signature(self) -> tuple[int, int]:
-        return self.lattice.signature
 
     def __repr__(self):
         return f"DiscriminantForm(order {self.order}, q-values {self.qvalues})"
@@ -391,7 +375,7 @@ class WeilRep:
     def s_matrix(self):
         """rho(S): (sqrt(i)^(b- - b+)/sqrt(order)) * (e(-<gamma,delta>))."""
         form = self.form
-        bplus, bminus = form.signature
+        bplus, bminus = form.lattice.signature
         front = Cyclotomic.zeta_power(3 * ((bminus - bplus) % 8))  # sqrt(i)^k
         front = front * Cyclotomic.sqrt_int(form.order) * Fraction(1, form.order)
         return [
@@ -438,10 +422,11 @@ class WeilRep:
             raise NotImplementedError("closed form implemented for odd order only")
         zero = Cyclotomic.zero()
         out = [[zero] * form.order for _ in range(form.order)]
+        sign = jacobi_symbol(g.a, form.order)
         for i in range(form.order):
             phase = Cyclotomic.root_of_unity(g.b * g.d * form.qvalue(i))
             target = form.multiple(i, g.d % form.order)
-            out[target][i] = out[target][i] + phase * jacobi_symbol(g.a, form.order)
+            out[target][i] = out[target][i] + phase * sign
         return out
 
     def is_unitary(self, m) -> bool:
@@ -455,9 +440,10 @@ class WeilRep:
 
 
 def gauss_milgram_check(form: DiscriminantForm) -> bool:
-    """Exact identity sum_gamma e(q(gamma)) = sqrt(order) * e(signature/8)."""
+    """Milgram's formula sum_gamma e(q(gamma)) = sqrt(order) * e((b+ - b-)/8),
+    exactly, for the lattice's signature (b+, b-), which the form fixes mod 8."""
     total = gauss_sum(1, form.qvalues)
-    bplus, bminus = form.signature
+    bplus, bminus = form.lattice.signature
     rhs = Cyclotomic.sqrt_int(form.order) * Cyclotomic.root_of_unity(
         Fraction(bplus - bminus, 8)
     )
@@ -473,8 +459,8 @@ def short_vectors(
 ) -> list[tuple[tuple[Fraction, ...], Fraction]]:
     """All vectors v = offset + x, x integral, with <v,v> <= bound, for a
     positive definite lattice.  Returns (coordinates, <v,v>) pairs, with the
-    last coordinate varying slowest and each coordinate ascending.  Offset
-    entries and bound must be ints or Fractions.
+    last coordinate varying slowest and each coordinate ascending.  The offset
+    has one entry per coordinate (else ValueError); entries and bound are ints or Fractions.
 
     A ``Fraction`` view of the one integer walk, ``_short_vector_walk``,
     in list mode: completion of squares (Fincke-Pohst, Math. Comp. 44, 1985)
@@ -512,6 +498,8 @@ def _short_vector_walk(lattice: EvenLattice, offset, bound: Fraction, out: list 
     n = lattice.rank
     gram = lattice.gram
     offset = [as_ratio(x, "offset entry") for x in offset]
+    if len(offset) != n:
+        raise ValueError(f"offset has {len(offset)} entries for a lattice of rank {n}")
     num_bound, den_bound = as_ratio(bound, "bound")
     steps = _linalg.symmetric_reduce(gram)
     if any(k != i or row[k] <= 0 for i, (k, row, _) in enumerate(steps)):

@@ -66,7 +66,7 @@ def rankin_cohen(F: VectorForm, g: QSeries, g_weight: int, n: int) -> VectorForm
         raise ValueError("scalar factor must have integer exponents")
     k1 = as_integer(F.weight, "vector form weight")
     return VectorForm.per_orbit(
-        Fraction(k1 + g_weight + 2 * n),
+        k1 + g_weight + 2 * n,
         F.form,
         lambda i: _scalar_bracket(F.components[i], k1, g, g_weight, n),
     )
@@ -212,9 +212,12 @@ class HeegnerSeries(_Value):
 
 def assemble_theta(psi: VectorForm) -> HeegnerSeries:
     """Contract the vector form to the scalar degree series; every degree
-    must come out an exact integer (half-integral values are a hard error)."""
+    must come out an exact integer (half-integral values are a hard error);
+    a Psi known to all orders has no last degree (``ValueError``)."""
     theta = psi.component(0) + (psi.component(1) + psi.component(2)) * Fraction(1, 2)
     nums, scale, den, cut = theta.nums, theta.scale, theta.den, theta.cut
+    if cut is None:
+        raise ValueError("assembly needs a truncated series")
     # N_d is the coefficient at q^(d/6), the key d * den / 6 if that is
     # integral (None, never a key, if not); q^(d/6) is below the cutoff
     # exactly when d < 6 * cut / den

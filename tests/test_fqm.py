@@ -267,7 +267,7 @@ class _FractionForm:
         assert self.order == abs(det)
         self.cosets = [zero] + sorted(reps - {zero})
         self._index = {rep: i for i, rep in enumerate(self.cosets)}
-        self.qvalues = [lattice.half_norm(rep) % 1 for rep in self.cosets]
+        self.qvalues = [self._pair(rep, rep) / 2 % 1 for rep in self.cosets]
         self._residues = [((-q) % 1).as_integer_ratio() for q in self.qvalues]
         self._neg = [self.multiple(i, -1) for i in range(self.order)]
 
@@ -281,7 +281,11 @@ class _FractionForm:
         return lcm(1, *(x.denominator for x in self.cosets[i]))
 
     def bvalue(self, i, j):
-        return self.lattice.inner(self.cosets[i], self.cosets[j]) % 1
+        return self._pair(self.cosets[i], self.cosets[j]) % 1
+
+    def _pair(self, x, y):
+        g = self.lattice.gram
+        return sum((x[i] * g[i][j] * y[j] for i in range(len(g)) for j in range(len(g))), F(0))
 
 
 @st.composite
@@ -644,6 +648,19 @@ class TestShortVectors:
         # a float offset (0.5, 0) with bound 2 used to return 4 vectors
         with pytest.raises(TypeError, match="int or a Fraction"):
             short_vectors(EvenLattice(W_GRAM), offset, bound)
+
+    @pytest.mark.parametrize("offset", [(F(1, 2),), (0, 0, F(1, 2))], ids=["short", "long"])
+    @pytest.mark.parametrize("out", [list, dict])
+    def test_offset_length_must_be_the_rank(self, offset, out):
+        # a longer offset was cut to the rank (the 7 vectors of (0, 0) at
+        # bound 4, its extra denominator still in d); a shorter one raised
+        # IndexError
+        message = f"offset has {len(offset)} entries for a lattice of rank 2"
+        with pytest.raises(ValueError, match=message):
+            _short_vector_walk(EvenLattice(W_GRAM), offset, 4, out())
+        if out is list:
+            with pytest.raises(ValueError, match=message):
+                short_vectors(EvenLattice(W_GRAM), offset, 4)
 
 
 def _fraction_det(m):

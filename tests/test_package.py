@@ -1,7 +1,8 @@
 """Package-wide rules: the source imports only the standard library and
 itself, holds no assert statement, defines the value-class protocol once,
 names every cache in the package docstring's cache policy, every exported
-name exists, and a cold start loads only what the modular path needs."""
+name exists, no exact entry point takes a float, and a cold start loads only
+what the modular path needs."""
 
 import ast
 import cProfile
@@ -12,6 +13,7 @@ import json
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -144,11 +146,23 @@ def test_short_vector_walk_has_one_caller_per_mode():
 def test_rational_inputs_have_one_ratio_reader():
     # exactmath.as_ratio reads an int or Fraction input as (num, den) with no
     # Fraction built: nothing converts with as_fraction only to read the
-    # ratio off, and _cutoff takes ints and Fractions down the same path
-    pairs, forks, cutoffs = [], [], []
+    # ratio off, and _cutoff takes ints and Fractions down the same path.
+    # A Fraction(x) of one non-literal argument takes a float, a str or a
+    # Decimal without complaint: as_fraction, after its type check, is the
+    # one place that builds it
+    pairs, forks, cutoffs, bare, reader = [], [], [], [], []
     for path in MODULES:
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "as_fraction":
+                reader += [(path.name, line) for line in range(node.lineno, node.end_lineno + 1)]
+            if (
+                _calls_of("Fraction", node)
+                and len(node.args) == 1
+                and not node.keywords
+                and not isinstance(node.args[0], ast.Constant)
+            ):
+                bare.append((path.name, node.lineno))
             if (
                 _calls_of("as_integer_ratio", node)
                 and isinstance(node.func, ast.Attribute)
@@ -167,6 +181,63 @@ def test_rational_inputs_have_one_ratio_reader():
                 ]
     assert pairs == []
     assert cutoffs == ["qseries.py"] and forks == []
+    assert len(bare) == 1 and bare[0] in reader, bare
+
+
+def _exact_entry_points():
+    """One call per public exact entry point, each with one float where an
+    int or a Fraction belongs."""
+    from cubicforms import eisenstein as eis
+    from cubicforms import exactmath as em
+    from cubicforms import fqm, qseries, schubert, vvmf
+
+    Q, Cyc = qseries.QSeries, em.Cyclotomic
+    f, w = Q({0: 1, 1: 2}, 1, 5), fqm.EvenLattice(fqm.W_GRAM)
+    zero = qseries.VectorForm(11, fqm.w_prime_form(), (Q.zero(3),) * 3)
+    return {
+        "gauss_sum-q": lambda: em.gauss_sum(1, [0.5, 0]),
+        "gauss_sum-a": lambda: em.gauss_sum(1.0, [Fraction(1, 2)]),
+        "jacobi_symbol-a": lambda: em.jacobi_symbol(2.0, 3),
+        "jacobi_symbol-n": lambda: em.jacobi_symbol(2, 3.0),
+        "factorize": lambda: em.factorize(12.0),
+        "p_valuation": lambda: em.p_valuation(0.5, 2),
+        "bernoulli_poly": lambda: em.bernoulli_poly(3, 0.5),
+        "Cyclotomic": lambda: Cyc([0.5] + [0] * 7),
+        "from_rational": lambda: Cyc.from_rational(0.5),
+        "root_of_unity": lambda: Cyc.root_of_unity(0.25),
+        "sqrt_int": lambda: Cyc.sqrt_int(2.0),
+        "QSeries-coefficient": lambda: Q({0: 0.5}),
+        "QSeries-prec": lambda: Q({0: 1}, 1, 2.0),
+        "coefficient": lambda: f.coefficient(0.5),
+        "truncate": lambda: f.truncate(2.0),
+        "rescale_exponent": lambda: f.rescale_exponent(0.5),
+        "derivative": lambda: f.derivative(1.0),
+        "solve-exponent": lambda: qseries.solve_linear_combination([f], [(0.0, 1)]),
+        "solve-value": lambda: qseries.solve_linear_combination([f], [(0, 0.5)]),
+        "VectorForm-weight": lambda: qseries.VectorForm(0.5, fqm.w_prime_form(), zero.components),
+        "VectorForm.scale": lambda: zero.scale(0.5),
+        "eisenstein_level1": lambda: eis.eisenstein_level1(4, 2.0),
+        "eisenstein_chi": lambda: eis.eisenstein_chi(1, 2.0),
+        "vv_eisenstein": lambda: eis.vv_eisenstein(fqm.w_prime_form(), 5, 2.0),
+        "theta_series_rank10": lambda: eis.theta_series_rank10(2.0),
+        "solve_psi": lambda: vvmf.solve_psi(2.0),
+        "theta_degrees": lambda: cubicforms.theta_degrees(2.0),
+        "short_vectors-offset": lambda: fqm.short_vectors(w, (0.5, 0), 2),
+        "short_vectors-bound": lambda: fqm.short_vectors(w, (0, 0), 2.0),
+        "Mp2Element": lambda: fqm.Mp2Element(1.0, 0, 0, 1),
+        "EvenLattice": lambda: fqm.EvenLattice(((2.0, 1), (1, 2))),
+        "RingClassGr36.sigma": lambda: schubert.RingClassGr36.sigma(1.0),
+        "RingClassGr36-pow": lambda: schubert.RingClassGr36.sigma(1) ** 2.0,
+        "HeegnerSeries.degree": lambda: vvmf.HeegnerSeries(f, {6: 1}).degree(6.0),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_exact_entry_points()))
+def test_no_exact_entry_point_takes_a_float(name):
+    # a float that entered as its binary expansion would give an exact answer
+    # from an inexact input; == against a float is False by Python's own rules
+    with pytest.raises(TypeError):
+        _exact_entry_points()[name]()
 
 
 def _is_cached(fn) -> bool:

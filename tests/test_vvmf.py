@@ -254,6 +254,12 @@ class TestAssemble:
             assemble_theta(VectorForm(11, w_prime, comps))
         assert str(err.value) == "degree at discriminant 12 = 1/2 is not an integer"
 
+    def test_exact_psi_has_no_last_degree(self, w_prime):
+        # with no cutoff the degree range was built from None: TypeError
+        z = QSeries.zero(3)
+        with pytest.raises(ValueError, match="assembly needs a truncated series"):
+            assemble_theta(VectorForm(11, w_prime, (QSeries.constant(-2, 3), z, z)))
+
 
 class TestFits:
     def test_psi0_fit(self, psi30):
