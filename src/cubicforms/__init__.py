@@ -23,7 +23,9 @@ form, such as a ``verify --gram`` form, is built outside it and dies with
 its last use.  ``vvmf._MEMO`` holds one Psi, at the highest precision
 ``solve_psi`` was asked for; the only other series kept is the weight-11
 basis at precision 30 in ``cli.basis30``, which the modularity suite's two
-checks share and which dies with them.  ``l_value_ratio``
+checks share and which dies with them.  ``WeilRep._cache`` keeps one
+``Cyclotomic`` matrix per element ``rho`` was asked for, which the ``weil``
+suite's words revisit, and dies with its representation.  ``l_value_ratio``
 and ``bernoulli_number`` keep one ``Fraction`` per weight;
 ``eisenstein._descent`` the local-density oracle's counts per integer
 polynomial, prime and depth asked, never a form; ``schubert._lr_products``
@@ -67,6 +69,7 @@ from .vvmf import (
     numeric_modularity_check,
     rankin_cohen,
     solve_psi,
+    theta_degrees,
 )
 from .eisenstein import (
     alpha_series,
@@ -79,10 +82,3 @@ from .eisenstein import (
 
 __version__ = "0.1.0"
 
-
-def theta_degrees(prec: int = 30) -> HeegnerSeries:
-    """The full modular pipeline at the given precision (integer q-steps).
-
-    Psi comes from ``solve_psi``'s memo, so a repeat or lower precision in
-    one process truncates Psi and only re-contracts it."""
-    return assemble_theta(solve_psi(prec))

@@ -44,7 +44,7 @@ from .fqm import (
     w_prime_form,
 )
 from .qseries import _series
-from .vvmf import _psi_of_basis, assemble_theta, basis_weight11, dim_formula, solve_psi
+from .vvmf import _psi_of_basis, basis_weight11, dim_formula, theta_degrees
 from .vvmf import numeric_modularity_check
 
 FORMATS = ("plain", "json", "csv")
@@ -80,7 +80,7 @@ def _write(args, out, code: int, record, plain, header: str, rows) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_theta(args):
-    heegner = assemble_theta(solve_psi(max(2, args.terms)))
+    heegner = theta_degrees(max(2, args.terms))
     # d/6 in lowest terms: every d is 0 or 2 mod 6
     rows = [
         (d, *((d // 6, 1) if d % 6 == 0 else (d // 2, 3)), deg)
@@ -161,7 +161,7 @@ def cmd_dim(args):
 def cmd_degree(args):
     d = args.d
     paths = {
-        "modular": lambda: assemble_theta(solve_psi(max(2, d // 6 + 1))).degree(d),
+        "modular": lambda: theta_degrees(max(2, d // 6 + 1)).degree(d),
         "schubert": schubert.degree_c6_recurrence if d == 6 else schubert.degree_c8_recurrence,
         "segre": schubert.degree_c6_segre if d == 6 else schubert.degree_c8_segre,
     }
@@ -366,7 +366,7 @@ def _suite_schubert(gram=None):
 
 def _suite_degrees(gram=None):
     def all_paths():
-        heegner = assemble_theta(solve_psi(3))
+        heegner = theta_degrees(3)
         return (
             heegner.degree(6)
             == schubert.degree_c6_recurrence()

@@ -19,13 +19,13 @@ from operator import mul
 
 from .exactmath import (
     IntegralityError,
+    _prime,
     as_fraction,
     as_integer,
     bernoulli_number,
     bernoulli_poly,
     chi_minus3,
     p_valuation,
-    prime_factors,
 )
 from .fqm import (
     E8_GRAM,
@@ -154,12 +154,6 @@ def prime_power_counts(
     return list(_descent(*_integer_polynomial(form, gamma, n), _prime(p), vmax))
 
 
-def _prime(p: int) -> int:
-    if not isinstance(p, int) or p < 2 or prime_factors(p) != [p]:
-        raise ValueError(f"p must be a prime, got {p!r}")
-    return p
-
-
 def _value(gram, lin, const, x) -> int:
     rank = len(gram)
     q2 = sum(gram[i][j] * x[i] * x[j] for i in range(rank) for j in range(rank))
@@ -235,9 +229,8 @@ def local_euler_factor(
     n = as_fraction(n, "n")
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    p = _prime(p)
     two_d_n = as_integer(2 * form.element_order(gamma) * n, "2*d_gamma*n")
-    w = 1 + 2 * p_valuation(two_d_n, p)
+    w = 1 + 2 * p_valuation(two_d_n, p)  # which checks that p is a prime
     counts = _descent(*_integer_polynomial(form, gamma, n), p, w)
     pk, pk1 = p**k, p ** (k - 1)
     head = 0  # sum_{v<w} N(p^v) p^(k(w-v)), by Horner

@@ -182,6 +182,7 @@ def chi_minus3(n: int) -> int:
 def p_valuation(n: int | Fraction, p: int) -> int:
     """Exponent of the prime p in n (negative for p in the denominator)."""
     num, den = as_ratio(n, "n")
+    _prime(p)
     if num == 0:
         raise ValueError("p-adic valuation of 0 is undefined")
     v = 0
@@ -215,6 +216,12 @@ def factorize(n: int) -> dict[int, int]:
 
 def prime_factors(n: int) -> list[int]:
     return sorted(factorize(n))
+
+
+def _prime(p: int) -> int:
+    if not isinstance(p, int) or p < 2 or prime_factors(p) != [p]:
+        raise ValueError(f"p must be a prime, got {p!r}")
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +321,9 @@ class Cyclotomic(_Ring, _Value):
         if len(coeffs) != _DEGREE:
             raise ValueError(f"need {_DEGREE} coordinates for order {_ORDER}")
         coeffs = [as_fraction(c, "cyclotomic coordinate") for c in coeffs]
-        if not isinstance(den, int) or den < 1:
+        if type(den) is not int:
+            raise TypeError(f"cyclotomic denominator must be an int, not {type(den).__name__}")
+        if den < 1:
             raise ValueError(f"cyclotomic denominator must be a positive integer, got {den!r}")
         scale = lcm(*(c.denominator for c in coeffs))
         nums = [(c * scale).numerator for c in coeffs]

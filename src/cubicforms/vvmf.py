@@ -37,6 +37,7 @@ __all__ = [
     "basis_weight11",
     "solve_psi",
     "assemble_theta",
+    "theta_degrees",
     "fit_alpha_beta",
     "numeric_modularity_check",
 ]
@@ -96,21 +97,11 @@ def dim_formula(k: int) -> int:
     gm3 = gauss_sum(-3, qvals)
     sqrt3 = Cyclotomic.sqrt_int(3)
 
-    term1 = (Cyclotomic.root_of_unity(Fraction(k - 1, 4)) * g2).real_part()
-    # 1/(4 sqrt 3) = sqrt(3)/12
-    term1 = term1 * sqrt3 * Fraction(1, 12)
-    term2 = (
-        Cyclotomic.root_of_unity(Fraction(k + 2, 6)) * (g1 + gm3)
-    ).real_part() * Fraction(1, 9)
-
-    total = (
-        Cyclotomic.from_rational(Fraction(2) - Fraction(1, 2) - Fraction(2, 3))
-        + Cyclotomic.from_rational(Fraction(k, 6))
-        - term1
-        - term2
-        - Cyclotomic.from_rational(Fraction(1, 3))
-    )
-    value = total.as_rational()
+    # 1/(4 sqrt 3) = sqrt(3)/12, and the rational terms sum to (k + 3)/6
+    term1 = (Cyclotomic.root_of_unity(Fraction(k - 1, 4)) * g2).real_part() * sqrt3
+    term2 = (Cyclotomic.root_of_unity(Fraction(k + 2, 6)) * (g1 + gm3)).real_part()
+    total = Cyclotomic.from_rational(Fraction(k + 3, 6)) - term1 * Fraction(1, 12)
+    value = (total - term2 * Fraction(1, 9)).as_rational()
     dim = as_integer(value, f"dimension at weight {k}")
     if dim < 0:
         raise IntegralityError(f"dimension formula gave {dim} < 0 at weight {k}")
@@ -128,39 +119,40 @@ def _weight11_prec(prec: Fraction | int) -> Fraction:
     return prec
 
 
+def _constraint_minor(f0: VectorForm, f1: VectorForm):
+    """(det, rows) of the two normalizations on c0*F0 + c1*F1: F_j reads a/s at
+    q^0 on v_0 and b/s at q^(1/3) on v_1 for row j = (a, b, s) of integer
+    numerators, s the product of the two scales; det = a0*b1 - a1*b0."""
+    rows = [
+        (v0._numerator(0, 1) * v1.scale, v1._numerator(1, 3) * v0.scale, v0.scale * v1.scale)
+        for v0, v1, _ in (f0.components, f1.components)
+    ]
+    (a0, b0, _), (a1, b1, _) = rows
+    return a0 * b1 - a1 * b0, rows
+
+
 def basis_weight11(prec: Fraction | int) -> tuple[VectorForm, VectorForm]:
     """The two brackets [E5, E6]_0 and [E5, E4]_1 spanning the weight-11
-    space; linear independence is certified by a nonsingular 2x2 minor of
-    leading coefficients."""
+    space; linear independence is certified by the nonzero determinant of
+    the two normalizations that ``_psi_of_basis`` solves."""
     prec = _weight11_prec(prec)
     e5 = vv_eisenstein(w_prime_form(), 5, prec)
     iprec = int(prec) + (prec.denominator != 1)
     f0 = rankin_cohen(e5, eisenstein_level1(6, iprec), 6, 0)
     f1 = rankin_cohen(e5, eisenstein_level1(4, iprec), 4, 1)
-    minor = f0.coefficient(0, 0) * f1.coefficient(1, 0) - f1.coefficient(
-        0, 0
-    ) * f0.coefficient(1, 0)
-    if minor == 0:
+    if _constraint_minor(f0, f1)[0] == 0:
         raise ArithmeticError("bracket basis is not linearly independent")
     return f0, f1
 
 
 def _psi_of_basis(f0: VectorForm, f1: VectorForm) -> VectorForm:
-    """Solve c0*F0 + c1*F1 against the two normalizations pinning the degree
-    series: constant coefficient -2 on the trivial coset (the Hodge bundle
-    degree of a pencil) and vanishing q^(1/3) coefficient on the first
-    nonzero coset (no discriminant-2 members in a general pencil)."""
-    third = Fraction(1, 3)
-    c0, c1 = solve_linear_combination(
-        [
-            QSeries.from_terms(
-                [(0, f.coefficient(0, 0)), (third, f.coefficient(third, 1))], 3, 1
-            )
-            for f in (f0, f1)
-        ],
-        [(0, -2), (third, 0)],
-    )
-    return f0.scale(c0) + f1.scale(c1)
+    """c0*F0 + c1*F1 under the two normalizations pinning the degree series:
+    constant coefficient -2 on the trivial coset (the Hodge bundle degree of
+    a pencil) and vanishing q^(1/3) coefficient on the first nonzero coset
+    (no discriminant-2 members in a general pencil).  Cramer's rule on
+    ``_constraint_minor`` gives c0 = -2*b1*s0/det and c1 = 2*b0*s1/det."""
+    det, ((_, b0, s0), (_, b1, s1)) = _constraint_minor(f0, f1)
+    return f0.scale(Fraction(-2 * b1 * s0, det)) + f1.scale(Fraction(2 * b0 * s1, det))
 
 
 _MEMO: dict[Fraction, VectorForm] = {}
@@ -188,9 +180,9 @@ def solve_psi(prec: Fraction | int) -> VectorForm:
 # ---------------------------------------------------------------------------
 
 class HeegnerSeries(_Value):
-    """The scalar series Psi_0 + (1/2)(Psi_1 + Psi_2) together with the
-    integer degree table d -> N_d read off its 1/3-grid coefficients.  The
-    table is a dict, so the value is unhashable."""
+    """The scalar series Psi_0 + Psi_1, one term per +- orbit, together with
+    the integer degree table d -> N_d read off its 1/3-grid coefficients.
+    The table is a dict, so the value is unhashable."""
 
     __slots__ = ("theta", "degrees")
     __hash__ = None
@@ -211,10 +203,11 @@ class HeegnerSeries(_Value):
 
 
 def assemble_theta(psi: VectorForm) -> HeegnerSeries:
-    """Contract the vector form to the scalar degree series; every degree
-    must come out an exact integer (half-integral values are a hard error);
-    a Psi known to all orders has no last degree (``ValueError``)."""
-    theta = psi.component(0) + (psi.component(1) + psi.component(2)) * Fraction(1, 2)
+    """Contract the vector form to the scalar degree series per +- orbit:
+    {v_1, v_2} weighs 1/2 + 1/2 and ``VectorForm`` makes Psi_2 = Psi_1.  Every
+    degree must come out an exact integer (half-integral values are a hard
+    error); a Psi known to all orders has no last degree (``ValueError``)."""
+    theta = psi.component(0) + psi.component(1)
     nums, scale, den, cut = theta.nums, theta.scale, theta.den, theta.cut
     if cut is None:
         raise ValueError("assembly needs a truncated series")
@@ -229,6 +222,13 @@ def assemble_theta(psi: VectorForm) -> HeegnerSeries:
             as_integer(Fraction(num, scale), f"degree at discriminant {d}")
         degrees = {d: num // scale for d, num in degrees.items()}
     return HeegnerSeries(theta, degrees)
+
+
+def theta_degrees(prec: int = 30) -> HeegnerSeries:
+    """The full modular pipeline at ``prec`` (integer q-steps), the one place
+    that composes ``solve_psi`` and ``assemble_theta``: a repeat or lower
+    precision in one process truncates the memo's Psi and only re-contracts it."""
+    return assemble_theta(solve_psi(prec))
 
 
 # ---------------------------------------------------------------------------

@@ -482,8 +482,8 @@ class TestGoodPrimes:
         assert checked == {"w_prime": 7985, "w": 7955}[name]
 
     def test_cold_theta_enters_neither_descent_nor_factorization(self, monkeypatch):
-        """A cold theta_degrees runs the descent at no prime and factors no
-        exponent: factorize is what prime_factors calls."""
+        """A cold theta_degrees runs the descent at no prime, checks no prime
+        and factors no exponent: factorize is what prime_factors calls."""
         from cubicforms import exactmath
         from cubicforms.vvmf import _MEMO
 
@@ -500,7 +500,7 @@ class TestGoodPrimes:
 
         for name in ("local_euler_factor", "prime_power_counts", "_descent", "_solutions_mod_p"):
             spy(eisenstein, name)
-        spy(eisenstein, "prime_factors")
+        spy(eisenstein, "_prime")
         spy(exactmath, "prime_factors")
         spy(exactmath, "factorize")
         saved = dict(_MEMO)

@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import signal
 from fractions import Fraction as F
 from functools import lru_cache
 from math import comb, gcd
@@ -155,6 +156,22 @@ class TestPValuation:
         with pytest.raises(TypeError, match="int or a Fraction"):
             p_valuation(0.5, 2)
 
+    @pytest.mark.parametrize("p", [1, 0, -3, 4, 9, 2.0, True])
+    def test_p_must_be_a_prime(self, p):
+        # p = 1 looped for ever, 4 gave 1 and 2.0 gave 2; the alarm turns a
+        # loop into a failure instead of a hung run
+        def hung(signum, frame):
+            raise TimeoutError(f"p_valuation(12, {p!r}) did not return")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(3)
+        try:
+            with pytest.raises(ValueError, match=r"^p must be a prime, got "):
+                p_valuation(12, p)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
 
 class TestCyclotomic:
     def test_root_of_unity_order(self):
@@ -240,8 +257,12 @@ class TestCyclotomic:
         # (coeffs, den) is the element sum coeffs[k] zeta^k / den, reduced
         assert Cyclotomic([2, 4] + [0] * 6, 6) == Cyclotomic([F(1, 3), F(2, 3)] + [0] * 6)
         assert Cyclotomic([F(1, 2)] + [0] * 7, 3).den == 6
-        for den in (0, -1, 1.0, F(1, 2)):
+        for den in (0, -1):
             with pytest.raises(ValueError, match="denominator must be a positive integer"):
+                Cyclotomic([1] + [0] * 7, den)
+        # True was read as the denominator 1
+        for den in (True, 1.0, F(1, 2)):
+            with pytest.raises(TypeError, match="denominator must be an int, not "):
                 Cyclotomic([1] + [0] * 7, den)
 
     def test_rational_elements_hash_as_their_fraction(self):

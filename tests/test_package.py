@@ -203,6 +203,7 @@ def _exact_entry_points():
         "p_valuation": lambda: em.p_valuation(0.5, 2),
         "bernoulli_poly": lambda: em.bernoulli_poly(3, 0.5),
         "Cyclotomic": lambda: Cyc([0.5] + [0] * 7),
+        "Cyclotomic-den": lambda: Cyc([1] + [0] * 7, 1.0),
         "from_rational": lambda: Cyc.from_rational(0.5),
         "root_of_unity": lambda: Cyc.root_of_unity(0.25),
         "sqrt_int": lambda: Cyc.sqrt_int(2.0),
@@ -250,33 +251,50 @@ def _is_cached(fn) -> bool:
 
 
 def _empty_containers(tree: ast.Module) -> list[str]:
-    """The module-level names bound to an empty {}, [] or set(): the
-    containers a module can fill as a memo."""
+    """The module-level names bound to an empty {}, [] or set(), and the
+    Class.attr of each self.attr that a class's ``__init__`` binds to one:
+    the containers a module or an instance can fill as a memo."""
+    scopes = [(None, tree.body)] + [
+        (cls.name, fn.body)
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef) and fn.name == "__init__"
+    ]
     names = []
-    for stmt in tree.body:
-        if isinstance(stmt, ast.Assign):
-            targets, value = stmt.targets, stmt.value
-        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-            targets, value = [stmt.target], stmt.value
-        else:
-            continue
-        empty = (
-            isinstance(value, ast.Dict) and not value.keys
-            or isinstance(value, ast.List) and not value.elts
-            or isinstance(value, ast.Call)
-            and getattr(value.func, "id", None) == "set"
-            and not value.args
-        )
-        if empty:
-            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    for owner, body in scopes:
+        for stmt in body:
+            if isinstance(stmt, ast.Assign):
+                targets, value = stmt.targets, stmt.value
+            elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
+                targets, value = [stmt.target], stmt.value
+            else:
+                continue
+            empty = (
+                isinstance(value, ast.Dict) and not value.keys
+                or isinstance(value, ast.List) and not value.elts
+                or isinstance(value, ast.Call)
+                and getattr(value.func, "id", None) == "set"
+                and not value.args
+            )
+            if not empty:
+                continue
+            if owner is None:
+                names += [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names += [
+                    f"{owner}.{t.attr}"
+                    for t in targets
+                    if isinstance(t, ast.Attribute) and getattr(t.value, "id", None) == "self"
+                ]
     return names
 
 
 def test_every_cache_is_in_the_cache_policy():
     # the package docstring's "Caches." paragraph states what each cache
     # keeps alive; a cache it does not name has no stated policy.  A cache
-    # is a function under lru_cache or cache, or a module-level container
-    # that starts empty
+    # is a function under lru_cache or cache, a module-level container that
+    # starts empty, or one that a class's __init__ puts on each instance
     doc = cubicforms.__doc__
     policy = doc[doc.index("Caches."):].split("\n\n")[0]
     named = set(re.findall(r"``([\w.]+)``", policy))
@@ -294,7 +312,24 @@ def test_every_cache_is_in_the_cache_policy():
             if not {name, f"{path.stem}.{name}"} & named
         ]
     assert unnamed == []
-    assert {"schubert._lr_products", "vvmf._MEMO"} <= named
+    assert {"schubert._lr_products", "vvmf._MEMO", "WeilRep._cache"} <= named
+
+
+def test_theta_pipeline_is_composed_once():
+    # assemble_theta(solve_psi(...)) is written out in vvmf.theta_degrees
+    # alone; the CLI and the package reach the pipeline through it
+    composed = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for top in tree.body:
+            composed += [
+                (path.stem, getattr(top, "name", "<module>"))
+                for node in ast.walk(top)
+                if _calls_of("assemble_theta", node)
+                and any(_calls_of("solve_psi", arg) for arg in node.args)
+            ]
+    assert composed == [("vvmf", "theta_degrees")]
+    assert cubicforms.theta_degrees is cubicforms.vvmf.theta_degrees
 
 
 def _class_level_names(cls: ast.ClassDef) -> set[str]:

@@ -1,15 +1,19 @@
+import io
 from fractions import Fraction as F
+from math import ceil
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cubicforms import cli, vvmf
 from cubicforms.eisenstein import eisenstein_level1
 from cubicforms.fqm import W_GRAM, W_PRIME_GRAM, Mp2Element, discriminant_form
-from cubicforms.qseries import QSeries
+from cubicforms.qseries import QSeries, solve_linear_combination
 from cubicforms.vvmf import (
     VectorForm,
     assemble_theta,
+    basis_weight11,
     dim_formula,
     fit_alpha_beta,
     numeric_modularity_check,
@@ -21,6 +25,24 @@ from lattices import lambda0_prime_gram, theta_e6
 def is_cuspidal(F: VectorForm) -> bool:
     """True iff every component has vanishing constant term."""
     return all(f.coefficient(0) == 0 for f in F.components)
+
+
+@pytest.fixture
+def memo():
+    """The Psi memo, empty for the test and restored after it."""
+    saved = dict(vvmf._MEMO)
+    vvmf._MEMO.clear()
+    yield vvmf._MEMO
+    vvmf._MEMO.clear()
+    vvmf._MEMO.update(saved)
+
+
+def weighted_contraction(psi: VectorForm):
+    """Theta = Psi_0 + (1/2)(Psi_1 + Psi_2), each coset weighted by itself,
+    and the degree table N_d = Theta at q^(d/6) below Theta's precision."""
+    theta = psi.component(0) + (psi.component(1) + psi.component(2)) * F(1, 2)
+    ds = [d for d in range(2, ceil(6 * theta.prec), 2) if d % 6 in (0, 2)]
+    return theta, {d: theta.coefficient(F(d, 6)) for d in ds}
 
 
 class TestVectorForm:
@@ -177,6 +199,51 @@ class TestBasisAndPsi:
         recon = f0.scale(-1) + f1.scale(F(-3, 4))
         assert psi30 == recon
 
+    @pytest.mark.parametrize("prec", [2, F(7, 3), 30, 120])
+    def test_psi_equals_the_general_solve(self, prec):
+        # Cramer's rule on the one 2x2 determinant against row_reduce on the
+        # same two constraints, read off as two series
+        f0, f1 = basis_weight11(prec)
+        third = F(1, 3)
+        rows = [
+            QSeries.from_terms([(0, f.coefficient(0, 0)), (third, f.coefficient(third, 1))], 3, 1)
+            for f in (f0, f1)
+        ]
+        c0, c1 = solve_linear_combination(rows, [(0, -2), (third, 0)])
+        psi = vvmf._psi_of_basis(f0, f1)
+        assert psi == f0.scale(c0) + f1.scale(c1)
+        assert (psi.coefficient(0, 0), psi.coefficient(third, 1)) == (-2, 0)
+        # the two normalizations pin Psi in the span, whatever basis spans
+        # it: rescaled brackets give each row its own scale
+        assert vvmf._psi_of_basis(f0.scale(F(-1, 3)), f1.scale(F(2, 5))) == psi
+
+    def test_psi_path_runs_no_general_solve(self, memo, monkeypatch):
+        # the certificate and the solve read one determinant: neither the
+        # general solver nor a throw-away series runs on the way to Psi
+        def refuse(*args, **kwargs):
+            raise AssertionError("the general solve ran")
+
+        monkeypatch.setattr(vvmf, "solve_linear_combination", refuse)
+        monkeypatch.setattr(QSeries, "from_terms", refuse)
+        assert vvmf.theta_degrees(4).degree(8) == 3402
+
+    def test_singular_basis_is_an_integrity_error(self, memo, monkeypatch, capsys):
+        # a planted F1 = 2*F0: the determinant that certifies the basis and
+        # solves for Psi is 0, and theta exits 1 with the error
+        real, made = vvmf.rankin_cohen, []
+
+        def planted(F, g, g_weight, n):
+            made.append(made[0].scale(2) if made else real(F, g, g_weight, n))
+            return made[-1]
+
+        monkeypatch.setattr(vvmf, "rankin_cohen", planted)
+        with pytest.raises(ArithmeticError, match="^bracket basis is not linearly independent$"):
+            basis_weight11(4)
+        made.clear()
+        assert cli.main(["theta", "--terms", "4"], out=io.StringIO()) == 1
+        assert capsys.readouterr().err == "error: bracket basis is not linearly independent\n"
+        assert memo == {}
+
     def test_psi_displays(self, psi30):
         assert [psi30.coefficient(n, 0) for n in range(3)] == [-2, 192, 196272]
         assert [psi30.coefficient(F(3 * n + 1, 3), 1) for n in range(3)] == [
@@ -253,6 +320,20 @@ class TestAssemble:
         with pytest.raises(IntegralityError) as err:
             assemble_theta(VectorForm(11, w_prime, comps))
         assert str(err.value) == "degree at discriminant 12 = 1/2 is not an integer"
+
+    def test_orbit_contraction_equals_the_weighted_one(self, psi30):
+        # Theta = Psi_0 + Psi_1 reads the +- orbit {v_1, v_2} once; with v_1
+        # and v_2 equal series on the grids 3 and 6, either way round, it
+        # gives the same series and table as (1, 1/2, 1/2)
+        v0, v1 = psi30.component(0), psi30.component(1)
+        fine = QSeries({2 * e: c for e, c in v1.coeffs.items()}, 6, v1.prec)
+        assert fine.den == 6 and fine == v1
+        for pair in ((v1, fine), (fine, v1)):
+            psi = VectorForm(11, psi30.form, (v0, *pair))
+            theta, table = weighted_contraction(psi)
+            heegner = assemble_theta(psi)
+            assert heegner.theta == theta and heegner.degrees == table
+            assert heegner.degrees == assemble_theta(psi30).degrees
 
     def test_exact_psi_has_no_last_degree(self, w_prime):
         # with no cutoff the degree range was built from None: TypeError
@@ -400,16 +481,6 @@ class TestPrecisionMemo:
     """The memo holds one Psi, at the highest precision asked for; a lower
     precision is served by truncation and must equal a fresh solve.  Every
     other series is computed afresh and is the truncation of a deeper one."""
-
-    @pytest.fixture
-    def memo(self):
-        from cubicforms import vvmf
-
-        saved = dict(vvmf._MEMO)
-        vvmf._MEMO.clear()
-        yield vvmf._MEMO
-        vvmf._MEMO.clear()
-        vvmf._MEMO.update(saved)
 
     @staticmethod
     def fresh(memo, compute, prec):
